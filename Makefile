@@ -3,7 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: test smoke smoke-dist smoke-net bench bench-hyz bench-dist \
 	bench-ingest bench-sampling bench-query bench-recovery bench-smoke \
-	smoke-query smoke-recovery bench-baselines docs-check check
+	smoke-query smoke-recovery bench-baselines bench-e2e-smoke docs-check \
+	check
 
 test:
 	$(PYTHON) -m pytest -q
@@ -233,8 +234,15 @@ smoke-recovery:
 	$(PYTHON) tools/compare_bench.py /tmp/repro_bench_smoke_recovery.json \
 	    benchmarks/BENCH_recovery_smoke.json
 
+# The end-to-end benchmark (bench/, BENCHMARK.json) scaled to seconds,
+# with every conformance check and the layer replay on: a src change
+# that breaks one of its checks or tracer probes fails here, not in the
+# next performance PR.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest bench/ -q
+
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
 check: test smoke smoke-dist smoke-net bench-smoke smoke-query \
-	smoke-recovery docs-check
+	smoke-recovery bench-e2e-smoke docs-check

@@ -60,8 +60,19 @@ from repro.dist.messages import (
 )
 from repro.dist.site import START_METHOD, _site_worker_main
 from repro.dist.transport import POLL_INTERVAL, QueueTransport, TransportClosed
-from repro.errors import ExecutionError, SessionError
+from repro.errors import ExecutionError, SessionError, StreamError
 from repro.monitoring.channel import MessageKind
+
+
+def event_wire_dtype(network) -> np.dtype:
+    """The dtype event batches travel in for ``network``.
+
+    The narrowest unsigned integer holding every valid state index
+    (``max(cardinalities) - 1``): uint8 on LINK and ALARM.  The wire
+    codec carries whatever dtype it is given (``docs/networking.md``),
+    so the producer picks the width; workers upcast on arrival.
+    """
+    return np.min_scalar_type(int(network.cardinalities().max()) - 1)
 
 
 class _WorkerHandle:
@@ -86,7 +97,8 @@ class _WorkerHandle:
         #: Last state_dict the worker reported (respawn hand-off).
         self.state: dict | None = None
         #: seq -> (data, site_ids) sub-batches sent but not yet reported
-        #: by this worker; replayed verbatim after a respawn.
+        #: by this worker (``data`` in the session's wire dtype);
+        #: replayed verbatim after a respawn.
         self.unreported: dict[int, tuple] = {}
         self.thresholds_sent = 0
         self.thresholds_acked = 0
@@ -231,6 +243,7 @@ class DistributedSession:
         self.inner = _inner if _inner is not None else MonitoringSession(
             spec, network=network
         )
+        self._wire_dtype = event_wire_dtype(self.inner.network)
         k = spec.n_sites
         if procs is None:
             procs = min(k, os.cpu_count() or 1)
@@ -664,11 +677,27 @@ class DistributedSession:
             data = data.reshape(1, -1)
         if data.shape[0] == 0:
             return 0
+        if not validate:
+            # Nothing else scans a trusted batch, and narrowing it below
+            # must be lossless or refused — never a silent wrap.  The
+            # in-process session has no such refusal, so it comes before
+            # the partitioner draw: a refused batch leaves the two
+            # sessions' assignment streams aligned.
+            limit = np.iinfo(self._wire_dtype).max
+            if data.size and (data.min() < 0 or data.max() > limit):
+                raise StreamError(
+                    "event contains state indices outside the "
+                    f"{self._wire_dtype.name} wire range [0, {limit}]"
+                )
         if site_ids is None:
             site_ids = self.inner.partitioner.assign(data.shape[0])
         data, site_ids = self.inner.estimator._validate_batch(
             data, site_ids, check=validate
         )
+        # One cast ahead of the per-worker split: the split copies, the
+        # replay buffers, the frame CRCs and the socket all move the
+        # narrow bytes (validate=True's range scan proved it lossless).
+        data = data.astype(self._wire_dtype)
         m = int(data.shape[0])
         self._seq += 1
         seq = self._seq
@@ -821,7 +850,13 @@ class DistributedSession:
         coordinator->worker sub-batches, ``report_frames_received`` the
         batched per-round replies, and so on.  ``blocked_sends`` /
         ``blocked_seconds`` aggregate coordinator-side backpressure
-        stalls across all worker inboxes.
+        stalls across all worker inboxes.  ``bytes_sent`` /
+        ``bytes_received`` are the coordinator->worker and
+        worker->coordinator bytes the TCP channels moved (see
+        :meth:`repro.net.endpoint.CoordinatorChannel.stats`); the queue
+        transport pickles inside ``multiprocessing`` and reports 0.
+        Like the blocked counters they cover each worker's current
+        incarnation.
         """
         stats = dict(self._wire)
         stats["workers"] = self.procs
@@ -831,6 +866,12 @@ class DistributedSession:
         stats["blocked_seconds"] = float(
             sum(h.inbox.blocked_seconds for h in self._workers)
         )
+        channels = [] if self._listener is None else [
+            c for h in self._workers for c in (h.inbox, h.reports)
+            if c is not None
+        ]
+        stats["bytes_sent"] = sum(c.bytes_sent for c in channels)
+        stats["bytes_received"] = sum(c.bytes_received for c in channels)
         return stats
 
     def durability_stats(self) -> dict:

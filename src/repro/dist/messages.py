@@ -43,7 +43,9 @@ __all__ = [
 class IngestBatch:
     """Coordinator -> site worker: one round's sub-batch of events.
 
-    ``data`` is ``(m_w, n)`` state indices and ``site_ids`` the matching
+    ``data`` is ``(m_w, n)`` state indices — any integer dtype; the
+    coordinator ships the narrowest unsigned one that holds the
+    network's largest state index — and ``site_ids`` the matching
     global site assignment, restricted to the worker's hosted sites.
     ``seq`` numbers the coordinator round the sub-batch belongs to;
     workers echo it back so out-of-order replies re-align.
@@ -66,7 +68,10 @@ class SiteAggregate:
     ``counter_ids`` are unique and ascending, ``counts`` strictly
     positive — the exact slice shape
     :meth:`~repro.counters.base.CounterBank.bulk_add_site` consumes, so
-    the coordinator applies a report without re-aggregating.
+    the coordinator applies a report without re-aggregating.  The
+    contract is on values, not dtype: shards ship the narrowest unsigned
+    dtypes that hold ``n_counters - 1`` and the sub-batch's row count,
+    and consumers normalise to int64.
     """
 
     __slots__ = ("site", "counter_ids", "counts", "n_events")

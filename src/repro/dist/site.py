@@ -46,17 +46,26 @@ class _CollectorBank(CounterBank):
     The estimator's grouping layer calls ``_apply_site`` once per
     non-silent site, ascending, with the site's sorted-unique aggregate
     — exactly the payload a :class:`ValueReport` needs.  The arrays are
-    estimator-owned workspace, so they are copied out here.
+    estimator-owned workspace, so they are copied out here — into the
+    narrowest unsigned dtypes that hold their bounds, since these copies
+    are what the report frame (and the WAL record) carries: ids are
+    below ``n_counters``, and a counter gains at most one increment per
+    event, so counts fit the dtype the shard picks from the round's
+    row count.
     """
 
     def __init__(self, n_counters: int, n_sites: int) -> None:
         super().__init__(n_counters, n_sites)
         self.collected: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._id_dtype = np.min_scalar_type(n_counters - 1)
+        #: Set per round by :meth:`SiteShard.encode` from the sub-batch's
+        #: row count; int64 until then, so no caller can wrap a count.
+        self.count_dtype = np.dtype(np.int64)
 
     def _apply_site(self, site, counter_ids, counts) -> None:
         self.collected.append(
-            (int(site), np.array(counter_ids, dtype=np.int64),
-             np.array(counts, dtype=np.int64))
+            (int(site), np.array(counter_ids, dtype=self._id_dtype),
+             np.array(counts, dtype=self.count_dtype))
         )
 
     def estimates(self) -> np.ndarray:  # pragma: no cover - never queried
@@ -108,10 +117,13 @@ class SiteShard:
 
         Returns one :class:`SiteAggregate` per hosted site with events,
         ascending by site id.  Batches arrive pre-validated from the
-        coordinator, so the estimator's range scans are skipped.
+        coordinator, so the estimator's range scans are skipped; they
+        arrive in the session's narrow wire dtype, and the estimator's
+        int64 normalisation is the upcast.
         """
         aggregates: list[SiteAggregate] = []
         if data.shape[0]:
+            self.collector.count_dtype = np.min_scalar_type(data.shape[0])
             # The argsort strategy keeps worker memory at O(touched)
             # instead of the dense path's O(k * n_counters) table.
             self.estimator.update_batch(

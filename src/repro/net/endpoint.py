@@ -273,6 +273,8 @@ class Listener:
                 self._drop_conn(conn, disrupt=True)
                 return True
             progressed = True
+            if conn.channel is not None:
+                conn.channel.bytes_received += len(data)
             try:
                 frames = conn.decoder.feed(data)
             except WireError:
@@ -430,6 +432,10 @@ class CoordinatorChannel:
         self.replacements = 0
         #: Frames eaten by the ``discard_frames`` fault.
         self.discarded = 0
+        #: Bytes handed to / taken from the kernel on this channel's
+        #: authenticated connections (same rule as the dialer side).
+        self.bytes_sent = 0
+        self.bytes_received = 0
         self.closed = False
         self._inbound: list = []
         self._outbox = SendQueue()
@@ -485,6 +491,7 @@ class CoordinatorChannel:
                 self.listener._drop_conn(self._conn, disrupt=True)
                 return True
             if written:
+                self.bytes_sent += written
                 self._outbox.advance(written)
                 progressed = True
             else:  # pragma: no cover - defensive
@@ -591,6 +598,8 @@ class CoordinatorChannel:
             "blocked_seconds": float(self.blocked_seconds),
             "replacements": int(self.replacements),
             "discarded": int(self.discarded),
+            "bytes_sent": int(self.bytes_sent),
+            "bytes_received": int(self.bytes_received),
         }
 
     def close(self) -> None:

@@ -235,6 +235,11 @@ class SocketTransport:
         self.blocked_seconds = 0.0
         self.reconnects = 0
         self.dropped_frames = 0
+        #: Bytes this end handed to / took from the kernel on established
+        #: connections (frame headers, heartbeats and re-sent partial
+        #: frames included; the handshake is not).
+        self.bytes_sent = 0
+        self.bytes_received = 0
         self._severed_sends = 0
         self._inbound: list = []
         self._outbox = SendQueue()
@@ -418,6 +423,7 @@ class SocketTransport:
                 self._drop_connection()
                 return True
             self._last_recv = time.monotonic()
+            self.bytes_received += len(data)
             progressed = True
             try:
                 self._route(self._decoder.feed(data))
@@ -442,6 +448,7 @@ class SocketTransport:
                 return True
             if written:
                 self._last_send = time.monotonic()
+                self.bytes_sent += written
                 self._outbox.advance(written)
                 progressed = True
             else:  # pragma: no cover - defensive
@@ -593,6 +600,8 @@ class SocketTransport:
             "blocked_seconds": float(self.blocked_seconds),
             "reconnects": int(self.reconnects),
             "dropped_frames": int(self.dropped_frames),
+            "bytes_sent": int(self.bytes_sent),
+            "bytes_received": int(self.bytes_received),
         }
 
     def close(self, *, linger: float = 5.0) -> None:

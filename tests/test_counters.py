@@ -1,5 +1,7 @@
 """Property tests for the distributed counter banks."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,123 @@ class TestDeterministicCounterBank:
         assert bank.total_messages < 30
         truth = bank.true_totals()[0]
         assert bank.estimates()[0] <= truth <= (1 + eps) * bank.estimates()[0] + 1
+
+
+# ----------------------------------------------------------------------
+# bulk_add_site validation: the O(n) ascending proof and the np.unique
+# fallback accept and reject exactly what np.unique alone did.
+# ----------------------------------------------------------------------
+N_COUNTERS, N_SITES = 64, 4
+
+BANK_FACTORIES = {
+    "exact": lambda: ExactCounterBank(N_COUNTERS, N_SITES),
+    "deterministic": lambda: DeterministicCounterBank(
+        N_COUNTERS, N_SITES, 0.2
+    ),
+    "hyz": lambda: HYZCounterBank(N_COUNTERS, N_SITES, 0.2, seed=5),
+}
+
+
+def _frozen(bank) -> bytes:
+    """Every byte of protocol state, message tallies included."""
+    return pickle.dumps((bank.state_dict(), bank.message_log.state_dict()))
+
+
+def _old_predicate_accepts(bank, site, counter_ids, counts) -> bool:
+    """``bulk_add_site``'s checks as they were when uniqueness was always
+    proven with ``np.unique`` — the reference accept/reject set."""
+    counter_ids = np.asarray(counter_ids, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counter_ids.shape != counts.shape or counter_ids.ndim != 1:
+        return False
+    if not 0 <= site < bank.n_sites:
+        return False
+    if counter_ids.size == 0:
+        return True
+    if counter_ids.min() < 0 or counter_ids.max() >= bank.n_counters:
+        return False
+    if counts.min() <= 0:
+        return False
+    return np.unique(counter_ids).size == counter_ids.size
+
+
+@pytest.mark.parametrize("kind", sorted(BANK_FACTORIES))
+class TestBulkAddSiteValidation:
+    def _slices(self, rng, rounds=12):
+        for _ in range(rounds):
+            ids = np.sort(rng.choice(N_COUNTERS, size=20, replace=False))
+            yield int(rng.integers(N_SITES)), ids, rng.integers(1, 40, size=20)
+
+    def test_validation_is_transparent_for_sorted_and_unsorted(self, kind):
+        """Accepted input reaches ``_apply_site`` untouched, whichever
+        uniqueness proof ran: same state as calling the hook directly."""
+        rng = np.random.default_rng(11)
+        for shuffle in (False, True):
+            checked, direct = BANK_FACTORIES[kind](), BANK_FACTORIES[kind]()
+            for site, ids, counts in self._slices(rng):
+                if shuffle:
+                    order = rng.permutation(ids.size)
+                    ids, counts = ids[order], counts[order]
+                checked.bulk_add_site(site, ids, counts)
+                direct._apply_site(site, ids, counts)
+            assert _frozen(checked) == _frozen(direct)
+            assert checked.total_messages == direct.total_messages
+
+    def test_sorted_and_unsorted_slices_count_the_same_increments(self, kind):
+        rng = np.random.default_rng(12)
+        ascending, shuffled = BANK_FACTORIES[kind](), BANK_FACTORIES[kind]()
+        for site, ids, counts in self._slices(rng):
+            order = rng.permutation(ids.size)
+            ascending.bulk_add_site(site, ids, counts)
+            shuffled.bulk_add_site(site, ids[order], counts[order])
+        assert np.array_equal(ascending._local, shuffled._local)
+        if kind != "hyz":
+            # Order-free protocols; HYZ draws its coins in slice order.
+            assert _frozen(ascending) == _frozen(shuffled)
+
+    @pytest.mark.parametrize("name, site, ids, counts", [
+        ("sorted-duplicate", 1, [2, 5, 5, 9], [1, 1, 1, 1]),
+        ("unsorted-duplicate", 1, [9, 2, 5, 2], [1, 1, 1, 1]),
+        ("id-too-large", 1, [2, 5, N_COUNTERS], [1, 1, 1]),
+        ("id-negative", 1, [-1, 5, 9], [1, 1, 1]),
+        ("zero-count", 1, [2, 5, 9], [1, 0, 1]),
+        ("negative-count", 1, [2, 5, 9], [1, -3, 1]),
+        ("misaligned", 1, [2, 5, 9], [1, 1]),
+        ("two-dimensional", 1, [[2, 5]], [[1, 1]]),
+        ("site-out-of-range", N_SITES, [2, 5, 9], [1, 1, 1]),
+    ])
+    def test_rejections_leave_the_bank_untouched(self, kind, name, site,
+                                                 ids, counts):
+        bank = BANK_FACTORIES[kind]()
+        bank.bulk_add_site(0, np.arange(10), np.full(10, 30))  # live state
+        before = _frozen(bank)
+        with pytest.raises(CounterError):
+            bank.bulk_add_site(site, np.array(ids), np.array(counts))
+        assert _frozen(bank) == before
+
+    def test_randomized_sweep_matches_old_unique_predicate(self, kind):
+        rng = np.random.default_rng(13)
+        accepted = rejected = 0
+        for _ in range(400):
+            bank = BANK_FACTORIES[kind]()
+            size = int(rng.integers(0, 12))
+            # A small id range makes duplicates and range errors common.
+            ids = rng.integers(-1, 14, size=size)
+            if rng.random() < 0.5:
+                ids = np.sort(ids)
+            if rng.random() < 0.3:
+                ids = np.unique(ids)
+            counts = rng.integers(0 if rng.random() < 0.2 else 1, 5,
+                                  size=ids.size)
+            site = int(rng.integers(-1, N_SITES + 1))
+            expected = _old_predicate_accepts(bank, site, ids, counts)
+            before = _frozen(bank)
+            if expected:
+                bank.bulk_add_site(site, ids, counts)
+                accepted += 1
+            else:
+                with pytest.raises(CounterError):
+                    bank.bulk_add_site(site, ids, counts)
+                assert _frozen(bank) == before
+                rejected += 1
+        assert accepted > 40 and rejected > 40
