@@ -42,12 +42,7 @@ from repro.bn import (
     network_by_name,
     new_alarm,
 )
-from repro.core import (
-    ALGORITHMS,
-    BayesianClassifier,
-    StreamingMLEEstimator,
-    make_estimator,
-)
+from repro.core import ALGORITHMS, BayesianClassifier, StreamingMLEEstimator
 from repro.counters import (
     DeterministicCounterBank,
     ExactCounterBank,
@@ -58,9 +53,6 @@ from repro.experiments import (
     ExperimentResult,
     ExperimentRunner,
     RunResult,
-    benchmark_hyz_engines,
-    benchmark_ingest_stages,
-    benchmark_update_strategies,
     classification_experiment,
     separation_experiment,
 )
@@ -94,7 +86,6 @@ __all__ = [
     "network_by_name",
     "ALGORITHMS",
     "StreamingMLEEstimator",
-    "make_estimator",
     "EstimatorSpec",
     "MonitoringSession",
     "register_algorithm",
@@ -113,9 +104,6 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentResult",
     "RunResult",
-    "benchmark_hyz_engines",
-    "benchmark_ingest_stages",
-    "benchmark_update_strategies",
     "classification_experiment",
     "separation_experiment",
 ]

@@ -6,7 +6,7 @@ assigning each variable from its CPD given already-sampled parents
 vectorized over instances, through one of two **engines** (the PR 2 RNG
 precedent: engines are byte-identical for a fixed engine and seed, and
 statistically identical to each other — pinned by chi-squared per-CPD
-marginals in the test suite and asserted by ``bench-sampling``):
+marginals in the test suite):
 
 - ``"cdf"`` (the ``"auto"`` default) — precomputed per-variable CDF
   tables laid out by the parent-configuration stride code of the shared
@@ -20,12 +20,12 @@ marginals in the test suite and asserted by ``bench-sampling``):
   large-``J`` variables where counting would need too many passes.
 - ``"reference"`` — the original per-variable ``(J, m)`` CDF gather +
   comparison-count inversion, kept byte-for-byte as the engine the fast
-  path is benchmarked and statistically cross-checked against.
+  path is statistically cross-checked against.
 
 Streams of millions of rows are practical in pure numpy either way; the
 ``"cdf"`` engine removes the ``O(J * m)`` temporaries and allocator
 traffic that made sampling dominate end-to-end ingest wall clock (see
-``benchmarks/`` and ``docs/performance.md``).
+``docs/performance.md``).
 """
 
 from __future__ import annotations

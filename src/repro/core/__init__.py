@@ -3,14 +3,14 @@
 - :mod:`repro.core.allocation` — how BASELINE / UNIFORM / NONUNIFORM split
   the error budget across the per-CPD counters (Sec. IV-C/D/E, Sec. V).
 - :mod:`repro.core.estimator` — the master algorithm (Algorithms 1-3).
-- :mod:`repro.core.algorithms` — a factory wiring networks, allocations,
-  and counter banks into ready-to-run estimators.
+- :mod:`repro.core.algorithms` — the algorithm names and the per-counter
+  eps layout the counter banks consume.
 - :mod:`repro.core.classification` — approximate Bayesian classification
   (Definition 4, Theorem 3).
 - :mod:`repro.core.theory` — the analytical communication bounds.
 """
 
-from repro.core.algorithms import ALGORITHMS, make_estimator
+from repro.core.algorithms import ALGORITHMS
 from repro.core.allocation import (
     Allocation,
     baseline_allocation,
@@ -37,7 +37,6 @@ __all__ = [
     "nonuniform_allocation",
     "naive_bayes_allocation",
     "StreamingMLEEstimator",
-    "make_estimator",
     "ALGORITHMS",
     "BayesianClassifier",
     "exact_mle_messages",

@@ -1,4 +1,4 @@
-"""Algorithm naming and the deprecated ``make_estimator`` shim.
+"""Algorithm naming and the per-counter eps layout.
 
 The four algorithms of the paper's evaluation:
 
@@ -10,20 +10,15 @@ The four algorithms of the paper's evaluation:
 plus ``naive-bayes`` (the Sec. V specialization).  They are wired to
 counter backends through the registries in :mod:`repro.api.registry`;
 the declarative entry point is :class:`repro.api.spec.EstimatorSpec`.
-:func:`make_estimator` survives only as a deprecated shim over it.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from repro.bn.network import BayesianNetwork
 from repro.core.allocation import Allocation
-from repro.core.estimator import StreamingMLEEstimator
 from repro.errors import AllocationError
-from repro.monitoring.channel import MessageLog
 
 #: Algorithm names in the order the paper's plots use.
 ALGORITHMS = ("exact", "baseline", "uniform", "nonuniform")
@@ -57,44 +52,3 @@ def expand_allocation(
             np.full(cpd.parent_configurations, allocation.parent_eps[idx])
         )
     return np.concatenate(joint_parts + parent_parts)
-
-
-def make_estimator(
-    network: BayesianNetwork,
-    algorithm: str,
-    *,
-    eps: float = 0.1,
-    n_sites: int = 30,
-    seed=None,
-    message_log: MessageLog | None = None,
-    counter_backend: str = "hyz",
-    hyz_engine: str = "vectorized",
-) -> StreamingMLEEstimator:
-    """Build a ready-to-run streaming estimator.
-
-    .. deprecated::
-        Use :class:`repro.api.spec.EstimatorSpec` — the declarative,
-        serializable spec behind :class:`repro.api.session.MonitoringSession`
-        — and call its ``.build()`` (bare estimator) or ``.session()``
-        (full lifecycle with snapshot/resume).  This shim forwards to
-        ``EstimatorSpec(...).build()`` and will be removed.
-    """
-    warnings.warn(
-        "make_estimator is deprecated; use "
-        "repro.api.EstimatorSpec(...).build() (or .session() for the full "
-        "monitoring lifecycle)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.spec import EstimatorSpec
-
-    spec = EstimatorSpec(
-        network=network,
-        algorithm=algorithm,
-        eps=eps,
-        n_sites=n_sites,
-        seed=seed,
-        counter_backend=counter_backend,
-        hyz_engine=hyz_engine,
-    )
-    return spec.build(message_log=message_log)

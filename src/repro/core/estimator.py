@@ -19,18 +19,17 @@ maps the whole hot path):
 
 - ``"dense"`` — an (n, n) stride-matrix dgemm encodes every
   parent-configuration code of a batch in one matmul; kept selectable by
-  name for benchmarking.
+  name as a cross-check.
 - ``"sparse"`` — the ``"auto"`` default at every size: the per-variable
   ``(parent position, stride)`` pairs of the shared stride plan
   (:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) are walked
   over a *transposed* ``(n, m)`` batch, so each gather/multiply/add
   is a contiguous row operation; ``O(edges)`` work per event with no
-  Python-loop-per-variable.  The committed ALARM profile
-  (``benchmarks/BENCH_ingest_alarm.json``, n=37) shows it beating the
-  dgemm already at small n, so ``"auto"`` no longer crosses over.
+  Python-loop-per-variable.  The PR 5 ALARM ingest profile (n=37,
+  recorded in CHANGES.md) showed it beating the dgemm already at small
+  n, so ``"auto"`` no longer crosses over.
 - ``"loop"`` — the original per-variable Python loop, kept byte-for-byte
-  as the reference engine that the profiler benchmarks the fast paths
-  against.
+  as the reference engine the fast paths are tested against.
 
 The ``"dense"``/``"sparse"`` encoders emit only the *joint* counter ids:
 each event contributes exactly one joint id and one parent id per
@@ -39,14 +38,13 @@ grouping layer derives the parent-half histogram from the joint-half
 histogram (``_derive_parent_counts``) instead of encoding and binning a
 second ``(m, n)`` array — exactly half the encode and histogram work with
 bit-identical results.  The legacy per-site mask loop survives as
-``update_batch_masked`` for benchmarking and regression pinning.
+``update_batch_masked`` for regression pinning.
 ``query``/``query_event`` implement Algorithm 3.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Mapping
 
 import numpy as np
@@ -63,8 +61,8 @@ _DENSE_GROUP_BUDGET = 1 << 23
 
 #: Largest variable count for which the ``"loop"`` reference encoder keeps
 #: its historical dense stride-matrix dgemm inside ``_encode_halves``.
-#: (The dgemm is no longer ever the ``"auto"`` pick: the committed ALARM
-#: profile shows the sparse encoder winning already at n=37, so ``"auto"``
+#: (The dgemm is no longer ever the ``"auto"`` pick: the PR 5 ALARM
+#: profile showed the sparse encoder winning already at n=37, so ``"auto"``
 #: resolves to ``"sparse"`` at every size — see ``ENCODERS``.)
 _DENSE_ENCODE_MAX_VARIABLES = 256
 
@@ -150,9 +148,8 @@ class StreamingMLEEstimator:
         Display name of the algorithm this estimator realizes.
     encoder:
         Batch-encoder choice: ``"auto"`` (default — resolves to
-        ``"sparse"``, which the committed benchmarks show winning at
-        every network size), or an explicit ``"dense"`` / ``"sparse"`` /
-        ``"loop"``.  All encoders leave every bank byte-identical; the
+        ``"sparse"``, which won at every profiled network size), or an
+        explicit ``"dense"`` / ``"sparse"`` / ``"loop"``.  All encoders leave every bank byte-identical; the
         choice is a pure performance knob (see ``docs/performance.md``).
     """
 
@@ -226,8 +223,8 @@ class StreamingMLEEstimator:
                 f"unknown encoder {encoder!r}; expected one of {ENCODERS}"
             )
         if encoder == "auto":
-            # The sparse plan wins at every committed profile size (the
-            # ALARM document already shows it beating the dgemm at n=37),
+            # The sparse plan won at every profiled size (it already beat
+            # the dgemm on ALARM, n=37),
             # so "auto" never crosses over to "dense" anymore; the dgemm
             # stays selectable by name.
             encoder = "sparse"
@@ -279,10 +276,6 @@ class StreamingMLEEstimator:
             self._parent_of_joint_rel = rel
         else:
             self._parent_of_joint_rel = None
-        #: Optional ``{"encode": s, "update": s}`` accumulator the stage
-        #: profiler installs; ``None`` (default) keeps the hot path free of
-        #: timing calls beyond two branch checks.
-        self.stage_times: dict | None = None
         self._buffers: dict = {}
         self.bank: CounterBank = bank_factory(self.n_counters)
         if self.bank.n_counters != self.n_counters:
@@ -435,32 +428,16 @@ class StreamingMLEEstimator:
     def _encode_joint(
         self, data: np.ndarray, add: np.ndarray | None = None
     ) -> np.ndarray:
-        """Dispatch to the configured fast encoder (timed when profiling).
+        """Dispatch to the configured fast encoder.
 
         Returns ``(m, n)`` row-major ids for the dense encoder and
         ``(n, m)`` transposed ids for the sparse one.  ``add`` is the
         sparse encoder's fused per-event offset (site keys); the dense
         encoder's callers apply it as a broadcast instead.
         """
-        if self.stage_times is None:
-            if self.encoder == "sparse":
-                return self._encode_joint_sparse(data, add)
-            return self._encode_joint_dense(data)
-        t0 = time.perf_counter()
         if self.encoder == "sparse":
-            out = self._encode_joint_sparse(data, add)
-        else:
-            out = self._encode_joint_dense(data)
-        self.stage_times["encode"] += time.perf_counter() - t0
-        return out
-
-    def _encode_halves_timed(self, data: np.ndarray):
-        if self.stage_times is None:
-            return self._encode_halves(data)
-        t0 = time.perf_counter()
-        out = self._encode_halves(data)
-        self.stage_times["encode"] += time.perf_counter() - t0
-        return out
+            return self._encode_joint_sparse(data, add)
+        return self._encode_joint_dense(data)
 
     def _derive_parent_counts(self, dense: np.ndarray) -> None:
         """Fill one site's parent-counter histogram region in place.
@@ -531,7 +508,7 @@ class StreamingMLEEstimator:
           :data:`_DENSE_GROUP_BUDGET` and is amortized by the batch's
           increment count, else ``"argsort"``.
         - ``"masked"`` — the legacy per-site boolean-mask loop, kept for
-          benchmarking and regression pinning (also available as
+          regression pinning (also available as
           :meth:`update_batch_masked`).
 
         All strategies (and all encoders) hand the banks identical
@@ -559,10 +536,6 @@ class StreamingMLEEstimator:
                 if table <= _DENSE_GROUP_BUDGET and table <= 8 * increments
                 else "argsort"
             )
-        profiling = self.stage_times is not None
-        if profiling:
-            t0 = time.perf_counter()
-            encode_before = self.stage_times["encode"]
         if strategy == "dense":
             self._update_grouped_dense(data, site_ids)
         elif strategy == "argsort":
@@ -574,18 +547,13 @@ class StreamingMLEEstimator:
                 f"unknown update strategy {strategy!r}; expected 'auto', "
                 "'dense', 'argsort', or 'masked'"
             )
-        if profiling:
-            elapsed = time.perf_counter() - t0
-            encode_delta = self.stage_times["encode"] - encode_before
-            self.stage_times["update"] += elapsed - encode_delta
         self.events_seen += data.shape[0]
 
     def update_batch_masked(self, data: np.ndarray, site_ids: np.ndarray) -> None:
         """Legacy per-site boolean-mask implementation of :meth:`update_batch`.
 
-        Kept as the reference path: the experiment harness benchmarks it
-        against the sharded strategies, and the regression suite pins that
-        every path leaves the counter banks in a byte-identical state.
+        Kept as the reference path: the regression suite pins that every
+        strategy leaves the counter banks in a byte-identical state.
         """
         self.update_batch(data, site_ids, strategy="masked")
 
@@ -595,7 +563,7 @@ class StreamingMLEEstimator:
         if self.encoder == "loop":
             # The reference pipeline: encode both halves per variable and
             # histogram both, exactly as before the fast encoders landed.
-            joint, parent = self._encode_halves_timed(data)
+            joint, parent = self._encode_halves(data)
             site_keys = (site_ids * np.int64(n_counters))[:, None]
             joint += site_keys
             parent += site_keys
@@ -640,7 +608,7 @@ class StreamingMLEEstimator:
         if self.encoder == "loop":
             # Encoding the site-sorted rows makes every per-site slice below
             # a contiguous view — no per-site row gather.
-            joint, parent = self._encode_halves_timed(data[order])
+            joint, parent = self._encode_halves(data[order])
         elif self.encoder == "sparse":
             # Transposed ids are encoded in stream order; per-site slices
             # become column takes below.

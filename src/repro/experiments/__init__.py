@@ -8,23 +8,20 @@
   serially, across worker processes, or as snapshot-bounded segments
   (``run_grid``).
 - :mod:`repro.experiments.results` — result dataclasses with
-  ``BENCH_*.json``-style serialization.
-- :mod:`repro.experiments.bench` — microbenchmarks for the training hot
-  path (update_batch grouping strategies, HYZ span-replay engines, the
-  stage-level fused-ingest profiler).
+  ``repro-bench-v1`` JSON serialization.
 - :mod:`repro.experiments.presets` — paper-scenario presets: the Sec. V
   classification comparison, the Sec. IV-E separation sweep, and the
   long-stream crossover chart.
-- :mod:`repro.experiments.figures` — ASCII plots from ``BENCH_*.json``.
-- :mod:`repro.experiments.cli` — ``python -m repro.experiments`` with one
-  subcommand per figure family.
+- :mod:`repro.experiments.figures` — ASCII plots from those documents.
+- :mod:`repro.experiments.cli` — ``python -m repro.experiments`` with
+  nine subcommands: ``messages``, ``eps``, ``sites``, ``accuracy``,
+  ``runtime``, ``classify``, ``separation``, ``long-crossover``,
+  ``figures``.
+
+Wall-clock performance is measured by ``bench/`` (``python3
+bench/run.py``), not here.
 """
 
-from repro.experiments.bench import (
-    benchmark_hyz_engines,
-    benchmark_ingest_stages,
-    benchmark_update_strategies,
-)
 from repro.experiments.presets import (
     classification_experiment,
     long_crossover_experiment,
@@ -51,9 +48,6 @@ __all__ = [
     "ExperimentRunner",
     "checkpoint_schedule",
     "make_partitioner",
-    "benchmark_hyz_engines",
-    "benchmark_ingest_stages",
-    "benchmark_update_strategies",
     "classification_experiment",
     "long_crossover_experiment",
     "separation_experiment",

@@ -13,36 +13,15 @@ One subcommand per figure family of Zhang, Tirthapura & Cormode (ICDE 2018):
   on NEW-ALARM.
 - ``long-crossover`` — the NEW-ALARM crossover pushed past m >~ 1M via
   the chunked executor.
-- ``figures``    — ASCII plots from any ``BENCH_*.json`` document.
-- ``bench``      — microbenchmark of the update_batch grouping strategies.
-- ``bench-hyz``  — microbenchmark of the HYZ span-replay engines.
-- ``bench-ingest`` — stage-level profile of the fused ingest pipeline
-  (sample / partition / encode / update) per batch encoder; produces the
-  committed ``benchmarks/BENCH_ingest_*.json`` trajectory.
-- ``bench-sampling`` — microbenchmark of the forward-sampling engines
-  (reference vs stride-table CDF fast path, plus the sharded parallel
-  sampler); produces the committed ``benchmarks/BENCH_sampling_*.json``
-  trajectory.  Determinism and chi-squared statistical-identity checks
-  are asserted before any timing is reported.
-- ``bench-dist`` — measured throughput/latency of the real multiprocess
-  runtime (``--runtime distributed``) against the in-process reference
-  and the analytic ``ClusterCostModel``; conformance (and one
-  kill/recover cycle) is asserted before timing.  Produces the committed
-  ``benchmarks/BENCH_dist_*.json`` trajectory.
-- ``bench-query`` — throughput of the read-serving layer
-  (``session.serve()``): per-call live queries vs batched snapshot
-  evaluation vs cached serving, plus classification with the Theorem-3
-  staleness-bounded decision cache.  Bit-identity of every served
-  answer to the live session is asserted before timing.  Produces the
-  committed ``benchmarks/BENCH_query_*.json`` trajectory.
-- ``bench-recovery`` — coordinator durability: write-ahead-log overhead
-  at steady state plus a kill/recover cycle per transport, with the
-  recovered session asserted byte-identical to an uninterrupted
-  reference before any timing is reported.  Produces the committed
-  ``benchmarks/BENCH_recovery_*.json`` trajectory.
+- ``figures``    — ASCII plots from any document the others wrote.
 
 Each subcommand prints an aligned summary table to stderr and writes a
-``BENCH_*.json``-style document to ``--out`` (stdout by default).
+``repro-bench-v1`` JSON document to ``--out`` (stdout by default).  A
+library, file or JSON error ends in one ``error: ...`` line on stderr
+and exit code 2, never a traceback.
+
+How fast the system runs is measured elsewhere: ``python3 bench/run.py``
+(see ``bench/README.md``).
 
 Grid subcommands pick their driver with ``--executor`` (``serial``,
 ``multiprocess``, ``chunked`` — see ``docs/execution.md``); every
@@ -68,23 +47,9 @@ import sys
 
 from repro.core.algorithms import ALGORITHMS
 from repro.counters.hyz import ENGINES
+from repro.errors import ReproError
 from repro.exec.base import executor_names
 from repro.experiments import figures
-from repro.bn.sampling import SAMPLER_ENGINES
-from repro.exec.sampler import SHARD_MODES
-from repro.experiments.bench import (
-    INGEST_ENCODERS,
-    INGEST_STAGES,
-    SAMPLER_BENCH_ENGINES,
-    SAMPLER_BENCH_MODES,
-    benchmark_hyz_engines,
-    benchmark_ingest_stages,
-    benchmark_sampler_engines,
-    benchmark_update_strategies,
-)
-from repro.experiments.bench_dist import benchmark_distributed_runtime
-from repro.experiments.bench_query import benchmark_query_serving
-from repro.experiments.bench_recovery import benchmark_recovery
 from repro.experiments.presets import (
     classification_experiment,
     long_crossover_experiment,
@@ -233,7 +198,7 @@ def _run_table(result) -> str:
 
 def _grid_command(args, *, name, eps_values=None, site_counts=None) -> int:
     if args.stop_after is not None and args.resume_dir is None:
-        print("--stop-after requires --resume-dir", file=sys.stderr)
+        print("error: --stop-after requires --resume-dir", file=sys.stderr)
         return 2
     runner = _runner(args)
     result = runner.run_grid(
@@ -271,7 +236,7 @@ def _grid_command(args, *, name, eps_values=None, site_counts=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description=__doc__,
@@ -396,7 +361,7 @@ def main(argv=None) -> int:
     p_long.add_argument("--out", default=None)
 
     p_figures = sub.add_parser(
-        "figures", help="render ASCII plots from a BENCH_*.json document"
+        "figures", help="render ASCII plots from a results document"
     )
     p_figures.add_argument("document", help="path to a repro-bench-v1 file")
     p_figures.add_argument("--view", default="auto",
@@ -412,198 +377,10 @@ def main(argv=None) -> int:
     p_figures.add_argument("--out", default=None,
                            help="write the rendered text here "
                            "(default: stdout)")
+    return parser
 
-    p_bench = sub.add_parser(
-        "bench", help="microbenchmark update_batch grouping strategies"
-    )
-    p_bench.add_argument("--network", default="alarm")
-    p_bench.add_argument("--algorithm", default="exact")
-    p_bench.add_argument("--eps", type=float, default=0.3)
-    p_bench.add_argument("--sites", type=int, default=30)
-    p_bench.add_argument("--events", type=int, default=20_000)
-    p_bench.add_argument("--repeats", type=int, default=7)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None)
 
-    p_bench_ingest = sub.add_parser(
-        "bench-ingest",
-        help="stage-level profile of the fused ingest pipeline per encoder",
-    )
-    p_bench_ingest.add_argument("--network", default="link")
-    p_bench_ingest.add_argument("--algorithm", default="nonuniform")
-    p_bench_ingest.add_argument("--eps", type=float, default=0.3)
-    p_bench_ingest.add_argument("--sites", type=int, default=10)
-    p_bench_ingest.add_argument("--events", type=int, default=100_000)
-    p_bench_ingest.add_argument(
-        "--chunk", type=int, default=10_000,
-        help="events per fused-pipeline chunk (default: %(default)s)",
-    )
-    p_bench_ingest.add_argument("--repeats", type=int, default=1)
-    p_bench_ingest.add_argument(
-        "--encoders", type=_csv, default=list(INGEST_ENCODERS),
-        help="comma-separated encoder list, baseline first "
-        "(default: %(default)s)",
-    )
-    p_bench_ingest.add_argument("--counter-backend", default="hyz",
-                                choices=["hyz", "deterministic"])
-    p_bench_ingest.add_argument("--hyz-engine", default="vectorized",
-                                choices=list(ENGINES))
-    p_bench_ingest.add_argument(
-        "--sampler-engine", default="auto", choices=list(SAMPLER_ENGINES),
-        help="forward-sampling engine feeding the sample stage "
-        "(default: %(default)s)",
-    )
-    p_bench_ingest.add_argument("--seed", type=int, default=0)
-    p_bench_ingest.add_argument("--out", default=None)
-
-    p_bench_sampling = sub.add_parser(
-        "bench-sampling",
-        help="microbenchmark the forward-sampling engines",
-    )
-    p_bench_sampling.add_argument("--network", default="link")
-    p_bench_sampling.add_argument("--events", type=int, default=100_000)
-    p_bench_sampling.add_argument(
-        "--chunk", type=int, default=20_000,
-        help="events per stream chunk (default: %(default)s)",
-    )
-    p_bench_sampling.add_argument("--repeats", type=int, default=3)
-    p_bench_sampling.add_argument(
-        "--engines", type=_csv, default=list(SAMPLER_BENCH_ENGINES),
-        help="comma-separated engine list, baseline first "
-        "(default: %(default)s)",
-    )
-    p_bench_sampling.add_argument(
-        "--shard-modes", type=_csv, default=list(SAMPLER_BENCH_MODES),
-        help="sharded-sampler modes to cross-check and time "
-        f"(subset of {SHARD_MODES}; empty skips the sharded block)",
-    )
-    p_bench_sampling.add_argument("--shards", type=int, default=2)
-    p_bench_sampling.add_argument("--seed", type=int, default=0)
-    p_bench_sampling.add_argument("--out", default=None)
-
-    p_bench_dist = sub.add_parser(
-        "bench-dist",
-        help="measured throughput/latency of the distributed runtime "
-        "vs the in-process reference and the ClusterCostModel",
-    )
-    p_bench_dist.add_argument("--network", default="alarm")
-    p_bench_dist.add_argument("--algorithm", default="nonuniform")
-    p_bench_dist.add_argument("--eps", type=float, default=0.1)
-    p_bench_dist.add_argument(
-        "--site-values", type=_csv_ints, default=[4, 8, 16],
-        help="comma-separated site-count sweep (default: %(default)s)",
-    )
-    p_bench_dist.add_argument(
-        "--sites-procs", type=int, default=None,
-        help="worker processes (default: one per CPU core, capped at k)",
-    )
-    p_bench_dist.add_argument(
-        "--transport", default="queue", choices=["queue", "tcp"],
-        help="runtime channel (default: %(default)s); 'tcp' benches the "
-        "repro.net socket wire over loopback",
-    )
-    p_bench_dist.add_argument("--events", type=int, default=20_000)
-    p_bench_dist.add_argument(
-        "--chunk", type=int, default=2_000,
-        help="events per coordinator round (default: %(default)s)",
-    )
-    p_bench_dist.add_argument("--counter-backend", default="hyz",
-                              choices=["hyz", "deterministic"])
-    p_bench_dist.add_argument("--seed", type=int, default=0)
-    p_bench_dist.add_argument(
-        "--no-fault-check", action="store_true",
-        help="skip the kill/recover conformance cycle",
-    )
-    p_bench_dist.add_argument(
-        "--fault-events", type=int, default=2_000,
-        help="stream length of the kill/recover cycle (default: %(default)s)",
-    )
-    p_bench_dist.add_argument("--out", default=None)
-
-    p_bench_query = sub.add_parser(
-        "bench-query",
-        help="throughput of the read-serving layer (live per-call vs "
-        "batched vs cached), with bit-identity asserted before timing",
-    )
-    p_bench_query.add_argument("--network", default="alarm")
-    p_bench_query.add_argument("--algorithm", default="nonuniform")
-    p_bench_query.add_argument("--eps", type=float, default=0.1)
-    p_bench_query.add_argument("--sites", type=int, default=10)
-    p_bench_query.add_argument("--counter-backend", default="hyz",
-                               choices=["hyz", "deterministic", "exact"])
-    p_bench_query.add_argument("--events", type=int, default=50_000,
-                               help="ingest stream length before serving "
-                               "(default: %(default)s)")
-    p_bench_query.add_argument("--chunk", type=int, default=10_000)
-    p_bench_query.add_argument("--queries", type=int, default=2_000,
-                               help="requests per workload mode "
-                               "(default: %(default)s)")
-    p_bench_query.add_argument("--event-pool", type=int, default=32,
-                               help="distinct partial events in the "
-                               "Zipf-skewed pool (default: %(default)s)")
-    p_bench_query.add_argument("--classify-pool", type=int, default=64,
-                               help="distinct classification requests in "
-                               "the Zipf-skewed pool (default: %(default)s)")
-    p_bench_query.add_argument("--zipf-exponent", type=float, default=1.1)
-    p_bench_query.add_argument("--conformance-slice", type=int, default=200,
-                               help="requests bit-checked against the live "
-                               "session before timing (default: %(default)s)")
-    p_bench_query.add_argument("--seed", type=int, default=0)
-    p_bench_query.add_argument("--out", default=None)
-
-    p_bench_hyz = sub.add_parser(
-        "bench-hyz", help="microbenchmark the HYZ span-replay engines"
-    )
-    p_bench_hyz.add_argument("--network", default="alarm")
-    p_bench_hyz.add_argument("--algorithm", default="nonuniform")
-    p_bench_hyz.add_argument("--eps", type=float, default=0.1)
-    p_bench_hyz.add_argument("--sites", type=int, default=30)
-    p_bench_hyz.add_argument("--events", type=int, default=20_000)
-    p_bench_hyz.add_argument("--repeats", type=int, default=3)
-    p_bench_hyz.add_argument("--seed", type=int, default=0)
-    p_bench_hyz.add_argument("--out", default=None)
-
-    p_bench_rec = sub.add_parser(
-        "bench-recovery",
-        help="WAL steady-state overhead plus coordinator kill/recover "
-        "cycles per transport, conformance asserted before timing",
-    )
-    p_bench_rec.add_argument("--network", default="alarm")
-    p_bench_rec.add_argument("--algorithm", default="nonuniform")
-    p_bench_rec.add_argument("--eps", type=float, default=0.1)
-    p_bench_rec.add_argument("--sites", type=int, default=4)
-    p_bench_rec.add_argument("--procs", type=int, default=2)
-    p_bench_rec.add_argument("--events", type=int, default=2_000)
-    p_bench_rec.add_argument(
-        "--chunk", type=int, default=200,
-        help="events per coordinator round (default: %(default)s)",
-    )
-    p_bench_rec.add_argument(
-        "--checkpoint-rounds", type=int, default=2,
-        help="rounds between WAL-truncating checkpoints "
-        "(default: %(default)s)",
-    )
-    p_bench_rec.add_argument(
-        "--crash-round", type=int, default=None,
-        help="round whose post-append point kills the child coordinator "
-        "(default: two thirds through the stream)",
-    )
-    p_bench_rec.add_argument("--counter-backend", default="hyz",
-                             choices=["hyz", "deterministic", "exact"])
-    p_bench_rec.add_argument("--seed", type=int, default=0)
-    p_bench_rec.add_argument(
-        "--transports", type=_csv, default=["queue", "tcp"],
-        help="comma-separated transports to crash/recover "
-        "(default: %(default)s)",
-    )
-    p_bench_rec.add_argument(
-        "--wal-dir", default=None,
-        help="keep recovery directories here instead of a temp dir",
-    )
-    p_bench_rec.add_argument("--out", default=None)
-
-    args = parser.parse_args(argv)
-
+def _dispatch(args) -> int:
     if args.command == "messages":
         return _grid_command(args, name="messages-vs-stream")
     if args.command == "eps":
@@ -747,253 +524,16 @@ def main(argv=None) -> int:
         else:
             print(text)
         return 0
-    if args.command == "bench":
-        document = benchmark_update_strategies(
-            args.network,
-            algorithm=args.algorithm,
-            eps=args.eps,
-            n_sites=args.sites,
-            n_events=args.events,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-        baseline = document["baseline_strategy"]
-        rows = [
-            [r["strategy"], r["ms_per_batch"],
-             r.get(f"speedup_vs_{baseline}", "-")]
-            for r in document["results"]
-        ]
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["strategy", "ms/batch", f"speedup-vs-{baseline}"], rows,
-                title=f"update_batch microbenchmark "
-                      f"(k={args.sites}, m={args.events})",
-            ),
-        )
-        return 0
-    if args.command == "bench-ingest":
-        document = benchmark_ingest_stages(
-            args.network,
-            algorithm=args.algorithm,
-            eps=args.eps,
-            n_sites=args.sites,
-            n_events=args.events,
-            chunk=args.chunk,
-            repeats=args.repeats,
-            seed=args.seed,
-            encoders=args.encoders,
-            counter_backend=args.counter_backend,
-            hyz_engine=args.hyz_engine,
-            sampler_engine=args.sampler_engine,
-        )
-        baseline = document["baseline_encoder"]
-        rows = []
-        for r in document["results"]:
-            stage_ms = {
-                s["stage"]: s["wall_seconds"] * 1e3 for s in r["stages"]
-            }
-            rows.append(
-                [r["encoder"], r["resolved_encoder"]]
-                + [stage_ms[name] for name in INGEST_STAGES]
-                + [r["ingest_wall_seconds"] * 1e3,
-                   r.get(f"speedup_vs_{baseline}", "-")]
-            )
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["encoder", "resolved"]
-                + [f"{name}-ms" for name in INGEST_STAGES]
-                + ["ingest-ms", f"speedup-vs-{baseline}"],
-                rows,
-                title=f"ingest stage profile ({document['network']}, "
-                      f"n={document['n_variables']}, m={args.events}, "
-                      f"k={args.sites})",
-            ),
-        )
-        return 0
-    if args.command == "bench-sampling":
-        document = benchmark_sampler_engines(
-            args.network,
-            n_events=args.events,
-            chunk=args.chunk,
-            repeats=args.repeats,
-            seed=args.seed,
-            engines=args.engines,
-            shard_modes=args.shard_modes,
-            shards=args.shards,
-        )
-        baseline = document["baseline_engine"]
-        rows = [
-            [r["engine"], r["wall_seconds"] * 1e3,
-             f"{r['events_per_second']:,.0f}", r["max_chi2_z"],
-             r.get(f"speedup_vs_{baseline}", "-")]
-            for r in document["results"]
-        ]
-        rows += [
-            [f"sharded/{r['mode']}", r["wall_seconds"] * 1e3,
-             f"{r['events_per_second']:,.0f}",
-             document["sharded"]["max_chi2_z"], "-"]
-            for r in document.get("sharded", {}).get("results", [])
-        ]
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["engine", "ms/stream", "events/s", "max-chi2-z",
-                 f"speedup-vs-{baseline}"], rows,
-                title=f"sampler engine microbenchmark "
-                      f"({document['network']}, "
-                      f"n={document['n_variables']}, m={args.events}, "
-                      f"chunk={args.chunk})",
-            ),
-        )
-        return 0
-    if args.command == "bench-dist":
-        document = benchmark_distributed_runtime(
-            args.network,
-            algorithm=args.algorithm,
-            eps=args.eps,
-            site_counts=args.site_values,
-            procs=args.sites_procs,
-            transport=args.transport,
-            n_events=args.events,
-            chunk=args.chunk,
-            counter_backend=args.counter_backend,
-            seed=args.seed,
-            fault_check=not args.no_fault_check,
-            fault_events=args.fault_events,
-        )
-        rows = [
-            [r["n_sites"], r["procs"], r["total_messages"],
-             f"{r['events_per_second']:,.0f}",
-             f"{r['msgs_per_second']:,.0f}",
-             r["round_latency_ms"],
-             r["model"]["modeled_runtime_seconds"],
-             r["wall_seconds"],
-             r["model"]["speedup_vs_model"]]
-            for r in document["results"]
-        ]
-        fault = document.get("fault_recovery")
-        fault_note = (
-            f", kill/recover ok (respawns={fault['worker_respawns']})"
-            if fault else ""
-        )
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["k", "procs", "messages", "events/s", "msgs/s",
-                 "round-ms", "model-sec", "measured-sec", "meas/model"],
-                rows,
-                title=f"distributed runtime ({document['network']}, "
-                      f"transport={document['transport']}, "
-                      f"m={args.events}, conformant=yes{fault_note})",
-            ),
-        )
-        return 0
-    if args.command == "bench-query":
-        document = benchmark_query_serving(
-            args.network,
-            algorithm=args.algorithm,
-            eps=args.eps,
-            n_sites=args.sites,
-            counter_backend=args.counter_backend,
-            n_events=args.events,
-            chunk=args.chunk,
-            n_queries=args.queries,
-            event_pool=args.event_pool,
-            classify_pool=args.classify_pool,
-            zipf_exponent=args.zipf_exponent,
-            conformance_slice=args.conformance_slice,
-            seed=args.seed,
-        )
-        rows = [
-            [r["mode"], f"{r['queries_per_second']:,.0f}",
-             r.get("speedup_vs_live", "-"),
-             (f"{r['cache_hit_rate']:.3f}"
-              if "cache_hit_rate" in r else "-")]
-            for r in document["results"]
-        ]
-        stale = document["stale_serving"]
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["mode", "queries/s", "speedup-vs-live", "hit-rate"], rows,
-                title=f"query serving ({document['network']}, "
-                      f"m={args.events}, q={args.queries}, "
-                      f"conformant=yes, refreshes="
-                      f"{document['snapshot_refreshes']}, "
-                      f"stale-served={stale['stale_hits']}, "
-                      f"invalidated={stale['invalidations']})",
-            ),
-        )
-        return 0
-    if args.command == "bench-hyz":
-        document = benchmark_hyz_engines(
-            args.network,
-            algorithm=args.algorithm,
-            eps=args.eps,
-            n_sites=args.sites,
-            n_events=args.events,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-        baseline = document["baseline_engine"]
-        rows = [
-            [r["engine"], r["ms_per_ingest"], r["total_messages"],
-             r.get(f"speedup_vs_{baseline}", "-")]
-            for r in document["results"]
-        ]
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["engine", "ms/ingest", "messages",
-                 f"speedup-vs-{baseline}"], rows,
-                title=f"HYZ engine microbenchmark "
-                      f"(k={args.sites}, m={args.events}, "
-                      f"algorithm={args.algorithm})",
-            ),
-        )
-        return 0
-    if args.command == "bench-recovery":
-        document = benchmark_recovery(
-            args.network,
-            algorithm=args.algorithm,
-            eps=args.eps,
-            n_sites=args.sites,
-            procs=args.procs,
-            n_events=args.events,
-            chunk=args.chunk,
-            checkpoint_rounds=args.checkpoint_rounds,
-            crash_round=args.crash_round,
-            counter_backend=args.counter_backend,
-            seed=args.seed,
-            transports=args.transports,
-            wal_dir=args.wal_dir,
-        )
-        overhead = document["overhead"]
-        rows = [
-            ["(wal overhead)", "-", overhead["wal_records"],
-             overhead["wal_bytes"], overhead["checkpoints"], "-",
-             f"{overhead['wal_overhead_pct']:.1f}%"],
-        ] + [
-            [r["transport"], r["crash_round"], r["wal_records"],
-             "-", r["checkpoints"], r["replayed_rounds"],
-             f"{r['recovery_seconds'] * 1e3:.1f}ms"]
-            for r in document["results"]
-        ]
-        _emit(
-            document, args.out,
-            summary=format_table(
-                ["run", "crash@", "wal-records", "wal-bytes",
-                 "checkpoints", "replayed", "cost"],
-                rows,
-                title=f"coordinator durability ({document['network']}, "
-                      f"m={args.events}, chunk={args.chunk}, "
-                      f"fsync={overhead['fsync_policy']}, conformant=yes)",
-            ),
-        )
-        return 0
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,4 +1,4 @@
-"""ASCII figure rendering for ``BENCH_*.json`` documents.
+"""ASCII figure rendering for ``repro-bench-v1`` results documents.
 
 The harness deliberately emits plot-ready JSON instead of images; this
 module closes the loop in the terminal.  Two views cover the paper's
@@ -36,7 +36,7 @@ VIEWS = ("auto", "messages", "ratio")
 
 
 def load_document(path) -> dict:
-    """Read one ``BENCH_*.json`` document (any ``repro-bench-v1`` shape)."""
+    """Read one results document (any ``repro-bench-v1`` shape)."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "results" not in payload:
         raise EvaluationError(
@@ -159,11 +159,15 @@ def _resolve_views(document: dict, view: str) -> list[str]:
             f"unknown view {view!r}; expected one of {VIEWS}"
         )
     supported = available_views(document)
-    wanted = supported if view == "auto" else [view]
-    if not wanted or not set(wanted) <= set(supported):
+    if not supported:
         raise EvaluationError(
-            f"document supports views {supported or ['none']}, "
-            f"requested {view!r}"
+            "document has no plottable rows (no per-checkpoint traces, "
+            "no uniform/nonuniform message pairs)"
+        )
+    wanted = supported if view == "auto" else [view]
+    if not set(wanted) <= set(supported):
+        raise EvaluationError(
+            f"document supports views {supported}, requested {view!r}"
         )
     return wanted
 

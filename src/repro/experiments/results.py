@@ -3,7 +3,7 @@
 Every harness invocation produces one :class:`ExperimentResult` — a named
 collection of :class:`RunResult` records, one per (network, algorithm,
 partitioner, eps, k, m) grid point.  The JSON layout is the repo's
-``BENCH_*.json`` convention: a top-level ``{"benchmark", "schema",
+``repro-bench-v1`` convention: a top-level ``{"benchmark", "schema",
 "params", "results"}`` document whose ``results`` entries are flat,
 plot-ready dictionaries.  ``ExperimentResult.load`` round-trips the format,
 so downstream sessions can regrow figures without re-running streams.
@@ -19,54 +19,26 @@ from pathlib import Path
 SCHEMA = "repro-bench-v1"
 
 
-#: Keys holding wall-clock measurements or quantities derived from them
-#: (rates, per-batch times).  ``runtime_seconds`` in the modeled runtime
-#: block is *not* here: it is a deterministic function of the descriptors.
-_TIMING_KEYS = frozenset({
-    "wall_seconds",
-    "ingest_wall_seconds",
-    "events_per_second",
-    "ingest_events_per_second",
-    "ms_per_batch",
-    "ms_per_ingest",
-    # Distributed-runtime timing (bench-dist): protocol messages per
-    # wall-clock second and mean coordinator round-trip latency.
-    "msgs_per_second",
-    "round_latency_ms",
-    # Read-serving timing (bench-query): request throughput and the LRU
-    # hit ratio (raw hit/miss counts are deterministic and stay pinned;
-    # the ratio is stripped alongside the rates it normalizes).
-    "queries_per_second",
-    "cache_hit_rate",
-    # Coordinator durability timing (bench-recovery): wall-clock cost of
-    # a crash/recover cycle and the WAL's relative ingest overhead (the
-    # WAL byte/record counts themselves are deterministic and pinned).
-    "recovery_seconds",
-    "wal_overhead_pct",
-})
-
-
-def _is_timing_key(key) -> bool:
-    return key in _TIMING_KEYS or (
-        isinstance(key, str) and key.startswith("speedup_vs_")
-    )
+#: The one wall-clock field a results document carries: a run's measured
+#: training time.  ``runtime_seconds`` in the modeled runtime block is
+#: *not* here: it is a deterministic function of the descriptors.
+_TIMING_KEYS = frozenset({"wall_seconds"})
 
 
 def strip_timing(payload):
     """A deep copy of ``payload`` with wall-clock measurements zeroed.
 
     Everything in a ``repro-bench-v1`` document is a pure function of
-    the run descriptors *except* the wall-clock fields (and ratios of
-    them, like ``events_per_second`` or ``speedup_vs_*``), which measure
-    this machine.  Equivalence checks across executors (serial vs
-    multiprocess vs chunked, interrupted vs uninterrupted) and against
-    the committed ``benchmarks/BENCH_*.json`` baselines therefore
-    compare documents through this canonicalization; the modeled
-    ``runtime`` block is deterministic and left untouched.
+    the run descriptors *except* ``wall_seconds``, which measures this
+    machine.  Equivalence checks across executors (serial vs
+    multiprocess vs chunked, interrupted vs uninterrupted) and runtimes
+    (in-process vs distributed) therefore compare documents through
+    this canonicalization; the modeled ``runtime`` block is
+    deterministic and left untouched.
     """
     if isinstance(payload, dict):
         return {
-            key: (0.0 if _is_timing_key(key) else strip_timing(value))
+            key: (0.0 if key in _TIMING_KEYS else strip_timing(value))
             for key, value in payload.items()
         }
     if isinstance(payload, list):

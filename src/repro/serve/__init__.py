@@ -10,7 +10,7 @@ read-optimized view of the current estimates rebuilt only when the
 snapshots — bit-identical to the live estimator at every epoch — with a
 Theorem-3 staleness bound governing how long cached classification
 decisions stay servable; :class:`QueryWorkload` generates the seeded
-query streams the ``bench-query`` benchmark and the tests replay.  See
+query streams the ``serve_link`` benchmark workload and the tests replay.  See
 ``docs/serving.md``.
 """
 

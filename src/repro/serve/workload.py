@@ -1,11 +1,12 @@
 """Seedable query workloads for the serving layer.
 
-`bench-query` and the serving tests need realistic read traffic:
-full-assignment point queries, ancestrally closed partial events, and
-classification batches — with the Zipf-skewed repetition real request
-streams show (a serving tier lives on its hot keys).  Everything is
-derived from one integer seed, so committed benchmark documents and
-regression tests replay the exact same workload on every host.
+The ``serve_link`` benchmark workload and the serving tests need
+realistic read traffic: full-assignment point queries, ancestrally
+closed partial events, and classification batches — with the
+Zipf-skewed repetition real request streams show (a serving tier lives
+on its hot keys).  Everything is
+derived from one integer seed, so benchmark runs and regression tests
+replay the exact same workload on every host.
 """
 
 from __future__ import annotations

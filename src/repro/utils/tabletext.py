@@ -3,7 +3,7 @@
 Benchmarks regenerate the paper's tables and figures as aligned text; this
 module keeps that formatting in one place: :func:`format_table` for
 aligned tables and :func:`format_ascii_plot` for terminal scatter charts
-(the ``figures`` subcommand renders ``BENCH_*.json`` documents with it).
+(the ``figures`` subcommand renders results documents with it).
 """
 
 from __future__ import annotations

@@ -10,9 +10,13 @@ chunked worker-death tests rely on.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
-from repro.dist.recovery import CRASH_POINTS
+import pytest
+
+from repro.dist.recovery import CRASH_POINTS, run_crashing_coordinator
+from repro.dist.site import START_METHOD
 from repro.dist.transport import FAULT_EXIT_CODE, create_once
 
 __all__ = [
@@ -20,6 +24,7 @@ __all__ = [
     "FAULT_EXIT_CODE",
     "DieOnceMarker",
     "coordinator_crash",
+    "run_crashing_child",
     "kill_after",
     "delay_send",
     "delay_recv",
@@ -72,6 +77,19 @@ def coordinator_crash(seq: int, point: str) -> dict:
         raise ValueError(f"unknown crash point {point!r}; "
                          f"expected one of {CRASH_POINTS}")
     return {"seq": int(seq), "point": str(point)}
+
+
+def run_crashing_child(payload) -> int:
+    """Run ``run_crashing_coordinator(payload)`` in a spawn child; its exit code."""
+    ctx = multiprocessing.get_context(START_METHOD)
+    child = ctx.Process(target=run_crashing_coordinator, args=(payload,))
+    child.start()
+    child.join(timeout=180)
+    if child.is_alive():  # pragma: no cover - hang diagnostics
+        child.kill()
+        child.join()
+        pytest.fail("crashing-coordinator child hung")
+    return child.exitcode
 
 
 def kill_after(sends: int, marker: DieOnceMarker | str | None = None) -> dict:

@@ -1,9 +1,9 @@
-"""Tests for the declarative build layer: specs, registries, the shim."""
+"""Tests for the declarative build layer: specs and registries."""
 
 import numpy as np
 import pytest
 
-from repro import EstimatorSpec, ForwardSampler, make_estimator
+from repro import EstimatorSpec
 from repro.api import (
     algorithm_names,
     counter_backend_names,
@@ -189,36 +189,3 @@ class TestEstimatorSpec:
     def test_build_matches_session_estimator_layout(self, small_net):
         spec = EstimatorSpec(small_net, "nonuniform", eps=0.3, n_sites=4, seed=2)
         assert spec.build().n_counters == spec.session().estimator.n_counters
-
-
-class TestDeprecatedShim:
-    def test_warns_and_builds_equivalently(self, small_net):
-        with pytest.warns(DeprecationWarning, match="EstimatorSpec"):
-            shimmed = make_estimator(
-                small_net, "nonuniform", eps=0.2, n_sites=4, seed=9
-            )
-        direct = EstimatorSpec(
-            small_net, "nonuniform", eps=0.2, n_sites=4, seed=9
-        ).build()
-        data = ForwardSampler(small_net, seed=1).sample(1_000)
-        sites = np.arange(1_000) % 4
-        shimmed.update_batch(data, sites)
-        direct.update_batch(data, sites)
-        assert np.array_equal(
-            shimmed.bank.estimates(), direct.bank.estimates()
-        )
-        assert shimmed.total_messages == direct.total_messages
-
-    def test_shim_routes_backend_and_engine(self, small_net):
-        with pytest.warns(DeprecationWarning):
-            estimator = make_estimator(
-                small_net, "uniform", eps=0.3, n_sites=2,
-                counter_backend="deterministic",
-            )
-        assert isinstance(estimator.bank, DeterministicCounterBank)
-        with pytest.warns(DeprecationWarning):
-            estimator = make_estimator(
-                small_net, "uniform", eps=0.3, n_sites=2,
-                hyz_engine="sequential",
-            )
-        assert estimator.bank.engine == "sequential"

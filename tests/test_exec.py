@@ -371,9 +371,11 @@ class TestFigures:
         rendered = capsys.readouterr().out
         assert "messages along the stream" in rendered
         assert "uniform" in rendered
-        # The grid document has no ratio rows.
-        with pytest.raises(EvaluationError):
-            main(["figures", str(out), "--view", "ratio"])
+        # The grid document has no ratio rows: one error line, no traceback.
+        assert main(["figures", str(out), "--view", "ratio"]) == 2
+        assert "error: document supports views ['messages']" in (
+            capsys.readouterr().err
+        )
 
     def test_figures_ratio_view(self, tmp_path, capsys):
         document = long_crossover_experiment(

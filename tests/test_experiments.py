@@ -146,26 +146,40 @@ class TestCLI:
         document = json.loads(out.read_text())
         assert sorted(r["eps"] for r in document["results"]) == [0.2, 0.4]
 
-    def test_bench_subcommand(self, tmp_path):
-        out = tmp_path / "micro.json"
-        rc = main([
-            "bench", "--events", "1500", "--sites", "6", "--repeats", "1",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        document = json.loads(out.read_text())
-        assert document["states_identical"] is True
-        assert [r["strategy"] for r in document["results"]][0] == "masked"
+    def test_help_lists_the_nine_paper_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        usage = capsys.readouterr().out
+        listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+        assert listed == [
+            "messages", "eps", "sites", "accuracy", "runtime", "classify",
+            "separation", "long-crossover", "figures",
+        ]
 
-    def test_bench_hyz_subcommand(self, tmp_path):
-        out = tmp_path / "hyz.json"
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ('{"benchmark": "x"}', "not a benchmark document"),
+        ('{"benchmark": "x", "results": []}', "no plottable rows"),
+        ("{", "error: "),
+    ])
+    def test_figures_errors_are_one_line(
+        self, tmp_path, capsys, content, message
+    ):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["figures", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_spec_error_is_one_line(self, capsys):
         rc = main([
-            "bench-hyz", "--events", "1200", "--sites", "5", "--eps", "0.2",
-            "--repeats", "1", "--out", str(out),
+            "messages", "--network", "alarm", "--algorithms", "bogus",
+            "--events", "100", "--sites", "2", "--eval-events", "10",
+            "--checkpoints", "1",
         ])
-        assert rc == 0
-        document = json.loads(out.read_text())
-        assert document["benchmark"] == "hyz-engines"
-        engines = [r["engine"] for r in document["results"]]
-        assert engines == ["sequential", "vectorized"]
-        assert document["results"][1]["speedup_vs_sequential"] > 0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,142 @@
+"""Cross-commit golden values, carried over from the deleted smoke baselines.
+
+Every other test in the suite pins *self*-consistency (fast path ==
+reference path, distributed == in-process, recovered == uninterrupted),
+which a change that moves both sides together passes.  The literals
+below were the non-timing fields of ``benchmarks/BENCH_sampling_smoke
+.json``, ``BENCH_query_smoke.json`` and ``BENCH_recovery_smoke.json``
+when those files were removed: seeded behaviour that must not drift
+silently from one commit to the next.  A deliberate change to a sampler
+draw order, a cache policy or the WAL record format updates the literal
+in the same commit and says why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dist_faults import FAULT_EXIT_CODE, coordinator_crash, run_crashing_child
+from repro import EstimatorSpec, ForwardSampler, alarm, link_like
+from repro.dist import DistributedSession
+from repro.dist.recovery import recovery_stream
+from repro.serve import QueryWorkload
+from sampler_oracle import max_cpd_chi2_z
+
+SEED = 0
+
+
+# ----------------------------------------------------------------------
+# (a) the seed-0 LINK sampler stream
+# ----------------------------------------------------------------------
+# 2 000 events drawn as two 1 000-event chunks, the draw whose
+# ``max_chi2_z`` the baseline recorded (for both engines alike).
+LINK_STREAM_SHA256 = (
+    "67d1372ed136372c4b7591e84502fe835c32430b45e36424aed045599e328292"
+)
+
+
+@pytest.mark.parametrize("engine", ["auto", "reference"])
+def test_link_sampler_stream(engine):
+    net = link_like()
+    sampler = ForwardSampler(net, seed=SEED, engine=engine)
+    data = np.concatenate(list(sampler.sample_stream(2_000, chunk=1_000)))
+    assert data.dtype == np.int64
+    assert hashlib.sha256(data.tobytes()).hexdigest() == LINK_STREAM_SHA256
+    assert max_cpd_chi2_z(net, data) == pytest.approx(
+        3.091658211789979, abs=1e-9
+    )
+
+
+# ----------------------------------------------------------------------
+# (b) serving caches on a Zipf-skewed ALARM workload
+# ----------------------------------------------------------------------
+def test_serving_cache_counts():
+    net = alarm()
+    spec = EstimatorSpec(
+        net, "nonuniform", eps=0.1, n_sites=10, seed=SEED + 1,
+        counter_backend="hyz",
+    )
+    session = spec.session()
+    sampler = session.sampler(seed=SEED + 2)
+    session.ingest_sampler(sampler, 2_000, chunk=500)
+    # The baseline run served after one further sync epoch.
+    session.ingest(sampler.sample(50))
+
+    workload = QueryWorkload(net, seed=SEED + 3)
+    workload.assignments(300)  # drawn first there too; advances the RNG
+    events = workload.events(300, pool_size=32, zipf_exponent=1.1)
+    targets, data = workload.classification_batch(
+        300, pool_size=64, zipf_exponent=1.1
+    )
+    server = session.serve()
+    server.log_event_batch(events)
+    server.classify_batch(targets, data)
+    stats = server.stats()
+    assert (stats["event_cache"]["hits"],
+            stats["event_cache"]["misses"]) == (271, 29)
+    assert (stats["decision_cache"]["hits"],
+            stats["decision_cache"]["misses"]) == (244, 56)
+
+    # Replayed across one more epoch, the Theorem-3 margin keeps all but
+    # one cached decision servable.
+    session.ingest(sampler.sample(50))
+    server.classify_batch(targets, data)
+    decisions = server.stats()["decision_cache"]
+    assert (decisions["stale_hits"], decisions["invalidations"]) == (299, 1)
+
+
+# ----------------------------------------------------------------------
+# (c) WAL accounting, clean and across a coordinator crash
+# ----------------------------------------------------------------------
+N_EVENTS, CHUNK, CHECKPOINT_ROUNDS, CRASH_ROUND, PROCS = 600, 100, 2, 4, 2
+
+
+def _recovery_spec(net):
+    return EstimatorSpec(
+        net, "nonuniform", eps=0.1, n_sites=4, seed=SEED + 1,
+        counter_backend="hyz",
+    )
+
+
+def test_wal_accounting_clean_run(tmp_path):
+    net = alarm()
+    batches = recovery_stream(net, n_events=N_EVENTS, chunk=CHUNK, seed=SEED)
+    with DistributedSession(
+        _recovery_spec(net), network=net, procs=PROCS,
+        wal_dir=str(tmp_path / "wal"), wal_fsync="always",
+        checkpoint_rounds=CHECKPOINT_ROUNDS,
+    ) as durable:
+        for batch in batches:
+            durable.ingest(batch, validate=False)
+        durable.flush()
+        stats = durable.durability_stats()
+    assert stats["wal_records"] == 6
+    assert stats["checkpoints"] == 3
+    # Not the deleted baseline's 170 103: that figure predates the
+    # cardinality-sized wire integers (PR 12), which shrank every WAL
+    # record and left the baseline stale.  35 605 is what the commit
+    # that deleted the baseline wrote for this configuration.
+    assert stats["wal_bytes"] == 35_605
+
+
+def test_wal_replay_after_crash(tmp_path):
+    net = alarm()
+    directory = tmp_path / "wal"
+    payload = {
+        "spec": _recovery_spec(net).to_dict(),
+        "procs": PROCS,
+        "transport": "queue",
+        "dir": str(directory),
+        "fsync": "always",
+        "checkpoint_rounds": CHECKPOINT_ROUNDS,
+        "crash": coordinator_crash(CRASH_ROUND, "post-append"),
+        "stream": {"seed": SEED, "n_events": N_EVENTS, "chunk": CHUNK},
+    }
+    assert run_crashing_child(payload) == FAULT_EXIT_CODE
+    with DistributedSession(
+        recover_from=str(directory), network=net, procs=PROCS,
+    ) as recovered:
+        info = recovered.recovery_info
+    assert info["checkpoint_seq"] == 2
+    assert info["replayed_rounds"] == 2

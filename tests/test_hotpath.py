@@ -8,13 +8,7 @@ RNG stream must be consumed in the same order by every grouping strategy.
 import numpy as np
 import pytest
 
-from repro import (
-    EstimatorSpec,
-    ForwardSampler,
-    UniformPartitioner,
-    benchmark_hyz_engines,
-    benchmark_update_strategies,
-)
+from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
 
 
 def make_estimator(net, algorithm, **kwargs):
@@ -80,30 +74,3 @@ def test_encode_halves_matches_reference_encoder(alarm_net):
     joint2, parent2 = estimator._encode_halves(data)
     assert np.array_equal(joint, joint2)
     assert np.array_equal(parent, parent2)
-
-
-def test_benchmark_verifies_and_reports_speedup(alarm_net):
-    document = benchmark_update_strategies(
-        alarm_net, n_sites=8, n_events=2_000, repeats=1, seed=0
-    )
-    assert document["states_identical"] is True
-    strategies = [entry["strategy"] for entry in document["results"]]
-    assert strategies[0] == "masked"
-    assert {"argsort", "dense"} <= set(strategies)
-    for entry in document["results"][1:]:
-        assert entry["speedup_vs_masked"] > 0
-
-
-def test_hyz_engine_benchmark_cross_checks_and_reports(alarm_net):
-    document = benchmark_hyz_engines(
-        alarm_net, algorithm="nonuniform", eps=0.2, n_sites=6,
-        n_events=2_000, repeats=1, seed=0,
-    )
-    assert document["messages_consistent"] is True
-    engines = [entry["engine"] for entry in document["results"]]
-    assert engines == ["sequential", "vectorized"]
-    assert document["results"][1]["speedup_vs_sequential"] > 0
-    for entry in document["results"]:
-        assert entry["total_messages"] > 0
-        # Estimates stay usable: aggregate relative error well under 100%.
-        assert entry["mean_relative_error"] < 0.5

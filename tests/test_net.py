@@ -935,14 +935,10 @@ class TestTransportTaskField:
 
     def test_cli_exposes_transport_flag(self, capsys):
         # argparse rejects unknown choices with exit code 2, proving the
-        # flag is wired on the grid subcommands and on bench-dist.
+        # flag is wired on the grid subcommands.
         from repro.experiments.cli import main
 
-        for argv in (
-            ["messages", "--transport", "bogus"],
-            ["bench-dist", "--transport", "bogus"],
-        ):
-            with pytest.raises(SystemExit) as err:
-                main(argv)
-            assert err.value.code == 2
-            assert "--transport" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["messages", "--transport", "bogus"])
+        assert err.value.code == 2
+        assert "--transport" in capsys.readouterr().err

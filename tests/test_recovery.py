@@ -18,14 +18,18 @@ TCP bind/advertise + frame-cap/heartbeat session knobs.
 """
 
 import json
-import multiprocessing
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from dist_faults import CRASH_POINTS, FAULT_EXIT_CODE, coordinator_crash
+from dist_faults import (
+    CRASH_POINTS,
+    FAULT_EXIT_CODE,
+    coordinator_crash,
+    run_crashing_child,
+)
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
 from repro.bn.repository import network_by_name
@@ -35,7 +39,6 @@ from repro.dist import (
     WalCorrupt,
     WriteAheadLog,
     load_recovery,
-    run_crashing_coordinator,
 )
 from repro.dist.messages import SiteAggregate
 from repro.dist.recovery import (
@@ -45,7 +48,6 @@ from repro.dist.recovery import (
     WAL_NAME,
     recovery_stream,
 )
-from repro.dist.site import START_METHOD
 from repro.errors import SessionError
 
 # The chaos-matrix grid, sized for the spawn-heavy single-core CI box:
@@ -82,18 +84,6 @@ def crash_payload(backend, transport, directory, *, crash,
         "crash": crash,
         "stream": {"seed": SEED, "n_events": N_EVENTS, "chunk": CHUNK},
     }
-
-
-def run_child(payload) -> int:
-    ctx = multiprocessing.get_context(START_METHOD)
-    child = ctx.Process(target=run_crashing_coordinator, args=(payload,))
-    child.start()
-    child.join(timeout=180)
-    if child.is_alive():  # pragma: no cover - hang diagnostics
-        child.kill()
-        child.join()
-        pytest.fail("crashing-coordinator child hung")
-    return child.exitcode
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +372,7 @@ class TestCrashedDirectoryDamage:
             crash=coordinator_crash(CRASH_SEQ, "post-append"),
             checkpoint_rounds=None,
         )
-        assert run_child(payload) == FAULT_EXIT_CODE
+        assert run_crashing_child(payload) == FAULT_EXIT_CODE
         return directory
 
     def test_torn_wal_tail_recovers_prefix(
@@ -428,7 +418,7 @@ class TestCrashedDirectoryDamage:
             "hyz", "queue", directory,
             crash=coordinator_crash(CRASH_SEQ, "post-append"),
         )
-        assert run_child(payload) == FAULT_EXIT_CODE
+        assert run_crashing_child(payload) == FAULT_EXIT_CODE
         checkpoint = directory / CHECKPOINT_NAME
         arrays = sorted(checkpoint.glob("arrays-*.npz"))
         assert arrays, "checkpoint bundle should hold an arrays file"
@@ -457,7 +447,7 @@ class TestChaosMatrix:
             backend, transport, directory,
             crash=coordinator_crash(CRASH_SEQ, point),
         )
-        assert run_child(payload) == FAULT_EXIT_CODE, (
+        assert run_crashing_child(payload) == FAULT_EXIT_CODE, (
             f"child must die at {point} of round {CRASH_SEQ}"
         )
         recovered = DistributedSession(

@@ -23,11 +23,7 @@ from repro import EstimatorSpec, ForwardSampler, MonitoringSession, link_like
 from repro.bn.sampling import SAMPLER_ENGINES, resolve_engine
 from repro.errors import StreamError
 from repro.exec import SHARD_MODES, ShardedSampler
-from repro.experiments.bench import (
-    CHI2_Z_THRESHOLD,
-    _max_cpd_chi2_z,
-    benchmark_sampler_engines,
-)
+from sampler_oracle import CHI2_Z_THRESHOLD, max_cpd_chi2_z
 
 #: The concrete engines (``"auto"`` resolves to one of these).
 ENGINES = ("reference", "cdf")
@@ -74,14 +70,14 @@ class TestEngineContract:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_statistical_identity_on_alarm(self, alarm_net, engine):
         data = ForwardSampler(alarm_net, seed=3, engine=engine).sample(40_000)
-        assert _max_cpd_chi2_z(alarm_net, data) < CHI2_Z_THRESHOLD
+        assert max_cpd_chi2_z(alarm_net, data) < CHI2_Z_THRESHOLD
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_statistical_identity_on_link(self, link_net, engine):
         # LINK exercises the searchsorted path (cardinalities above the
         # count-inversion crossover) and deep topological levels.
         data = ForwardSampler(link_net, seed=4, engine=engine).sample(15_000)
-        assert _max_cpd_chi2_z(link_net, data) < CHI2_Z_THRESHOLD
+        assert max_cpd_chi2_z(link_net, data) < CHI2_Z_THRESHOLD
 
     def test_engines_agree_on_marginals(self, small_net):
         m = 60_000
@@ -186,7 +182,7 @@ class TestShardedSampler:
         data = ShardedSampler(
             alarm_net, shards=2, seed=8, mode="thread"
         ).sample(40_000, chunk=10_000)
-        assert _max_cpd_chi2_z(alarm_net, data) < CHI2_Z_THRESHOLD
+        assert max_cpd_chi2_z(alarm_net, data) < CHI2_Z_THRESHOLD
 
     def test_cursor_snapshot_resumes(self, alarm_net):
         sampler = ShardedSampler(alarm_net, shards=2, seed=9, mode="serial")
@@ -251,27 +247,3 @@ class TestSessionIntegration:
             serial.estimator.bank._local, threaded.estimator.bank._local
         )
 
-
-class TestSamplerBenchmark:
-    def test_document_shape_and_checks(self, alarm_net):
-        document = benchmark_sampler_engines(
-            alarm_net, n_events=6_000, chunk=2_000, repeats=1, shards=2,
-        )
-        assert document["benchmark"] == "sampler-engines"
-        assert document["draws_deterministic"] is True
-        engines = [r["engine"] for r in document["results"]]
-        assert engines == ["reference", "cdf"]
-        assert all(
-            r["max_chi2_z"] < CHI2_Z_THRESHOLD for r in document["results"]
-        )
-        assert "speedup_vs_reference" in document["results"][1]
-        sharded = document["sharded"]
-        assert sharded["modes_identical"] is True
-        assert [r["mode"] for r in sharded["results"]] == ["serial", "thread"]
-
-    def test_sharded_block_optional(self, small_net):
-        document = benchmark_sampler_engines(
-            small_net, n_events=2_000, chunk=1_000, repeats=1,
-            shard_modes=(),
-        )
-        assert "sharded" not in document

@@ -6,7 +6,8 @@ form ``path/to/file.py::Symbol.sub`` (the symbol part optional).  This
 script resolves every pointer against the working tree: the file must
 exist, and the dotted symbol — class, function, method, or module-level
 assignment — must be found in the file's AST.  Markdown links to other
-in-repo files are checked for existence as well.
+in-repo files are checked for existence as well, and every backticked
+``make <target>`` mention must name a target the ``Makefile`` defines.
 
 Run it as ``make docs-check``; it exits non-zero listing every broken
 pointer, so CI catches documentation drift the moment a symbol is
@@ -31,6 +32,24 @@ POINTER = re.compile(
 
 #: Relative markdown links: [text](relative/path.md) — no scheme, no anchor.
 MD_LINK = re.compile(r"\]\(([A-Za-z0-9_./-]+\.md)\)")
+
+#: `make target` (optionally followed by arguments) in backticks.
+MAKE_MENTION = re.compile(r"`make ([A-Za-z0-9_.-]+)(?: [^`]*)?`")
+
+#: A rule line of the Makefile: `target:` but not a `VAR := value`.
+MAKE_RULE = re.compile(r"^([A-Za-z0-9_.-]+)\s*:(?!=)", re.MULTILINE)
+
+
+def make_targets(makefile_text: str) -> set[str]:
+    """The targets a Makefile defines rules for."""
+    return set(MAKE_RULE.findall(makefile_text)) - {".PHONY"}
+
+
+def unknown_make_targets(text: str, targets: set[str]) -> list[str]:
+    """Backticked ``make <target>`` mentions in ``text`` naming no rule."""
+    return [
+        name for name in MAKE_MENTION.findall(text) if name not in targets
+    ]
 
 
 def _defined_names(tree: ast.Module) -> dict[str, ast.AST]:
@@ -80,7 +99,7 @@ def _resolve_symbol(tree: ast.Module, dotted: str) -> bool:
     return True
 
 
-def check_file(doc_path: Path) -> list[str]:
+def check_file(doc_path: Path, targets: set[str]) -> list[str]:
     errors: list[str] = []
     text = doc_path.read_text()
     rel = doc_path.relative_to(REPO_ROOT)
@@ -106,6 +125,10 @@ def check_file(doc_path: Path) -> list[str]:
         target = match.group(1)
         if not (doc_path.parent / target).is_file():
             errors.append(f"{rel}: markdown link ({target}) does not resolve")
+
+    for name in unknown_make_targets(text, targets):
+        errors.append(f"{rel}: `make {name}` — the Makefile has no "
+                      f"target {name!r}")
     return errors
 
 
@@ -116,10 +139,11 @@ def main() -> int:
     if not docs:
         print("docs-check: no documentation files found", file=sys.stderr)
         return 1
+    targets = make_targets((REPO_ROOT / "Makefile").read_text())
     errors: list[str] = []
     checked = 0
     for doc in docs:
-        found = check_file(doc)
+        found = check_file(doc, targets)
         errors.extend(found)
         checked += len(POINTER.findall(doc.read_text()))
     if errors:

@@ -1,19 +1,18 @@
 #!/usr/bin/env python
-"""Assert two ``BENCH_*.json`` documents are equivalent.
+"""Assert two ``repro-bench-v1`` results documents are equivalent.
 
-Everything in a ``repro-bench-v1`` document is a pure function of the
-run descriptors except the wall-clock measurements and their derived
-rates/speedups, so this tool zeroes those
+Everything in such a document is a pure function of the run descriptors
+except the measured ``wall_seconds``, so this tool zeroes that
 (``repro.experiments.results.strip_timing``) and compares the canonical
 JSON byte-for-byte.  ``make smoke`` uses it to enforce the executor
 determinism contract (a multiprocess or chunked grid must match the
-serial reference exactly), and ``make bench-smoke`` uses it to check a
-fresh tiny ingest profile against the committed
-``benchmarks/BENCH_ingest_smoke.json`` baseline — the batch encoders'
-determinism contract.
+serial reference exactly); ``make smoke-dist`` and ``make smoke-net``
+use it to check that a ``--runtime distributed`` grid matches the
+in-process one.  It gates no performance — that is ``bench/compare.py``.
 
 Usage: ``python tools/compare_bench.py A.json B.json`` — exits 0 when
-equivalent, 1 with a first-difference summary otherwise.
+equivalent, 1 with a first-difference summary otherwise, 2 with one
+``error: ...`` line when a document is missing or not JSON.
 """
 
 from __future__ import annotations
@@ -56,9 +55,13 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    docs = [
-        strip_timing(json.loads(Path(arg).read_text())) for arg in argv
-    ]
+    docs = []
+    for arg in argv:
+        try:
+            docs.append(strip_timing(json.loads(Path(arg).read_text())))
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: {arg}: {exc}", file=sys.stderr)
+            return 2
     if json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True):
         print(f"equivalent: {argv[0]} == {argv[1]} (timing stripped)")
         return 0
