@@ -32,12 +32,9 @@ from repro.core.allocation import (
     uniform_allocation,
 )
 from repro.counters.base import CounterBank
-from repro.counters.deterministic import (
-    DETERMINISTIC_ENGINES,
-    DeterministicCounterBank,
-)
+from repro.counters.deterministic import DeterministicCounterBank
 from repro.counters.exact import ExactCounterBank
-from repro.counters.hyz import ENGINES, HYZCounterBank
+from repro.counters.hyz import HYZCounterBank
 from repro.errors import AllocationError, CounterError
 
 
@@ -75,20 +72,16 @@ class CounterBackendEntry:
     name:
         Registry key (normalized lowercase).
     factory:
-        ``(n_counters, n_sites, *, eps_per_counter, rng, message_log,
-        options) -> CounterBank``.  ``eps_per_counter`` is the expanded
-        per-counter budget (``None`` for exact algorithms), ``rng`` a
-        ready :class:`numpy.random.Generator`, and ``options`` a plain
-        dict of backend-specific settings (e.g. ``{"engine": ...}`` for
-        the HYZ bank).
+        ``(n_counters, n_sites, *, eps_per_counter, rng, message_log)
+        -> CounterBank``.  ``eps_per_counter`` is the expanded
+        per-counter budget (``None`` for exact algorithms) and ``rng`` a
+        ready :class:`numpy.random.Generator`.
     randomized:
         Whether the backend consumes the ``rng`` (drives which snapshot
         state is expected).
     needs_eps:
         Whether the backend requires a per-counter error budget; building
         it from an exact (no-allocation) algorithm raises otherwise.
-    options:
-        Recognized option keys, for validation and documentation.
     description:
         One-line summary.
     """
@@ -97,7 +90,6 @@ class CounterBackendEntry:
     factory: Callable[..., CounterBank]
     randomized: bool = True
     needs_eps: bool = True
-    options: tuple[str, ...] = ()
     description: str = ""
 
 
@@ -149,7 +141,6 @@ def register_counter_backend(
     *,
     randomized: bool = True,
     needs_eps: bool = True,
-    options: tuple[str, ...] = (),
     description: str = "",
     overwrite: bool = False,
 ) -> CounterBackendEntry:
@@ -167,7 +158,6 @@ def register_counter_backend(
         factory=factory,
         randomized=randomized,
         needs_eps=needs_eps,
-        options=tuple(options),
         description=description,
     )
     _COUNTER_BACKENDS[key] = entry
@@ -211,31 +201,22 @@ def counter_backend_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _exact_bank_factory(n_counters, n_sites, *, eps_per_counter, rng,
-                        message_log, options) -> ExactCounterBank:
+                        message_log) -> ExactCounterBank:
     return ExactCounterBank(n_counters, n_sites, message_log=message_log)
 
 
 def _hyz_bank_factory(n_counters, n_sites, *, eps_per_counter, rng,
-                      message_log, options) -> HYZCounterBank:
+                      message_log) -> HYZCounterBank:
     return HYZCounterBank(
-        n_counters,
-        n_sites,
-        eps_per_counter,
-        seed=rng,
+        n_counters, n_sites, eps_per_counter, seed=rng,
         message_log=message_log,
-        engine=options.get("engine", "vectorized"),
     )
 
 
 def _deterministic_bank_factory(n_counters, n_sites, *, eps_per_counter, rng,
-                                message_log, options
-                                ) -> DeterministicCounterBank:
+                                message_log) -> DeterministicCounterBank:
     return DeterministicCounterBank(
-        n_counters,
-        n_sites,
-        eps_per_counter,
-        message_log=message_log,
-        engine=options.get("deterministic_engine", "vectorized"),
+        n_counters, n_sites, eps_per_counter, message_log=message_log
     )
 
 
@@ -278,20 +259,12 @@ register_counter_backend(
     _hyz_bank_factory,
     randomized=True,
     needs_eps=True,
-    options=("engine",),
-    description=(
-        "Huang-Yi-Zhang randomized counters (Lemma 4); "
-        f"engines: {', '.join(ENGINES)}"
-    ),
+    description="Huang-Yi-Zhang randomized counters (Lemma 4)",
 )
 register_counter_backend(
     "deterministic",
     _deterministic_bank_factory,
     randomized=False,
     needs_eps=True,
-    options=("deterministic_engine",),
-    description=(
-        "(1+eps)-threshold counters (Keralapura et al.), ablations; "
-        f"engines: {', '.join(DETERMINISTIC_ENGINES)}"
-    ),
+    description="(1+eps)-threshold counters (Keralapura et al.), ablations",
 )

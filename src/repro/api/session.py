@@ -128,8 +128,7 @@ class MonitoringSession:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, data, site_ids=None, *, strategy: str = "auto",
-               validate: bool = True) -> int:
+    def ingest(self, data, site_ids=None, *, validate: bool = True) -> int:
         """Feed a batch of events; returns the number of events ingested.
 
         ``data`` is ``(m, n)`` state indices (a single ``(n,)`` event is
@@ -150,12 +149,10 @@ class MonitoringSession:
             return 0
         if site_ids is None:
             site_ids = self.partitioner.assign(data.shape[0])
-        self.estimator.update_batch(
-            data, site_ids, strategy=strategy, validate=validate
-        )
+        self.estimator.update_batch(data, site_ids, validate=validate)
         return int(data.shape[0])
 
-    def ingest_stream(self, batches: Iterable, *, strategy: str = "auto",
+    def ingest_stream(self, batches: Iterable, *,
                       validate: bool = True) -> int:
         """Feed an iterable of batches; returns the total events ingested.
 
@@ -171,13 +168,10 @@ class MonitoringSession:
                 data, site_ids = item
             else:
                 data, site_ids = item, None
-            total += self.ingest(
-                data, site_ids, strategy=strategy, validate=validate
-            )
+            total += self.ingest(data, site_ids, validate=validate)
         return total
 
-    def ingest_sampler(self, sampler, m: int, *, chunk: int = 10_000,
-                       strategy: str = "auto") -> int:
+    def ingest_sampler(self, sampler, m: int, *, chunk: int = 10_000) -> int:
         """Fused zero-copy ingest of ``m`` events drawn from ``sampler``.
 
         The paper-scale fast path: the sampler fills one preallocated
@@ -191,17 +185,16 @@ class MonitoringSession:
         """
         return self.ingest_stream(
             sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),
-            strategy=strategy,
             validate=False,
         )
 
-    def sampler(self, *, seed=None, engine: str = "auto",
-                shards: int | None = None, mode: str | None = None):
+    def sampler(self, *, seed=None, shards: int | None = None,
+                mode: str | None = None):
         """A ground-truth sampler over this session's network.
 
         The companion to :meth:`ingest_sampler`: with ``mode=None``
-        (default) returns a :class:`~repro.bn.sampling.ForwardSampler`
-        with the requested ``engine``; with a
+        (default) returns a :class:`~repro.bn.sampling.ForwardSampler`;
+        with a
         :data:`~repro.exec.sampler.SHARD_MODES` name returns a
         :class:`~repro.exec.ShardedSampler` drawing chunk-parallel over
         ``shards`` workers.  Either way the result plugs straight into
@@ -215,7 +208,7 @@ class MonitoringSession:
         same bytes as any explicit choice with the same count.
         """
         if mode is None:
-            return ForwardSampler(self.network, seed=seed, engine=engine)
+            return ForwardSampler(self.network, seed=seed)
         from repro.exec.sampler import ShardedSampler
 
         if mode == "auto":
@@ -224,7 +217,7 @@ class MonitoringSession:
                 shards = cores
             mode = "serial" if cores == 1 else "thread"
         return ShardedSampler(
-            self.network, shards=shards, seed=seed, mode=mode, engine=engine
+            self.network, shards=shards, seed=seed, mode=mode
         )
 
     # ------------------------------------------------------------------

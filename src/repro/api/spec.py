@@ -28,8 +28,6 @@ from repro.bn.network import BayesianNetwork
 from repro.bn.repository import network_by_name
 from repro.core.allocation import Allocation
 from repro.core.estimator import StreamingMLEEstimator
-from repro.counters.deterministic import DETERMINISTIC_ENGINES
-from repro.counters.hyz import ENGINES
 from repro.errors import AllocationError, SpecError
 from repro.monitoring.channel import MessageLog
 from repro.monitoring.stream import PARTITIONERS
@@ -37,6 +35,16 @@ from repro.utils.rng import as_generator
 
 #: Version tag embedded in serialized specs.
 SPEC_SCHEMA = "repro-estimator-spec-v1"
+
+#: Engine fields older specs serialized, with the values that still load:
+#: ``"vectorized"`` names the code that runs now, and the retired scalar
+#: threshold loop was byte-identical to it.  The retired sequential HYZ
+#: replay drew its coins in another order, so its snapshots cannot be
+#: continued.
+_RETIRED_ENGINE_FIELDS = {
+    "hyz_engine": ("vectorized",),
+    "deterministic_engine": ("vectorized", "scalar"),
+}
 
 
 def _eps_tuple(value, label: str) -> tuple[float, ...] | None:
@@ -77,13 +85,6 @@ class EstimatorSpec:
     counter_backend:
         A registered backend name; ignored when the algorithm forces one
         (``"exact"`` does).
-    hyz_engine:
-        Span-replay engine for HYZ banks (``"vectorized"`` or
-        ``"sequential"``).
-    deterministic_engine:
-        Threshold-advancement engine for deterministic banks
-        (``"vectorized"`` or ``"scalar"``); both are byte-identical, so
-        this is a pure performance knob.
     partitioner:
         Site-assignment policy used by sessions when ``ingest`` is called
         without explicit site ids: ``"uniform"``, ``"round-robin"``, or
@@ -102,8 +103,6 @@ class EstimatorSpec:
     n_sites: int = 10
     seed: "int | np.random.Generator | None" = None
     counter_backend: str = "hyz"
-    hyz_engine: str = "vectorized"
-    deterministic_engine: str = "vectorized"
     partitioner: str = "uniform"
     zipf_exponent: float = 1.0
     joint_eps: tuple[float, ...] | None = None
@@ -145,16 +144,6 @@ class EstimatorSpec:
             )
         if isinstance(self.seed, np.integer):
             object.__setattr__(self, "seed", int(self.seed))
-        if self.hyz_engine not in ENGINES:
-            raise SpecError(
-                f"unknown hyz_engine {self.hyz_engine!r}; expected one of "
-                f"{ENGINES}"
-            )
-        if self.deterministic_engine not in DETERMINISTIC_ENGINES:
-            raise SpecError(
-                f"unknown deterministic_engine {self.deterministic_engine!r}; "
-                f"expected one of {DETERMINISTIC_ENGINES}"
-            )
         if self.partitioner not in PARTITIONERS:
             raise SpecError(
                 f"unknown partitioner {self.partitioner!r}; expected one of "
@@ -244,7 +233,6 @@ class EstimatorSpec:
         message_log: MessageLog | None = None,
         network: BayesianNetwork | None = None,
         rng: np.random.Generator | None = None,
-        encoder: str = "auto",
     ) -> StreamingMLEEstimator:
         """Construct the estimator this spec describes.
 
@@ -259,12 +247,6 @@ class EstimatorSpec:
         rng:
             Override the counter bank's generator (sessions derive it
             from the spec seed together with the partitioner's).
-        encoder:
-            Batch-encoder override forwarded to
-            :class:`~repro.core.estimator.StreamingMLEEstimator`
-            (``"auto"``, ``"dense"``, ``"sparse"``, ``"loop"``).  Not a
-            spec field: every encoder is byte-identical, so this is a
-            per-build performance knob, not part of what is described.
         """
         from repro.core.algorithms import expand_allocation
 
@@ -283,10 +265,6 @@ class EstimatorSpec:
             eps_per_counter = None
         if rng is None and backend.randomized:
             rng = as_generator(self.seed)
-        options = {
-            "engine": self.hyz_engine,
-            "deterministic_engine": self.deterministic_engine,
-        }
 
         def bank_factory(n_counters: int):
             return backend.factory(
@@ -295,12 +273,9 @@ class EstimatorSpec:
                 eps_per_counter=eps_per_counter,
                 rng=rng,
                 message_log=log,
-                options=options,
             )
 
-        return StreamingMLEEstimator(
-            net, bank_factory, name=entry.name, encoder=encoder
-        )
+        return StreamingMLEEstimator(net, bank_factory, name=entry.name)
 
     def session(self) -> "MonitoringSession":
         """Build a full :class:`~repro.api.session.MonitoringSession`."""
@@ -329,8 +304,6 @@ class EstimatorSpec:
             "n_sites": self.n_sites,
             "seed": seed,
             "counter_backend": self.counter_backend,
-            "hyz_engine": self.hyz_engine,
-            "deterministic_engine": self.deterministic_engine,
             "partitioner": self.partitioner,
             "zipf_exponent": self.zipf_exponent,
             "joint_eps": list(self.joint_eps) if self.joint_eps else None,
@@ -339,10 +312,24 @@ class EstimatorSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EstimatorSpec":
-        """Rebuild a spec serialized by :meth:`to_dict`."""
+        """Rebuild a spec serialized by :meth:`to_dict`.
+
+        Payloads written while the counter banks had selectable engines
+        carry ``hyz_engine`` / ``deterministic_engine``; the values that
+        name the code that runs now are accepted and dropped, any other
+        raises :class:`SpecError`.
+        """
         schema = payload.get("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
             raise SpecError(f"unsupported spec schema {schema!r}")
+        for key, accepted in _RETIRED_ENGINE_FIELDS.items():
+            value = payload.get(key, accepted[0])
+            if value not in accepted:
+                raise SpecError(
+                    f"{key}={value!r} names a removed engine; a spec "
+                    f"written with it cannot be rebuilt (only {accepted} "
+                    "load)"
+                )
         network = payload["network"]
         if isinstance(network, dict):
             network = network_from_dict(network["inline"])
@@ -353,10 +340,6 @@ class EstimatorSpec:
             n_sites=payload.get("n_sites", 10),
             seed=payload.get("seed"),
             counter_backend=payload.get("counter_backend", "hyz"),
-            hyz_engine=payload.get("hyz_engine", "vectorized"),
-            deterministic_engine=payload.get(
-                "deterministic_engine", "vectorized"
-            ),
             partitioner=payload.get("partitioner", "uniform"),
             zipf_exponent=payload.get("zipf_exponent", 1.0),
             joint_eps=payload.get("joint_eps"),

@@ -3,29 +3,19 @@
 The paper generates training data by ordering the nodes topologically and
 assigning each variable from its CPD given already-sampled parents
 (Sec. VI-A, "Training Data").  The sampler below does exactly that,
-vectorized over instances, through one of two **engines** (the PR 2 RNG
-precedent: engines are byte-identical for a fixed engine and seed, and
-statistically identical to each other — pinned by chi-squared per-CPD
-marginals in the test suite):
-
-- ``"cdf"`` (the ``"auto"`` default) — precomputed per-variable CDF
-  tables laid out by the parent-configuration stride code of the shared
-  stride plan (:meth:`~repro.bn.network.BayesianNetwork.stride_rows`).
-  Each topological level draws its uniforms in one block, then each
-  variable inverts its CDF for the whole batch with ``(m,)``-shaped
-  scratch rows only: a per-state gather-and-count against contiguous
-  CDF rows when ``J`` is small (every gather row is L1-resident and no
-  pass depends on the previous one), or one ``searchsorted`` over the
-  packed table of :meth:`~repro.bn.cpd.TabularCPD.packed_cdf` for
-  large-``J`` variables where counting would need too many passes.
-- ``"reference"`` — the original per-variable ``(J, m)`` CDF gather +
-  comparison-count inversion, kept byte-for-byte as the engine the fast
-  path is statistically cross-checked against.
-
-Streams of millions of rows are practical in pure numpy either way; the
-``"cdf"`` engine removes the ``O(J * m)`` temporaries and allocator
-traffic that made sampling dominate end-to-end ingest wall clock (see
-``docs/performance.md``).
+vectorized over instances, from precomputed per-variable CDF tables laid
+out by the parent-configuration stride code of the shared stride plan
+(:meth:`~repro.bn.network.BayesianNetwork.stride_rows`).  Each
+topological level draws its uniforms in one block, then each variable
+inverts its CDF for the whole batch with ``(m,)``-shaped scratch rows
+only: a per-state gather-and-count against contiguous CDF rows when ``J``
+is small (every gather row is L1-resident and no pass depends on the
+previous one), or one ``searchsorted`` over the packed table of
+:meth:`~repro.bn.cpd.TabularCPD.packed_cdf` for large-``J`` variables
+where counting would need too many passes.  The stream is byte-identical
+for a fixed seed and batch-size sequence and passes a per-CPD
+chi-squared goodness-of-fit against the network (both pinned by the test
+suite); ``docs/performance.md`` describes the layout.
 """
 
 from __future__ import annotations
@@ -39,28 +29,14 @@ from repro.errors import StreamError
 from repro.utils.rng import as_generator, restore_generator_state
 from repro.utils.validation import check_positive_int
 
-#: Engine names accepted by :class:`ForwardSampler`.
-SAMPLER_ENGINES = ("auto", "cdf", "reference")
-
 #: Largest child cardinality inverted by the gather-and-count path; above
-#: it the ``"cdf"`` engine switches to one packed-table ``searchsorted``
-#: per variable.  Counting costs ``J - 1`` contiguous passes against one
+#: it the sampler switches to one packed-table ``searchsorted`` per
+#: variable.  Counting costs ``J - 1`` contiguous passes against one
 #: latency-bound binary search; measured on the paper networks (J up to
 #: 21) counting wins throughout, so the crossover only guards synthetic
 #: networks with very wide domains.  The rule depends on the network
-#: alone, never on the data, so a fixed engine and seed stay
-#: byte-identical.
+#: alone, never on the data, so a fixed seed stays byte-identical.
 _COUNT_MAX_CARDINALITY = 32
-
-
-def resolve_engine(engine: str) -> str:
-    """Validate an engine name and resolve ``"auto"`` to the default."""
-    if engine not in SAMPLER_ENGINES:
-        raise StreamError(
-            f"unknown sampler engine {engine!r}; expected one of "
-            f"{SAMPLER_ENGINES}"
-        )
-    return "cdf" if engine == "auto" else engine
 
 
 class ForwardSampler:
@@ -71,27 +47,19 @@ class ForwardSampler:
     network:
         The ground-truth network.
     seed:
-        Seed or generator; a fixed seed gives a reproducible stream.
-    engine:
-        Batch draw engine (:data:`SAMPLER_ENGINES`).  ``"auto"`` resolves
-        to ``"cdf"``.  For a fixed engine and seed, ``sample`` /
-        ``sample_into`` / ``sample_stream`` produce byte-identical values
-        for the same sequence of batch sizes; across engines the streams
-        differ but follow the same distribution (the engines consume
-        randomness differently).
+        Seed or generator; a fixed seed gives a reproducible stream:
+        ``sample`` / ``sample_into`` / ``sample_stream`` produce
+        byte-identical values for the same sequence of batch sizes.
     """
 
-    def __init__(
-        self, network: BayesianNetwork, *, seed=None, engine: str = "auto"
-    ) -> None:
+    def __init__(self, network: BayesianNetwork, *, seed=None) -> None:
         self.network = network
         self._rng = as_generator(seed)
-        self.engine = resolve_engine(engine)
         # Per-variable tables over the shared stride plan.  ``state_rows``
         # holds the first J-1 CDF rows, each contiguous over the K parent
         # configurations, for the gather-and-count inversion; ``packed``
         # is the flat searchsorted table — always built, because
-        # ``sample_event`` draws through it whatever the batch engine.
+        # ``sample_event`` draws through it whatever the cardinality.
         rows = network.stride_rows()
         self._tables = []
         for name, (cardinality, _, parents) in zip(network.node_names, rows):
@@ -118,16 +86,6 @@ class ForwardSampler:
             by_level.setdefault(level, []).append(index)
         self._levels = [by_level[level] for level in sorted(by_level)]
         self._max_level_width = max(len(level) for level in self._levels)
-        if self.engine == "reference":
-            # The original per-variable plan, kept byte-for-byte.
-            self._plan = []
-            for idx, name in enumerate(network.node_names):
-                cpd = network.cpd(name)
-                parent_positions = np.array(
-                    [network.variable_index(p) for p in cpd.parent_names],
-                    dtype=np.int64,
-                )
-                self._plan.append((idx, cpd, parent_positions, cpd.cdf()))
         self._scratch: dict = {}
 
     def sample(self, m: int) -> np.ndarray:
@@ -162,15 +120,13 @@ class ForwardSampler:
             )
         if out.shape[0] == 0:
             return out
-        if self.engine == "reference":
-            return self._sample_into_reference(out)
         return self._sample_into_cdf(out)
 
     def _buffer(self, key: str, shape, dtype) -> np.ndarray:
         """A reusable scratch array; reallocated only when ``shape`` moves.
 
         Chunked ingest feeds same-size batches, so in steady state the
-        engine touches no allocator at all (the zero-copy contract of
+        sampler touches no allocator at all (the zero-copy contract of
         ``MonitoringSession.ingest_sampler``).
         """
         buf = self._scratch.get(key)
@@ -180,7 +136,7 @@ class ForwardSampler:
         return buf
 
     def _sample_into_cdf(self, out: np.ndarray) -> np.ndarray:
-        """The fast engine: per-level uniform blocks, ``(m,)`` scratch only.
+        """Per-level uniform blocks, ``(m,)`` scratch only.
 
         Per variable the mixed-radix parent code ``cfg`` is accumulated
         from the shared stride rows, then the CDF is inverted either by
@@ -235,21 +191,6 @@ class ForwardSampler:
                     np.copyto(column, hit)
         return out
 
-    def _sample_into_reference(self, out: np.ndarray) -> np.ndarray:
-        """The original engine, byte-for-byte: ``(J, m)`` gather + count."""
-        m = out.shape[0]
-        for idx, cpd, parent_positions, cdf in self._plan:
-            if parent_positions.size:
-                col_index = cpd.parent_index_array(out[:, parent_positions])
-            else:
-                col_index = np.zeros(m, dtype=np.int64)
-            u = self._rng.random(m)
-            # cdf has shape (J, K); gather each row's column then invert the
-            # CDF with a comparison count.
-            row_cdf = cdf[:, col_index]  # (J, m)
-            out[:, idx] = (u[None, :] > row_cdf).sum(axis=0)
-        return out
-
     def sample_stream(
         self, m: int, *, chunk: int = 20_000, reuse_buffer: bool = False
     ) -> Iterator[np.ndarray]:
@@ -292,8 +233,7 @@ class ForwardSampler:
         Only the closure of ``nodes`` is sampled (in topological order), so
         events over small subsets are cheap even in huge networks.  Draws
         one uniform per node and inverts through the packed CDF table —
-        the stream is deterministic for a fixed seed and independent of
-        the batch engine.
+        the stream is deterministic for a fixed seed.
 
         Raises
         ------
@@ -327,29 +267,49 @@ class ForwardSampler:
         """JSON-serializable snapshot of the sampler's stream position."""
         return {
             "kind": "forward-sampler",
-            "engine": self.engine,
             "rng_state": self._rng.bit_generator.state,
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (in place).
 
-        The snapshot's engine must match: engines consume randomness
-        differently, so restoring a stream into the other engine would
-        silently fork it.
+        Raises :class:`StreamError` for anything that is not a
+        forward-sampler snapshot with a restorable generator state.
+        States written before the sampler had one engine carry an
+        ``"engine"`` entry; ``"cdf"`` continues byte-identically, while
+        the removed ``"reference"`` engine consumed randomness
+        differently and is refused.
         """
-        if state.get("kind") != "forward-sampler":
+        check_sampler_state(state, "forward-sampler")
+        rng_state = state.get("rng_state")
+        if not isinstance(rng_state, dict):
             raise StreamError(
-                f"snapshot holds a {state.get('kind')!r} state, cannot "
-                "restore into a forward sampler"
-            )
-        if state.get("engine") != self.engine:
-            raise StreamError(
-                f"snapshot holds a {state.get('engine')!r}-engine stream, "
-                f"cannot restore into the {self.engine!r} engine (engines "
-                "consume randomness differently)"
+                "forward-sampler snapshot has no generator state "
+                f"(rng_state={rng_state!r})"
             )
         try:
-            self._rng = restore_generator_state(self._rng, state["rng_state"])
-        except ValueError as exc:
-            raise StreamError(str(exc)) from exc
+            self._rng = restore_generator_state(self._rng, rng_state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StreamError(
+                f"forward-sampler snapshot has an unusable generator "
+                f"state: {exc!r}"
+            ) from exc
+
+
+def check_sampler_state(state, kind: str) -> None:
+    """Refuse a sampler snapshot of another kind or a removed engine."""
+    if not isinstance(state, dict):
+        raise StreamError(
+            f"a sampler snapshot is a dict, got {type(state).__name__}"
+        )
+    if state.get("kind") != kind:
+        raise StreamError(
+            f"snapshot holds a {state.get('kind')!r} state, cannot "
+            f"restore into a {kind}"
+        )
+    engine = state.get("engine", "cdf")
+    if engine != "cdf":
+        raise StreamError(
+            f"snapshot holds a {engine!r}-engine stream; only the 'cdf' "
+            "stream can be continued"
+        )

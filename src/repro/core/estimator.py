@@ -12,33 +12,21 @@ two counters per CPD table entry family:
 ``update_batch`` implements Algorithm 2 vectorized over a batch of events:
 the increments of each event are encoded as flat counter ids, collapsed to
 unique ``(site, counter, count)`` triples by one histogram pass, and handed
-to the bank's grouped fast path.
+to the bank's grouped fast path (``docs/performance.md`` maps the whole
+hot path).
 
-Three **batch encoders** produce the counter ids (``docs/performance.md``
-maps the whole hot path):
-
-- ``"dense"`` — an (n, n) stride-matrix dgemm encodes every
-  parent-configuration code of a batch in one matmul; kept selectable by
-  name as a cross-check.
-- ``"sparse"`` — the ``"auto"`` default at every size: the per-variable
-  ``(parent position, stride)`` pairs of the shared stride plan
-  (:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) are walked
-  over a *transposed* ``(n, m)`` batch, so each gather/multiply/add
-  is a contiguous row operation; ``O(edges)`` work per event with no
-  Python-loop-per-variable.  The PR 5 ALARM ingest profile (n=37,
-  recorded in CHANGES.md) showed it beating the dgemm already at small
-  n, so ``"auto"`` no longer crosses over.
-- ``"loop"`` — the original per-variable Python loop, kept byte-for-byte
-  as the reference engine the fast paths are tested against.
-
-The ``"dense"``/``"sparse"`` encoders emit only the *joint* counter ids:
-each event contributes exactly one joint id and one parent id per
-variable, and the parent id is a pure function of the joint id, so the
-grouping layer derives the parent-half histogram from the joint-half
-histogram (``_derive_parent_counts``) instead of encoding and binning a
-second ``(m, n)`` array — exactly half the encode and histogram work with
-bit-identical results.  The legacy per-site mask loop survives as
-``update_batch_masked`` for regression pinning.
+The encoder walks the per-variable ``(parent position, stride)`` pairs of
+the shared stride plan
+(:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) over a
+*transposed* ``(n, m)`` batch, so each gather/multiply/add is a contiguous
+row operation; ``O(edges)`` work per event with no Python loop per
+variable.  It emits only the *joint* counter ids: each event contributes
+exactly one joint id and one parent id per variable, and the parent id is
+a pure function of the joint id, so the grouping layer derives the
+parent-half histogram from the joint-half histogram
+(``_derive_parent_counts``) instead of encoding and binning a second
+``(m, n)`` array.  The per-variable reference encoder the tests compare
+against lives in ``tests/ingest_oracle.py``.
 ``query``/``query_event`` implement Algorithm 3.
 """
 
@@ -52,22 +40,11 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.counters.base import CounterBank
 from repro.errors import QueryError, StreamError
-from repro.utils.validation import check_positive_int
 
 #: Largest ``k * n_counters`` key space the "dense" grouping strategy may
 #: histogram (8M int64 entries = 64 MB transient); beyond it "auto" falls
 #: back to argsort sharding.
 _DENSE_GROUP_BUDGET = 1 << 23
-
-#: Largest variable count for which the ``"loop"`` reference encoder keeps
-#: its historical dense stride-matrix dgemm inside ``_encode_halves``.
-#: (The dgemm is no longer ever the ``"auto"`` pick: the PR 5 ALARM
-#: profile showed the sparse encoder winning already at n=37, so ``"auto"``
-#: resolves to ``"sparse"`` at every size — see ``ENCODERS``.)
-_DENSE_ENCODE_MAX_VARIABLES = 256
-
-#: Batch-encoder names accepted by :class:`StreamingMLEEstimator`.
-ENCODERS = ("auto", "dense", "sparse", "loop")
 
 
 class _VariableLayout:
@@ -146,11 +123,6 @@ class StreamingMLEEstimator:
         :mod:`repro.core.algorithms`).
     name:
         Display name of the algorithm this estimator realizes.
-    encoder:
-        Batch-encoder choice: ``"auto"`` (default — resolves to
-        ``"sparse"``, which won at every profiled network size), or an
-        explicit ``"dense"`` / ``"sparse"`` / ``"loop"``.  All encoders leave every bank byte-identical; the
-        choice is a pure performance knob (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -159,7 +131,6 @@ class StreamingMLEEstimator:
         bank_factory,
         *,
         name: str = "estimator",
-        encoder: str = "auto",
     ) -> None:
         self.network = network
         self.name = str(name)
@@ -189,16 +160,6 @@ class StreamingMLEEstimator:
             layout.parent_offset = parent_cursor
             parent_cursor += layout.k_configs
         self.n_counters = parent_cursor
-        n = len(self._layouts)
-        self._joint_offsets = np.array(
-            [l.joint_offset for l in self._layouts], dtype=np.int64
-        )
-        self._parent_offsets = np.array(
-            [l.parent_offset for l in self._layouts], dtype=np.int64
-        )
-        self._k_configs_vec = np.array(
-            [l.k_configs for l in self._layouts], dtype=np.int64
-        )
         # Static query-path lookups: the name -> layout map and each
         # variable's (parent name, stride) pairs never change after
         # construction, so ``log_query_event`` must not rebuild them per
@@ -218,42 +179,8 @@ class StreamingMLEEstimator:
                 tuple(int(s) for s in layout.parent_strides),
                 network.variable(node),
             )
-        if encoder not in ENCODERS:
-            raise StreamError(
-                f"unknown encoder {encoder!r}; expected one of {ENCODERS}"
-            )
-        if encoder == "auto":
-            # The sparse plan won at every profiled size (it already beat
-            # the dgemm on ALARM, n=37),
-            # so "auto" never crosses over to "dense" anymore; the dgemm
-            # stays selectable by name.
-            encoder = "sparse"
-        self.encoder = encoder
-        # Dense (n, n) parent-stride matrix: one dgemm turns a whole batch
-        # into parent-configuration codes.  Only worthwhile for small/medium
-        # n — for the huge sparse networks (LINK, MUNIN) a dense matmul
-        # would do O(n^2) work per event where the sparse plan does
-        # O(edges).  Also built for "loop" so `_encode_halves` keeps its
-        # historical dgemm behaviour on small networks.
-        if self.encoder == "dense" or (
-            self.encoder == "loop" and n <= _DENSE_ENCODE_MAX_VARIABLES
-        ):
-            self._stride_matrix = np.zeros((n, n))
-            for layout in self._layouts:
-                self._stride_matrix[layout.parent_positions, layout.index] = (
-                    layout.parent_strides
-                )
-            self._k_configs_f = self._k_configs_vec.astype(np.float64)
-            self._joint_offsets_f = self._joint_offsets.astype(np.float64)
-            self._parent_offsets_f = self._parent_offsets.astype(np.float64)
-        else:
-            self._stride_matrix = None
-        self._sparse_plan = (
-            _SparseEncodePlan(
-                stride_rows, [l.joint_offset for l in self._layouts]
-            )
-            if self.encoder == "sparse"
-            else None
+        self._sparse_plan = _SparseEncodePlan(
+            stride_rows, [l.joint_offset for l in self._layouts]
         )
         # Compact dtype for the sparse encoder's workspace; int32 covers
         # every practical network (the id space would need 2**31 counters
@@ -265,17 +192,14 @@ class StreamingMLEEstimator:
         # joint id -> parent id (relative to the parent block): lets the
         # grouping layer derive the parent-half histogram from the
         # joint-half histogram instead of binning a second (m, n) array.
-        if self.encoder != "loop":
-            rel = np.empty(self.n_joint_counters, dtype=np.int64)
-            for layout in self._layouts:
-                block = layout.cardinality * layout.k_configs
-                rel[layout.joint_offset:layout.joint_offset + block] = (
-                    layout.parent_offset - self.n_joint_counters
-                    + np.tile(np.arange(layout.k_configs), layout.cardinality)
-                )
-            self._parent_of_joint_rel = rel
-        else:
-            self._parent_of_joint_rel = None
+        rel = np.empty(self.n_joint_counters, dtype=np.int64)
+        for layout in self._layouts:
+            block = layout.cardinality * layout.k_configs
+            rel[layout.joint_offset:layout.joint_offset + block] = (
+                layout.parent_offset - self.n_joint_counters
+                + np.tile(np.arange(layout.k_configs), layout.cardinality)
+            )
+        self._parent_of_joint_rel = rel
         self._buffers: dict = {}
         self.bank: CounterBank = bank_factory(self.n_counters)
         if self.bank.n_counters != self.n_counters:
@@ -289,58 +213,6 @@ class StreamingMLEEstimator:
     # ------------------------------------------------------------------
     # Training (Algorithm 2)
     # ------------------------------------------------------------------
-    def _encode_batch(self, data: np.ndarray) -> np.ndarray:
-        """Flat counter ids for all ``2n`` increments of each event.
-
-        Returns an array of shape ``(m, 2n)``: joint-counter ids in columns
-        ``[0, n)``, parent-counter ids in ``[n, 2n)``.  This is the original
-        per-variable encoder; it backs the legacy masked path and remains
-        the reference every fast encoder is tested against.
-        """
-        m = data.shape[0]
-        n = len(self._layouts)
-        ids = np.empty((m, 2 * n), dtype=np.int64)
-        for layout in self._layouts:
-            pstate = layout.parent_state_batch(data)
-            ids[:, layout.index] = (
-                layout.joint_offset
-                + data[:, layout.index] * layout.k_configs
-                + pstate
-            )
-            ids[:, n + layout.index] = layout.parent_offset + pstate
-        return ids
-
-    def _encode_halves(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Joint and parent counter ids as two ``(m, n)`` int64 arrays.
-
-        The legacy two-half encoder: a dgemm against the dense stride
-        matrix when one was built, the per-variable loop otherwise.  The
-        ``"loop"`` reference pipeline consumes it; the fast pipelines use
-        :meth:`_encode_joint` plus derived parent histograms instead.
-        Always returns fresh arrays (no workspace aliasing).
-        """
-        if self._stride_matrix is not None:
-            df = data.astype(np.float64)
-            pstates = df @ self._stride_matrix
-            np.multiply(df, self._k_configs_f, out=df)
-            df += pstates
-            df += self._joint_offsets_f
-            pstates += self._parent_offsets_f
-            return df.astype(np.int64), pstates.astype(np.int64)
-        m = data.shape[0]
-        n = len(self._layouts)
-        joint = np.empty((m, n), dtype=np.int64)
-        parent = np.empty((m, n), dtype=np.int64)
-        for layout in self._layouts:
-            pstate = layout.parent_state_batch(data)
-            joint[:, layout.index] = (
-                layout.joint_offset
-                + data[:, layout.index] * layout.k_configs
-                + pstate
-            )
-            parent[:, layout.index] = layout.parent_offset + pstate
-        return joint, parent
-
     def _buffer(self, key: str, shape: tuple, dtype) -> np.ndarray:
         """A reusable scratch array; reallocated only when ``shape`` moves.
 
@@ -354,27 +226,7 @@ class StreamingMLEEstimator:
             self._buffers[key] = buf
         return buf
 
-    def _encode_joint_dense(self, data: np.ndarray) -> np.ndarray:
-        """Joint counter ids as an ``(m, n)`` int64 workspace array.
-
-        One float64 dgemm computes every parent-configuration code —
-        exact, since every intermediate value is an integer far below
-        2**53.  The returned array is workspace owned by the estimator;
-        callers may mutate it but must not hold it across calls.
-        """
-        m, n = data.shape
-        df = self._buffer("dense.float", (m, n), np.float64)
-        pstates = self._buffer("dense.pstates", (m, n), np.float64)
-        out = self._buffer("dense.joint", (m, n), np.int64)
-        df[...] = data
-        np.matmul(df, self._stride_matrix, out=pstates)
-        df *= self._k_configs_f
-        df += pstates
-        df += self._joint_offsets_f
-        np.copyto(out, df, casting="unsafe")
-        return out
-
-    def _encode_joint_sparse(
+    def _encode_joint(
         self, data: np.ndarray, add: np.ndarray | None = None
     ) -> np.ndarray:
         """Joint counter ids as an ``(n, m)`` transposed workspace array.
@@ -424,20 +276,6 @@ class StreamingMLEEstimator:
             elif out is not joint:
                 np.copyto(out[index], row)
         return out
-
-    def _encode_joint(
-        self, data: np.ndarray, add: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Dispatch to the configured fast encoder.
-
-        Returns ``(m, n)`` row-major ids for the dense encoder and
-        ``(n, m)`` transposed ids for the sparse one.  ``add`` is the
-        sparse encoder's fused per-event offset (site keys); the dense
-        encoder's callers apply it as a broadcast instead.
-        """
-        if self.encoder == "sparse":
-            return self._encode_joint_sparse(data, add)
-        return self._encode_joint_dense(data)
 
     def _derive_parent_counts(self, dense: np.ndarray) -> None:
         """Fill one site's parent-counter histogram region in place.
@@ -494,32 +332,22 @@ class StreamingMLEEstimator:
         (the session's fused sampler ingest); shape checks always run.
 
         ``strategy`` picks how the per-event increments are grouped into
-        the unique ``(site, counter, count)`` triples that
-        :meth:`~repro.counters.base.CounterBank.bulk_add_grouped` consumes:
+        the unique ``(site, counter, count)`` triples the bank consumes:
 
         - ``"argsort"`` — one stable argsort of ``site_ids`` shards the batch
-          into contiguous per-site runs aggregated from views, replacing the
-          legacy ``O(k * m)`` per-site boolean-mask scans.
+          into contiguous per-site runs; memory stays ``O(touched)``, which
+          is why the distributed site workers use it.
         - ``"dense"`` — increments are keyed as ``site * n_counters +
           counter`` and collapsed by a single ``bincount`` over the whole
-          ``k * n_counters`` key space; fastest when that table fits in
-          memory comfortably.
+          ``k * n_counters`` key space, handed to the bank as one table.
         - ``"auto"`` (default) — ``"dense"`` when the key space fits
           :data:`_DENSE_GROUP_BUDGET` and is amortized by the batch's
           increment count, else ``"argsort"``.
-        - ``"masked"`` — the legacy per-site boolean-mask loop, kept for
-          regression pinning (also available as
-          :meth:`update_batch_masked`).
 
-        All strategies (and all encoders) hand the banks identical
-        per-site (sorted, unique) aggregates in ascending site order, so
-        for a fixed bank they leave it in a byte-identical state —
-        including the RNG-driven HYZ bank, whose draw order depends only
-        on the per-site slices it receives.  (The HYZ bank's *span-replay
-        engine* is a property of the bank, not of the grouping strategy:
-        different engines consume randomness in different orders and agree
-        statistically instead — see ``docs/hyz-protocol.md`` and
-        ``EstimatorSpec``'s ``hyz_engine``.)
+        Both strategies hand the bank identical per-site (sorted, unique)
+        aggregates in ascending site order, so they leave it in a
+        byte-identical state — including the RNG-driven HYZ bank, whose
+        draw order depends only on the per-site slices it receives.
         """
         data, site_ids = self._validate_batch(data, site_ids, check=validate)
         if data.shape[0] == 0:
@@ -540,62 +368,30 @@ class StreamingMLEEstimator:
             self._update_grouped_dense(data, site_ids)
         elif strategy == "argsort":
             self._update_grouped_argsort(data, site_ids)
-        elif strategy == "masked":
-            self._update_masked(data, site_ids)
         else:
             raise StreamError(
                 f"unknown update strategy {strategy!r}; expected 'auto', "
-                "'dense', 'argsort', or 'masked'"
+                "'dense' or 'argsort'"
             )
         self.events_seen += data.shape[0]
-
-    def update_batch_masked(self, data: np.ndarray, site_ids: np.ndarray) -> None:
-        """Legacy per-site boolean-mask implementation of :meth:`update_batch`.
-
-        Kept as the reference path: the regression suite pins that every
-        strategy leaves the counter banks in a byte-identical state.
-        """
-        self.update_batch(data, site_ids, strategy="masked")
 
     def _update_grouped_dense(self, data: np.ndarray, site_ids: np.ndarray) -> None:
         n_counters = self.n_counters
         table = self.n_sites * n_counters
-        if self.encoder == "loop":
-            # The reference pipeline: encode both halves per variable and
-            # histogram both, exactly as before the fast encoders landed.
-            joint, parent = self._encode_halves(data)
-            site_keys = (site_ids * np.int64(n_counters))[:, None]
-            joint += site_keys
-            parent += site_keys
-            dense = np.bincount(joint.ravel(), minlength=table)
-            dense += np.bincount(parent.ravel(), minlength=table)
+        site_keys = site_ids * np.int64(n_counters)
+        if table - 1 <= np.iinfo(self._sparse_dtype).max:
+            # Keys fold into the encoder's cache-hot row pass.
+            ids = self._encode_joint(data, site_keys)
         else:
-            site_keys = site_ids * np.int64(n_counters)
-            if self.encoder == "sparse":
-                if table - 1 <= np.iinfo(self._sparse_dtype).max:
-                    # Keys fold into the encoder's cache-hot row pass.
-                    ids = self._encode_joint(data, site_keys)
-                else:
-                    ids = self._encode_joint(data)
-                    ids += site_keys[None, :]
-            else:
-                ids = self._encode_joint(data)
-                ids += site_keys[:, None]
-            dense = np.bincount(ids.ravel(), minlength=table)
-            per_site = dense.reshape(self.n_sites, n_counters)
-            for site in range(self.n_sites):
-                self._derive_parent_counts(per_site[site])
-            # The bank consumes the per-site table directly — no
-            # flatnonzero/divmod round-trip through sparse triples.
-            self.bank.bulk_add_table(per_site, check=False)
-            return
-        touched = np.flatnonzero(dense)
-        self.bank.bulk_add_grouped(
-            touched // n_counters,
-            touched % n_counters,
-            dense[touched],
-            check=False,
-        )
+            ids = self._encode_joint(data)
+            ids += site_keys[None, :]
+        dense = np.bincount(ids.ravel(), minlength=table)
+        per_site = dense.reshape(self.n_sites, n_counters)
+        for site in range(self.n_sites):
+            self._derive_parent_counts(per_site[site])
+        # The bank consumes the per-site table directly — no
+        # flatnonzero/divmod round-trip through sparse triples.
+        self.bank.bulk_add_table(per_site, check=False)
 
     def _update_grouped_argsort(self, data: np.ndarray, site_ids: np.ndarray) -> None:
         n_counters = self.n_counters
@@ -605,33 +401,15 @@ class StreamingMLEEstimator:
             np.r_[True, sorted_sites[1:] != sorted_sites[:-1]]
         )
         bounds = np.append(starts, sorted_sites.size)
-        if self.encoder == "loop":
-            # Encoding the site-sorted rows makes every per-site slice below
-            # a contiguous view — no per-site row gather.
-            joint, parent = self._encode_halves(data[order])
-        elif self.encoder == "sparse":
-            # Transposed ids are encoded in stream order; per-site slices
-            # become column takes below.
-            ids = self._encode_joint(data)
-        else:
-            ids = self._encode_joint(data[order])
+        # Transposed ids are encoded in stream order; per-site slices
+        # become column takes below.
+        ids = self._encode_joint(data)
         site_parts, counter_parts, count_parts = [], [], []
         for i in range(starts.size):
             lo, hi = bounds[i], bounds[i + 1]
-            if self.encoder == "loop":
-                dense = np.bincount(
-                    joint[lo:hi].ravel(), minlength=n_counters
-                )
-                dense += np.bincount(
-                    parent[lo:hi].ravel(), minlength=n_counters
-                )
-            else:
-                if self.encoder == "sparse":
-                    flat = ids.take(order[lo:hi], axis=1).ravel()
-                else:
-                    flat = ids[lo:hi].ravel()
-                dense = np.bincount(flat, minlength=n_counters)
-                self._derive_parent_counts(dense)
+            flat = ids.take(order[lo:hi], axis=1).ravel()
+            dense = np.bincount(flat, minlength=n_counters)
+            self._derive_parent_counts(dense)
             touched = np.flatnonzero(dense)
             counter_parts.append(touched)
             count_parts.append(dense[touched])
@@ -644,17 +422,6 @@ class StreamingMLEEstimator:
             np.concatenate(count_parts),
             check=False,
         )
-
-    def _update_masked(self, data: np.ndarray, site_ids: np.ndarray) -> None:
-        ids = self._encode_batch(data)
-        for site in range(self.n_sites):
-            mask = site_ids == site
-            if not mask.any():
-                continue
-            flat = ids[mask].ravel()
-            dense = np.bincount(flat, minlength=self.n_counters)
-            touched = np.nonzero(dense)[0]
-            self.bank.bulk_add_site(site, touched, dense[touched])
 
     def update(self, event: np.ndarray, site_id: int) -> None:
         """Algorithm 2 for a single event."""

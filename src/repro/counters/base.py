@@ -98,7 +98,7 @@ class CounterBank(abc.ABC):
 
         Values are either numpy arrays (copied) or JSON-serializable
         objects (ints, floats, nested plain dicts — e.g. a Generator's
-        bit-generator state).  Configuration (``eps``, engine, bank
+        bit-generator state).  Configuration (``eps``, bank
         dimensions) is *not* included: it is reconstructed from the
         :class:`~repro.api.spec.EstimatorSpec` that built the bank, and
         :meth:`load_state_dict` validates shapes against it.  Subclasses

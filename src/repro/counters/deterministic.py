@@ -6,31 +6,26 @@ its last report.  The coordinator's sum of last reports then satisfies the
 deterministic sandwich ``A <= C <= (1+eps) * A + k`` — a per-site relative
 guarantee with no coin flips, but the message cost is ``O(k/eps * log T)``
 with no ``sqrt(k)`` saving, which is exactly the gap the paper's randomized
-counters exploit.  Used by the counter-ablation benchmark.
+counters exploit.  Selectable as the ``deterministic`` counter backend
+for ablations against the HYZ bank.
 
-Threshold advancement comes in two engines.  ``"vectorized"`` (default)
-advances every crossing counter at a site together: each pass of the
-generation loop fires one report for every still-crossing counter as a
-pure array update, so a batch that triggers ``r`` total report
-generations costs ``O(r)`` numpy passes instead of one Python loop
-iteration per (counter, report).  ``"scalar"`` keeps the original
-per-counter ``while`` loop as the reference engine.  The protocol has no
-randomness, so both engines leave byte-identical state and message
-tallies — the equivalence is pinned by ``tests/test_ingest_fastpath.py``.
+Threshold advancement is vectorized: every crossing counter at a site
+advances together, each pass of the generation loop firing one report for
+every still-crossing counter as a pure array update, so a batch that
+triggers ``r`` total report generations costs ``O(r)`` numpy passes
+instead of one Python loop iteration per (counter, report).  The protocol
+has no randomness, so the result is byte-identical to the per-counter
+``while`` loop in ``tests/ingest_oracle.py`` — pinned by
+``tests/test_ingest_fastpath.py``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.counters.base import CounterBank
 from repro.errors import CounterError
 from repro.monitoring.channel import MessageKind
-
-#: Supported threshold-advancement engines (see the module docstring).
-DETERMINISTIC_ENGINES = ("vectorized", "scalar")
 
 
 class DeterministicCounterBank(CounterBank):
@@ -40,29 +35,17 @@ class DeterministicCounterBank(CounterBank):
     ----------
     eps:
         Scalar or per-counter array in (0, 1): the per-site relative slack.
-    engine:
-        ``"vectorized"`` (default) batches threshold advancement across
-        all crossing counters at a site; ``"scalar"`` is the original
-        per-counter ``while`` loop.  Both engines are byte-identical —
-        the protocol is deterministic — so the choice is purely a
-        performance knob.
     """
 
-    def __init__(self, n_counters: int, n_sites: int, eps, *, message_log=None,
-                 engine: str = "vectorized") -> None:
+    def __init__(self, n_counters: int, n_sites: int, eps, *,
+                 message_log=None) -> None:
         super().__init__(n_counters, n_sites, message_log=message_log)
         eps_arr = np.broadcast_to(
             np.asarray(eps, dtype=np.float64), (self.n_counters,)
         ).copy()
         if np.any(eps_arr <= 0) or np.any(eps_arr >= 1):
             raise CounterError("eps must lie in (0, 1) for every counter")
-        if engine not in DETERMINISTIC_ENGINES:
-            raise CounterError(
-                f"unknown deterministic engine {engine!r}; expected one of "
-                f"{DETERMINISTIC_ENGINES}"
-            )
         self.eps = eps_arr
-        self.engine = engine
         self._reported = np.zeros((self.n_counters, self.n_sites), dtype=np.int64)
         self._reported_sum = np.zeros(self.n_counters, dtype=np.int64)
         # Next local value that triggers a report; the first item always
@@ -71,35 +54,17 @@ class DeterministicCounterBank(CounterBank):
             (self.n_counters, self.n_sites), dtype=np.int64
         )
 
-    def _advance_thresholds(self, c: int, site: int) -> None:
-        """Report and re-arm until the threshold clears the local count."""
-        local = int(self._local[c, site])
-        messages = 0
-        threshold = int(self._next_threshold[c, site])
-        eps = float(self.eps[c])
-        last_report = int(self._reported[c, site])
-        while local >= threshold:
-            messages += 1
-            # Per-increment semantics: the report fires the moment the local
-            # count reaches the threshold, carrying exactly that value.
-            last_report = threshold
-            threshold = int(math.floor(threshold * (1.0 + eps))) + 1
-        if messages:
-            delta = last_report - int(self._reported[c, site])
-            self._reported[c, site] = last_report
-            self._reported_sum[c] += delta
-            self._next_threshold[c, site] = threshold
-            self.message_log.record(MessageKind.REPORT, site, messages)
-
     def _advance_thresholds_bulk(self, site: int, crossing: np.ndarray) -> None:
-        """Vectorized :meth:`_advance_thresholds` over all crossing counters.
+        """Report and re-arm every crossing counter until it clears.
 
-        One generation per pass: every still-crossing counter fires a
-        report and re-arms together, so the loop runs ``max_c r_c`` times
-        (the deepest report chain) instead of ``sum_c r_c``.  The
-        threshold recurrence ``t <- floor(t * (1 + eps)) + 1`` is exact in
-        float64 for every count this library can reach (< 2**53), so the
-        result is byte-identical to the scalar engine.
+        Per-increment semantics: a report fires the moment the local count
+        reaches the threshold, carrying exactly that value.  One generation
+        per pass: every still-crossing counter fires a report and re-arms
+        together, so the loop runs ``max_c r_c`` times (the deepest report
+        chain) instead of ``sum_c r_c``.  The threshold recurrence
+        ``t <- floor(t * (1 + eps)) + 1`` is exact in float64 for every
+        count this library can reach (< 2**53), so the result is
+        byte-identical to a per-counter scalar loop.
         """
         local = self._local[crossing, site]
         threshold = self._next_threshold[crossing, site].copy()
@@ -130,11 +95,7 @@ class DeterministicCounterBank(CounterBank):
         ]
         if crossing.size == 0:
             return
-        if self.engine == "vectorized":
-            self._advance_thresholds_bulk(site, crossing)
-        else:
-            for c in crossing:
-                self._advance_thresholds(int(c), site)
+        self._advance_thresholds_bulk(site, crossing)
 
     def _apply_table(self, table) -> None:
         # Dense-table fast path: one whole-array add, then per-site
@@ -149,11 +110,7 @@ class DeterministicCounterBank(CounterBank):
             )
             if crossing.size == 0:
                 continue
-            if self.engine == "vectorized":
-                self._advance_thresholds_bulk(site, crossing)
-            else:
-                for c in crossing:
-                    self._advance_thresholds(int(c), site)
+            self._advance_thresholds_bulk(site, crossing)
 
     def state_dict(self) -> dict:
         state = super().state_dict()

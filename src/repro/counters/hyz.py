@@ -14,15 +14,14 @@ gaps directly, and the replay is *vectorized across counters* — one
 inverse-CDF batch draws every touched counter's first-report gap, spans
 that contain no mid-span round change are finished with pure array updates
 (the doubling condition is checked vectorized via the span's last report),
-and only the rare counters whose span crosses the doubling threshold fall
-back to the sequential per-gap replay.  ``engine="sequential"`` keeps the
-pre-vectorization per-(counter, site) replay for benchmarking.
+and spans that cross the doubling threshold advance their rounds in bulk
+and re-enter the loop at the new report probability.
 
-The protocol derivation (unbiasedness, variance bound) and the vectorized
-engine's distribution-preservation argument live in ``docs/hyz-protocol.md``.
+The protocol derivation (unbiasedness, variance bound) and the replay's
+distribution-preservation argument live in ``docs/hyz-protocol.md``.
 :class:`~repro.counters.reference.ReferenceHYZCounter` replays the protocol
-one increment at a time and serves as the statistical oracle both engines
-are tested against.
+one increment at a time and serves as the statistical oracle the bank is
+tested against.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ from repro.counters.base import CounterBank
 from repro.errors import CounterError
 from repro.monitoring.channel import MessageKind
 from repro.utils.rng import as_generator, restore_generator_state
-
-#: Supported span-replay engines (see the module docstring).
-ENGINES = ("vectorized", "sequential")
 
 
 class HYZCounterBank(CounterBank):
@@ -57,13 +53,6 @@ class HYZCounterBank(CounterBank):
     charge_sync:
         If False, round syncs are not charged to the message log (used in
         ablations isolating report traffic).  Default True.
-    engine:
-        ``"vectorized"`` (default) batches the span replay across all
-        counters touched at a site; ``"sequential"`` replays each
-        (counter, site) span in a Python loop.  Both engines simulate the
-        identical protocol distribution but consume the RNG stream in
-        different orders, so their outputs agree statistically, not
-        byte-for-byte (see ``docs/hyz-protocol.md``).
     """
 
     def __init__(
@@ -75,7 +64,6 @@ class HYZCounterBank(CounterBank):
         seed=None,
         message_log=None,
         charge_sync: bool = True,
-        engine: str = "vectorized",
     ) -> None:
         super().__init__(n_counters, n_sites, message_log=message_log)
         eps_arr = np.broadcast_to(
@@ -83,12 +71,7 @@ class HYZCounterBank(CounterBank):
         ).copy()
         if np.any(eps_arr <= 0) or np.any(eps_arr >= 1):
             raise CounterError("eps must lie in (0, 1) for every counter")
-        if engine not in ENGINES:
-            raise CounterError(
-                f"unknown HYZ engine {engine!r}; expected one of {ENGINES}"
-            )
         self.eps = eps_arr
-        self.engine = engine
         self._rng = as_generator(seed)
         self.charge_sync = bool(charge_sync)
         k = self.n_sites
@@ -111,14 +94,7 @@ class HYZCounterBank(CounterBank):
     # State externalization
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Protocol state plus the coin-flip Generator's bit-generator state.
-
-        Both engines share this state layout (the engine is configuration,
-        not state), so a snapshot taken under one engine can only be
-        restored into a bank built with the *same* engine if byte-identical
-        continuation is required — the engines consume the restored RNG
-        stream in different orders.
-        """
+        """Protocol state plus the coin-flip Generator's bit-generator state."""
         state = super().state_dict()
         state["reported"] = self._reported.copy()
         state["reported_sum"] = self._reported_sum.copy()
@@ -151,15 +127,6 @@ class HYZCounterBank(CounterBank):
     # ------------------------------------------------------------------
     # Coordinator-side helpers
     # ------------------------------------------------------------------
-    def _estimate_one(self, c: int) -> float:
-        p = self._p[c]
-        if p >= 1.0:
-            return float(self._reported_sum[c])
-        return (
-            float(self._reported_sum[c])
-            + self._round_reported_count[c] * (1.0 - p) / p
-        )
-
     def estimates(self) -> np.ndarray:
         correction = np.where(
             self._p >= 1.0,
@@ -168,175 +135,16 @@ class HYZCounterBank(CounterBank):
         )
         return self._reported_sum.astype(np.float64) + correction
 
-    def _advance_round(self, c: int) -> None:
-        """Start a new round for counter ``c``: sync then recompute ``p``."""
-        # Sync: every site reports its exact count, so every site starts the
-        # round with zero gap and no correction.
-        self._reported[c, :] = self._local[c, :]
-        self._reported_sum[c] = int(self._local[c, :].sum())
-        self._round_reported[c, :] = False
-        self._round_reported_count[c] = 0
-        self._round_base[c] = max(float(self._reported_sum[c]), 1.0)
-        old_p = self._p[c]
-        self._p[c] = min(1.0, self._sqrt_k / (self.eps[c] * self._round_base[c]))
-        self._rounds_started[c] += 1
-        if self.charge_sync:
-            # Coordinator tells every site the new round/probability, and
-            # (except on the exact->exact transition, where it already has
-            # the exact counts) every site answers with its local count.
-            self.message_log.record_broadcast_all()
-            if old_p < 1.0:
-                self.message_log.record_syncs_all()
-
-    def _maybe_advance(self, c: int) -> None:
-        # A single advance suffices: after the sync the estimate equals the
-        # new base exactly, so the doubling condition cannot re-trigger.
-        if self._estimate_one(c) >= 2.0 * self._round_base[c]:
-            self._advance_round(c)
-
     # ------------------------------------------------------------------
-    # Site-side simulation — shared sequential building blocks
+    # Site-side simulation
     # ------------------------------------------------------------------
-    def _deliver_report(self, c: int, site: int) -> None:
-        """Site ``site`` sends its current local count for counter ``c``."""
-        delta = int(self._local[c, site] - self._reported[c, site])
-        self._reported[c, site] = self._local[c, site]
-        self._reported_sum[c] += delta
-        if not self._round_reported[c, site]:
-            self._round_reported[c, site] = True
-            self._round_reported_count[c] += 1
-        self.message_log.record(MessageKind.REPORT, site)
-        self._maybe_advance(c)
-
-    def _truncated_geometric(self, p: float, limit: int) -> int:
-        """First-success position conditioned on success within ``limit``.
-
-        Inverse CDF of ``Geometric(p)`` given the value is ``<= limit``.
-        """
-        u = self._rng.random()
-        tail = (1.0 - p) ** limit
-        # CDF(g) = 1 - (1-p)^g; conditioned CDF hits u at:
-        g = int(math.ceil(math.log1p(-u * (1.0 - tail)) / math.log1p(-p)))
-        return min(max(g, 1), limit)
-
-    def _run_sampling_span(self, c: int, site: int, b: int, *,
-                           first_report_known: bool) -> None:
-        """Advance counter ``c`` at ``site`` over ``b`` increments, p < 1.
-
-        ``first_report_known`` marks that the caller already determined (via
-        a report-existence pre-filter) that at least one report occurs in
-        the span *at the entry probability*; the first gap is then drawn
-        from the truncated geometric.
-        """
-        remaining = b
-        pending_condition = first_report_known
-        while remaining > 0:
-            p = float(self._p[c])
-            if p >= 1.0:
-                # A mid-span round change pushed the counter back to exact
-                # mode; cannot happen (base only grows), but guard anyway.
-                self._exact_span(c, site, remaining)
-                return
-            if pending_condition:
-                gap = self._truncated_geometric(p, remaining)
-                pending_condition = False
-            else:
-                gap = int(self._rng.geometric(p))
-            if gap > remaining:
-                self._local[c, site] += remaining
-                return
-            self._local[c, site] += gap
-            remaining -= gap
-            self._deliver_report(c, site)
-
-    def _exact_span(self, c: int, site: int, b: int) -> None:
-        """Advance an exact-mode (p == 1) counter over ``b`` increments.
-
-        Every increment is a message and the coordinator tracks the count
-        exactly; round changes mid-span switch the counter into sampling
-        mode for the rest of the span.
-        """
-        remaining = self._exact_prefix(c, site, b)
-        if remaining > 0:
-            # Fell out of exact mode mid-span; continue with sampling.
-            self._run_sampling_span(c, site, remaining, first_report_known=False)
-
-    def _exact_prefix(self, c: int, site: int, b: int) -> int:
-        """Consume the exact-mode (p == 1) prefix of a ``b``-increment span.
-
-        Returns the number of increments left over once the counter falls
-        out of exact mode (0 when the whole span was consumed exactly).
-        The exact phase needs no randomness: reports are deterministic and
-        the round bases follow the deterministic doubling sequence.
-        """
-        remaining = b
-        while remaining > 0 and self._p[c] >= 1.0:
-            # Increments until the doubling condition triggers.
-            room = int(math.ceil(2.0 * self._round_base[c] - self._reported_sum[c]))
-            if room <= 0:
-                # The doubling condition already holds at span entry (the
-                # estimate equals the reported sum in exact mode): resolve
-                # the round change before consuming any increments, instead
-                # of over-stepping by a forced minimum step of 1.
-                self._advance_round(c)
-                continue
-            step = min(remaining, room)
-            self._local[c, site] += step
-            self._reported[c, site] += step
-            self._reported_sum[c] += step
-            self.message_log.record(MessageKind.REPORT, site, step)
-            remaining -= step
-            self._maybe_advance(c)
-        return remaining
-
-    # ------------------------------------------------------------------
-    # Engine dispatch
-    # ------------------------------------------------------------------
-    # `bulk_add_grouped` (the estimator's sharded fast path) is inherited
-    # from CounterBank: it hands each site's whole (counter, count) slice to
+    # `bulk_add_grouped` and `bulk_add_table` are inherited from
+    # CounterBank: they hand each site's whole (counter, count) slice to
     # `_apply_site` in ascending site order.  Every grouping strategy
-    # delivers identical slices in identical order, so for a fixed engine
-    # all strategies consume this bank's RNG stream identically — the
-    # hot-path regression test pins that byte-for-byte.  Across *engines*
-    # the RNG contract differs; see docs/hyz-protocol.md.
+    # delivers identical slices in identical order, so all strategies
+    # consume this bank's RNG stream identically — the hot-path
+    # regression test pins that byte-for-byte.
     def _apply_site(self, site, counter_ids, counts) -> None:
-        if self.engine == "sequential":
-            self._apply_site_sequential(site, counter_ids, counts)
-        else:
-            self._apply_site_vectorized(site, counter_ids, counts)
-
-    # ------------------------------------------------------------------
-    # Sequential engine (pre-vectorization reference, kept for benchmarks)
-    # ------------------------------------------------------------------
-    def _apply_site_sequential(self, site, counter_ids, counts) -> None:
-        p_touched = self._p[counter_ids]
-        exact_mask = p_touched >= 1.0
-        # Exact-mode counters: every increment is a message.
-        for c, b in zip(counter_ids[exact_mask], counts[exact_mask]):
-            self._exact_span(int(c), site, int(b))
-        # Sampling-mode counters: vectorized no-report pre-filter.
-        sampling = counter_ids[~exact_mask]
-        if sampling.size == 0:
-            return
-        p_s = p_touched[~exact_mask]
-        b_s = counts[~exact_mask]
-        no_report_prob = np.exp(b_s.astype(np.float64) * np.log1p(-p_s))
-        draws = self._rng.random(sampling.size)
-        silent = draws < no_report_prob
-        # Silent spans: counts accrue locally, no communication.
-        silent_ids = sampling[silent]
-        if silent_ids.size:
-            self._local[silent_ids, site] += b_s[silent]
-        # Reporting spans: exact sequential replay with skip-ahead.
-        for c, b in zip(sampling[~silent], b_s[~silent]):
-            self._run_sampling_span(
-                int(c), site, int(b), first_report_known=True
-            )
-
-    # ------------------------------------------------------------------
-    # Vectorized engine
-    # ------------------------------------------------------------------
-    def _apply_site_vectorized(self, site, counter_ids, counts) -> None:
         """Advance every counter touched at ``site`` with batched draws.
 
         Distribution-preservation argument (full version in
@@ -390,13 +198,13 @@ class HYZCounterBank(CounterBank):
     def _exact_prefix_bulk(
         self, site: int, ids: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_exact_prefix` over a site's exact-mode slice.
+        """Consume the exact-mode (p == 1) prefix of a site's spans.
 
-        The exact phase is deterministic (every increment reports, rounds
-        advance at fixed doubling thresholds), so each pass steps every
-        active counter to its next threshold at once; a counter needs
-        O(log span) passes.  Returns the (counter, remaining) pairs that
-        fell out of exact mode mid-span.
+        The exact phase needs no randomness (every increment reports,
+        rounds advance at fixed doubling thresholds), so each pass steps
+        every active counter to its next threshold at once; a counter
+        needs O(log span) passes.  Returns the (counter, remaining) pairs
+        that fell out of exact mode mid-span.
         """
         ids = ids.astype(np.int64, copy=True)
         rem = b.copy()
@@ -409,8 +217,9 @@ class HYZCounterBank(CounterBank):
             ).astype(np.int64)
             stuck = room <= 0
             if stuck.any():
-                # Doubling condition already met at pass entry (same guard
-                # as _exact_prefix): advance before consuming increments.
+                # Doubling condition already met at pass entry (the
+                # estimate equals the reported sum in exact mode): advance
+                # before consuming increments instead of over-stepping.
                 self._advance_rounds_bulk(ids[stuck])
                 fell = self._p[ids] < 1.0
                 if fell.any():
@@ -471,7 +280,7 @@ class HYZCounterBank(CounterBank):
         log_q_r = log_q[reporting]
 
         # --- doubling-threshold position L* per reporting counter --------
-        # Mirrors _estimate_one exactly: after the first report the
+        # Mirrors estimates() exactly: after the first report the
         # estimate at a report delivered x increments into the span is
         #   est(x) = float(reported_sum - old_reported + old_local + x)
         #            + cnt' * (1 - p) / p
@@ -574,7 +383,14 @@ class HYZCounterBank(CounterBank):
         return next_ids[order], next_b[order]
 
     def _advance_rounds_bulk(self, cs: np.ndarray) -> None:
-        """Vectorized :meth:`_advance_round` over unique counters ``cs``."""
+        """Start a new round for every counter in ``cs`` (unique ids).
+
+        Sync: every site reports its exact count, so every site starts the
+        round with zero gap and no correction; then ``p`` is recomputed
+        from the new base.  The coordinator tells every site the new round
+        and, except on the exact->exact transition where it already holds
+        the exact counts, every site answers with its local count.
+        """
         if cs.size == 0:
             return
         self._reported[cs, :] = self._local[cs, :]

@@ -3,7 +3,7 @@
 This mirrors :class:`~repro.counters.hyz.HYZCounterBank`'s protocol exactly
 but processes one increment at a time with an explicit Bernoulli coin per
 increment — no skip-ahead, no vectorization.  It is the *statistical
-oracle* for both of the bank's span-replay engines: the engines consume
+oracle* for the bank's vectorized span replay: the two consume
 randomness in different orders, so correctness is defined as agreement
 with this class's per-increment behaviour in distribution (unbiased
 estimates with the same variance, message counts with the same

@@ -659,16 +659,13 @@ class DistributedSession:
     # ------------------------------------------------------------------
     # Ingestion (mirrors MonitoringSession)
     # ------------------------------------------------------------------
-    def ingest(self, data, site_ids=None, *, strategy: str = "auto",
-               validate: bool = True) -> int:
+    def ingest(self, data, site_ids=None, *, validate: bool = True) -> int:
         """Feed a batch of events; returns the number of events ingested.
 
         Mirrors :meth:`MonitoringSession.ingest`: sites come from the
         session partitioner when ``site_ids`` is omitted, and the
-        assignment stream is part of the snapshot state.  ``strategy``
-        is accepted for API parity; every grouping strategy produces
-        identical per-site aggregates, and the aggregation here happens
-        in the site workers.
+        assignment stream is part of the snapshot state.  The per-site
+        aggregation happens in the site workers.
         """
         if self._closed:
             raise SessionError("session is closed")
@@ -726,7 +723,7 @@ class DistributedSession:
         self._settle(self.max_pending - 1)
         return m
 
-    def ingest_stream(self, batches: Iterable, *, strategy: str = "auto",
+    def ingest_stream(self, batches: Iterable, *,
                       validate: bool = True) -> int:
         """Feed an iterable of batches (see :meth:`MonitoringSession.ingest_stream`)."""
         total = 0
@@ -735,13 +732,10 @@ class DistributedSession:
                 data, site_ids = item
             else:
                 data, site_ids = item, None
-            total += self.ingest(
-                data, site_ids, strategy=strategy, validate=validate
-            )
+            total += self.ingest(data, site_ids, validate=validate)
         return total
 
-    def ingest_sampler(self, sampler, m: int, *, chunk: int = 10_000,
-                       strategy: str = "auto") -> int:
+    def ingest_sampler(self, sampler, m: int, *, chunk: int = 10_000) -> int:
         """Fused sampler ingest (see :meth:`MonitoringSession.ingest_sampler`).
 
         Sub-batches are pickled to workers, so the zero-copy buffer
@@ -750,7 +744,6 @@ class DistributedSession:
         """
         return self.ingest_stream(
             sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),
-            strategy=strategy,
             validate=False,
         )
 

@@ -4,10 +4,10 @@ Each worker owns a contiguous shard of the ``k`` sites and performs the
 genuinely site-local part of Algorithm 2: encoding its sub-batch of
 events into per-site aggregated ``(counter_id, count)`` increments.  The
 encoding reuses the full :class:`~repro.core.estimator.StreamingMLEEstimator`
-fast path (sparse encoder, derived parent histograms, argsort sharding)
+fast path (sparse encoder, derived parent histograms, argsort grouping)
 by pointing it at a :class:`_CollectorBank` — a bank whose ``_apply_site``
 hook records the per-site slices instead of simulating the protocol.
-Because every grouping strategy hands banks identical sorted-unique
+Because both grouping strategies hand banks identical sorted-unique
 per-site slices in ascending site order, the aggregates a worker ships
 are bit-identical to the slices the in-process path would have handed
 the real bank — which is what makes the coordinator's conformance
@@ -101,9 +101,7 @@ class SiteShard:
             self._collector_holder.append(bank)
             return bank
 
-        self.estimator = StreamingMLEEstimator(
-            net, factory, name="site-shard", encoder="auto"
-        )
+        self.estimator = StreamingMLEEstimator(net, factory, name="site-shard")
         self.collector = self._collector_holder[0]
         #: Stream position of this shard (events encoded so far).
         self.events_seen = 0

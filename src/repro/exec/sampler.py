@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from repro.bn.network import BayesianNetwork
-from repro.bn.sampling import ForwardSampler, resolve_engine
+from repro.bn.sampling import ForwardSampler, check_sampler_state
 from repro.errors import StreamError
 from repro.exec.multiprocess import START_METHOD
 from repro.utils.validation import check_positive_int
@@ -63,18 +63,16 @@ def _chunk_rng(entropy, chunk_index: int) -> np.random.Generator:
 
 
 def _draw_chunk(
-    network: BayesianNetwork, entropy, engine: str, chunk_index: int, size: int
+    network: BayesianNetwork, entropy, chunk_index: int, size: int
 ) -> np.ndarray:
     """Draw one chunk with a fresh per-chunk sampler (any worker, any mode).
 
     Building the sampler per chunk costs one pass over the CPD tables —
     negligible against sampling tens of thousands of rows — and makes
-    the draw a pure function of ``(network, entropy, engine, index,
-    size)``, which is what the cross-mode byte-identity contract needs.
+    the draw a pure function of ``(network, entropy, index, size)``,
+    which is what the cross-mode byte-identity contract needs.
     """
-    sampler = ForwardSampler(
-        network, seed=_chunk_rng(entropy, chunk_index), engine=engine
-    )
+    sampler = ForwardSampler(network, seed=_chunk_rng(entropy, chunk_index))
     storage = np.empty((network.n_variables, size), dtype=np.int64)
     return sampler.sample_into(storage.T)
 
@@ -85,14 +83,14 @@ def _draw_chunk(
 _WORKER_ARGS: tuple | None = None
 
 
-def _init_worker(network, entropy, engine) -> None:
+def _init_worker(network, entropy) -> None:
     global _WORKER_ARGS
-    _WORKER_ARGS = (network, entropy, engine)
+    _WORKER_ARGS = (network, entropy)
 
 
 def _draw_chunk_worker(chunk_index: int, size: int) -> np.ndarray:
-    network, entropy, engine = _WORKER_ARGS
-    return _draw_chunk(network, entropy, engine, chunk_index, size)
+    network, entropy = _WORKER_ARGS
+    return _draw_chunk(network, entropy, chunk_index, size)
 
 
 class ShardedSampler:
@@ -112,8 +110,6 @@ class ShardedSampler:
         ``"serial"`` (in-line, the reference), ``"thread"``, or
         ``"process"`` (spawn-safe pool).  All three draw byte-identical
         streams; see the module docstring.
-    engine:
-        Per-chunk :class:`~repro.bn.sampling.ForwardSampler` engine.
     """
 
     def __init__(
@@ -123,7 +119,6 @@ class ShardedSampler:
         shards: int | None = None,
         seed=None,
         mode: str = "thread",
-        engine: str = "auto",
     ) -> None:
         if mode not in SHARD_MODES:
             raise StreamError(
@@ -136,7 +131,6 @@ class ShardedSampler:
             )
         self.network = network
         self.mode = mode
-        self.engine = resolve_engine(engine)
         self.shards = check_positive_int(
             shards if shards is not None else (os.cpu_count() or 1), "shards"
         )
@@ -179,7 +173,7 @@ class ShardedSampler:
     def _stream_serial(self, sizes: list[int]) -> Iterator[np.ndarray]:
         for size in sizes:
             yield _draw_chunk(
-                self.network, self._entropy, self.engine, self._claim(), size
+                self.network, self._entropy, self._claim(), size
             )
 
     def _stream_pooled(self, sizes: list[int]) -> Iterator[np.ndarray]:
@@ -193,15 +187,14 @@ class ShardedSampler:
         if self.mode == "thread":
             pool = ThreadPoolExecutor(max_workers=self.shards)
             submit = partial(
-                pool.submit, _draw_chunk, self.network, self._entropy,
-                self.engine,
+                pool.submit, _draw_chunk, self.network, self._entropy
             )
         else:
             pool = ProcessPoolExecutor(
                 max_workers=self.shards,
                 mp_context=multiprocessing.get_context(START_METHOD),
                 initializer=_init_worker,
-                initargs=(self.network, self._entropy, self.engine),
+                initargs=(self.network, self._entropy),
             )
             submit = partial(pool.submit, _draw_chunk_worker)
         try:
@@ -233,7 +226,6 @@ class ShardedSampler:
         """JSON-serializable snapshot of the sharded stream position."""
         return {
             "kind": "sharded-sampler",
-            "engine": self.engine,
             "entropy": int(self._entropy),
             "next_chunk": int(self._next_chunk),
         }
@@ -242,18 +234,23 @@ class ShardedSampler:
         """Restore a :meth:`state_dict` snapshot (in place).
 
         Mode and shard count are deliberately *not* part of the state —
-        the stream is byte-identical across them — but the engine must
-        match, exactly as for :class:`~repro.bn.sampling.ForwardSampler`.
+        the stream is byte-identical across them.  Raises
+        :class:`StreamError`, leaving the sampler unchanged, for anything
+        but a sharded-sampler snapshot with a non-negative integer
+        ``entropy`` and ``next_chunk`` (legacy ``"engine"`` entries as for
+        :meth:`~repro.bn.sampling.ForwardSampler.load_state_dict`).
         """
-        if state.get("kind") != "sharded-sampler":
-            raise StreamError(
-                f"snapshot holds a {state.get('kind')!r} state, cannot "
-                "restore into a sharded sampler"
-            )
-        if state.get("engine") != self.engine:
-            raise StreamError(
-                f"snapshot holds a {state.get('engine')!r}-engine stream, "
-                f"cannot restore into the {self.engine!r} engine"
-            )
+        check_sampler_state(state, "sharded-sampler")
+        for key in ("entropy", "next_chunk"):
+            value = state.get(key)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or value < 0
+            ):
+                raise StreamError(
+                    f"sharded-sampler snapshot has an invalid {key} "
+                    f"{value!r}; expected a non-negative integer"
+                )
         self._entropy = int(state["entropy"])
         self._next_chunk = int(state["next_chunk"])

@@ -3,8 +3,8 @@
 A :class:`RunTask` pins down *everything* that determines one stream
 run's results — network, algorithm, budgets, stream geometry, checkpoint
 schedule, seeds, and the harness settings (``eval_events``,
-``chunk_size``, ``update_strategy``) that shape the RNG draw layout.  It
-is frozen and JSON-serializable like
+``chunk_size``) that shape the RNG draw layout.  It is frozen and
+JSON-serializable like
 :class:`~repro.api.spec.EstimatorSpec`, so executors can ship it to
 spawn-started worker processes (or to disk) and rebuild the run from
 scratch anywhere: two executions of the same descriptor produce
@@ -14,8 +14,7 @@ schedule performed them.
 The :attr:`RunTask.cache_key` is a content hash of the full descriptor.
 Resume directories key cached results and snapshot bundles on it, so a
 reordered or extended grid can never silently reuse a stale cell — any
-parameter change (including ones the old positional keys ignored, like
-``update_strategy``) changes the key.
+parameter change changes the key.
 """
 
 from __future__ import annotations
@@ -27,13 +26,17 @@ from dataclasses import dataclass, replace
 from repro.api.registry import get_algorithm, get_counter_backend
 from repro.bn.network import BayesianNetwork
 from repro.bn.repository import network_by_name
-from repro.counters.hyz import ENGINES
 from repro.errors import ExecutionError
 from repro.monitoring.stream import PARTITIONERS
 
 #: Version tag embedded in serialized tasks (part of the cache key, so a
 #: schema bump invalidates caches instead of misreading them).
 TASK_SCHEMA = "repro-run-task-v1"
+
+#: Values the retired ``update_strategy`` field could hold.  Every one
+#: left the banks byte-identical, so a task that names one is the same
+#: task as one that does not.
+_RETIRED_UPDATE_STRATEGIES = ("auto", "dense", "argsort", "masked")
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,9 @@ class RunTask:
         Root seed of the run's stream/eval/session generators; child
         generators are derived via ``numpy`` seed-sequence spawn keys
         (see ``docs/execution.md``), never from worker identity.
-    eval_events / chunk_size / update_strategy:
+    eval_events / chunk_size:
         Harness settings that are part of the determinism contract:
-        chunk boundaries fix the sampler's draw layout and the grouping
-        strategy fixes the counter update order.
+        chunk boundaries fix the sampler's draw layout.
     """
 
     network: "str | dict"
@@ -70,11 +72,9 @@ class RunTask:
     partitioner: str = "uniform"
     zipf_exponent: float = 1.0
     counter_backend: str = "hyz"
-    hyz_engine: str = "vectorized"
     seed: int = 0
     eval_events: int = 2_000
     chunk_size: int = 10_000
-    update_strategy: str = "auto"
     #: Session runtime: "inprocess" (the reference channel) or
     #: "distributed" (real site worker processes; conformant by the
     #: contract in docs/distributed.md, so the choice is operational and
@@ -113,11 +113,6 @@ class RunTask:
         )
         get_algorithm(self.algorithm)              # raises if unknown
         get_counter_backend(self.counter_backend)  # raises if unknown
-        if self.hyz_engine not in ENGINES:
-            raise ExecutionError(
-                f"unknown hyz_engine {self.hyz_engine!r}; expected one of "
-                f"{ENGINES}"
-            )
         if self.partitioner not in PARTITIONERS:
             raise ExecutionError(
                 f"unknown partitioner {self.partitioner!r}; expected one of "
@@ -131,7 +126,6 @@ class RunTask:
                 raise ExecutionError(f"{field} must be positive, got {value}")
             object.__setattr__(self, field, value)
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "update_strategy", str(self.update_strategy))
         object.__setattr__(self, "runtime", str(self.runtime).strip().lower())
         if self.runtime not in ("inprocess", "distributed"):
             raise ExecutionError(
@@ -234,11 +228,13 @@ class RunTask:
             "partitioner": self.partitioner,
             "zipf_exponent": self.zipf_exponent,
             "counter_backend": self.counter_backend,
-            "hyz_engine": self.hyz_engine,
+            # Fixed literals: the cache key hashes this dict, and these two
+            # fields were part of every key written before they retired.
+            "hyz_engine": "vectorized",
             "seed": self.seed,
             "eval_events": self.eval_events,
             "chunk_size": self.chunk_size,
-            "update_strategy": self.update_strategy,
+            "update_strategy": "auto",
         }
         # The runtime is conformant with the in-process reference, so
         # default-runtime descriptors serialize exactly as before this
@@ -257,10 +253,29 @@ class RunTask:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunTask":
-        """Rebuild a task serialized by :meth:`to_dict`."""
+        """Rebuild a task serialized by :meth:`to_dict`.
+
+        The retired ``hyz_engine`` field must be ``"vectorized"`` (the
+        sequential replay drew its coins in another order, so its runs
+        cannot be continued); ``update_strategy`` may hold any value it
+        ever could and is ignored.  Anything else raises
+        :class:`ExecutionError`.
+        """
         schema = payload.get("schema", TASK_SCHEMA)
         if schema != TASK_SCHEMA:
             raise ExecutionError(f"unsupported task schema {schema!r}")
+        engine = payload.get("hyz_engine", "vectorized")
+        if engine != "vectorized":
+            raise ExecutionError(
+                f"hyz_engine={engine!r} names a removed engine; a task "
+                "written with it cannot be rebuilt"
+            )
+        strategy = payload.get("update_strategy", "auto")
+        if strategy not in _RETIRED_UPDATE_STRATEGIES:
+            raise ExecutionError(
+                f"unknown update_strategy {strategy!r}; expected one of "
+                f"{_RETIRED_UPDATE_STRATEGIES}"
+            )
         return cls(
             network=payload["network"],
             algorithm=payload["algorithm"],
@@ -271,11 +286,9 @@ class RunTask:
             partitioner=payload.get("partitioner", "uniform"),
             zipf_exponent=payload.get("zipf_exponent", 1.0),
             counter_backend=payload.get("counter_backend", "hyz"),
-            hyz_engine=payload.get("hyz_engine", "vectorized"),
             seed=payload.get("seed", 0),
             eval_events=payload.get("eval_events", 2_000),
             chunk_size=payload.get("chunk_size", 10_000),
-            update_strategy=payload.get("update_strategy", "auto"),
             runtime=payload.get("runtime", "inprocess"),
             sites_procs=payload.get("sites_procs"),
             transport=payload.get("transport", "queue"),
@@ -302,7 +315,6 @@ class RunTask:
             eval_events=self.eval_events,
             chunk_size=self.chunk_size,
             seed=self.seed,
-            update_strategy=self.update_strategy,
         )
         return runner.run_one(
             self.resolve_network(),
@@ -314,7 +326,6 @@ class RunTask:
             partitioner=self.partitioner,
             zipf_exponent=self.zipf_exponent,
             counter_backend=self.counter_backend,
-            hyz_engine=self.hyz_engine,
             spec_network=self.network if isinstance(self.network, str) else None,
             snapshot_path=snapshot_path,
             stop_after=stop_after,

@@ -46,7 +46,6 @@ import json
 import sys
 
 from repro.core.algorithms import ALGORITHMS
-from repro.counters.hyz import ENGINES
 from repro.errors import ReproError
 from repro.exec.base import executor_names
 from repro.experiments import figures
@@ -97,9 +96,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zipf-exponent", type=float, default=1.0)
     parser.add_argument("--counter-backend", default="hyz",
                         choices=["hyz", "deterministic"])
-    parser.add_argument("--hyz-engine", default="vectorized",
-                        choices=list(ENGINES),
-                        help="HYZ span-replay engine (default: %(default)s)")
     parser.add_argument("--eval-events", type=int, default=2_000,
                         help="held-out accuracy sample size")
     parser.add_argument("--seed", type=int, default=0)
@@ -212,7 +208,6 @@ def _grid_command(args, *, name, eps_values=None, site_counts=None) -> int:
         partitioner=args.partitioner,
         zipf_exponent=args.zipf_exponent,
         counter_backend=args.counter_backend,
-        hyz_engine=args.hyz_engine,
         runtime=args.runtime,
         sites_procs=args.sites_procs,
         transport=args.transport,
@@ -293,8 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--sites", type=int, default=10)
     p_classify.add_argument("--events", type=int, default=20_000)
     p_classify.add_argument("--eval-events", type=int, default=2_000)
-    p_classify.add_argument("--hyz-engine", default="vectorized",
-                            choices=list(ENGINES))
     p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--out", default=None)
 
@@ -321,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_separation.add_argument("--example-j-large", type=int, default=50)
     p_separation.add_argument("--example-eps", type=float, default=0.5)
     p_separation.add_argument("--eval-events", type=int, default=200)
-    p_separation.add_argument("--hyz-engine", default="vectorized",
-                              choices=list(ENGINES))
     p_separation.add_argument("--seed", type=int, default=0)
     p_separation.add_argument("--out", default=None)
 
@@ -344,8 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="checkpoints per run — also the chunked segment boundaries",
     )
     p_long.add_argument("--eval-events", type=int, default=200)
-    p_long.add_argument("--hyz-engine", default="vectorized",
-                        choices=list(ENGINES))
     p_long.add_argument("--seed", type=int, default=0)
     p_long.add_argument(
         "--executor", default="chunked", choices=executor_names(),
@@ -405,7 +394,6 @@ def _dispatch(args) -> int:
             n_sites=args.sites,
             n_events=args.events,
             eval_events=args.eval_events,
-            hyz_engine=args.hyz_engine,
             seed=args.seed,
         )
         rows = [
@@ -438,7 +426,6 @@ def _dispatch(args) -> int:
             example_j_large=args.example_j_large,
             example_eps=args.example_eps,
             eval_events=args.eval_events,
-            hyz_engine=args.hyz_engine,
             seed=args.seed,
         )
         example = document["example"]
@@ -476,7 +463,6 @@ def _dispatch(args) -> int:
             inflated_cardinality=args.inflated_cardinality,
             checkpoints=args.checkpoints,
             eval_events=args.eval_events,
-            hyz_engine=args.hyz_engine,
             seed=args.seed,
             executor=args.executor,
             jobs=args.jobs,

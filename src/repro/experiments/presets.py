@@ -55,7 +55,6 @@ def classification_experiment(
     n_events: int = 20_000,
     eval_events: int = 2_000,
     chunk_size: int = 10_000,
-    hyz_engine: str = "vectorized",
     seed: int = 0,
 ) -> dict:
     """Train approximate vs exact sessions and compare their classifiers.
@@ -88,7 +87,6 @@ def classification_experiment(
             eps=eps,
             n_sites=n_sites,
             seed=seed,
-            hyz_engine=hyz_engine,
         ).session()
         for name in names
     }
@@ -143,7 +141,6 @@ def classification_experiment(
             "n_sites": int(n_sites),
             "n_events": int(n_events),
             "eval_events": int(eval_events),
-            "hyz_engine": hyz_engine,
             "seed": int(seed),
             "ground_truth_error_rate": error_rate(truth_model_pred),
         },
@@ -158,7 +155,6 @@ def _uniform_vs_nonuniform(
     eps: float,
     n_sites: int,
     n_events: int,
-    hyz_engine: str,
 ) -> dict:
     """Message totals of one UNIFORM/NONUNIFORM pair on a shared stream."""
     totals = {}
@@ -170,7 +166,6 @@ def _uniform_vs_nonuniform(
             n_sites=n_sites,
             n_events=n_events,
             checkpoints=1,
-            hyz_engine=hyz_engine,
         )
         totals[algorithm] = run.total_messages
     return {
@@ -196,7 +191,6 @@ def separation_experiment(
     example_j_large: int = 50,
     example_eps: float = 0.5,
     eval_events: int = 200,
-    hyz_engine: str = "vectorized",
     seed: int = 0,
 ) -> dict:
     """The Sec. IV-E NONUNIFORM-beats-UNIFORM separation, empirically.
@@ -229,7 +223,7 @@ def separation_experiment(
     )
     example = _uniform_vs_nonuniform(
         runner, tree, eps=example_eps, n_sites=n_sites,
-        n_events=example_events, hyz_engine=hyz_engine,
+        n_events=example_events,
     )
     example["network"] = tree.name
     example["eps"] = float(example_eps)
@@ -246,7 +240,6 @@ def separation_experiment(
     for n_events in events_values:
         row = _uniform_vs_nonuniform(
             runner, net, eps=eps, n_sites=n_sites, n_events=n_events,
-            hyz_engine=hyz_engine,
         )
         if row["nonuniform_wins"] and crossover is None:
             crossover = int(n_events)
@@ -266,7 +259,6 @@ def separation_experiment(
             "example_j_large": int(example_j_large),
             "example_eps": float(example_eps),
             "eval_events": int(eval_events),
-            "hyz_engine": hyz_engine,
             "seed": int(seed),
         },
         "theory": separation_example(
@@ -288,7 +280,6 @@ def long_crossover_experiment(
     checkpoints: int = 8,
     eval_events: int = 200,
     chunk_size: int = 10_000,
-    hyz_engine: str = "vectorized",
     seed: int = 0,
     executor="chunked",
     jobs: int | None = None,
@@ -330,7 +321,6 @@ def long_crossover_experiment(
             n_sites=n_sites,
             n_events=m,
             checkpoints=tuple(checkpoint_schedule(m, checkpoints)),
-            hyz_engine=hyz_engine,
             seed=seed,
             eval_events=eval_events,
             chunk_size=chunk_size,
@@ -380,7 +370,6 @@ def long_crossover_experiment(
             "checkpoints": int(checkpoints),
             "eval_events": int(eval_events),
             "chunk_size": int(chunk_size),
-            "hyz_engine": hyz_engine,
             "seed": int(seed),
         },
         "theory": separation_example(

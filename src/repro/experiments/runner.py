@@ -80,9 +80,6 @@ class ExperimentRunner:
         The analytic cluster model used for modeled runtime/throughput.
     seed:
         Root seed; every run derives its own independent child streams.
-    update_strategy:
-        Grouping strategy handed to ``update_batch`` (``"auto"`` by default;
-        the benchmark subcommand compares all of them explicitly).
     """
 
     def __init__(
@@ -92,13 +89,11 @@ class ExperimentRunner:
         chunk_size: int = 10_000,
         cost_model: ClusterCostModel | None = None,
         seed: int = 0,
-        update_strategy: str = "auto",
     ) -> None:
         self.eval_events = check_positive_int(eval_events, "eval_events")
         self.chunk_size = check_positive_int(chunk_size, "chunk_size")
         self.cost_model = cost_model or ClusterCostModel()
         self.seed = int(seed)
-        self.update_strategy = str(update_strategy)
 
     # ------------------------------------------------------------------
     def _resolve_network(self, network) -> BayesianNetwork:
@@ -195,7 +190,6 @@ class ExperimentRunner:
         partitioner: str = "uniform",
         zipf_exponent: float = 1.0,
         counter_backend: str = "hyz",
-        hyz_engine: str = "vectorized",
         seed: int | None = None,
         spec_network=None,
         snapshot_path=None,
@@ -284,7 +278,6 @@ class ExperimentRunner:
             n_sites=n_sites,
             seed=run_seed,
             counter_backend=counter_backend,
-            hyz_engine=hyz_engine,
             partitioner=partitioner,
             zipf_exponent=zipf_exponent,
         )
@@ -372,7 +365,7 @@ class ExperimentRunner:
                 # checkpoint boundaries, so chunks never straddle `done`).
                 if produced + size > done:
                     t0 = time.perf_counter()
-                    session.ingest(batch, sites, strategy=self.update_strategy)
+                    session.ingest(batch, sites)
                     wall += time.perf_counter() - t0
                 produced += size
             if produced <= done:
@@ -459,7 +452,6 @@ class ExperimentRunner:
         partitioner: str = "uniform",
         zipf_exponent: float = 1.0,
         counter_backend: str = "hyz",
-        hyz_engine: str = "vectorized",
         runtime: str = "inprocess",
         sites_procs: int | None = None,
         transport: str = "queue",
@@ -470,7 +462,7 @@ class ExperimentRunner:
 
         Every cell becomes one frozen :class:`~repro.exec.task.RunTask`
         carrying the runner's harness settings (``eval_events``,
-        ``chunk_size``, ``update_strategy``, root ``seed``) alongside
+        ``chunk_size``, root ``seed``) alongside
         the cell's own parameters, so any executor can rebuild the run
         anywhere.  Explicit network objects are serialized inline once,
         here, so all executors — the in-process one included — train on
@@ -505,11 +497,9 @@ class ExperimentRunner:
                                 partitioner=partitioner,
                                 zipf_exponent=zipf_exponent,
                                 counter_backend=counter_backend,
-                                hyz_engine=hyz_engine,
                                 seed=self.seed,
                                 eval_events=self.eval_events,
                                 chunk_size=self.chunk_size,
-                                update_strategy=self.update_strategy,
                                 runtime=runtime,
                                 sites_procs=sites_procs,
                                 transport=transport,
@@ -532,7 +522,6 @@ class ExperimentRunner:
         partitioner: str = "uniform",
         zipf_exponent: float = 1.0,
         counter_backend: str = "hyz",
-        hyz_engine: str = "vectorized",
         runtime: str = "inprocess",
         sites_procs: int | None = None,
         transport: str = "queue",
@@ -577,7 +566,6 @@ class ExperimentRunner:
             partitioner=partitioner,
             zipf_exponent=zipf_exponent,
             counter_backend=counter_backend,
-            hyz_engine=hyz_engine,
             runtime=runtime,
             sites_procs=sites_procs,
             transport=transport,
@@ -608,7 +596,6 @@ class ExperimentRunner:
                     else [int(c) for c in checkpoints]
                 ),
                 "counter_backend": counter_backend,
-                "hyz_engine": hyz_engine,
                 "eval_events": self.eval_events,
                 "seed": self.seed,
             },

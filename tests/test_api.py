@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import EstimatorSpec
+from repro import EstimatorSpec, ForwardSampler
 from repro.api import (
     algorithm_names,
     counter_backend_names,
@@ -18,6 +18,8 @@ from repro.counters.deterministic import DeterministicCounterBank
 from repro.counters.exact import ExactCounterBank
 from repro.counters.hyz import HYZCounterBank
 from repro.errors import AllocationError, CounterError, SpecError
+from repro.exec import ShardedSampler
+from repro.experiments import ExperimentRunner
 
 
 @pytest.fixture
@@ -77,11 +79,8 @@ class TestRegistry:
         )
 
     def test_custom_counter_backend_builds(self, small_net, clean_registries):
-        seen = {}
-
         def factory(n_counters, n_sites, *, eps_per_counter, rng,
-                    message_log, options):
-            seen["options"] = options
+                    message_log):
             return DeterministicCounterBank(
                 n_counters, n_sites, eps_per_counter, message_log=message_log
             )
@@ -92,7 +91,6 @@ class TestRegistry:
             counter_backend="my-threshold",
         ).build()
         assert isinstance(estimator.bank, DeterministicCounterBank)
-        assert seen["options"]["engine"] == "vectorized"
 
     def test_unknown_lookups_raise(self):
         with pytest.raises(AllocationError):
@@ -163,7 +161,7 @@ class TestEstimatorSpec:
     def test_roundtrip_by_name(self):
         spec = EstimatorSpec(
             "alarm", "nonuniform", eps=0.25, n_sites=7, seed=11,
-            hyz_engine="sequential", partitioner="zipf", zipf_exponent=1.5,
+            partitioner="zipf", zipf_exponent=1.5,
         )
         clone = EstimatorSpec.from_dict(spec.to_dict())
         assert clone == spec
@@ -189,3 +187,21 @@ class TestEstimatorSpec:
     def test_build_matches_session_estimator_layout(self, small_net):
         spec = EstimatorSpec(small_net, "nonuniform", eps=0.3, n_sites=4, seed=2)
         assert spec.build().n_counters == spec.session().estimator.n_counters
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: EstimatorSpec(net, "nonuniform", hyz_engine="vectorized"),
+    lambda net: EstimatorSpec(net, "uniform", deterministic_engine="scalar"),
+    lambda net: EstimatorSpec(net, "exact").build(encoder="sparse"),
+    lambda net: HYZCounterBank(4, 2, 0.3, engine="vectorized"),
+    lambda net: DeterministicCounterBank(4, 2, 0.3, engine="vectorized"),
+    lambda net: ForwardSampler(net, engine="cdf"),
+    lambda net: ShardedSampler(net, seed=0, engine="cdf"),
+    lambda net: EstimatorSpec(net, "exact").session().sampler(engine="cdf"),
+    lambda net: EstimatorSpec(net, "exact").session().ingest(
+        np.zeros((1, net.n_variables), dtype=np.int64), strategy="dense"),
+    lambda net: ExperimentRunner(update_strategy="auto"),
+])
+def test_removed_engine_options_are_type_errors(small_net, call):
+    with pytest.raises(TypeError):
+        call(small_net)

@@ -128,8 +128,7 @@ class TestHYZCounterBank:
         with pytest.raises(CounterError):
             HYZCounterBank(3, 2, [0.1, 0.5, 1.5])
 
-    @pytest.mark.parametrize("engine", ["sequential", "vectorized"])
-    def test_exact_span_entered_past_doubling_threshold(self, engine):
+    def test_exact_span_entered_past_doubling_threshold(self):
         # Regression: when an exact-mode span starts with the doubling
         # condition already met (reported_sum >= 2 * base), the round must
         # advance *before* any increment is consumed.  The old code clamped
@@ -137,7 +136,7 @@ class TestHYZCounterBank:
         # new increment into the pre-advance round.  The state below cannot
         # arise through the public API (advances are eager), so it is
         # constructed directly.
-        bank = HYZCounterBank(1, 2, 0.1, seed=0, engine=engine)
+        bank = HYZCounterBank(1, 2, 0.1, seed=0)
         bank._local[0, 0] = 10
         bank._reported[0, 0] = 10
         bank._reported_sum[0] = 10

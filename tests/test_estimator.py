@@ -144,8 +144,6 @@ class TestValidation:
         with pytest.raises(CounterError):
             build(small_net, "nonuniform", counter_backend="bogus")
         with pytest.raises(SpecError):
-            build(small_net, "nonuniform", hyz_engine="warp")
-        with pytest.raises(SpecError):
             build(small_net, "nonuniform", eps=1.5)
 
     def test_empty_batch_is_a_noop(self, small_net):

@@ -93,7 +93,6 @@ class TestRunTask:
         variants = [
             task.replace(eps=0.3),
             task.replace(seed=1),
-            task.replace(update_strategy="masked"),
             task.replace(chunk_size=5000),
             task.replace(eval_events=500),
             task.replace(checkpoints=(250, 500, 1000)),

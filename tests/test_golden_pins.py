@@ -8,10 +8,13 @@ below were the non-timing fields of ``benchmarks/BENCH_sampling_smoke
 when those files were removed: seeded behaviour that must not drift
 silently from one commit to the next.  A deliberate change to a sampler
 draw order, a cache policy or the WAL record format updates the literal
-in the same commit and says why.
+in the same commit and says why.  Section (d) pins what older artifacts
+look like — cache keys, spec and task payloads, runner snapshots — so a
+resume directory or bundle written by an earlier commit keeps loading.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +23,9 @@ from dist_faults import FAULT_EXIT_CODE, coordinator_crash, run_crashing_child
 from repro import EstimatorSpec, ForwardSampler, alarm, link_like
 from repro.dist import DistributedSession
 from repro.dist.recovery import recovery_stream
+from repro.errors import ExecutionError, SpecError
+from repro.exec import RunTask
+from repro.experiments import ExperimentRunner
 from repro.serve import QueryWorkload
 from sampler_oracle import max_cpd_chi2_z
 
@@ -30,16 +36,15 @@ SEED = 0
 # (a) the seed-0 LINK sampler stream
 # ----------------------------------------------------------------------
 # 2 000 events drawn as two 1 000-event chunks, the draw whose
-# ``max_chi2_z`` the baseline recorded (for both engines alike).
+# ``max_chi2_z`` the baseline recorded.
 LINK_STREAM_SHA256 = (
     "67d1372ed136372c4b7591e84502fe835c32430b45e36424aed045599e328292"
 )
 
 
-@pytest.mark.parametrize("engine", ["auto", "reference"])
-def test_link_sampler_stream(engine):
+def test_link_sampler_stream():
     net = link_like()
-    sampler = ForwardSampler(net, seed=SEED, engine=engine)
+    sampler = ForwardSampler(net, seed=SEED)
     data = np.concatenate(list(sampler.sample_stream(2_000, chunk=1_000)))
     assert data.dtype == np.int64
     assert hashlib.sha256(data.tobytes()).hexdigest() == LINK_STREAM_SHA256
@@ -140,3 +145,63 @@ def test_wal_replay_after_crash(tmp_path):
         info = recovered.recovery_info
     assert info["checkpoint_seq"] == 2
     assert info["replayed_rounds"] == 2
+
+
+# ----------------------------------------------------------------------
+# (d) artifacts written before the engine options were removed
+# ----------------------------------------------------------------------
+def _task(algorithm, **kwargs):
+    return RunTask("alarm", algorithm, n_events=1000,
+                   checkpoints=(500, 1000), **kwargs)
+
+
+def test_cache_keys_unchanged():
+    # Computed when RunTask still had hyz_engine / update_strategy
+    # fields; resume directories are keyed on these.
+    assert _task("nonuniform").cache_key == (
+        "alarm-nonuniform-eps0.1-k10-m1000-4d9b056668afefa3"
+    )
+    assert _task("exact", runtime="distributed", transport="tcp").cache_key == (
+        "alarm-exact-eps0.1-k10-m1000-6d1020fa919cfc3f"
+    )
+
+
+def test_legacy_payloads_load():
+    spec = EstimatorSpec("alarm", "uniform", eps=0.2, n_sites=3, seed=4,
+                         counter_backend="deterministic")
+    for fields in ({"hyz_engine": "vectorized"},
+                   {"deterministic_engine": "vectorized"},
+                   {"deterministic_engine": "scalar"}):
+        assert EstimatorSpec.from_dict({**spec.to_dict(), **fields}) == spec
+    with pytest.raises(SpecError, match="sequential"):
+        EstimatorSpec.from_dict({**spec.to_dict(), "hyz_engine": "sequential"})
+
+    task = _task("nonuniform")
+    for strategy in ("auto", "dense", "argsort", "masked"):
+        payload = {**task.to_dict(), "update_strategy": strategy}
+        assert RunTask.from_dict(payload) == task
+    with pytest.raises(ExecutionError, match="sequential"):
+        RunTask.from_dict({**task.to_dict(), "hyz_engine": "sequential"})
+    with pytest.raises(ExecutionError, match="bogus"):
+        RunTask.from_dict({**task.to_dict(), "update_strategy": "bogus"})
+
+
+def test_runner_snapshot_with_legacy_spec_resumes(tmp_path):
+    runner = ExperimentRunner(eval_events=50, seed=2)
+    kwargs = dict(n_sites=3, n_events=600, checkpoints=3)
+    uninterrupted = runner.run_one("alarm", "nonuniform", **kwargs)
+    bundle = tmp_path / "run.ckpt"
+    assert runner.run_one("alarm", "nonuniform", snapshot_path=bundle,
+                          stop_after=200, **kwargs) is None
+    # Rewrite the bundle as an older commit wrote it: its spec still
+    # named both engines.
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["spec"].update(hyz_engine="vectorized",
+                        deterministic_engine="vectorized")
+    meta_path.write_text(json.dumps(meta))
+    resumed = runner.run_one("alarm", "nonuniform", snapshot_path=bundle,
+                             **kwargs)
+    assert [c.to_dict() for c in resumed.checkpoints] == [
+        c.to_dict() for c in uninterrupted.checkpoints
+    ]

@@ -1,20 +1,22 @@
 """Regression pinning: every update strategy leaves banks byte-identical.
 
-The argsort/dense sharded paths must reproduce the legacy per-site-mask
-path's counter states exactly — including the randomized HYZ bank, whose
-RNG stream must be consumed in the same order by every grouping strategy.
+The argsort/dense grouping paths must reproduce the per-site-mask
+reference ingest (``tests/ingest_oracle.py``) exactly — including the
+randomized HYZ bank, whose RNG stream must be consumed in the same order
+by every grouping strategy.
 """
 
 import numpy as np
 import pytest
 
+from ingest_oracle import reference_ingest
 from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
 
 
 def make_estimator(net, algorithm, **kwargs):
     return EstimatorSpec(net, algorithm, **kwargs).build()
 
-STRATEGIES = ("masked", "argsort", "dense", "auto")
+STRATEGIES = ("argsort", "dense", "auto")
 
 
 def _states_after(net, algorithm, strategy, *, eps=0.3, k=10, m=3_000, seed=7):
@@ -22,8 +24,11 @@ def _states_after(net, algorithm, strategy, *, eps=0.3, k=10, m=3_000, seed=7):
     data = ForwardSampler(net, seed=1).sample(m)
     sites = UniformPartitioner(k, seed=2).assign(m)
     # Two chunks so round transitions span update calls.
-    estimator.update_batch(data[: m // 2], sites[: m // 2], strategy=strategy)
-    estimator.update_batch(data[m // 2 :], sites[m // 2 :], strategy=strategy)
+    for chunk in (slice(None, m // 2), slice(m // 2, None)):
+        if strategy is None:
+            reference_ingest(estimator, data[chunk], sites[chunk])
+        else:
+            estimator.update_batch(data[chunk], sites[chunk], strategy=strategy)
     return (
         estimator.bank._local.copy(),
         estimator.bank.estimates(),
@@ -34,8 +39,8 @@ def _states_after(net, algorithm, strategy, *, eps=0.3, k=10, m=3_000, seed=7):
 
 @pytest.mark.parametrize("algorithm", ["exact", "nonuniform", "baseline"])
 def test_strategies_byte_identical(alarm_net, algorithm):
-    reference = _states_after(alarm_net, algorithm, "masked")
-    for strategy in STRATEGIES[1:]:
+    reference = _states_after(alarm_net, algorithm, None)
+    for strategy in STRATEGIES:
         local, estimates, messages, snapshot = _states_after(
             alarm_net, algorithm, strategy
         )
@@ -46,31 +51,19 @@ def test_strategies_byte_identical(alarm_net, algorithm):
 
 
 def test_deterministic_backend_strategies_identical(alarm_net):
-    ref = None
-    for strategy in STRATEGIES:
+    data = ForwardSampler(alarm_net, seed=3).sample(2_000)
+    sites = UniformPartitioner(6, seed=4).assign(2_000)
+    states = []
+    for strategy in (None, *STRATEGIES):
         estimator = make_estimator(
             alarm_net, "uniform", eps=0.4, n_sites=6, seed=5,
             counter_backend="deterministic",
         )
-        data = ForwardSampler(alarm_net, seed=3).sample(2_000)
-        sites = UniformPartitioner(6, seed=4).assign(2_000)
-        estimator.update_batch(data, sites, strategy=strategy)
-        state = (estimator.bank._local.copy(), estimator.total_messages)
-        if ref is None:
-            ref = state
+        if strategy is None:
+            reference_ingest(estimator, data, sites)
         else:
-            assert np.array_equal(ref[0], state[0]), strategy
-            assert ref[1] == state[1], strategy
-
-
-def test_encode_halves_matches_reference_encoder(alarm_net):
-    estimator = make_estimator(alarm_net, "exact", n_sites=4)
-    data = ForwardSampler(alarm_net, seed=17).sample(1_000)
-    ids = estimator._encode_batch(data)
-    joint, parent = estimator._encode_halves(data)
-    assert np.array_equal(ids, np.concatenate([joint, parent], axis=1))
-    # Force the large-network fallback and check it agrees with the dgemm.
-    estimator._stride_matrix = None
-    joint2, parent2 = estimator._encode_halves(data)
-    assert np.array_equal(joint, joint2)
-    assert np.array_equal(parent, parent2)
+            estimator.update_batch(data, sites, strategy=strategy)
+        states.append((estimator.bank._local.copy(), estimator.total_messages))
+    for strategy, state in zip(STRATEGIES, states[1:]):
+        assert np.array_equal(states[0][0], state[0]), strategy
+        assert states[0][1] == state[1], strategy

@@ -1,20 +1,18 @@
-"""Tests for the HYZ span-replay engines.
+"""Tests for the HYZ bank's vectorized span replay.
 
-The vectorized engine and the sequential engine consume the RNG stream in
-different orders, so the contract is *self-consistency* (same seed, same
-workload -> byte-identical results per engine) plus *statistical agreement*
-with :class:`~repro.counters.reference.ReferenceHYZCounter`, the
-per-increment oracle — see ``docs/hyz-protocol.md``.
+The replay and :class:`~repro.counters.reference.ReferenceHYZCounter`, the
+per-increment oracle, consume the RNG stream in different orders, so the
+contract is *self-consistency* (same seed, same workload -> byte-identical
+results) plus *statistical agreement* with the oracle, and exact equality
+wherever no randomness is drawn — see ``docs/hyz-protocol.md``.
 """
 
 import numpy as np
 import pytest
 
-from repro import EstimatorSpec, HYZCounterBank
+from repro import HYZCounterBank
 from repro.counters.reference import ReferenceHYZCounter
-from repro.errors import CounterError, SpecError
-
-ENGINES = ("vectorized", "sequential")
+from repro.monitoring.channel import MessageLog
 
 
 def _ragged_spans(rng, k, n_spans, max_count=50):
@@ -25,25 +23,12 @@ def _ragged_spans(rng, k, n_spans, max_count=50):
     ]
 
 
-def _replicated_bank(engine, spans, *, replicas, k, eps, seed):
-    bank = HYZCounterBank(replicas, k, eps, seed=seed, engine=engine)
+def _replicated_bank(spans, *, replicas, k, eps, seed):
+    bank = HYZCounterBank(replicas, k, eps, seed=seed)
     ids = np.arange(replicas)
     for site, count in spans:
         bank.bulk_add_site(site, ids, np.full(replicas, count))
     return bank
-
-
-class TestEngineValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(CounterError):
-            HYZCounterBank(3, 2, 0.5, engine="turbo")
-
-    def test_engine_exposed(self):
-        assert HYZCounterBank(3, 2, 0.5).engine == "vectorized"
-        assert (
-            HYZCounterBank(3, 2, 0.5, engine="sequential").engine
-            == "sequential"
-        )
 
 
 class TestVectorizedEngineAgreement:
@@ -55,7 +40,7 @@ class TestVectorizedEngineAgreement:
         spans = _ragged_spans(rng, k, 100)
         total = sum(count for _, count in spans)
         bank = _replicated_bank(
-            "vectorized", spans, replicas=self.REPLICAS, k=k, eps=eps, seed=99
+            spans, replicas=self.REPLICAS, k=k, eps=eps, seed=99
         )
         assert np.all(bank.true_totals() == total)
 
@@ -79,41 +64,24 @@ class TestVectorizedEngineAgreement:
         rng = np.random.default_rng(8)
         spans = _ragged_spans(rng, k, 80)
         bank = _replicated_bank(
-            "vectorized", spans, replicas=self.REPLICAS, k=k, eps=eps, seed=21
+            spans, replicas=self.REPLICAS, k=k, eps=eps, seed=21
         )
         ref_rng = np.random.default_rng(22)
         reference_messages = []
+        reference_rounds = []
         for _ in range(self.REPLICAS):
             counter = ReferenceHYZCounter(k, eps, seed=ref_rng)
             for site, count in spans:
                 counter.add(site, count)
             reference_messages.append(counter.message_log.total)
+            reference_rounds.append(counter.rounds_started)
         per_replica = bank.total_messages / self.REPLICAS
         assert per_replica == pytest.approx(
             np.mean(reference_messages), rel=0.15
         )
-
-    def test_engines_agree_with_each_other(self):
-        eps, k = 0.4, 9
-        rng = np.random.default_rng(9)
-        spans = _ragged_spans(rng, k, 60, max_count=300)
-        total = sum(count for _, count in spans)
-        banks = {
-            engine: _replicated_bank(
-                engine, spans, replicas=self.REPLICAS, k=k, eps=eps, seed=5
-            )
-            for engine in ENGINES
-        }
-        means = {e: b.estimates().mean() for e, b in banks.items()}
-        tolerance = 2.0 * 3.0 * eps * total / np.sqrt(self.REPLICAS)
-        assert abs(means["vectorized"] - means["sequential"]) < tolerance
-        msgs = {e: b.total_messages for e, b in banks.items()}
-        assert msgs["vectorized"] == pytest.approx(
-            msgs["sequential"], rel=0.10
-        )
-        rounds = {e: b.rounds_started.mean() for e, b in banks.items()}
-        assert rounds["vectorized"] == pytest.approx(
-            rounds["sequential"], rel=0.10
+        # Round changes follow the same doubling law in both.
+        assert bank.rounds_started.mean() == pytest.approx(
+            np.mean(reference_rounds), rel=0.10
         )
 
     def test_variance_within_eps_bound(self):
@@ -133,13 +101,13 @@ class TestVectorizedEngineAgreement:
 class TestSeededDeterminism:
     """Same seed + same per-site slices -> byte-identical bank state.
 
-    Pins the vectorized engine's RNG consumption order (first-gap batch,
+    Pins the replay's RNG consumption order (first-gap batch,
     trailing-gap batch, interior binomial batch, trigger batches, per
     worklist pass); an accidental reordering changes these outputs.
     """
 
-    def _run(self, engine, seed):
-        bank = HYZCounterBank(40, 4, 0.3, seed=seed, engine=engine)
+    def _run(self, seed):
+        bank = HYZCounterBank(40, 4, 0.3, seed=seed)
         workload_rng = np.random.default_rng(1)
         for _ in range(30):
             site = int(workload_rng.integers(0, 4))
@@ -147,10 +115,9 @@ class TestSeededDeterminism:
             bank.bulk_add_site(site, np.arange(40), counts)
         return bank
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_same_seed_same_state(self, engine):
-        a = self._run(engine, seed=11)
-        b = self._run(engine, seed=11)
+    def test_same_seed_same_state(self):
+        a = self._run(seed=11)
+        b = self._run(seed=11)
         assert np.array_equal(a.estimates(), b.estimates())
         assert np.array_equal(a._local, b._local)
         assert np.array_equal(a._reported, b._reported)
@@ -158,41 +125,34 @@ class TestSeededDeterminism:
         assert a.message_log.snapshot() == b.message_log.snapshot()
 
     def test_different_seeds_differ(self):
-        a = self._run("vectorized", seed=11)
-        b = self._run("vectorized", seed=12)
+        a = self._run(seed=11)
+        b = self._run(seed=12)
         assert not np.array_equal(a.estimates(), b.estimates())
 
-    def test_exact_mode_byte_identical_across_engines(self):
+    def test_exact_mode_byte_identical_to_reference(self):
         # The exact-mode prefix consumes no randomness, so as long as every
-        # counter stays exact (count < sqrt(k)/eps) the engines must agree
-        # byte-for-byte, bulk pass or not.
-        results = {}
-        for engine in ENGINES:
-            bank = HYZCounterBank(20, 4, 0.05, seed=1, engine=engine)
-            for site in range(4):
-                bank.bulk_add_site(site, np.arange(20), np.full(20, 10))
-            assert np.all(bank.report_probabilities == 1.0)
-            results[engine] = (
-                bank.estimates(), bank.message_log.snapshot(),
-                bank.rounds_started,
+        # counter stays exact (count < sqrt(k)/eps) the bulk pass and the
+        # per-increment oracle must agree byte for byte: estimates, round
+        # changes and every message tally.
+        n_counters, k, eps = 20, 4, 0.05
+        bank = HYZCounterBank(n_counters, k, eps, seed=1)
+        for site in range(k):
+            bank.bulk_add_site(
+                site, np.arange(n_counters), np.full(n_counters, 10)
             )
-        a, b = results["vectorized"], results["sequential"]
-        assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1]
-        assert np.array_equal(a[2], b[2])
-
-
-class TestEstimatorEngineRouting:
-    def test_spec_routes_engine(self, alarm_net):
-        for engine in ENGINES:
-            estimator = EstimatorSpec(
-                alarm_net, "nonuniform", eps=0.2, n_sites=4, seed=0,
-                hyz_engine=engine,
-            ).build()
-            assert estimator.bank.engine == engine
-
-    def test_unknown_engine_raises_at_spec_validation(self, alarm_net):
-        with pytest.raises(SpecError):
-            EstimatorSpec(
-                alarm_net, "uniform", eps=0.2, n_sites=4, hyz_engine="warp"
-            )
+        assert np.all(bank.report_probabilities == 1.0)
+        log = MessageLog(k)
+        reference = []
+        for _ in range(n_counters):
+            counter = ReferenceHYZCounter(k, eps, seed=2, message_log=log)
+            for site in range(k):
+                counter.add(site, 10)
+            reference.append(counter)
+        assert np.array_equal(
+            bank.estimates(), [c.estimate() for c in reference]
+        )
+        assert np.array_equal(
+            bank.rounds_started, [c.rounds_started for c in reference]
+        )
+        assert bank.message_log.snapshot() == log.snapshot()
+        assert np.array_equal(bank.message_log.site_messages, log.site_messages)

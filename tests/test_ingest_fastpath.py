@@ -1,13 +1,14 @@
-"""The paper-scale ingest fast path: encoders, engines, zero-copy pipeline.
+"""The paper-scale ingest fast path: encoder, threshold pass, zero-copy.
 
-Pins the determinism contracts this PR introduced:
+Pins the determinism contracts of the fast path:
 
-- the batch-encoder equivalence matrix — dense dgemm, sparse segment-sum,
-  and the per-variable-loop reference produce byte-identical counter ids
-  and leave every bank byte-identical on ALARM and the LINK/MUNIN
-  stand-ins;
-- the deterministic counter bank's vectorized threshold engine is
-  byte-identical to the scalar reference;
+- the encoder equivalence matrix — the sparse segment-sum encoder and
+  the per-variable-loop reference of ``tests/ingest_oracle.py`` produce
+  byte-identical counter ids, and both grouping strategies leave every
+  bank byte-identical to the reference ingest on ALARM and the
+  LINK/MUNIN stand-ins;
+- the deterministic counter bank's vectorized threshold pass is
+  byte-identical to the scalar reference loop;
 - ``bulk_add_table`` (the dense-histogram bank entry point) matches
   ``bulk_add_grouped`` for every bank;
 - the fused zero-copy sampler/session path (``sample_into``,
@@ -22,23 +23,19 @@ Pins the determinism contracts this PR introduced:
 import numpy as np
 import pytest
 
+from ingest_oracle import ScalarThresholdBank, reference_encode, reference_ingest
 from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
 from repro.bn.repository import link_like, munin_like
-from repro.counters.deterministic import (
-    DETERMINISTIC_ENGINES,
-    DeterministicCounterBank,
-)
+from repro.counters.deterministic import DeterministicCounterBank
 from repro.counters.exact import ExactCounterBank
 from repro.counters.hyz import HYZCounterBank
-from repro.errors import CounterError, SpecError, StreamError
+from repro.errors import CounterError, StreamError
 from repro.experiments.results import strip_timing
 from repro.monitoring.stream import (
     RoundRobinPartitioner,
     ZipfPartitioner,
     make_partitioner,
 )
-
-ENCODERS = ("loop", "dense", "sparse")
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +67,8 @@ def test_encoders_emit_identical_joint_ids(
 ):
     net = _net_by_name(net_name, alarm_net, link_net, munin_net)
     data, _ = _workload(net, 400, 4)
-    spec = EstimatorSpec(net, "exact", n_sites=4)
-    reference = spec.build(network=net, encoder="loop")
-    joint_ref = reference._encode_batch(data)[:, : net.n_variables]
-
-    dense = spec.build(network=net, encoder="dense")
-    assert np.array_equal(dense._encode_joint(data), joint_ref)
-
-    sparse = spec.build(network=net, encoder="sparse")
+    sparse = EstimatorSpec(net, "exact", n_sites=4).build(network=net)
+    joint_ref = reference_encode(sparse, data)[:, : net.n_variables]
     # Sparse ids are transposed, rows in natural variable order.
     assert np.array_equal(sparse._encode_joint(data).T, joint_ref)
     # The fused per-event offset lands on every variable's id.
@@ -94,19 +85,21 @@ def test_encoders_emit_identical_joint_ids(
 def test_encoder_matrix_byte_identical_banks(
     net_name, m, algorithm, alarm_net, link_net, munin_net
 ):
-    """Every (encoder, strategy) pair must match the masked reference."""
+    """Both grouping strategies must match the reference ingest."""
     net = _net_by_name(net_name, alarm_net, link_net, munin_net)
     k = 5
     data, sites = _workload(net, m, k, seed=3)
     spec = EstimatorSpec(net, algorithm, eps=0.3, n_sites=k, seed=11)
 
-    def run(encoder, strategy):
-        estimator = spec.build(network=net, encoder=encoder)
+    def run(strategy):
+        estimator = spec.build(network=net)
         # Two chunks so buffer reuse spans update calls.
-        estimator.update_batch(data[: m // 2], sites[: m // 2],
-                               strategy=strategy)
-        estimator.update_batch(data[m // 2:], sites[m // 2:],
-                               strategy=strategy)
+        for chunk in (slice(None, m // 2), slice(m // 2, None)):
+            if strategy is None:
+                reference_ingest(estimator, data[chunk], sites[chunk])
+            else:
+                estimator.update_batch(data[chunk], sites[chunk],
+                                       strategy=strategy)
         return (
             estimator.bank._local.copy(),
             estimator.bank.estimates(),
@@ -114,38 +107,22 @@ def test_encoder_matrix_byte_identical_banks(
             estimator.bank.message_log.snapshot(),
         )
 
-    reference = run("loop", "masked")
-    for encoder in ENCODERS:
-        for strategy in ("dense", "argsort"):
-            local, estimates, messages, snapshot = run(encoder, strategy)
-            label = f"{encoder}/{strategy}"
-            assert np.array_equal(reference[0], local), label
-            assert np.array_equal(reference[1], estimates), label
-            assert reference[2] == messages, label
-            assert reference[3] == snapshot, label
-
-
-def test_auto_encoder_selection(alarm_net, link_net):
-    # Regression for the auto-crossover bug: the PR 5 ALARM ingest
-    # profile (n=37, recorded in CHANGES.md) showed the sparse encoder
-    # beating the dense dgemm at small n too, so "auto" must resolve to
-    # "sparse" at every size; "dense" stays selectable by name only.
-    spec = EstimatorSpec(alarm_net, "exact", n_sites=3)
-    assert spec.build(network=alarm_net).encoder == "sparse"
-    assert spec.build(network=alarm_net, encoder="dense").encoder == "dense"
-    spec_large = EstimatorSpec(link_net, "exact", n_sites=3)
-    assert spec_large.build(network=link_net).encoder == "sparse"
-    with pytest.raises(StreamError):
-        spec.build(network=alarm_net, encoder="nope")
+    reference = run(None)
+    for strategy in ("dense", "argsort"):
+        local, estimates, messages, snapshot = run(strategy)
+        assert np.array_equal(reference[0], local), strategy
+        assert np.array_equal(reference[1], estimates), strategy
+        assert reference[2] == messages, strategy
+        assert reference[3] == snapshot, strategy
 
 
 # ---------------------------------------------------------------------------
-# Deterministic bank engines
+# Deterministic bank: vectorized threshold pass vs the scalar loop
 # ---------------------------------------------------------------------------
 def _deterministic_pair(n_counters, n_sites, eps):
-    return tuple(
-        DeterministicCounterBank(n_counters, n_sites, eps, engine=engine)
-        for engine in DETERMINISTIC_ENGINES
+    return (
+        DeterministicCounterBank(n_counters, n_sites, eps),
+        ScalarThresholdBank(n_counters, n_sites, eps),
     )
 
 
@@ -178,15 +155,21 @@ def test_deterministic_engines_byte_identical_random_traffic():
 
 def test_deterministic_engines_identical_through_estimator(alarm_net):
     data, sites = _workload(alarm_net, 2_000, 6, seed=9)
+    spec = EstimatorSpec(
+        alarm_net, "uniform", eps=0.4, n_sites=6, seed=5,
+        counter_backend="deterministic",
+    )
     states = {}
-    for engine in DETERMINISTIC_ENGINES:
-        spec = EstimatorSpec(
-            alarm_net, "uniform", eps=0.4, n_sites=6, seed=5,
-            counter_backend="deterministic", deterministic_engine=engine,
-        )
+    for name in ("vectorized", "scalar"):
         estimator = spec.build(network=alarm_net)
+        if name == "scalar":
+            bank = estimator.bank
+            estimator.bank = ScalarThresholdBank(
+                bank.n_counters, bank.n_sites, bank.eps,
+                message_log=bank.message_log,
+            )
         estimator.update_batch(data, sites)
-        states[engine] = (
+        states[name] = (
             estimator.bank._local.copy(),
             estimator.bank.estimates(),
             estimator.total_messages,
@@ -197,31 +180,13 @@ def test_deterministic_engines_identical_through_estimator(alarm_net):
     assert vectorized[2] == scalar[2]
 
 
-def test_deterministic_engine_spec_plumbing(alarm_net):
-    with pytest.raises(CounterError):
-        DeterministicCounterBank(4, 2, 0.3, engine="turbo")
-    with pytest.raises(SpecError):
-        EstimatorSpec(alarm_net, "uniform", counter_backend="deterministic",
-                      deterministic_engine="turbo")
-    spec = EstimatorSpec(alarm_net, "uniform", eps=0.3,
-                         counter_backend="deterministic",
-                         deterministic_engine="scalar")
-    assert spec.build(network=alarm_net).bank.engine == "scalar"
-    restored = EstimatorSpec.from_dict(spec.to_dict())
-    assert restored.deterministic_engine == "scalar"
-    # Old snapshots without the field default to the vectorized engine.
-    payload = spec.to_dict()
-    del payload["deterministic_engine"]
-    assert EstimatorSpec.from_dict(payload).deterministic_engine == "vectorized"
-
-
 # ---------------------------------------------------------------------------
 # bulk_add_table
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("bank_factory", [
     lambda: ExactCounterBank(40, 5),
     lambda: DeterministicCounterBank(40, 5, 0.25),
-    lambda: DeterministicCounterBank(40, 5, 0.25, engine="scalar"),
+    lambda: ScalarThresholdBank(40, 5, 0.25),
     lambda: HYZCounterBank(40, 5, 0.3, seed=21),
 ])
 def test_bulk_add_table_matches_grouped(bank_factory):

@@ -1,32 +1,28 @@
-"""Tests for the sampler fast path: engines, sharding, and snapshots.
+"""Tests for the sampler fast path: draws, sharding, and snapshots.
 
-The engine contract (the PR-2 precedent, applied to sampling):
+The contract:
 
-- **per-engine determinism** — for a fixed ``(engine, seed)`` every
-  drawing surface (``sample``, ``sample_into``, ``sample_stream`` with
-  and without buffer reuse) produces byte-identical draws at the same
-  batch-size sequence;
-- **statistical identity** — every engine's stream passes a per-CPD
-  chi-squared goodness-of-fit against the ground-truth network, so the
-  fast path cannot buy speed with a skewed distribution;
+- **determinism** — for a fixed seed every drawing surface (``sample``,
+  ``sample_into``, ``sample_stream`` with and without buffer reuse)
+  produces byte-identical draws at the same batch-size sequence (the
+  seed-0 LINK stream itself is frozen in ``tests/test_golden_pins.py``);
+- **statistical identity** — the stream passes a per-CPD chi-squared
+  goodness-of-fit against the ground-truth network, so the fast path
+  cannot buy speed with a skewed distribution;
 - **sharded equivalence** — the sharded parallel sampler draws the same
   stream across ``serial`` / ``thread`` / ``process`` modes and across
   shard counts (per-chunk child seeds, never worker identity);
 - **snapshots** — both samplers restore mid-stream byte-identically and
-  refuse snapshots from a different engine or sampler kind.
+  refuse, with :class:`StreamError`, any state they cannot continue.
 """
 
 import numpy as np
 import pytest
 
 from repro import EstimatorSpec, ForwardSampler, MonitoringSession, link_like
-from repro.bn.sampling import SAMPLER_ENGINES, resolve_engine
 from repro.errors import StreamError
 from repro.exec import SHARD_MODES, ShardedSampler
 from sampler_oracle import CHI2_Z_THRESHOLD, max_cpd_chi2_z
-
-#: The concrete engines (``"auto"`` resolves to one of these).
-ENGINES = ("reference", "cdf")
 
 
 @pytest.fixture(scope="module")
@@ -34,66 +30,37 @@ def link_net():
     return link_like()
 
 
-class TestEngineContract:
-    def test_auto_resolves_to_fast_engine(self):
-        assert resolve_engine("auto") == "cdf"
-        assert resolve_engine("reference") == "reference"
-        with pytest.raises(StreamError):
-            resolve_engine("nope")
-        assert set(ENGINES) < set(SAMPLER_ENGINES)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_drawing_surfaces_byte_identical(self, alarm_net, engine):
+class TestDrawContract:
+    def test_drawing_surfaces_byte_identical(self, alarm_net):
         m, chunk = 3_000, 700
-        reference = ForwardSampler(
-            alarm_net, seed=11, engine=engine
-        ).sample(m)
+        reference = ForwardSampler(alarm_net, seed=11).sample(m)
         assert reference.shape == (m, alarm_net.n_variables)
 
         storage = np.empty((alarm_net.n_variables, m), dtype=np.int64)
-        into = ForwardSampler(alarm_net, seed=11, engine=engine)
+        into = ForwardSampler(alarm_net, seed=11)
         assert np.array_equal(into.sample_into(storage.T), reference)
 
         streamed = np.concatenate(list(
-            ForwardSampler(alarm_net, seed=11, engine=engine)
-            .sample_stream(m, chunk=chunk)
+            ForwardSampler(alarm_net, seed=11).sample_stream(m, chunk=chunk)
         ))
         reused = np.concatenate([
             batch.copy()
-            for batch in ForwardSampler(alarm_net, seed=11, engine=engine)
+            for batch in ForwardSampler(alarm_net, seed=11)
             .sample_stream(m, chunk=chunk, reuse_buffer=True)
         ])
         # Chunked streams consume randomness per chunk, so they match
         # each other exactly but need not match the one-shot draw.
         assert np.array_equal(streamed, reused)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_statistical_identity_on_alarm(self, alarm_net, engine):
-        data = ForwardSampler(alarm_net, seed=3, engine=engine).sample(40_000)
+    def test_statistical_identity_on_alarm(self, alarm_net):
+        data = ForwardSampler(alarm_net, seed=3).sample(40_000)
         assert max_cpd_chi2_z(alarm_net, data) < CHI2_Z_THRESHOLD
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_statistical_identity_on_link(self, link_net, engine):
+    def test_statistical_identity_on_link(self, link_net):
         # LINK exercises the searchsorted path (cardinalities above the
         # count-inversion crossover) and deep topological levels.
-        data = ForwardSampler(link_net, seed=4, engine=engine).sample(15_000)
+        data = ForwardSampler(link_net, seed=4).sample(15_000)
         assert max_cpd_chi2_z(link_net, data) < CHI2_Z_THRESHOLD
-
-    def test_engines_agree_on_marginals(self, small_net):
-        m = 60_000
-        reference = ForwardSampler(
-            small_net, seed=5, engine="reference"
-        ).sample(m)
-        fast = ForwardSampler(small_net, seed=6, engine="cdf").sample(m)
-        for column in range(small_net.n_variables):
-            cardinality = small_net.cardinalities()[column]
-            a = np.bincount(reference[:, column], minlength=cardinality) / m
-            b = np.bincount(fast[:, column], minlength=cardinality) / m
-            assert np.abs(a - b).max() < 0.02
-
-    def test_unknown_engine_rejected(self, alarm_net):
-        with pytest.raises(StreamError):
-            ForwardSampler(alarm_net, seed=0, engine="vectorized")
 
 
 class TestSampleEvent:
@@ -108,15 +75,6 @@ class TestSampleEvent:
             for node, value in event_a.items():
                 cardinality = alarm_net.variable(node).cardinality
                 assert 0 <= value < cardinality
-
-    def test_engine_independent_stream(self, alarm_net):
-        name = alarm_net.node_names[-1]
-        events = [
-            [ForwardSampler(alarm_net, seed=2, engine=e).sample_event([name])
-             for _ in range(20)]
-            for e in ENGINES
-        ]
-        assert events[0] == events[1]
 
     def test_empty_nodes_rejected(self, alarm_net):
         with pytest.raises(StreamError):
@@ -138,13 +96,21 @@ class TestForwardSamplerSnapshot:
         for a, b in zip(tail, resumed_tail):
             assert np.array_equal(a, b)
 
-    def test_engine_mismatch_rejected(self, alarm_net):
-        snapshot = ForwardSampler(
-            alarm_net, seed=1, engine="reference"
-        ).state_dict()
-        fast = ForwardSampler(alarm_net, seed=1, engine="cdf")
-        with pytest.raises(StreamError):
-            fast.load_state_dict(snapshot)
+    def test_legacy_cdf_engine_entry_restores(self, alarm_net):
+        # States written while the sampler had selectable engines carry
+        # "engine": "cdf"; they continue the same stream.
+        sampler = ForwardSampler(alarm_net, seed=1)
+        sampler.sample(100)
+        snapshot = {**sampler.state_dict(), "engine": "cdf"}
+        expected = sampler.sample(200)
+        resumed = ForwardSampler(alarm_net, seed=2)
+        resumed.load_state_dict(snapshot)
+        assert np.array_equal(resumed.sample(200), expected)
+        sharded = ShardedSampler(alarm_net, shards=1, seed=3, mode="serial")
+        state = {**sharded.state_dict(), "engine": "cdf"}
+        expected = sharded.sample(300, chunk=100)
+        sharded.load_state_dict(state)
+        assert np.array_equal(sharded.sample(300, chunk=100), expected)
 
     def test_kind_mismatch_rejected(self, alarm_net):
         sampler = ForwardSampler(alarm_net, seed=1)
@@ -153,6 +119,40 @@ class TestForwardSamplerSnapshot:
             sampler.load_state_dict(sharded.state_dict())
         with pytest.raises(StreamError):
             sharded.load_state_dict(sampler.state_dict())
+
+
+_FORWARD = {"kind": "forward-sampler"}
+_SHARDED = {"kind": "sharded-sampler", "entropy": 5, "next_chunk": 0}
+
+
+@pytest.mark.parametrize("sampler_kind,state", [
+    ("forward", {"kind": "forward-sampler", "engine": "cdf"}),
+    ("forward", {**_FORWARD, "rng_state": "not-a-dict"}),
+    ("forward", {**_FORWARD, "rng_state": {"bit_generator": "PCG64"}}),
+    ("forward", {**_FORWARD, "rng_state": {"bit_generator": "NoSuchBG"}}),
+    ("forward", {**_FORWARD, "engine": "reference", "rng_state": "valid"}),
+    ("forward", ["not", "a", "dict"]),
+    ("sharded", {"kind": "sharded-sampler", "next_chunk": 0}),
+    ("sharded", {**_SHARDED, "entropy": "garbled"}),
+    ("sharded", {**_SHARDED, "next_chunk": -3}),
+    ("sharded", {**_SHARDED, "next_chunk": 1.5}),
+    ("sharded", {**_SHARDED, "engine": "reference"}),
+    ("sharded", {**_FORWARD, "rng_state": "valid"}),
+])
+def test_malformed_sampler_state_is_a_stream_error(alarm_net, sampler_kind,
+                                                   state):
+    if sampler_kind == "forward":
+        sampler = ForwardSampler(alarm_net, seed=1)
+    else:
+        sampler = ShardedSampler(alarm_net, shards=1, seed=1, mode="serial")
+    if isinstance(state, dict) and state.get("rng_state") == "valid":
+        state = {**state, "rng_state": ForwardSampler(
+            alarm_net, seed=0).state_dict()["rng_state"]}
+    before = sampler.state_dict()
+    with pytest.raises(StreamError):
+        sampler.load_state_dict(state)
+    # A refused state leaves the stream position untouched.
+    assert sampler.state_dict() == before
 
 
 class TestShardedSampler:
@@ -202,8 +202,6 @@ class TestShardedSampler:
             ShardedSampler(alarm_net, mode="fork")
         with pytest.raises(StreamError):
             ShardedSampler(alarm_net, seed=np.random.default_rng(0))
-        with pytest.raises(StreamError):
-            ShardedSampler(alarm_net, seed=1, engine="nope")
         assert SHARD_MODES == ("serial", "thread", "process")
 
 

@@ -18,7 +18,6 @@ from repro import (
     MonitoringSession,
     naive_bayes_network,
 )
-from repro.counters.hyz import ENGINES
 from repro.errors import EvaluationError, SessionError
 from repro.experiments import ExperimentRunner, classification_experiment
 from repro.experiments.cli import EXIT_INCOMPLETE, main
@@ -66,16 +65,12 @@ def _snapshot_resume_identical(net, spec, tmp_path, *, m=1_200):
 
 
 class TestSnapshotResumeMatrix:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "algorithm", ["exact", "baseline", "uniform", "nonuniform"]
     )
-    def test_all_algorithms_both_engines(
-        self, small_net, tmp_path, algorithm, engine
-    ):
+    def test_all_algorithms(self, small_net, tmp_path, algorithm):
         spec = EstimatorSpec(
             small_net, algorithm, eps=0.3, n_sites=4, seed=17,
-            hyz_engine=engine,
         )
         _snapshot_resume_identical(small_net, spec, tmp_path)
 
@@ -314,17 +309,6 @@ class TestRunnerResume:
         state = ZipfPartitioner(4, exponent=2.0, seed=1).state_dict()
         with pytest.raises(StreamError):
             ZipfPartitioner(4, exponent=1.0, seed=1).load_state_dict(state)
-
-    def test_cache_key_distinguishes_engine(self):
-        from repro.exec import RunTask
-
-        task = RunTask(
-            network="alarm", algorithm="nonuniform", eps=0.1, n_sites=3,
-            n_events=600, checkpoints=(300, 600), hyz_engine="vectorized",
-        )
-        assert task.cache_key != task.replace(
-            hyz_engine="sequential"
-        ).cache_key
 
     def test_grid_snapshots_reference_networks_by_name(self, tmp_path):
         import json as _json

@@ -38,3 +38,18 @@ def test_check_docs_resolves_make_targets():
     assert targets == {"test", "smoke"}
     text = "Run `make smoke`, `make test -j2` or `make bench-smoke`."
     assert check_docs.unknown_make_targets(text, targets) == ["bench-smoke"]
+
+
+def test_check_docs_resolves_cli_flags():
+    check_docs = _load("check_docs")
+    flags = check_docs.cli_flags(
+        "import argparse\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_argument('--seed', type=int)\n"
+        "sub = parser.add_subparsers().add_parser('run')\n"
+        "sub.add_argument('-o', '--out-dir', default=None)\n"
+        "sub.add_argument('document')\n"
+    )
+    assert flags == {"--seed", "--out-dir"}
+    text = "Pass `--seed 3`, `--out-dir\nD` or `--hyz-engine sequential`."
+    assert check_docs.unknown_flags(text, flags) == ["--hyz-engine"]

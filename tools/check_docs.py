@@ -6,8 +6,11 @@ form ``path/to/file.py::Symbol.sub`` (the symbol part optional).  This
 script resolves every pointer against the working tree: the file must
 exist, and the dotted symbol — class, function, method, or module-level
 assignment — must be found in the file's AST.  Markdown links to other
-in-repo files are checked for existence as well, and every backticked
-``make <target>`` mention must name a target the ``Makefile`` defines.
+in-repo files are checked for existence as well, every backticked
+``make <target>`` mention must name a target the ``Makefile`` defines, and
+every backticked ``--flag`` must be an option string that an
+``add_argument`` call in one of the two command-line front ends defines
+(found by reading their source, never by importing it).
 
 Run it as ``make docs-check``; it exits non-zero listing every broken
 pointer, so CI catches documentation drift the moment a symbol is
@@ -39,6 +42,12 @@ MAKE_MENTION = re.compile(r"`make ([A-Za-z0-9_.-]+)(?: [^`]*)?`")
 #: A rule line of the Makefile: `target:` but not a `VAR := value`.
 MAKE_RULE = re.compile(r"^([A-Za-z0-9_.-]+)\s*:(?!=)", re.MULTILINE)
 
+#: `--flag` (optionally followed by a value or choices) in backticks.
+FLAG_MENTION = re.compile(r"`(--[A-Za-z0-9][A-Za-z0-9-]*)")
+
+#: The command-line front ends whose options docs may name.
+CLI_SOURCES = ("src/repro/experiments/cli.py", "bench/run.py")
+
 
 def make_targets(makefile_text: str) -> set[str]:
     """The targets a Makefile defines rules for."""
@@ -50,6 +59,29 @@ def unknown_make_targets(text: str, targets: set[str]) -> list[str]:
     return [
         name for name in MAKE_MENTION.findall(text) if name not in targets
     ]
+
+
+def cli_flags(source: str) -> set[str]:
+    """Option strings (``--x``) of every ``add_argument`` call in ``source``."""
+    flags = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            flags.update(
+                arg.value for arg in node.args
+                if isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and arg.value.startswith("--")
+            )
+    return flags
+
+
+def unknown_flags(text: str, flags: set[str]) -> list[str]:
+    """Backticked ``--flag`` mentions in ``text`` no parser defines."""
+    return [name for name in FLAG_MENTION.findall(text) if name not in flags]
 
 
 def _defined_names(tree: ast.Module) -> dict[str, ast.AST]:
@@ -99,7 +131,8 @@ def _resolve_symbol(tree: ast.Module, dotted: str) -> bool:
     return True
 
 
-def check_file(doc_path: Path, targets: set[str]) -> list[str]:
+def check_file(doc_path: Path, targets: set[str],
+               flags: set[str]) -> list[str]:
     errors: list[str] = []
     text = doc_path.read_text()
     rel = doc_path.relative_to(REPO_ROOT)
@@ -129,6 +162,10 @@ def check_file(doc_path: Path, targets: set[str]) -> list[str]:
     for name in unknown_make_targets(text, targets):
         errors.append(f"{rel}: `make {name}` — the Makefile has no "
                       f"target {name!r}")
+
+    for name in unknown_flags(text, flags):
+        errors.append(f"{rel}: `{name}` — no add_argument call in "
+                      f"{' or '.join(CLI_SOURCES)} defines it")
     return errors
 
 
@@ -140,10 +177,13 @@ def main() -> int:
         print("docs-check: no documentation files found", file=sys.stderr)
         return 1
     targets = make_targets((REPO_ROOT / "Makefile").read_text())
+    flags: set[str] = set()
+    for source in CLI_SOURCES:
+        flags |= cli_flags((REPO_ROOT / source).read_text())
     errors: list[str] = []
     checked = 0
     for doc in docs:
-        found = check_file(doc, targets)
+        found = check_file(doc, targets, flags)
         errors.extend(found)
         checked += len(POINTER.findall(doc.read_text()))
     if errors:
