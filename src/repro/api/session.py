@@ -69,6 +69,16 @@ def _fsync_path(path) -> None:
         os.close(fd)
 
 
+def _meta_object(meta: dict, key: str, bundle: Path) -> dict:
+    """``meta[key]``, which every restorable bundle holds as an object."""
+    value = meta.get(key)
+    if not isinstance(value, dict):
+        raise SessionError(
+            f"snapshot at {bundle} has no {key!r} object in {_META_NAME}"
+        )
+    return value
+
+
 class MonitoringSession:
     """One live coordinator: estimator + message accounting + partitioner.
 
@@ -408,7 +418,9 @@ class MonitoringSession:
         mutable state — counter-bank arrays, message tallies, stream
         position, and all RNG bit-generator states — is overwritten from
         the bundle, so the continuation is byte-identical to a run that
-        never stopped.
+        never stopped.  A bundle whose metadata or arrays lack a piece of
+        that state, or hold an impossible value for it, raises
+        :class:`SessionError` naming the bundle.
         """
         bundle = Path(path)
         meta = cls.peek(bundle)
@@ -421,21 +433,37 @@ class MonitoringSession:
                 f"snapshot at {bundle} references missing arrays file "
                 f"{arrays_path.name}"
             )
-        spec = EstimatorSpec.from_dict(meta["spec"])
+        spec_payload = _meta_object(meta, "spec", bundle)
+        estimator_meta = _meta_object(meta, "estimator", bundle)
+        log_state = dict(_meta_object(meta, "message_log", bundle))
+        partitioner_state = _meta_object(meta, "partitioner", bundle)
+        events_seen = estimator_meta.get("events_seen")
+        if not isinstance(events_seen, int) or events_seen < 0:
+            raise SessionError(
+                f"snapshot at {bundle} has events_seen {events_seen!r}, "
+                "not a count"
+            )
+        try:
+            spec = EstimatorSpec.from_dict(spec_payload)
+        except KeyError as exc:
+            raise SessionError(
+                f"snapshot at {bundle} has a spec without {exc}"
+            ) from exc
         session = cls(spec, network=network)
         with np.load(arrays_path) as handle:
             arrays = {key: handle[key] for key in handle.files}
+        if "log.per_site" not in arrays:
+            raise SessionError(
+                f"snapshot at {bundle}: {arrays_path.name} has no "
+                "'log.per_site' array"
+            )
         bank_state = dict(meta.get("bank", {}))
         for key, value in arrays.items():
             if key.startswith("bank."):
                 bank_state[key[len("bank."):]] = value
         session.estimator.load_state_dict(
-            {
-                "events_seen": meta["estimator"]["events_seen"],
-                "bank": bank_state,
-            }
+            {"events_seen": events_seen, "bank": bank_state}
         )
-        log_state = dict(meta["message_log"])
         log_state["per_site"] = arrays["log.per_site"]
         try:
             session.message_log.load_state_dict(log_state)
@@ -443,7 +471,12 @@ class MonitoringSession:
             raise SessionError(
                 f"corrupt snapshot message log at {bundle}: {exc}"
             ) from exc
-        session.partitioner.load_state_dict(meta["partitioner"])
+        try:
+            session.partitioner.load_state_dict(partitioner_state)
+        except KeyError as exc:
+            raise SessionError(
+                f"snapshot at {bundle} has a partitioner state without {exc}"
+            ) from exc
         session.restored_extra = meta.get("extra")
         return session
 

@@ -208,8 +208,12 @@ class CounterBank(abc.ABC):
         exactly this table, so handing it over whole skips the
         flatnonzero/divmod round-trip through sparse triples.  Sites are
         processed in ascending order and silent sites are skipped, so
-        banks see the identical per-site calls the triple form produces
-        — byte-identical state and RNG consumption.
+        every bank ends in the state, RNG position and message tallies
+        the triple form produces — byte-identical.  Banks may get there
+        without the per-site calls: the exact and deterministic banks
+        add the table whole, and the HYZ bank finishes counters whose
+        outcome draws no randomness in one pass before walking the rest
+        per site.
 
         ``check=False`` skips validation for callers whose table is
         non-negative by construction (a ``bincount`` output).
@@ -226,9 +230,11 @@ class CounterBank(abc.ABC):
 
     def _apply_table(self, table: np.ndarray) -> None:
         """Dispatch a validated dense table; sites ascending, silent sites
-        skipped.  Banks whose protocol is expressible as whole-table array
-        operations override this (see :class:`ExactCounterBank` and
-        :class:`~repro.counters.deterministic.DeterministicCounterBank`)."""
+        skipped.  Banks whose protocol is (partly) expressible as
+        whole-table array operations override this (see
+        :class:`ExactCounterBank`,
+        :class:`~repro.counters.deterministic.DeterministicCounterBank` and
+        :class:`~repro.counters.hyz.HYZCounterBank`)."""
         for site in range(self.n_sites):
             row = table[site]
             touched = np.flatnonzero(row)

@@ -15,7 +15,9 @@ inverse-CDF batch draws every touched counter's first-report gap, spans
 that contain no mid-span round change are finished with pure array updates
 (the doubling condition is checked vectorized via the span's last report),
 and spans that cross the doubling threshold advance their rounds in bulk
-and re-enter the loop at the new report probability.
+and re-enter the loop at the new report probability.  A dense
+``(k, n_counters)`` table first finishes, in one array pass, every
+exact-mode counter the whole table leaves inside its round.
 
 The protocol derivation (unbiasedness, variance bound) and the replay's
 distribution-preservation argument live in ``docs/hyz-protocol.md``.
@@ -138,13 +140,47 @@ class HYZCounterBank(CounterBank):
     # ------------------------------------------------------------------
     # Site-side simulation
     # ------------------------------------------------------------------
-    # `bulk_add_grouped` and `bulk_add_table` are inherited from
+    # `bulk_add_grouped` and `bulk_add_site` are inherited from
     # CounterBank: they hand each site's whole (counter, count) slice to
-    # `_apply_site` in ascending site order.  Every grouping strategy
-    # delivers identical slices in identical order, so all strategies
-    # consume this bank's RNG stream identically — the hot-path
-    # regression test pins that byte-for-byte.
-    def _apply_site(self, site, counter_ids, counts) -> None:
+    # `_apply_site` in ascending site order.  `_apply_table` below walks
+    # the same slices minus counters whose outcome draws no randomness,
+    # so every entry point consumes this bank's RNG stream identically —
+    # the hot-path regression test pins that byte-for-byte.
+    def _apply_table(self, table: np.ndarray) -> None:
+        """Apply a dense ``(n_sites, n_counters)`` table.
+
+        An exact-mode counter (``p >= 1``) whose whole-table total ``T``
+        satisfies ``0 < T < ceil(2 * round_base - reported_sum)`` reports
+        every increment and stays in its round at every site, so the
+        per-site walk would step it by exactly its table entries and draw
+        nothing.  Those counters are finished here in one array pass;
+        every other touched counter goes through :meth:`_apply_site` in
+        ascending site order, with the same ids in the same order as
+        without the pass.  Each site's fast-set report tally rides on
+        that site's first exact-phase ``record`` call, so the message
+        log — epoch included — is the one the per-site walk writes
+        (``docs/hyz-protocol.md`` §3).
+        """
+        totals = table.sum(axis=0)
+        touched = np.flatnonzero(totals)
+        fast = (self._p[touched] >= 1.0) & (
+            totals[touched] < self._exact_room(touched)
+        )
+        cols, walk = touched[fast], touched[~fast]
+        increments = table[:, cols]
+        self._local[cols] += increments.T
+        self._reported[cols] += increments.T
+        self._reported_sum[cols] += totals[cols]
+        fast_reports = increments.sum(axis=1)
+        for site in range(self.n_sites):
+            row = table[site, walk]
+            hit = np.flatnonzero(row)
+            if hit.size or fast_reports[site]:
+                self._apply_site(
+                    site, walk[hit], row[hit], int(fast_reports[site])
+                )
+
+    def _apply_site(self, site, counter_ids, counts, reports: int = 0) -> None:
         """Advance every counter touched at ``site`` with batched draws.
 
         Distribution-preservation argument (full version in
@@ -172,12 +208,16 @@ class HYZCounterBank(CounterBank):
            — one iteration per round generation, so a span crossing ``r``
            rounds costs ``O(r)`` vectorized passes, never a Python loop
            over reports.
+
+        ``reports`` is a REPORT tally already applied at ``site`` by
+        :meth:`_apply_table`; it is recorded with the exact phase's first
+        message, or on its own if that phase records nothing.
         """
         p_touched = self._p[counter_ids]
         exact_mask = p_touched >= 1.0
         ids = counter_ids[~exact_mask]
         b = counts[~exact_mask].astype(np.int64)
-        if exact_mask.any():
+        if reports or exact_mask.any():
             # Exact-mode counters are transient (a counter leaves exact
             # mode for good once its count reaches sqrt(k)/eps); their
             # prefix is deterministic — no randomness — so it advances in
@@ -186,6 +226,7 @@ class HYZCounterBank(CounterBank):
                 site,
                 counter_ids[exact_mask],
                 counts[exact_mask].astype(np.int64),
+                reports,
             )
             if leftover_ids.size:
                 ids = np.concatenate([ids, leftover_ids])
@@ -196,7 +237,7 @@ class HYZCounterBank(CounterBank):
             ids, b = self._vector_round(site, ids, b)
 
     def _exact_prefix_bulk(
-        self, site: int, ids: np.ndarray, b: np.ndarray
+        self, site: int, ids: np.ndarray, b: np.ndarray, reports: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
         """Consume the exact-mode (p == 1) prefix of a site's spans.
 
@@ -204,17 +245,15 @@ class HYZCounterBank(CounterBank):
         rounds advance at fixed doubling thresholds), so each pass steps
         every active counter to its next threshold at once; a counter
         needs O(log span) passes.  Returns the (counter, remaining) pairs
-        that fell out of exact mode mid-span.
+        that fell out of exact mode mid-span.  ``reports`` (see
+        :meth:`_apply_site`) joins the first pass's REPORT record.
         """
         ids = ids.astype(np.int64, copy=True)
         rem = b.copy()
         out_ids: list[np.ndarray] = []
         out_b: list[np.ndarray] = []
         while ids.size:
-            room = np.ceil(
-                2.0 * self._round_base[ids]
-                - self._reported_sum[ids].astype(np.float64)
-            ).astype(np.int64)
+            room = self._exact_room(ids)
             stuck = room <= 0
             if stuck.any():
                 # Doubling condition already met at pass entry (the
@@ -231,7 +270,10 @@ class HYZCounterBank(CounterBank):
             self._local[ids, site] += step
             self._reported[ids, site] += step
             self._reported_sum[ids] += step
-            self.message_log.record(MessageKind.REPORT, site, int(step.sum()))
+            self.message_log.record(
+                MessageKind.REPORT, site, int(step.sum()) + reports
+            )
+            reports = 0
             rem -= step
             crossed = (
                 self._reported_sum[ids].astype(np.float64)
@@ -245,11 +287,22 @@ class HYZCounterBank(CounterBank):
                 out_b.append(rem[fell])
             cont = ~fell & (rem > 0)
             ids, rem = ids[cont], rem[cont]
+        if reports:
+            self.message_log.record(MessageKind.REPORT, site, reports)
         empty = np.empty(0, dtype=np.int64)
         return (
             np.concatenate(out_ids) if out_ids else empty,
             np.concatenate(out_b) if out_b else empty,
         )
+
+    def _exact_room(self, ids: np.ndarray) -> np.ndarray:
+        """Reports an exact-mode counter can take before its round
+        doubles: ``ceil(2 * round_base - reported_sum)`` (the estimate is
+        the reported sum while ``p == 1``)."""
+        return np.ceil(
+            2.0 * self._round_base[ids]
+            - self._reported_sum[ids].astype(np.float64)
+        ).astype(np.int64)
 
     def _vector_round(
         self, site: int, ids: np.ndarray, b: np.ndarray

@@ -173,26 +173,52 @@ class MessageLog:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore tallies captured by :meth:`state_dict` (in place)."""
+        """Restore tallies captured by :meth:`state_dict` (in place).
+
+        Raises ``ValueError`` — before touching the log — when a key is
+        missing, a tally is not a count, or any count is negative.
+        """
+        missing = {"per_kind", "per_site", "coordinator_sent"} - set(state)
+        if missing:
+            raise ValueError(f"message log state lacks {sorted(missing)}")
         per_site = np.asarray(state["per_site"], dtype=np.int64)
         if per_site.shape != self._per_site.shape:
             raise ValueError(
                 f"per_site has shape {per_site.shape}, log expects "
                 f"{self._per_site.shape}"
             )
-        per_kind = dict(state["per_kind"])
+        if np.any(per_site < 0):
+            raise ValueError("per_site counts must be >= 0")
+        per_kind = state["per_kind"]
+        if not isinstance(per_kind, dict):
+            raise ValueError(f"per_kind must be a mapping, got {per_kind!r}")
         unknown = set(per_kind) - {kind.value for kind in MessageKind}
         if unknown:
             raise ValueError(f"unknown message kinds in state: {sorted(unknown)}")
-        self._per_kind = {
-            kind: int(per_kind.get(kind.value, 0)) for kind in MessageKind
+        per_kind = {
+            kind: _count(per_kind.get(kind.value, 0), kind.value)
+            for kind in MessageKind
         }
-        self._per_site[...] = per_site
-        self._coordinator_sent = int(state["coordinator_sent"])
+        coordinator_sent = _count(state["coordinator_sent"], "coordinator_sent")
         # Bundles written before the serving layer carry no epoch; any
         # non-negative restart value is fine — snapshot staleness checks
         # only ever compare epochs taken from the same live log.
-        self._epoch = int(state.get("epoch", 0))
+        epoch = _count(state.get("epoch", 0), "epoch")
+        self._per_kind = per_kind
+        self._per_site[...] = per_site
+        self._coordinator_sent = coordinator_sent
+        self._epoch = epoch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageLog(total={self.total}, kinds={self.snapshot()})"
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a tally: an integer >= 0, else ``ValueError``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a count, got {value!r}") from exc
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+    return count

@@ -13,8 +13,13 @@ with:
 - :class:`ScalarThresholdBank` — a deterministic bank that advances each
   crossing counter with the scalar ``while`` loop of
   :func:`advance_thresholds`.
+
+:func:`assert_states_equal` and :func:`state_sha256` compare and pin
+whole ``state_dict()`` payloads of banks and message logs.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -60,6 +65,32 @@ def reference_ingest(estimator, data, sites) -> None:
         touched = np.flatnonzero(dense)
         estimator.bank.bulk_add_site(site, touched, dense[touched])
     estimator.events_seen += int(sites.size)
+
+
+def assert_states_equal(expected: dict, actual: dict, label=None) -> None:
+    """Two ``state_dict()`` payloads hold the same keys, dtypes and values."""
+    assert expected.keys() == actual.keys(), label
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == actual[key].dtype, (label, key)
+            assert np.array_equal(value, actual[key]), (label, key)
+        else:
+            assert value == actual[key], (label, key)
+
+
+def state_sha256(state: dict) -> str:
+    """Digest of a ``state_dict()`` payload: keys sorted, arrays as
+    dtype + shape + C-order bytes, everything else as sorted-key JSON."""
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        value = state[key]
+        digest.update(key.encode())
+        if isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        else:
+            digest.update(json.dumps(value, sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 def advance_thresholds(bank, c: int, site: int) -> None:

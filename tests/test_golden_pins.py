@@ -11,6 +11,8 @@ draw order, a cache policy or the WAL record format updates the literal
 in the same commit and says why.  Section (d) pins what older artifacts
 look like — cache keys, spec and task payloads, runner snapshots — so a
 resume directory or bundle written by an earlier commit keeps loading.
+Section (e) pins the HYZ bank's whole state after a dense-path ingest,
+so a faster apply cannot move a counter, a coin flip or an epoch.
 """
 
 import hashlib
@@ -20,7 +22,10 @@ import numpy as np
 import pytest
 
 from dist_faults import FAULT_EXIT_CODE, coordinator_crash, run_crashing_child
-from repro import EstimatorSpec, ForwardSampler, alarm, link_like
+from ingest_oracle import state_sha256
+from repro import (
+    EstimatorSpec, ForwardSampler, MonitoringSession, alarm, link_like,
+)
 from repro.dist import DistributedSession
 from repro.dist.recovery import recovery_stream
 from repro.errors import ExecutionError, SpecError
@@ -205,3 +210,39 @@ def test_runner_snapshot_with_legacy_spec_resumes(tmp_path):
     assert [c.to_dict() for c in resumed.checkpoints] == [
         c.to_dict() for c in uninterrupted.checkpoints
     ]
+
+
+# ----------------------------------------------------------------------
+# (e) the HYZ bank after a dense-path LINK ingest
+# ----------------------------------------------------------------------
+# ``ingest`` groups LINK batches of these sizes through the dense table
+# (``CounterBank.bulk_add_table``).  eps = 0.5 makes the stream cross
+# every HYZ regime: exact-mode counters that stay in their round, ones
+# that advance, ones that leave exact mode, and sampling-mode rounds
+# (7 850 syncs).  Both digests were computed at commit 3ab15bd, before the
+# whole-table exact-mode pass, by running this code against an extract of
+# that commit (``git archive 3ab15bd | tar -x -C <dir>``); the pass must
+# leave every array, the RNG state and the message log (epoch included)
+# as they were.
+LINK_HYZ_BANK_SHA256 = (
+    "3653306c746eccc1892bfb32a1ed7174db5d063e648bc4b005b2840a8e607f56"
+)
+LINK_HYZ_LOG_SHA256 = (
+    "e8042de5e7258ecf061f2bea3b3bc016f87d3b35be2469c23bdce01ec9531146"
+)
+
+
+def test_link_hyz_dense_ingest_state():
+    net = link_like()
+    spec = EstimatorSpec(net, "nonuniform", eps=0.5, n_sites=10,
+                         seed=SEED + 1)
+    session = MonitoringSession(spec, network=net)
+    sampler = ForwardSampler(net, seed=SEED + 2)
+    for m in (2_000,) * 5 + (20_000,):
+        session.ingest(sampler.sample(m))
+    log = session.message_log.state_dict()
+    assert (log["epoch"], log["per_kind"]["sync"]) == (299, 7_850)
+    assert state_sha256(log) == LINK_HYZ_LOG_SHA256
+    assert state_sha256(session.estimator.bank.state_dict()) == (
+        LINK_HYZ_BANK_SHA256
+    )

@@ -3,13 +3,16 @@
 The argsort/dense grouping paths must reproduce the per-site-mask
 reference ingest (``tests/ingest_oracle.py``) exactly — including the
 randomized HYZ bank, whose RNG stream must be consumed in the same order
-by every grouping strategy.
+by every grouping strategy.  "Exactly" means the whole
+``bank.state_dict()`` (every protocol array plus the bit-generator
+state) and the whole ``message_log.state_dict()`` — for the HYZ bank the
+sync epoch too, which the reference walk advances once per site record.
 """
 
 import numpy as np
 import pytest
 
-from ingest_oracle import reference_ingest
+from ingest_oracle import assert_states_equal, reference_ingest
 from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
 
 
@@ -29,25 +32,21 @@ def _states_after(net, algorithm, strategy, *, eps=0.3, k=10, m=3_000, seed=7):
             reference_ingest(estimator, data[chunk], sites[chunk])
         else:
             estimator.update_batch(data[chunk], sites[chunk], strategy=strategy)
-    return (
-        estimator.bank._local.copy(),
-        estimator.bank.estimates(),
-        estimator.total_messages,
-        estimator.bank.message_log.snapshot(),
-    )
+    return estimator.bank.state_dict(), estimator.bank.message_log.state_dict()
 
 
 @pytest.mark.parametrize("algorithm", ["exact", "nonuniform", "baseline"])
 def test_strategies_byte_identical(alarm_net, algorithm):
-    reference = _states_after(alarm_net, algorithm, None)
+    bank_ref, log_ref = _states_after(alarm_net, algorithm, None)
     for strategy in STRATEGIES:
-        local, estimates, messages, snapshot = _states_after(
-            alarm_net, algorithm, strategy
-        )
-        assert np.array_equal(reference[0], local), strategy
-        assert np.array_equal(reference[1], estimates), strategy
-        assert reference[2] == messages, strategy
-        assert reference[3] == snapshot, strategy
+        bank, log = _states_after(alarm_net, algorithm, strategy)
+        assert_states_equal(bank_ref, bank, strategy)
+        if algorithm == "exact":
+            # The exact bank records a whole call's reports at once (one
+            # epoch per update call); the reference walk records per site.
+            assert log["epoch"] == 2, strategy
+            log = {**log, "epoch": log_ref["epoch"]}
+        assert_states_equal(log_ref, log, strategy)
 
 
 def test_deterministic_backend_strategies_identical(alarm_net):

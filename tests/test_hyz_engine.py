@@ -7,9 +7,12 @@ results) plus *statistical agreement* with the oracle, and exact equality
 wherever no randomness is drawn — see ``docs/hyz-protocol.md``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from ingest_oracle import assert_states_equal
 from repro import HYZCounterBank
 from repro.counters.reference import ReferenceHYZCounter
 from repro.monitoring.channel import MessageLog
@@ -156,3 +159,132 @@ class TestSeededDeterminism:
         )
         assert bank.message_log.snapshot() == log.snapshot()
         assert np.array_equal(bank.message_log.site_messages, log.site_messages)
+
+
+# ----------------------------------------------------------------------
+# The dense table's whole-table exact-mode pass
+# ----------------------------------------------------------------------
+K = 5
+
+
+def _counter(eps, base, local, column, p=None):
+    """One crafted counter: round state after a sync (reported == local)
+    and its column of the increment table."""
+    return dict(eps=eps, base=base, local=local, column=column, p=p)
+
+
+# p = sqrt(5) / (0.1 * 1000) ~ 0.022: sampling mode, draws randomness.
+SAMPLING = dict(eps=0.1, base=1000.0, local=[200] * K)
+# p = 1, reported_sum 10, room = ceil(2 * 10 - 10) = 10.
+EXACT = dict(eps=0.1, base=10.0, local=[2] * K)
+
+#: case -> (counters, indices the whole-table pass takes, what the walk
+#: does to counter 0 — so each crafted state is known to hit its branch).
+SPLIT_CASES = {
+    "fast_at_room_minus_1": (
+        [_counter(**EXACT, column=[2, 0, 3, 4, 0]),
+         _counter(**SAMPLING, column=[30, 40, 50, 60, 70])],
+        {0},
+        lambda bank: bank.rounds_started[0] == 0,
+    ),
+    "walk_at_room": (
+        # T == room: the last increment reaches 2 * base and syncs.
+        [_counter(**EXACT, column=[2, 0, 3, 4, 1]),
+         _counter(**SAMPLING, column=[30, 40, 50, 60, 70])],
+        set(),
+        lambda bank: bank.rounds_started[0] == 1,
+    ),
+    "stuck_at_entry": (
+        # reported_sum 5 >= 2 * base (room <= 0): the first pass advances
+        # the round.  eps 0.5 leaves exact mode there, eps 0.1 stays exact.
+        [_counter(0.5, 2.0, [1] * K, [0, 2, 0, 0, 1]),
+         _counter(0.1, 2.0, [1] * K, [1, 0, 0, 3, 0]),
+         _counter(**SAMPLING, column=[3, 3, 3, 3, 3])],
+        set(),
+        lambda bank: (bank.rounds_started[:2].tolist() == [1, 1]
+                      and bank.report_probabilities[0] < 1.0
+                      and bank.report_probabilities[1] == 1.0),
+    ),
+    "p_exactly_one": (
+        # sqrt(5) / ((sqrt(5) / 4) * 4) == 1.0 exactly; room 6, T 5.  The
+        # second counter sits one ulp below exact mode and must sample.
+        [_counter(math.sqrt(K) / 4, 4.0, [1, 1, 0, 0, 0], [1] * K),
+         _counter(0.1, 10.0, [2] * K, [1] * K, p=np.nextafter(1.0, 0.0))],
+        {0},
+        lambda bank: bank.report_probabilities[0] == 1.0,
+    ),
+    "leaves_exact_mode_at_site_3": (
+        # room 4: sites 0-2 step one each, site 3 crosses (new base 8,
+        # p = sqrt(5) / 4 < 1) and samples its remainder, site 4 samples.
+        [_counter(0.5, 4.0, [1, 1, 1, 1, 0], [1, 1, 1, 3, 5]),
+         _counter(**EXACT, column=[1, 1, 1, 1, 1]),
+         _counter(**SAMPLING, column=[5, 5, 5, 5, 5])],
+        {1},
+        lambda bank: (bank.rounds_started[0] == 1
+                      and bank.report_probabilities[0] < 1.0),
+    ),
+    "site_touching_only_fast_counters": (
+        [_counter(**EXACT, column=[0, 3, 0, 0, 0]),
+         _counter(**SAMPLING, column=[5, 0, 5, 5, 5])],
+        {0},
+        lambda bank: bank.rounds_started[0] == 0,
+    ),
+    "sites_without_increments": (
+        [_counter(**EXACT, column=[1, 0, 0, 1, 0]),
+         _counter(**EXACT, column=[6, 0, 0, 6, 0]),
+         _counter(**SAMPLING, column=[3, 0, 0, 3, 3])],
+        {0},
+        lambda bank: bank.rounds_started[0] == 0,
+    ),
+}
+
+
+def _crafted_banks(counters):
+    """Two banks loaded from one crafted ``state_dict``, plus the table."""
+    eps = [c["eps"] for c in counters]
+    state = HYZCounterBank(len(counters), K, eps, seed=5).state_dict()
+    for i, c in enumerate(counters):
+        local = np.asarray(c["local"], dtype=np.int64)
+        p = c["p"]
+        if p is None:
+            p = min(1.0, math.sqrt(K) / (c["eps"] * c["base"]))
+        state["local"][i] = state["reported"][i] = local
+        state["reported_sum"][i] = local.sum()
+        state["round_base"][i] = c["base"]
+        state["p"][i] = p
+    banks = []
+    for seed in (1, 2):
+        bank = HYZCounterBank(len(counters), K, eps, seed=seed)
+        bank.load_state_dict(state)
+        banks.append(bank)
+    table = np.array([c["column"] for c in counters], dtype=np.int64).T
+    return banks, table
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_table_pass_matches_per_site_walk(case):
+    # bulk_add_table finishes the fast set in one pass; bulk_add_site
+    # walks every counter.  State, RNG and message log must agree.
+    counters, fast, walk_effect = SPLIT_CASES[case]
+    (by_table, by_site), table = _crafted_banks(counters)
+    walked = []
+    apply_site = by_table._apply_site
+
+    def spy(site, ids, counts, *rest):
+        walked.extend(ids.tolist())
+        return apply_site(site, ids, counts, *rest)
+
+    by_table._apply_site = spy
+    by_table.bulk_add_table(table)
+    for site in range(K):
+        ids = np.flatnonzero(table[site])
+        if ids.size:
+            by_site.bulk_add_site(site, ids, table[site, ids])
+
+    assert walk_effect(by_site)
+    assert set(walked) == set(range(len(counters))) - fast
+    assert_states_equal(by_site.state_dict(), by_table.state_dict(), case)
+    assert_states_equal(
+        by_site.message_log.state_dict(), by_table.message_log.state_dict(),
+        case,
+    )

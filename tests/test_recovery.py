@@ -113,13 +113,14 @@ def chaos_refs(chaos_net, chaos_batches):
 def chaos_dist_epochs(chaos_net, chaos_batches, chaos_refs):
     """Final sync epoch of an *uninterrupted distributed* run per backend.
 
-    The epoch advances once per message-*recording call*, and the
-    coordinator's apply path makes one call per worker/site aggregate
-    where the in-process session makes one per batch — so epoch
-    continuity across a crash must be judged against an uninterrupted
-    distributed run, not the in-process reference (whose metrics,
-    per-site counts, and estimates the distributed runtime does match
-    exactly).
+    The epoch advances once per message-*recording call*.  The HYZ bank
+    makes the same calls in both runtimes (``tests/test_serve.py`` pins
+    distributed epoch == in-process epoch for it), but the exact bank
+    records an in-process dense batch in one call where the coordinator's
+    per-site apply makes one per site aggregate — so epoch continuity
+    across a crash is judged against an uninterrupted distributed run for
+    every backend, not the in-process reference (whose metrics, per-site
+    counts, and estimates the distributed runtime does match exactly).
     """
     epochs = {}
     for backend in BACKENDS:

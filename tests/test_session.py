@@ -8,6 +8,7 @@ to a session that never stopped.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,30 @@ def _snapshot_resume_identical(net, spec, tmp_path, *, m=1_200):
         # bit-generator states must coincide exactly.
         assert bank_a._rng.bit_generator.state == bank_b._rng.bit_generator.state
     return uninterrupted, resumed
+
+
+#: Ways a bundle's ``(meta, arrays)`` can lack or garble restorable state.
+BUNDLE_DAMAGE = {
+    "no_estimator": lambda meta, arrays: meta.pop("estimator"),
+    "no_message_log": lambda meta, arrays: meta.pop("message_log"),
+    "no_partitioner": lambda meta, arrays: meta.pop("partitioner"),
+    "no_coordinator_sent":
+        lambda meta, arrays: meta["message_log"].pop("coordinator_sent"),
+    "no_log_per_site": lambda meta, arrays: arrays.pop("log.per_site"),
+    "spec_not_object": lambda meta, arrays: meta.update(spec="small"),
+    "spec_without_network": lambda meta, arrays: meta["spec"].pop("network"),
+    "partitioner_without_rng":
+        lambda meta, arrays: meta["partitioner"].pop("rng_state"),
+    "events_seen_not_int":
+        lambda meta, arrays: meta["estimator"].update(events_seen="abc"),
+    "negative_events_seen":
+        lambda meta, arrays: meta["estimator"].update(events_seen=-1),
+    "negative_epoch": lambda meta, arrays: meta["message_log"].update(epoch=-1),
+    "negative_kind_count":
+        lambda meta, arrays: meta["message_log"]["per_kind"].update(report=-5),
+    "negative_site_count":
+        lambda meta, arrays: arrays["log.per_site"].__setitem__(0, -1),
+}
 
 
 class TestSnapshotResumeMatrix:
@@ -148,6 +173,25 @@ class TestSnapshotResumeMatrix:
         (bundle / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(SessionError):
             MonitoringSession.restore(bundle)
+
+    @pytest.mark.parametrize("damage", list(BUNDLE_DAMAGE))
+    def test_malformed_bundle_is_a_session_error(
+        self, small_net, tmp_path, damage
+    ):
+        session = EstimatorSpec(
+            small_net, "nonuniform", eps=0.3, n_sites=2, seed=1
+        ).session()
+        session.ingest(_stream(small_net, 40))
+        bundle = session.snapshot(tmp_path / "bad")
+        meta = json.loads((bundle / "meta.json").read_text())
+        arrays_path = bundle / meta["arrays"]
+        with np.load(arrays_path) as handle:
+            arrays = {key: handle[key] for key in handle.files}
+        BUNDLE_DAMAGE[damage](meta, arrays)
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        np.savez_compressed(arrays_path, **arrays)
+        with pytest.raises(SessionError, match=re.escape(str(bundle))):
+            MonitoringSession.restore(bundle, network=small_net)
 
 
 class TestSessionLifecycle:

@@ -9,8 +9,9 @@ assignment — must be found in the file's AST.  Markdown links to other
 in-repo files are checked for existence as well, every backticked
 ``make <target>`` mention must name a target the ``Makefile`` defines, and
 every backticked ``--flag`` must be an option string that an
-``add_argument`` call in one of the two command-line front ends defines
-(found by reading their source, never by importing it).
+``add_argument`` call in one of the command-line front ends
+(``CLI_SOURCES``) defines (found by reading their source, never by
+importing it).
 
 Run it as ``make docs-check``; it exits non-zero listing every broken
 pointer, so CI catches documentation drift the moment a symbol is
@@ -46,7 +47,9 @@ MAKE_RULE = re.compile(r"^([A-Za-z0-9_.-]+)\s*:(?!=)", re.MULTILINE)
 FLAG_MENTION = re.compile(r"`(--[A-Za-z0-9][A-Za-z0-9-]*)")
 
 #: The command-line front ends whose options docs may name.
-CLI_SOURCES = ("src/repro/experiments/cli.py", "bench/run.py")
+CLI_SOURCES = (
+    "src/repro/experiments/cli.py", "bench/run.py", "tools/bench_pairs.py",
+)
 
 
 def make_targets(makefile_text: str) -> set[str]:
