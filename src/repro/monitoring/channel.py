@@ -181,7 +181,9 @@ class MessageLog:
         missing = {"per_kind", "per_site", "coordinator_sent"} - set(state)
         if missing:
             raise ValueError(f"message log state lacks {sorted(missing)}")
-        per_site = np.asarray(state["per_site"], dtype=np.int64)
+        per_site = np.asarray(state["per_site"])
+        if not np.issubdtype(per_site.dtype, np.integer):
+            raise ValueError(f"per_site must hold counts, got {per_site.dtype}")
         if per_site.shape != self._per_site.shape:
             raise ValueError(
                 f"per_site has shape {per_site.shape}, log expects "
@@ -214,11 +216,13 @@ class MessageLog:
 
 
 def _count(value, name: str) -> int:
-    """``value`` as a tally: an integer >= 0, else ``ValueError``."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a count, got {value!r}") from exc
-    if count < 0:
-        raise ValueError(f"{name} must be >= 0, got {count}")
-    return count
+    """``value`` as a tally: an integer >= 0, else ``ValueError``.
+
+    Only integers are counts; a float, string or bool is refused rather
+    than truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a count, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)

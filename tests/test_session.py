@@ -82,6 +82,13 @@ BUNDLE_DAMAGE = {
     "negative_events_seen":
         lambda meta, arrays: meta["estimator"].update(events_seen=-1),
     "negative_epoch": lambda meta, arrays: meta["message_log"].update(epoch=-1),
+    "float_epoch": lambda meta, arrays: meta["message_log"].update(epoch=2.9),
+    "string_kind_count":
+        lambda meta, arrays: meta["message_log"]["per_kind"].update(report="7"),
+    "bool_coordinator_sent":
+        lambda meta, arrays: meta["message_log"].update(coordinator_sent=True),
+    "float_site_counts": lambda meta, arrays: arrays.update(
+        {"log.per_site": arrays["log.per_site"].astype(np.float64)}),
     "negative_kind_count":
         lambda meta, arrays: meta["message_log"]["per_kind"].update(report=-5),
     "negative_site_count":

@@ -111,6 +111,32 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     assert row["wins"] == 10 and not row["gain_holds"]
 
 
+_FAKE_RUN = """\
+import json, sys
+args = sys.argv[1:]
+out = args[args.index("--out") + 1]
+correct = CORRECT
+if correct is not None:
+    failures = {} if correct else {"dist_matches_inprocess": "estimates differ"}
+    json.dump({"correct": correct, "failures": failures}, open(out, "w"))
+sys.stderr.write("run diagnostics\\n")
+sys.exit(0 if correct else 1)
+"""
+
+
+@pytest.mark.parametrize("correct, shown", [
+    (None, "run diagnostics"),
+    (False, "dist_matches_inprocess: estimates differ"),
+])
+def test_bench_pairs_refuses_a_failed_run(tmp_path, correct, shown):
+    bench_pairs = _load("bench_pairs")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        _FAKE_RUN.replace("CORRECT", repr(correct)))
+    with pytest.raises(RuntimeError, match=shown):
+        bench_pairs._run(tmp_path, "serve_link", 1, 1, tmp_path / "r.json")
+
+
 def test_check_docs_reads_bench_pairs_flags():
     check_docs = _load("check_docs")
     assert "tools/bench_pairs.py" in check_docs.CLI_SOURCES

@@ -6,10 +6,13 @@
 
 ``BASE_REV`` (any git revision) is extracted with ``git archive`` into a
 temporary directory; the change side is this checkout's working tree.
-Pair ``i`` runs ``bench/run.py --workload W --seed S+i --seconds T`` once
-on each side, base first on even ``i`` and change first on odd ``i``, so
-a drift of the host over time favours neither side.  Both sides run their
-own ``bench/`` and ``src/``; nothing in either tree is modified.
+Pair ``i`` runs ``bench/run.py --workload W --seed S+i`` once on each
+side, for ``BENCHMARK.json``'s ``run_seconds``, base first on even ``i``
+and change first on odd ``i``, so a drift of the host over time favours
+neither side.  Both sides run their own ``bench/`` and ``src/``; nothing
+in either tree is modified.  A run that exits non-zero or fails one of
+its conformance checks stops the tool with exit status 2 and prints the
+failed checks (or the run's stderr when it wrote no record).
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles, the change in median, how many pairs the
@@ -115,16 +118,25 @@ def _extract(rev: str, into: Path) -> None:
 
 def _run(tree: Path, workload: str, seed: int, seconds: float,
          out: Path) -> dict:
-    subprocess.run(
+    """One ``bench/run.py`` record; ``RuntimeError`` carrying the run's
+    stderr when it wrote no record, exited non-zero or failed a check."""
+    done = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--out", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
+    where = f"{tree}: bench/run.py --workload {workload} --seed {seed}"
     if not out.is_file():
-        raise RuntimeError(f"{tree}: bench/run.py wrote no result for "
-                           f"--workload {workload} --seed {seed}")
-    return json.loads(out.read_text())
+        raise RuntimeError(f"{where} wrote no result "
+                           f"(exit {done.returncode}):\n{done.stderr}")
+    record = json.loads(out.read_text())
+    if done.returncode != 0 or not record["correct"]:
+        failures = "\n".join(f"  {name}: {why}"
+                             for name, why in record["failures"].items())
+        raise RuntimeError(f"{where} exited {done.returncode}, failed "
+                           f"checks:\n{failures or done.stderr}")
+    return record
 
 
 def main(argv=None) -> int:
@@ -140,9 +152,6 @@ def main(argv=None) -> int:
                         help="number of base/change pairs (default 10)")
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair i runs seed SEED_BASE + i on both sides")
-    parser.add_argument("--seconds", type=float,
-                        default=contract["run_seconds"],
-                        help="bench/run.py --seconds (default: BENCHMARK.json)")
     parser.add_argument("--out", help="write run records and summary here")
     args = parser.parse_args(argv)
 
@@ -165,7 +174,8 @@ def main(argv=None) -> int:
             for side in order:
                 try:
                     pair[side] = _run(trees[side], args.workload, seed,
-                                      args.seconds, tmp / f"{side}-{seed}.json")
+                                      contract["run_seconds"],
+                                      tmp / f"{side}-{seed}.json")
                 except RuntimeError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
