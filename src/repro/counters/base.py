@@ -46,6 +46,9 @@ class CounterBank(abc.ABC):
         # Ground-truth per-site counts; the coordinator never reads these
         # directly (only through the protocol), but tests and exact banks do.
         self._local = np.zeros((self.n_counters, self.n_sites), dtype=np.int64)
+        # bulk_add_sites' scatter target, allocated on first use and
+        # all-zero between calls.
+        self._round_table: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _validate_bulk(self, counter_ids, site_ids, counts):
@@ -244,10 +247,54 @@ class CounterBank(abc.ABC):
     def bulk_add_site(self, site: int, counter_ids, counts) -> None:
         """Apply pre-aggregated increments observed at one site.
 
-        ``counter_ids`` must be unique; this is the fast path used by the
-        streaming estimator, which already aggregates each batch per site,
-        and the entry point every distributed round (live apply and WAL
-        replay) goes through.  All checks run before the bank is touched.
+        ``counter_ids`` must be unique.  All checks run before the bank
+        is touched.  This per-site walk is the reference the table entry
+        points reproduce exactly; a whole distributed round goes through
+        :meth:`bulk_add_sites` instead.
+        """
+        counter_ids, counts = self._check_site_slice(site, counter_ids, counts)
+        if counter_ids.size:
+            self._apply_site(int(site), counter_ids, counts)
+
+    def bulk_add_sites(self, slices) -> None:
+        """Apply one round's ``(site, counter_ids, counts)`` slices at once.
+
+        Sites must be strictly ascending, and each slice obeys the
+        :meth:`bulk_add_site` rules; a bad slice raises before the bank
+        is touched.  Each checked slice is scattered into a reused
+        ``(n_sites, n_counters)`` table, which is applied through
+        :meth:`_apply_table`, so the bank and its message log (epoch
+        included) end exactly where one :meth:`bulk_add_site` call per
+        slice would leave them.  This is the entry point of every
+        distributed round, live apply and WAL replay alike.
+        """
+        if self._round_table is None:
+            self._round_table = np.zeros(
+                (self.n_sites, self.n_counters), dtype=np.int64
+            )
+        table = self._round_table
+        sites: list[int] = []
+        try:
+            for site, counter_ids, counts in slices:
+                counter_ids, counts = self._check_site_slice(
+                    site, counter_ids, counts
+                )
+                site = int(site)
+                if sites and site <= sites[-1]:
+                    raise CounterError(
+                        f"bulk_add_sites sites must be strictly ascending, "
+                        f"got site {site} after site {sites[-1]}"
+                    )
+                sites.append(site)
+                table[site, counter_ids] = counts
+            if sites:
+                self._apply_table(table)
+        finally:
+            table[sites] = 0
+
+    def _check_site_slice(self, site, counter_ids, counts):
+        """``bulk_add_site``'s checks; returns the slice as int64 arrays.
+
         Strictly ascending ids — what every in-repo producer ships — are
         proven unique by one O(n) comparison; only other orders pay for
         the ``np.unique`` sort.
@@ -259,7 +306,7 @@ class CounterBank(abc.ABC):
         if not 0 <= site < self.n_sites:
             raise CounterError(f"site {site} out of range")
         if counter_ids.size == 0:
-            return
+            return counter_ids, counts
         if counter_ids.min() < 0 or counter_ids.max() >= self.n_counters:
             raise CounterError("counter id out of range")
         if counts.min() <= 0:
@@ -269,7 +316,7 @@ class CounterBank(abc.ABC):
             and np.unique(counter_ids).size != counter_ids.size
         ):
             raise CounterError("bulk_add_site counter_ids must be unique")
-        self._apply_site(int(site), counter_ids, counts)
+        return counter_ids, counts
 
     def add(self, counter_id: int, site_id: int, count: int = 1) -> None:
         """Convenience scalar form of :meth:`bulk_add`."""

@@ -142,10 +142,11 @@ class HYZCounterBank(CounterBank):
     # ------------------------------------------------------------------
     # `bulk_add_grouped` and `bulk_add_site` are inherited from
     # CounterBank: they hand each site's whole (counter, count) slice to
-    # `_apply_site` in ascending site order.  `_apply_table` below walks
-    # the same slices minus counters whose outcome draws no randomness,
-    # so every entry point consumes this bank's RNG stream identically —
-    # the hot-path regression test pins that byte-for-byte.
+    # `_apply_site` in ascending site order.  `_apply_table` below (behind
+    # `bulk_add_table` and `bulk_add_sites`) walks the same slices minus
+    # counters whose outcome draws no randomness, so every entry point
+    # consumes this bank's RNG stream identically — the hot-path
+    # regression test pins that byte-for-byte.
     def _apply_table(self, table: np.ndarray) -> None:
         """Apply a dense ``(n_sites, n_counters)`` table.
 
@@ -166,11 +167,15 @@ class HYZCounterBank(CounterBank):
         fast = (self._p[touched] >= 1.0) & (
             totals[touched] < self._exact_room(touched)
         )
-        cols, walk = touched[fast], touched[~fast]
-        increments = table[:, cols]
-        self._local[cols] += increments.T
-        self._reported[cols] += increments.T
-        self._reported_sum[cols] += totals[cols]
+        walk = touched[~fast]
+        # The fast set is most of the table on LINK, so whole-array adds
+        # of the masked table beat gathering its columns.
+        is_fast = np.zeros(self.n_counters, dtype=bool)
+        is_fast[touched[fast]] = True
+        increments = np.where(is_fast, table, 0)
+        self._local += increments.T
+        self._reported += increments.T
+        self._reported_sum += np.where(is_fast, totals, 0)
         fast_reports = increments.sum(axis=1)
         for site in range(self.n_sites):
             row = table[site, walk]

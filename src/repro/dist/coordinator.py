@@ -13,10 +13,11 @@ worker processes (:mod:`repro.dist.site`).  Per ingest round it
    instead of buffering unboundedly),
 3. drains :class:`~repro.dist.messages.ValueReport` frames, re-aligns
    them by round, and applies each round's per-site aggregates to the
-   inner session's counter bank **in ascending site order** — the exact
-   call sequence (`bulk_add_site` per non-silent site) the in-process
-   grouped paths produce, so the bank state, message-log tallies, and
-   RNG consumption are bit-identical to the in-process channel,
+   inner session's counter bank **in ascending site order** as one
+   dense ``(k, n_counters)`` table (``CounterBank.bulk_add_sites``) —
+   the same apply the in-process dense path makes, so the bank state,
+   message-log tallies (epoch included), and RNG consumption are
+   bit-identical to the in-process channel,
 4. fans out a :class:`~repro.dist.messages.ThresholdUpdate` to every
    worker whenever the apply started new counter rounds (the
    coordinator's round-sync broadcast), collecting the workers'
@@ -609,9 +610,10 @@ class DistributedSession:
         This is the conformance-critical step: workers host contiguous
         ascending site shards and report each shard's aggregates in
         ascending site order, so walking workers by index yields the
-        global ascending site walk — the identical ``_apply_site`` call
-        sequence (and therefore RNG consumption) the in-process grouped
-        paths produce for the same batch.
+        global ascending site order ``bulk_add_sites`` requires.  It
+        applies the round as one dense table, which leaves the bank,
+        message log and RNG exactly where the in-process paths leave
+        them for the same batch.
         """
         bank = self.inner.estimator.bank
         log = self.inner.message_log
@@ -626,9 +628,11 @@ class DistributedSession:
                 # apply replays it instead of losing it.
                 self._durable.log_round(seq, record)
             broadcasts_before = log.count(MessageKind.BROADCAST)
-            for worker_index in sorted(record["got"]):
-                for agg in record["got"][worker_index]:
-                    bank.bulk_add_site(agg.site, agg.counter_ids, agg.counts)
+            bank.bulk_add_sites(
+                (agg.site, agg.counter_ids, agg.counts)
+                for worker_index in sorted(record["got"])
+                for agg in record["got"][worker_index]
+            )
             self.inner.estimator.events_seen += record["m"]
             self._applied_seq = seq
             del self._rounds[seq]

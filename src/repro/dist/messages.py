@@ -67,7 +67,7 @@ class SiteAggregate:
 
     ``counter_ids`` are unique and ascending, ``counts`` strictly
     positive — the exact slice shape
-    :meth:`~repro.counters.base.CounterBank.bulk_add_site` consumes, so
+    :meth:`~repro.counters.base.CounterBank.bulk_add_sites` consumes, so
     the coordinator applies a report without re-aggregating.  The
     contract is on values, not dtype: shards ship the narrowest unsigned
     dtypes that hold ``n_counters - 1`` and the sub-batch's row count,

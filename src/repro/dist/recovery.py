@@ -656,9 +656,11 @@ def load_recovery(directory, *, network=None):
         # The conformance-critical order: ascending worker, then each
         # worker's aggregates ascending by site — identical to
         # DistributedSession._apply_ready, so RNG consumption matches.
-        for worker in sorted(record.reports):
-            for agg in record.reports[worker]:
-                bank.bulk_add_site(agg.site, agg.counter_ids, agg.counts)
+        bank.bulk_add_sites(
+            (agg.site, agg.counter_ids, agg.counts)
+            for worker in sorted(record.reports)
+            for agg in record.reports[worker]
+        )
         inner.estimator.events_seen += record.m
         expected += 1
         replayed += 1

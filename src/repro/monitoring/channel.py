@@ -54,8 +54,9 @@ class MessageLog:
         """Sync-epoch counter for the read-serving layer.
 
         Advances by exactly one per record call that carries at least one
-        message; zero-count and empty calls leave it unchanged.  The
-        coordinator's estimates can only change when a message is
+        message (:meth:`record_reports_bulk` counts as one call per
+        non-zero entry); zero-count and empty calls leave it unchanged.
+        The coordinator's estimates can only change when a message is
         recorded (every counter-bank apply path records its reports in
         the same call), so a :class:`~repro.serve.ModelSnapshot` built at
         epoch ``e`` stays exact for as long as ``epoch == e`` — the
@@ -107,7 +108,11 @@ class MessageLog:
             self._epoch += 1
 
     def record_reports_bulk(self, sites: np.ndarray, counts: np.ndarray) -> None:
-        """Vectorized :meth:`record` for REPORT messages."""
+        """Vectorized :meth:`record` for REPORT messages.
+
+        Equivalent to one ``record(REPORT, sites[i], counts[i])`` call per
+        entry, epoch included: the epoch advances once per non-zero count.
+        """
         sites = np.asarray(sites, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         if sites.shape != counts.shape:
@@ -118,11 +123,9 @@ class MessageLog:
             raise ValueError("counts must be >= 0")
         if np.any(sites < 0) or np.any(sites >= self.n_sites):
             raise ValueError("site index out of range")
-        total = int(counts.sum())
-        self._per_kind[MessageKind.REPORT] += total
+        self._per_kind[MessageKind.REPORT] += int(counts.sum())
         np.add.at(self._per_site, sites, counts)
-        if total > 0:
-            self._epoch += 1
+        self._epoch += int(np.count_nonzero(counts))
 
     # ------------------------------------------------------------------
     @property

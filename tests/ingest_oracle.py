@@ -10,6 +10,9 @@ with:
 - :func:`reference_ingest` — that encoding, one ``bincount`` per site and
   ``bank.bulk_add_site`` in ascending site order (the original
   boolean-mask ingest);
+- :func:`reference_apply_round` — a distributed round's aggregates fed
+  through ``bank.bulk_add_site`` one site at a time, the coordinator's
+  apply before it handed whole rounds to ``bank.bulk_add_sites``;
 - :class:`ScalarThresholdBank` — a deterministic bank that advances each
   crossing counter with the scalar ``while`` loop of
   :func:`advance_thresholds`.
@@ -65,6 +68,18 @@ def reference_ingest(estimator, data, sites) -> None:
         touched = np.flatnonzero(dense)
         estimator.bank.bulk_add_site(site, touched, dense[touched])
     estimator.events_seen += int(sites.size)
+
+
+def reference_apply_round(bank, reports: dict) -> None:
+    """Apply one round's ``{worker: [SiteAggregate, ...]}`` site by site.
+
+    Workers ascending, then each worker's aggregates in shipped (site
+    ascending) order: the per-site walk ``bank.bulk_add_sites`` must
+    reproduce, epoch included.
+    """
+    for worker in sorted(reports):
+        for agg in reports[worker]:
+            bank.bulk_add_site(agg.site, agg.counter_ids, agg.counts)
 
 
 def assert_states_equal(expected: dict, actual: dict, label=None) -> None:

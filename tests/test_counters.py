@@ -331,3 +331,75 @@ class TestBulkAddSiteValidation:
                 assert _frozen(bank) == before
                 rejected += 1
         assert accepted > 40 and rejected > 40
+
+
+# ----------------------------------------------------------------------
+# bulk_add_sites: one round as one dense table, byte-identical to the
+# per-site walk, and every bad slice refused before the bank is touched.
+# ----------------------------------------------------------------------
+GOOD_SLICE = (0, [1, 4, 9], [2, 1, 5])
+
+
+@pytest.mark.parametrize("kind", sorted(BANK_FACTORIES))
+class TestBulkAddSites:
+    def _rounds(self, rng, n_rounds=30):
+        """Rounds of ascending-site slices; counts large enough to move
+        HYZ counters through round changes and into sampling mode."""
+        for _ in range(n_rounds):
+            sites = np.flatnonzero(rng.random(N_SITES) < 0.7)
+            yield [
+                (int(site),
+                 np.sort(rng.choice(N_COUNTERS, size=12, replace=False)),
+                 rng.integers(1, 60, size=12))
+                for site in sites
+            ]
+
+    def test_round_matches_per_site_walk(self, kind):
+        rng = np.random.default_rng(21)
+        table, walk = BANK_FACTORIES[kind](), BANK_FACTORIES[kind]()
+        for slices in self._rounds(rng):
+            table.bulk_add_sites(slices)
+            for site, ids, counts in slices:
+                walk.bulk_add_site(site, ids, counts)
+            assert _frozen(table) == _frozen(walk)
+        assert not table._round_table.any()
+        assert walk.message_log.epoch > 0
+
+    def test_empty_round_is_a_noop(self, kind):
+        bank = BANK_FACTORIES[kind]()
+        before = _frozen(bank)
+        bank.bulk_add_sites([])
+        bank.bulk_add_sites([(1, [], [])])
+        assert _frozen(bank) == before
+
+    @pytest.mark.parametrize("name, bad", [
+        ("id-too-large", (2, [3, N_COUNTERS], [1, 1])),
+        ("id-negative", (2, [-1, 3], [1, 1])),
+        ("duplicate-id", (2, [3, 7, 3], [1, 1, 1])),
+        ("zero-count", (2, [3, 7], [1, 0])),
+        ("misaligned", (2, [3, 7], [1])),
+        ("site-too-large", (N_SITES, [3, 7], [1, 1])),
+        ("site-negative", (-1, [3, 7], [1, 1])),
+        ("repeated-site", (0, [3, 7], [1, 1])),
+        ("descending-site", (1, [3, 7], [1, 1])),
+    ])
+    def test_rejections_leave_the_bank_untouched(self, kind, name, bad):
+        bank = BANK_FACTORIES[kind]()
+        bank.bulk_add_site(0, np.arange(10), np.full(10, 30))  # live state
+        before = _frozen(bank)
+        # A good slice first, so a scatter-then-check design would have
+        # already written it; the descending case needs a site above 1.
+        head = (3,) + GOOD_SLICE[1:] if name == "descending-site" \
+            else GOOD_SLICE
+        slices = [(s, np.array(i), np.array(c)) for s, i, c in (head, bad)]
+        with pytest.raises(CounterError):
+            bank.bulk_add_sites(slices)
+        assert _frozen(bank) == before
+        # The reused table is left clean: the next round, at a site the
+        # refused round did not write, applies exactly as the walk does.
+        walk = BANK_FACTORIES[kind]()
+        walk.load_state_dict(bank.state_dict())
+        walk.message_log.load_state_dict(bank.message_log.state_dict())
+        bank.bulk_add_sites([(1,) + GOOD_SLICE[1:]])
+        walk.bulk_add_site(1, *GOOD_SLICE[1:])
+        assert _frozen(bank) == _frozen(walk)

@@ -3,10 +3,11 @@
 The load-bearing guarantee is the conformance contract: for any
 ``EstimatorSpec`` and seeded stream, :class:`~repro.dist.DistributedSession`
 produces the **same per-site message counts and the same final
-estimates** as the in-process :class:`~repro.api.MonitoringSession`
-reference — across the full algorithm × counter-backend matrix, under
-pipelining, and across worker kills (SIGKILL included) with
-state_dict-based respawn.  The suite also covers the transport layer's
+estimates**, indeed the same bank and message-log ``state_dict()``
+with the sync epoch, as the in-process
+:class:`~repro.api.MonitoringSession` reference — across the full
+algorithm × counter-backend matrix, under pipelining, and across worker
+kills (SIGKILL included) with state_dict-based respawn.  The suite also covers the transport layer's
 backpressure and fault-injection machinery, the ``MessageLog`` edge
 cases, the executor/CLI integration, and the auto-mode sampler.
 """
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from dist_faults import DieOnceMarker, delay_recv, delay_send, kill_after, merge
+from ingest_oracle import assert_states_equal
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
 from repro.bn.sampling import ForwardSampler
@@ -50,13 +52,20 @@ def batches_for(net, *, rounds=3, size=60, seed=2024):
 
 
 def assert_conformant(ref: MonitoringSession, dist: DistributedSession):
-    """The contract: identical tallies, per-site counts, and estimates."""
+    """The contract: identical tallies, per-site counts and estimates —
+    in fact the whole bank and message-log state, epoch included."""
     assert dist.metrics() == ref.metrics()
     assert np.array_equal(
         dist.message_log.site_messages, ref.message_log.site_messages
     )
     assert np.array_equal(dist.estimates(), ref.estimates())
     assert dist.events_seen == ref.events_seen
+    assert_states_equal(
+        ref.estimator.bank.state_dict(), dist.estimator.bank.state_dict()
+    )
+    assert_states_equal(
+        ref.message_log.state_dict(), dist.message_log.state_dict()
+    )
 
 
 def run_pair(spec, batches, **dist_kwargs):

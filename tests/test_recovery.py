@@ -30,12 +30,14 @@ from dist_faults import (
     coordinator_crash,
     run_crashing_child,
 )
+from ingest_oracle import assert_states_equal, reference_apply_round
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
 from repro.bn.repository import network_by_name
 from repro.dist import (
     DistributedSession,
     RecoveryError,
+    SiteShard,
     WalCorrupt,
     WriteAheadLog,
     load_recovery,
@@ -43,6 +45,7 @@ from repro.dist import (
 from repro.dist.messages import SiteAggregate
 from repro.dist.recovery import (
     CHECKPOINT_NAME,
+    DurableCoordinator,
     STATE_NAME,
     WAL_MAGIC,
     WAL_NAME,
@@ -107,32 +110,6 @@ def chaos_refs(chaos_net, chaos_batches):
             ref.ingest(batch, validate=False)
         refs[backend] = ref
     return refs
-
-
-@pytest.fixture(scope="module")
-def chaos_dist_epochs(chaos_net, chaos_batches, chaos_refs):
-    """Final sync epoch of an *uninterrupted distributed* run per backend.
-
-    The epoch advances once per message-*recording call*.  The HYZ bank
-    makes the same calls in both runtimes (``tests/test_serve.py`` pins
-    distributed epoch == in-process epoch for it), but the exact bank
-    records an in-process dense batch in one call where the coordinator's
-    per-site apply makes one per site aggregate — so epoch continuity
-    across a crash is judged against an uninterrupted distributed run for
-    every backend, not the in-process reference (whose metrics, per-site
-    counts, and estimates the distributed runtime does match exactly).
-    """
-    epochs = {}
-    for backend in BACKENDS:
-        with DistributedSession(
-            chaos_spec(backend), network=chaos_net, procs=PROCS
-        ) as dist:
-            for batch in chaos_batches:
-                dist.ingest(batch, validate=False)
-            dist.flush()
-            assert dist.metrics() == chaos_refs[backend].metrics()
-            epochs[backend] = dist.message_log.epoch
-    return epochs
 
 
 def sample_reports(seq: int) -> dict:
@@ -360,6 +337,46 @@ class TestDurableSession:
             load_recovery(tmp_path)
 
 
+class TestParentWalCompatibility:
+    def test_per_site_walk_wal_replays_byte_identically(
+        self, tmp_path, chaos_net, chaos_batches, chaos_refs
+    ):
+        """A WAL whose record epochs come from the per-site
+        ``bulk_add_site`` apply (what the coordinator did before
+        ``bulk_add_sites``) replays through the whole-round apply with
+        every epoch check passing, onto the uninterrupted state."""
+        spec = chaos_spec("exact")
+        inner = MonitoringSession(spec, network=chaos_net)
+        durable = DurableCoordinator(tmp_path, inner, fsync="off")
+        shards = [SiteShard(spec, range(0, K // 2), network=chaos_net),
+                  SiteShard(spec, range(K // 2, K), network=chaos_net)]
+        for seq, batch in enumerate(chaos_batches, start=1):
+            sites = inner.partitioner.assign(batch.shape[0])
+            got = {}
+            for worker, shard in enumerate(shards):
+                mask = np.isin(sites, shard.sites)
+                got[worker] = shard.encode(seq, batch[mask], sites[mask])
+            record = {"m": batch.shape[0], "got": got,
+                      "partitioner": inner.partitioner.state_dict()}
+            durable.log_round(seq, record)
+            reference_apply_round(inner.estimator.bank, got)
+            inner.estimator.events_seen += record["m"]
+        durable.wal.close()  # a crash: no closing checkpoint
+
+        recovered, _, info = load_recovery(tmp_path, network=chaos_net)
+        assert info["replayed_rounds"] == len(chaos_batches)
+        ref = chaos_refs["exact"]
+        # One epoch per non-silent site per round, as the walk recorded.
+        assert ref.message_log.epoch == inner.message_log.epoch
+        for live in (recovered, inner):
+            assert_states_equal(ref.estimator.bank.state_dict(),
+                                live.estimator.bank.state_dict())
+            assert_states_equal(ref.message_log.state_dict(),
+                                live.message_log.state_dict())
+            assert_states_equal(ref.partitioner.state_dict(),
+                                live.partitioner.state_dict())
+
+
 class TestCrashedDirectoryDamage:
     """Damage on top of a *real* crashed coordinator's directory."""
 
@@ -441,7 +458,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_crash_recover_conformance(
         self, point, transport, backend, tmp_path,
-        chaos_net, chaos_batches, chaos_refs, chaos_dist_epochs,
+        chaos_net, chaos_batches, chaos_refs,
     ):
         directory = tmp_path / "wal"
         payload = crash_payload(
@@ -481,12 +498,14 @@ class TestChaosMatrix:
             assert np.array_equal(recovered.estimates(), ref.estimates())
             # Serve-layer continuity: the recovered coordinator's sync
             # epoch — and therefore the epoch stamped on every
-            # ModelSnapshot built over it — matches an uninterrupted
-            # distributed run's exactly (see chaos_dist_epochs).
-            assert recovered.message_log.epoch == \
-                chaos_dist_epochs[backend]
+            # ModelSnapshot built over it — matches the uninterrupted
+            # in-process run's exactly, as does every other tally.
+            assert_states_equal(
+                ref.message_log.state_dict(),
+                recovered.message_log.state_dict(),
+            )
             assert recovered.serve().snapshot().epoch == \
-                chaos_dist_epochs[backend]
+                ref.message_log.epoch
         finally:
             recovered.close()
 

@@ -3,7 +3,8 @@
 Layers covered:
 
 - ``MessageLog.epoch`` — every record path advances the sync epoch
-  exactly once per call carrying messages; no-op calls never do.
+  exactly once per call carrying messages (the bulk REPORT call once
+  per non-zero site); no-op calls never do.
 - ``ModelSnapshot`` / ``QueryServer`` — served answers are bit-identical
   to the live session's scalar walks at every sync epoch, snapshots are
   rebuilt only on epoch advances, and all three LRUs behave.
@@ -19,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from ingest_oracle import assert_states_equal
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
 from repro.errors import QueryError
@@ -76,12 +78,16 @@ class TestMessageLogEpoch:
         log.record_syncs_all(0)
         assert log.epoch == 2
 
-    def test_reports_bulk_advances_once_per_call(self):
-        log = MessageLog(4)
-        log.record_reports_bulk(
-            np.array([0, 1, 2, 3]), np.array([5, 1, 2, 9])
-        )
-        assert log.epoch == 1
+    def test_reports_bulk_matches_per_site_records(self):
+        # One epoch per non-zero entry, exactly the equivalent record()
+        # calls: a dense apply and a per-site walk must agree on it.
+        sites, counts = np.array([0, 1, 2, 3]), np.array([5, 0, 2, 9])
+        bulk, walk = MessageLog(4), MessageLog(4)
+        bulk.record_reports_bulk(sites, counts)
+        for site, count in zip(sites, counts):
+            walk.record(MessageKind.REPORT, int(site), int(count))
+        assert bulk.epoch == 3
+        assert_states_equal(walk.state_dict(), bulk.state_dict())
 
     def test_reports_bulk_empty_and_zero_are_noops(self):
         log = MessageLog(4)

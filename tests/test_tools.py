@@ -55,6 +55,31 @@ def test_check_docs_resolves_cli_flags():
     assert check_docs.unknown_flags(text, flags) == ["--hyz-engine"]
 
 
+def test_check_docs_accepts_balanced_fences():
+    check_docs = _load("check_docs")
+    text = (
+        "Intro.\n\n```bash\nmake test\n```\n\n"
+        "   ~~~\n   indented in a list\n   ~~~  \n\n"
+        "````markdown\n```python\nnested\n```\n````\n"
+    )
+    assert check_docs.fence_errors(text) == []
+
+
+def test_check_docs_flags_broken_fences():
+    check_docs = _load("check_docs")
+    # A closing fence with trailing text is code to CommonMark: the block
+    # runs on, and here it never closes.
+    text = "```\nbench/run.py\n```  `python -m pytest bench/ -q` runs it.\n"
+    assert check_docs.fence_errors(text) == [
+        "line 3: closing fence has trailing text "
+        "'`python -m pytest bench/ -q` runs it.'",
+        "line 1: code fence never closes",
+    ]
+    assert check_docs.fence_errors("ok\n\n~~~\nopen\n") == [
+        "line 3: code fence never closes"
+    ]
+
+
 def _pair(base, change, *, failed=(0, 0)):
     """One synthetic pair of ``bench/run.py --out`` records."""
     def record(values, failed):

@@ -11,7 +11,9 @@ in-repo files are checked for existence as well, every backticked
 every backticked ``--flag`` must be an option string that an
 ``add_argument`` call in one of the command-line front ends
 (``CLI_SOURCES``) defines (found by reading their source, never by
-importing it).
+importing it).  Code fences must balance, and a closing fence must stand
+alone: CommonMark reads "```" followed by text as code, so the block
+silently runs on to the next fence.
 
 Run it as ``make docs-check``; it exits non-zero listing every broken
 pointer, so CI catches documentation drift the moment a symbol is
@@ -45,6 +47,9 @@ MAKE_RULE = re.compile(r"^([A-Za-z0-9_.-]+)\s*:(?!=)", re.MULTILINE)
 
 #: `--flag` (optionally followed by a value or choices) in backticks.
 FLAG_MENTION = re.compile(r"`(--[A-Za-z0-9][A-Za-z0-9-]*)")
+
+#: A code fence line: any indent, a run of 3+ backticks or tildes, the rest.
+FENCE = re.compile(r"^\s*(`{3,}|~{3,})(.*)$")
 
 #: The command-line front ends whose options docs may name.
 CLI_SOURCES = (
@@ -85,6 +90,34 @@ def cli_flags(source: str) -> set[str]:
 def unknown_flags(text: str, flags: set[str]) -> list[str]:
     """Backticked ``--flag`` mentions in ``text`` no parser defines."""
     return [name for name in FLAG_MENTION.findall(text) if name not in flags]
+
+
+def fence_errors(text: str) -> list[str]:
+    """Code fences in ``text`` that break the document's layout.
+
+    Inside a block, a fence of the opening character at least as long
+    as the opener closes it only if nothing but whitespace follows; with
+    trailing text it is reported.  A block still open at the end of the
+    text is reported too.
+    """
+    errors = []
+    opened = None  # (line number, fence run) of the open block
+    for number, line in enumerate(text.splitlines(), start=1):
+        match = FENCE.match(line)
+        if match is None:
+            continue
+        run, rest = match.groups()
+        if opened is None:
+            opened = (number, run)
+        elif run[0] == opened[1][0] and len(run) >= len(opened[1]):
+            if rest.strip():
+                errors.append(f"line {number}: closing fence has trailing "
+                              f"text {rest.strip()!r}")
+            else:
+                opened = None
+    if opened is not None:
+        errors.append(f"line {opened[0]}: code fence never closes")
+    return errors
 
 
 def _defined_names(tree: ast.Module) -> dict[str, ast.AST]:
@@ -169,6 +202,8 @@ def check_file(doc_path: Path, targets: set[str],
     for name in unknown_flags(text, flags):
         errors.append(f"{rel}: `{name}` — no add_argument call in "
                       f"{' or '.join(CLI_SOURCES)} defines it")
+
+    errors.extend(f"{rel}: {error}" for error in fence_errors(text))
     return errors
 
 
@@ -190,7 +225,7 @@ def main() -> int:
         errors.extend(found)
         checked += len(POINTER.findall(doc.read_text()))
     if errors:
-        print(f"docs-check: {len(errors)} broken pointer(s):", file=sys.stderr)
+        print(f"docs-check: {len(errors)} problem(s):", file=sys.stderr)
         for error in errors:
             print(f"  {error}", file=sys.stderr)
         return 1
