@@ -219,6 +219,29 @@ class BayesianNetwork:
             raise QueryError("assignment contains out-of-range state indices")
         return arr
 
+    def _as_index_rows(self, data) -> np.ndarray:
+        """Coerce a batch of full assignments to ``(m, n)`` state indices.
+
+        The batch form of :meth:`_as_index_vector`'s sequence rule: a
+        wrong shape, or any state outside ``[0, J_i)``, raises
+        :class:`QueryError`.
+        """
+        data = np.asarray(data, dtype=np.int64)
+        n = len(self._order)
+        if data.ndim != 2 or data.shape[1] != n:
+            raise QueryError(
+                f"data must have shape (m, {n}), got {data.shape}"
+            )
+        # One unsigned comparison covers both ends: a negative state
+        # wraps to >= 2**63 and fails it like a too-large one.
+        out = data.view(np.uint64) >= self.cardinalities().astype(np.uint64)
+        if out.any():
+            row = int(np.flatnonzero(out.any(axis=1))[0])
+            raise QueryError(
+                f"row {row} contains out-of-range state indices"
+            )
+        return data
+
     def log_probability(self, assignment) -> float:
         """Natural log of the joint probability of a full assignment.
 

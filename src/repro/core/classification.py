@@ -124,10 +124,12 @@ class BayesianClassifier:
         """Predict ``targets[r]`` for each row ``r`` of full assignments.
 
         ``data`` supplies the true values; the target's column is treated
-        as hidden.  Returns the predicted state per row.
+        as hidden.  Returns the predicted state per row.  A row holding
+        a state outside its variable's domain (target column included)
+        raises :class:`QueryError`, as a scalar ``log_query`` would.
         """
-        data = np.asarray(data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[0] != len(targets):
+        data = self.network._as_index_rows(data)
+        if data.shape[0] != len(targets):
             raise QueryError("data rows must align with the targets list")
         if isinstance(self.model, StreamingMLEEstimator):
             self._estimates_cache = self.model.bank.estimates()

@@ -15,18 +15,30 @@ unique ``(site, counter, count)`` triples by one histogram pass, and handed
 to the bank's grouped fast path (``docs/performance.md`` maps the whole
 hot path).
 
-The encoder walks the per-variable ``(parent position, stride)`` pairs of
-the shared stride plan
-(:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) over a
-*transposed* ``(n, m)`` batch, so each gather/multiply/add is a contiguous
-row operation; ``O(edges)`` work per event with no Python loop per
-variable.  It emits only the *joint* counter ids: each event contributes
-exactly one joint id and one parent id per variable, and the parent id is
-a pure function of the joint id, so the grouping layer derives the
-parent-half histogram from the joint-half histogram
-(``_derive_parent_counts``) instead of encoding and binning a second
-``(m, n)`` array.  The per-variable reference encoder the tests compare
-against lives in ``tests/ingest_oracle.py``.
+One row walk (``_joint_id_rows``) turns a batch of full assignments into
+counter ids: it copies the batch *transposed* into a compact ``(n, m)``
+workspace once, then walks the per-variable ``(parent position, stride)``
+pairs of the shared stride plan
+(:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) and yields each
+variable's joint-id row in layout order, so each multiply/add is a
+contiguous row operation; ``O(edges)`` work per event with no Python loop
+per variable.  It serves both directions:
+
+- ingest (``_encode_joint``) folds in the grouping layer's site keys and
+  upcasts each row.  Only *joint* ids are encoded: each event contributes
+  exactly one joint id and one parent id per variable, and the parent id
+  is a pure function of the joint id, so the grouping layer derives the
+  parent-half histogram from the joint-half histogram
+  (``_derive_parent_counts``) instead of encoding and binning a second
+  ``(m, n)`` array;
+- batched point queries (``log_query_batch`` here, and
+  ``QueryServer.log_joint_batch`` over snapshot terms) gather each row's
+  terms and sum them in layout order, the same float additions as the
+  scalar walk.  Reads use their own workspace, so a read burst never
+  reallocates the ingest buffers.
+
+The per-variable reference encoder and query loop the tests compare
+against live in ``tests/ingest_oracle.py``.
 ``query``/``query_event`` implement Algorithm 3.
 """
 
@@ -70,16 +82,45 @@ class _VariableLayout:
             return 0
         return int(row[self.parent_positions] @ self.parent_strides)
 
-    def parent_state_batch(self, data: np.ndarray) -> np.ndarray:
-        if self.parent_positions.size == 0:
-            return np.zeros(data.shape[0], dtype=np.int64)
-        return data[:, self.parent_positions] @ self.parent_strides
+
+class _StrictScan:
+    """Strict batch-query semantics, one family at a time.
+
+    Tracks, per row, the first family whose numerator is zero (``neg``)
+    and the first whose positive numerator sits over a zero denominator
+    (``bad``).  The scalar walk stops at the first degenerate family, so
+    a row raises exactly when that family is the ``bad`` kind.
+    """
+
+    __slots__ = ("n", "first_neg", "first_bad")
+
+    def __init__(self, m: int, n: int) -> None:
+        self.n = n
+        self.first_neg = np.full(m, n, dtype=np.int64)
+        self.first_bad = np.full(m, n, dtype=np.int64)
+
+    def see(self, index: int, neg: np.ndarray, bad: np.ndarray) -> None:
+        n = self.n
+        np.minimum(self.first_neg, np.where(neg, index, n),
+                   out=self.first_neg)
+        np.minimum(self.first_bad, np.where(bad, index, n),
+                   out=self.first_bad)
+
+    def check(self) -> None:
+        offending = np.flatnonzero(self.first_bad < self.first_neg)
+        if offending.size:
+            raise QueryError(
+                f"parent counter is zero while joint counter is not "
+                f"for row {int(offending[0])} (and "
+                f"{int(offending.size) - 1} more); the model has seen "
+                f"no consistent data for these events"
+            )
 
 
 class _SparseEncodePlan:
     """Flattened per-variable ``(parent position, stride)`` pairs.
 
-    The sparse encoder walks one plan row per variable over the
+    The row walk steps through one plan row per variable over the
     *transposed* batch: each step is a handful of contiguous
     ``(m,)``-vector operations on a cache-resident row (multiply by the
     CPD stride, accumulate, fold in the layout offset and the optional
@@ -226,54 +267,65 @@ class StreamingMLEEstimator:
             self._buffers[key] = buf
         return buf
 
-    def _encode_joint(
-        self, data: np.ndarray, add: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Joint counter ids as an ``(n, m)`` transposed workspace array.
+    def _joint_id_rows(self, data: np.ndarray, workspace: str):
+        """Yield ``(index, ids)``: each variable's joint counter ids.
 
-        Works in a compact integer dtype (int32 whenever the id space
-        fits, which halves memory traffic and doubles SIMD width), one
-        variable row at a time: multiply the variable's states by its
-        stride, accumulate each parent's contribution, then fold in the
-        layout offset — and ``add`` (per-event values, e.g. the grouping
-        layer's ``site * n_counters`` keys) — while the row is still
-        cache-hot.  A final bulk pass upcasts to int64, which
-        ``np.bincount`` consumes without an internal copy.  When ``data``
-        is F-contiguous (the
+        ``data`` is ``(m, n)`` state indices.  It is copied transposed
+        into a compact integer workspace once (int32 whenever the id
+        space fits, which halves memory traffic and doubles SIMD width;
+        when ``data`` is F-contiguous — the
         :meth:`~repro.bn.sampling.ForwardSampler.sample_stream`
-        ``reuse_buffer`` layout) the transpose read is a free view.
+        ``reuse_buffer`` layout — the transpose read is a free view).
+        Then, one variable at a time in layout order, the walk multiplies
+        the variable's states by its stride, accumulates each parent's
+        contribution and adds the layout offset.  ``ids`` is one reused,
+        cache-hot ``(m,)`` row: consume it before advancing the walk.
 
-        ``add`` requires ``offset + id + add`` to stay inside the compact
-        dtype; callers gate on ``n_sites * n_counters - 1`` fitting
-        :attr:`_sparse_dtype` (see ``_update_grouped_dense``).
+        ``workspace`` prefixes the scratch-buffer keys.  Ingest and reads
+        keep separate workspaces, so a read whose row count differs from
+        the ingest chunk never reallocates the ingest buffers.
         """
-        plan = self._sparse_plan
         n = len(self._layouts)
         m = data.shape[0]
         dtype = self._sparse_dtype
-        dataT = self._buffer("sparse.dataT", (n, m), dtype)
+        dataT = self._buffer(workspace + ".dataT", (n, m), dtype)
         np.copyto(dataT, data.T, casting="unsafe")
-        joint = self._buffer("sparse.joint", (n, m), dtype)
-        scratch = self._buffer("sparse.scratch", (m,), dtype)
-        if add is not None:
-            add = np.asarray(add, dtype=dtype)
-        out = (
-            joint if dtype is np.int64
-            else self._buffer("sparse.joint64", (n, m), np.int64)
-        )
-        for index, (k_configs, joint_offset, parents) in enumerate(plan.rows):
-            row = joint[index]
+        row = self._buffer(workspace + ".row", (m,), dtype)
+        scratch = self._buffer(workspace + ".scratch", (m,), dtype)
+        for index, (k_configs, joint_offset, parents) in enumerate(
+            self._sparse_plan.rows
+        ):
             np.multiply(dataT[index], k_configs, out=row)
             for position, stride in parents:
                 np.multiply(dataT[position], stride, out=scratch)
                 row += scratch
             row += joint_offset
-            # The upcast to int64 (which np.bincount consumes without an
-            # internal copy) rides the last per-row op while the row is
-            # cache-hot instead of costing a separate bulk pass.
+            yield index, row
+
+    def _encode_joint(
+        self, data: np.ndarray, add: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Joint counter ids as an ``(n, m)`` transposed int64 array.
+
+        Consumes the ``_joint_id_rows`` walk in the ``"sparse"``
+        workspace.  Each row folds in ``add`` (per-event values, e.g. the
+        grouping layer's ``site * n_counters`` keys) while it is still
+        cache-hot, and the same op upcasts it into the int64 output,
+        which ``np.bincount`` consumes without an internal copy.
+
+        ``add`` requires ``offset + id + add`` to stay inside the compact
+        dtype; callers gate on ``n_sites * n_counters - 1`` fitting
+        :attr:`_sparse_dtype` (see ``_update_grouped_dense``).
+        """
+        out = self._buffer(
+            "sparse.joint64", (len(self._layouts), data.shape[0]), np.int64
+        )
+        if add is not None:
+            add = np.asarray(add, dtype=self._sparse_dtype)
+        for index, row in self._joint_id_rows(data, "sparse"):
             if add is not None:
                 np.add(row, add, out=out[index])
-            elif out is not joint:
+            else:
                 np.copyto(out[index], row)
         return out
 
@@ -516,53 +568,33 @@ class StreamingMLEEstimator:
         ``-inf`` (later families are not inspected, matching the scalar
         short-circuit), while a zero *denominator* under a positive
         numerator raises :class:`QueryError` just like :meth:`log_query`
-        would on that row.
+        would on that row.  Like the scalar path, a row holding a state
+        outside its variable's domain raises :class:`QueryError` before
+        any counter is read.
+
+        Consumes the ``_joint_id_rows`` walk in the ``"query"``
+        workspace: ``num`` is gathered at each row's joint ids and
+        ``den`` through the joint -> parent map.
         """
-        data = np.asarray(data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[1] != len(self._layouts):
-            raise QueryError(
-                f"data must have shape (m, {len(self._layouts)}), "
-                f"got {data.shape}"
-            )
+        data = self.network._as_index_rows(data)
         estimates = self.bank.estimates()
-        n_layouts = len(self._layouts)
-        total = np.zeros(data.shape[0], dtype=np.float64)
-        if strict:
-            first_neg = np.full(data.shape[0], n_layouts, dtype=np.int64)
-            first_bad = np.full(data.shape[0], n_layouts, dtype=np.int64)
+        parents = estimates[self.n_joint_counters:]
+        parent_of_joint = self._parent_of_joint_rel
+        m = data.shape[0]
+        total = np.zeros(m, dtype=np.float64)
+        scan = _StrictScan(m, len(self._layouts)) if strict else None
         with np.errstate(divide="ignore", invalid="ignore"):
-            for position, layout in enumerate(self._layouts):
-                pstate = layout.parent_state_batch(data)
-                num = estimates[
-                    layout.joint_offset
-                    + data[:, layout.index] * layout.k_configs
-                    + pstate
-                ]
-                den = estimates[layout.parent_offset + pstate]
-                term = np.where(
+            for index, ids in self._joint_id_rows(data, "query"):
+                num = estimates.take(ids)
+                den = parents.take(parent_of_joint.take(ids))
+                total += np.where(
                     (num > 0) & (den > 0), np.log(num) - np.log(den), -np.inf
                 )
-                total += term
-                if strict:
+                if scan is not None:
                     neg = num <= 0
-                    bad = ~neg & (den <= 0)
-                    np.minimum(
-                        first_neg, np.where(neg, position, n_layouts),
-                        out=first_neg,
-                    )
-                    np.minimum(
-                        first_bad, np.where(bad, position, n_layouts),
-                        out=first_bad,
-                    )
-        if strict:
-            offending = np.flatnonzero(first_bad < first_neg)
-            if offending.size:
-                raise QueryError(
-                    f"parent counter is zero while joint counter is not "
-                    f"for row {int(offending[0])} (and "
-                    f"{int(offending.size) - 1} more); the model has seen "
-                    f"no consistent data for these events"
-                )
+                    scan.see(index, neg, ~neg & (den <= 0))
+        if scan is not None:
+            scan.check()
         return total
 
     # ------------------------------------------------------------------

@@ -39,6 +39,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.core.estimator import _StrictScan
 from repro.errors import QueryError
 from repro.serve.snapshot import ModelSnapshot, ServePlan
 
@@ -241,53 +242,31 @@ class QueryServer:
     ) -> np.ndarray:
         """Batched ``log_joint`` over rows of full assignments.
 
-        Row values are bit-identical to a scalar :meth:`log_joint` loop
-        (terms are gathered and accumulated family by family, the same
-        float additions in the same order).  ``strict`` mirrors
+        Row values are bit-identical to a scalar :meth:`log_joint` loop:
+        the estimator's ``_joint_id_rows`` walk (the ingest encoder's)
+        yields each family's joint ids in layout order, and their terms
+        are gathered and accumulated family by family, the same float
+        additions in the same order.  ``strict`` mirrors
         ``StreamingMLEEstimator.log_query_batch``: ``False`` folds every
         degenerate family into ``-inf``, ``True`` raises
-        :class:`QueryError` exactly where the scalar walk would.
+        :class:`QueryError` exactly where the scalar walk would.  A row
+        holding an out-of-range state raises :class:`QueryError` before
+        the snapshot is touched.
         """
+        estimator = self._estimator
+        data = self._network._as_index_rows(data)
         snap = self.snapshot()
-        data = np.asarray(data, dtype=np.int64)
-        layouts = self._estimator._layouts
-        if data.ndim != 2 or data.shape[1] != len(layouts):
-            raise QueryError(
-                f"data must have shape (m, {len(layouts)}), got {data.shape}"
-            )
-        n_layouts = len(layouts)
-        total = np.zeros(data.shape[0], dtype=np.float64)
-        first_neg = np.full(data.shape[0], n_layouts, dtype=np.int64)
-        if strict:
-            first_bad = np.full(data.shape[0], n_layouts, dtype=np.int64)
-        for position, layout in enumerate(layouts):
-            ids = (
-                layout.joint_offset
-                + data[:, layout.index] * layout.k_configs
-                + layout.parent_state_batch(data)
-            )
-            total += snap.terms[ids]
-            np.minimum(
-                first_neg,
-                np.where(snap.neg[ids], position, n_layouts),
-                out=first_neg,
-            )
-            if strict:
-                np.minimum(
-                    first_bad,
-                    np.where(snap.bad[ids], position, n_layouts),
-                    out=first_bad,
-                )
-        if strict:
-            offending = np.flatnonzero(first_bad < first_neg)
-            if offending.size:
-                raise QueryError(
-                    f"parent counter is zero while joint counter is not "
-                    f"for row {int(offending[0])} (and "
-                    f"{int(offending.size) - 1} more); the model has seen "
-                    f"no consistent data for these events"
-                )
-        self.queries_served += int(data.shape[0])
+        terms, neg, bad = snap.terms, snap.neg, snap.bad
+        m = data.shape[0]
+        total = np.zeros(m, dtype=np.float64)
+        scan = _StrictScan(m, len(estimator._layouts)) if strict else None
+        for index, ids in estimator._joint_id_rows(data, "query"):
+            total += terms.take(ids)
+            if scan is not None:
+                scan.see(index, neg.take(ids), bad.take(ids))
+        if scan is not None:
+            scan.check()
+        self.queries_served += m
         return total
 
     def joint_batch(self, data: np.ndarray, *, strict: bool = False
@@ -449,9 +428,11 @@ class QueryServer:
 
         ``data`` rows are full assignments whose target column is
         ignored (treated as hidden), exactly like the live batch path.
+        Every column must still hold an in-range state: a row that does
+        not raises :class:`QueryError`, as on the live path.
         """
-        data = np.asarray(data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[0] != len(targets):
+        data = self._network._as_index_rows(data)
+        if data.shape[0] != len(targets):
             raise QueryError("data rows must align with the targets list")
         snap = self.snapshot()
         predictions = np.empty(len(targets), dtype=np.int64)

@@ -18,9 +18,13 @@ Bit-identity contract: the live scalar paths (``log_query``,
 same float64 estimates per call.  ``np.log`` over arrays is *not*
 bitwise-identical to ``math.log`` on this container (SIMD polynomial
 paths differ by an ulp on a ~1e-4 fraction of inputs), so the table is
-built with a ``math.log`` loop over the non-degenerate entries — a few
-milliseconds even for LINK's 21k joint counters, paid once per sync
-epoch instead of per query.
+built with one ``math.log`` loop over the *distinct* positive estimates
+(a parent estimate divides a whole family block, and exact-mode counters
+share small integer values: over the first 210k events of a LINK stream
+its 28k counters hold 7k-14k distinct values), gathered back per
+counter and subtracted through the joint -> parent map — the same
+correctly rounded float64 ``log(num) - log(den)`` per entry.  A few
+milliseconds, paid once per sync epoch instead of per query.
 """
 
 from __future__ import annotations
@@ -34,23 +38,17 @@ class ServePlan:
     """Static layout derived once per estimator for snapshot builds.
 
     ``parent_of_joint[j]`` is the absolute counter index of the parent
-    family estimate that divides joint counter ``j`` — the same
-    arithmetic every layout in ``StreamingMLEEstimator._layouts``
-    encodes, flattened so a snapshot build is pure array gathers.
+    family estimate that divides joint counter ``j`` — the estimator's
+    own joint -> parent map (``_parent_of_joint_rel``, which the
+    grouping layer derives parent counts with) shifted past the joint
+    block, so a snapshot build is pure array gathers.
     """
 
     __slots__ = ("n_joint", "parent_of_joint")
 
     def __init__(self, estimator) -> None:
         self.n_joint = int(estimator.n_joint_counters)
-        parent_of_joint = np.empty(self.n_joint, dtype=np.int64)
-        for layout in estimator._layouts:
-            block = layout.cardinality * layout.k_configs
-            parent_of_joint[
-                layout.joint_offset : layout.joint_offset + block
-            ] = layout.parent_offset + np.tile(
-                np.arange(layout.k_configs), layout.cardinality
-            )
+        parent_of_joint = estimator._parent_of_joint_rel + self.n_joint
         parent_of_joint.setflags(write=False)
         self.parent_of_joint = parent_of_joint
 
@@ -107,11 +105,17 @@ class ModelSnapshot:
         terms = np.full(plan.n_joint, -np.inf)
         ok = np.flatnonzero(~neg & ~bad)
         if ok.size:
-            log = math.log
-            terms[ok] = [
-                log(n) - log(d)
-                for n, d in zip(num[ok].tolist(), den[ok].tolist())
-            ]
+            # Each distinct positive estimate is logged once, then
+            # gathered back to every counter holding it.
+            positive = np.flatnonzero(estimates > 0.0)
+            values, inverse = np.unique(
+                estimates[positive], return_inverse=True
+            )
+            logs = np.zeros(estimates.size)
+            logs[positive] = np.array(
+                [math.log(v) for v in values.tolist()]
+            )[inverse]
+            terms[ok] = logs[ok] - logs[plan.parent_of_joint[ok]]
         for array in (terms, neg, bad):
             array.setflags(write=False)
         return cls(int(epoch), int(version), terms, neg, bad)

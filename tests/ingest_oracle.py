@@ -5,8 +5,16 @@ pass; these are the slow, obviously-correct versions they replaced, kept
 here so the byte-identity tests have something independent to compare
 with:
 
+- :func:`parent_state_batch` — one family's parent configuration per
+  row, by fancy-indexing the parent columns;
 - :func:`reference_encode` — the per-variable Python loop that encodes
   all ``2n`` counter ids of every event;
+- :func:`reference_log_query_batch` — batched Algorithm 3 as that same
+  per-family loop, the live ``log_query_batch`` before it shared the
+  encoder's row walk;
+- :func:`reference_snapshot_terms` — a snapshot's term table with one
+  ``math.log`` pair per joint counter, the build before it logged each
+  distinct estimate once;
 - :func:`reference_ingest` — that encoding, one ``bincount`` per site and
   ``bank.bulk_add_site`` in ascending site order (the original
   boolean-mask ingest);
@@ -28,7 +36,15 @@ import math
 import numpy as np
 
 from repro.counters.deterministic import DeterministicCounterBank
+from repro.errors import QueryError
 from repro.monitoring.channel import MessageKind
+
+
+def parent_state_batch(layout, data) -> np.ndarray:
+    """``layout``'s parent configuration index for each row of ``data``."""
+    if layout.parent_positions.size == 0:
+        return np.zeros(data.shape[0], dtype=np.int64)
+    return data[:, layout.parent_positions] @ layout.parent_strides
 
 
 def reference_encode(estimator, data) -> np.ndarray:
@@ -41,7 +57,7 @@ def reference_encode(estimator, data) -> np.ndarray:
     n = len(estimator._layouts)
     ids = np.empty((data.shape[0], 2 * n), dtype=np.int64)
     for layout in estimator._layouts:
-        pstate = layout.parent_state_batch(data)
+        pstate = parent_state_batch(layout, data)
         ids[:, layout.index] = (
             layout.joint_offset
             + data[:, layout.index] * layout.k_configs
@@ -49,6 +65,56 @@ def reference_encode(estimator, data) -> np.ndarray:
         )
         ids[:, n + layout.index] = layout.parent_offset + pstate
     return ids
+
+
+def reference_log_query_batch(estimator, data, *, strict=False):
+    """Batched ``log_query`` family by family over in-range rows.
+
+    Default mode folds every degenerate family into ``-inf``; ``strict``
+    raises :class:`QueryError` for a row whose first degenerate family
+    has a positive numerator over a zero denominator.
+    """
+    data = np.asarray(data, dtype=np.int64)
+    estimates = estimator.bank.estimates()
+    n = len(estimator._layouts)
+    total = np.zeros(data.shape[0], dtype=np.float64)
+    first_neg = np.full(data.shape[0], n, dtype=np.int64)
+    first_bad = np.full(data.shape[0], n, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for position, layout in enumerate(estimator._layouts):
+            pstate = parent_state_batch(layout, data)
+            num = estimates[
+                layout.joint_offset
+                + data[:, layout.index] * layout.k_configs
+                + pstate
+            ]
+            den = estimates[layout.parent_offset + pstate]
+            total += np.where(
+                (num > 0) & (den > 0), np.log(num) - np.log(den), -np.inf
+            )
+            neg = num <= 0
+            bad = ~neg & (den <= 0)
+            np.minimum(first_neg, np.where(neg, position, n), out=first_neg)
+            np.minimum(first_bad, np.where(bad, position, n), out=first_bad)
+    if strict and np.any(first_bad < first_neg):
+        raise QueryError("inconsistent counters under a positive numerator")
+    return total
+
+
+def reference_snapshot_terms(estimates, plan):
+    """``(terms, neg, bad)`` with one ``math.log`` pair per joint counter."""
+    num = estimates[: plan.n_joint]
+    den = estimates[plan.parent_of_joint]
+    neg = num <= 0.0
+    bad = ~neg & (den <= 0.0)
+    terms = np.full(plan.n_joint, -np.inf)
+    ok = np.flatnonzero(~neg & ~bad)
+    if ok.size:
+        terms[ok] = [
+            math.log(n) - math.log(d)
+            for n, d in zip(num[ok].tolist(), den[ok].tolist())
+        ]
+    return terms, neg, bad
 
 
 def reference_ingest(estimator, data, sites) -> None:

@@ -13,6 +13,12 @@ Layers covered:
 - The satellite fixes — ``log_query_batch(strict=)`` unification with
   the scalar zero-denominator semantics, and the precomputed
   ``log_query_event`` plans.
+- The batched read walk — live and served point batches walk the
+  ingest encoder's rows in their own workspace, byte-identical to the
+  per-family loop of ``tests/ingest_oracle.py`` on ALARM and LINK;
+  every batch path rejects out-of-range states before reading a
+  counter; snapshot builds log each distinct estimate once and match
+  the per-counter ``math.log`` table.
 """
 
 import math
@@ -20,22 +26,32 @@ import math
 import numpy as np
 import pytest
 
-from ingest_oracle import assert_states_equal
+from ingest_oracle import (
+    assert_states_equal,
+    reference_log_query_batch,
+    reference_snapshot_terms,
+)
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
+from repro.bn.repository import link_like
 from repro.errors import QueryError
 from repro.monitoring.channel import MessageKind, MessageLog
 from repro.serve import ModelSnapshot, QueryServer, QueryWorkload
 from repro.serve.snapshot import ServePlan
 
 
-def _session(alarm_net, *, backend="hyz", algorithm="nonuniform",
+@pytest.fixture(scope="module")
+def link_net():
+    return link_like()
+
+
+def _session(net, *, backend="hyz", algorithm="nonuniform",
              eps=0.2, sites=4, seed=11, events=2500):
     spec = EstimatorSpec(
-        network=alarm_net, algorithm=algorithm, eps=eps, n_sites=sites,
+        network=net, algorithm=algorithm, eps=eps, n_sites=sites,
         seed=seed, counter_backend=backend,
     )
-    session = MonitoringSession(spec, network=alarm_net)
+    session = MonitoringSession(spec, network=net)
     sampler = session.sampler(seed=seed + 1)
     session.ingest_sampler(sampler, events, chunk=500)
     return session, sampler
@@ -478,30 +494,31 @@ class TestStalenessBound:
 # ---------------------------------------------------------------------------
 # Satellite: scalar/batch zero-denominator unification
 # ---------------------------------------------------------------------------
-class TestStrictBatchSemantics:
-    def _poisoned_estimator(self, small_net):
-        """Joint counter incremented without its parent family: the
-        inconsistent state the scalar paths guard with QueryError."""
-        spec = EstimatorSpec(
-            network=small_net, algorithm="exact", n_sites=2, seed=0,
-            counter_backend="exact",
-        )
-        session = MonitoringSession(spec, network=small_net)
-        estimator = session.estimator
-        # Make the all-zeros row walk cleanly through A, B, C (num and
-        # den positive) so the scalar reaches D; there the joint counter
-        # is positive but the (B=0, C=0) parent counter stays 0.
-        ids, vals = [], []
-        for layout in estimator._layouts[:3]:
-            ids += [layout.joint_offset, layout.parent_offset]
-            vals += [3, 3]
-        ids.append(estimator._layouts[3].joint_offset)  # D=0 | B=0, C=0
-        vals.append(3)
-        estimator.bank.bulk_add_site(0, np.array(ids), np.array(vals))
-        return session, estimator
+def _poisoned_estimator(small_net):
+    """Joint counter incremented without its parent family: the
+    inconsistent state the scalar paths guard with QueryError."""
+    spec = EstimatorSpec(
+        network=small_net, algorithm="exact", n_sites=2, seed=0,
+        counter_backend="exact",
+    )
+    session = MonitoringSession(spec, network=small_net)
+    estimator = session.estimator
+    # Make the all-zeros row walk cleanly through A, B, C (num and
+    # den positive) so the scalar reaches D; there the joint counter
+    # is positive but the (B=0, C=0) parent counter stays 0.
+    ids, vals = [], []
+    for layout in estimator._layouts[:3]:
+        ids += [layout.joint_offset, layout.parent_offset]
+        vals += [3, 3]
+    ids.append(estimator._layouts[3].joint_offset)  # D=0 | B=0, C=0
+    vals.append(3)
+    estimator.bank.bulk_add_site(0, np.array(ids), np.array(vals))
+    return session, estimator
 
+
+class TestStrictBatchSemantics:
     def test_scalar_raises_batch_default_folds(self, small_net):
-        session, estimator = self._poisoned_estimator(small_net)
+        session, estimator = _poisoned_estimator(small_net)
         bad_row = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(QueryError):
             estimator.log_query(bad_row[0])
@@ -509,7 +526,7 @@ class TestStrictBatchSemantics:
         assert folded[0] == -math.inf
 
     def test_strict_batch_matches_scalar_raise(self, small_net):
-        session, estimator = self._poisoned_estimator(small_net)
+        session, estimator = _poisoned_estimator(small_net)
         bad_row = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(QueryError):
             estimator.log_query_batch(bad_row, strict=True)
@@ -520,7 +537,7 @@ class TestStrictBatchSemantics:
         # Row whose *first* degenerate family has a zero numerator: the
         # scalar walk returns -inf there and never reaches the poisoned
         # later family, so strict mode must not raise either.
-        session, estimator = self._poisoned_estimator(small_net)
+        session, estimator = _poisoned_estimator(small_net)
         row = np.array([[1, 0, 0, 0]], dtype=np.int64)  # A=1 never seen
         assert estimator.log_query(row[0]) == -math.inf
         strict = estimator.log_query_batch(row, strict=True)
@@ -535,7 +552,7 @@ class TestStrictBatchSemantics:
         )
 
     def test_served_strict_batch_parity(self, small_net):
-        session, estimator = self._poisoned_estimator(small_net)
+        session, estimator = _poisoned_estimator(small_net)
         server = session.serve()
         bad_row = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(QueryError):
@@ -543,6 +560,154 @@ class TestStrictBatchSemantics:
         assert server.log_joint_batch(bad_row)[0] == -math.inf
         with pytest.raises(QueryError):
             server.log_joint(bad_row[0])
+
+
+# ---------------------------------------------------------------------------
+# Batched reads walk the ingest encoder's rows
+# ---------------------------------------------------------------------------
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _assert_build_matches_reference(estimator, estimates=None) -> None:
+    plan = ServePlan(estimator)
+    for layout in estimator._layouts:
+        block = np.arange(layout.cardinality * layout.k_configs)
+        assert np.array_equal(
+            plan.parent_of_joint[layout.joint_offset + block],
+            layout.parent_offset + block % layout.k_configs,
+        )
+    if estimates is None:
+        estimates = estimator.bank.estimates()
+    snap = ModelSnapshot.build(estimates, plan, epoch=0, version=1)
+    reference = reference_snapshot_terms(estimates, plan)
+    for got, want in zip((snap.terms, snap.neg, snap.bad), reference):
+        assert _same_bytes(got, want)
+
+
+class TestBatchReadWalk:
+    @pytest.mark.parametrize("net_name", ["alarm", "link"])
+    def test_live_batch_matches_per_family_loop(
+        self, net_name, alarm_net, link_net
+    ):
+        net = alarm_net if net_name == "alarm" else link_net
+        session, _ = _session(net, sites=10, eps=0.1, events=1500)
+        rows = QueryWorkload(net, seed=4).assignments(300)
+        for strict in (False, True):
+            got = session.log_query_batch(rows, strict=strict)
+            want = reference_log_query_batch(
+                session.estimator, rows, strict=strict
+            )
+            assert _same_bytes(got, want)
+        # Few events: unseen configurations give -inf rows too.
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+    def test_poisoned_batch_matches_per_family_loop(self, small_net):
+        _, estimator = _poisoned_estimator(small_net)
+        rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 1]])
+        assert _same_bytes(
+            estimator.log_query_batch(rows),
+            reference_log_query_batch(estimator, rows),
+        )
+        with pytest.raises(QueryError):
+            reference_log_query_batch(estimator, rows, strict=True)
+        with pytest.raises(QueryError):
+            estimator.log_query_batch(rows, strict=True)
+
+    def test_served_point_batch_at_link_scale(self, link_net):
+        session, sampler = _session(link_net, sites=10, eps=0.1, events=1500)
+        server = session.serve()
+        rows = QueryWorkload(link_net, seed=3).assignments(150)
+        for _ in range(2):  # fresh epoch each pass
+            live = np.array([session.log_query(r) for r in rows])
+            assert _same_bytes(server.log_joint_batch(rows), live)
+            assert _same_bytes(server.log_joint_batch(rows, strict=True), live)
+            session.ingest(sampler.sample(300))
+
+    def test_reads_leave_ingest_buffers_untouched(self, alarm_net):
+        session, _ = _session(alarm_net, events=1500)  # 500-event chunks
+        estimator = session.estimator
+        ingest = dict(estimator._buffers)
+        assert ingest
+        rows = QueryWorkload(alarm_net, seed=3).assignments(123)
+        session.serve().log_joint_batch(rows)
+        session.log_query_batch(rows, strict=True)
+        for key, array in ingest.items():
+            assert estimator._buffers[key] is array, key
+        assert estimator._buffers["query.dataT"].shape == (
+            alarm_net.n_variables, 123,
+        )
+
+    @pytest.mark.parametrize("backend,algorithm", [
+        ("exact", "exact"),
+        ("deterministic", "nonuniform"),
+        ("hyz", "nonuniform"),
+    ])
+    def test_snapshot_build_matches_per_counter_logs(
+        self, alarm_net, backend, algorithm
+    ):
+        session, _ = _session(
+            alarm_net, backend=backend, algorithm=algorithm, events=800
+        )
+        _assert_build_matches_reference(session.estimator)
+
+    def test_snapshot_build_matches_on_arbitrary_floats(self, link_net):
+        # Non-integer estimates, where array np.log and math.log can
+        # disagree by an ulp, plus zero and negative ones.
+        estimator = EstimatorSpec(link_net, "nonuniform", n_sites=2).build(
+            network=link_net
+        )
+        rng = np.random.default_rng(5)
+        estimates = rng.uniform(0.5, 1e5, estimator.n_counters)
+        estimates[rng.random(estimates.size) < 0.1] = 0.0
+        estimates[rng.random(estimates.size) < 0.05] *= -1.0
+        estimates[:50] = estimates[50:100]  # repeated values
+        _assert_build_matches_reference(estimator, estimates)
+
+    def test_poisoned_snapshot_build_matches_per_counter_logs(
+        self, small_net
+    ):
+        _, estimator = _poisoned_estimator(small_net)
+        _assert_build_matches_reference(estimator)
+        snap = ModelSnapshot.build(
+            estimator.bank.estimates(), ServePlan(estimator), epoch=0,
+            version=1,
+        )
+        assert snap.bad.any() and snap.neg.any()
+
+    @pytest.mark.parametrize("state", ["too-large", "negative"])
+    def test_out_of_range_rows_raise_before_any_read(self, alarm_net, state):
+        session, _ = _session(alarm_net, events=500)
+        server = session.serve()
+        classifier = session.classifier()
+        rows = QueryWorkload(alarm_net, seed=2).assignments(5)
+        column = 7
+        rows[3, column] = (
+            alarm_net.variable(alarm_net.node_names[column]).cardinality
+            if state == "too-large" else -1
+        )
+        targets = [alarm_net.node_names[0]] * len(rows)
+        with pytest.raises(QueryError):
+            session.log_query(rows[3])  # the scalar rule
+
+        def untouchable():
+            raise AssertionError("counters read before the range check")
+
+        session.estimator.bank.estimates = untouchable
+        try:
+            for strict in (False, True):
+                with pytest.raises(QueryError, match="row 3"):
+                    session.log_query_batch(rows, strict=strict)
+                with pytest.raises(QueryError, match="row 3"):
+                    server.log_joint_batch(rows, strict=strict)
+            with pytest.raises(QueryError, match="row 3"):
+                classifier.predict_batch(targets, rows)
+            with pytest.raises(QueryError, match="row 3"):
+                server.classify_batch(targets, rows)
+        finally:
+            del session.estimator.bank.estimates
+        assert server.snapshot_refreshes == 0
+        assert server.queries_served == 0
 
 
 # ---------------------------------------------------------------------------
