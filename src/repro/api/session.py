@@ -49,9 +49,10 @@ from repro.api.spec import EstimatorSpec
 from repro.bn.network import BayesianNetwork
 from repro.bn.sampling import ForwardSampler
 from repro.core.classification import BayesianClassifier
-from repro.errors import SessionError
+from repro.errors import SessionError, StreamError
 from repro.monitoring.channel import MessageLog
 from repro.monitoring.stream import make_partitioner
+from repro.utils.validation import integer_array
 
 #: Version tag written into every snapshot bundle.
 SNAPSHOT_SCHEMA = "repro-session-v1"
@@ -150,15 +151,19 @@ class MonitoringSession:
         ``validate=False`` skips the estimator's per-batch range scans;
         use it only for batches valid by construction (a sampler drawing
         from the same network, or the session partitioner's own site
-        ids).
+        ids).  Whatever ``validate`` says, ``data`` and ``site_ids`` must
+        have an integer dtype: a float (even integer-valued), bool or
+        object array raises :class:`StreamError` before anything moves.
         """
-        data = np.asarray(data, dtype=np.int64)
+        data = integer_array(data, "event data", StreamError)
         if data.ndim == 1:
             data = data.reshape(1, -1)
         if data.shape[0] == 0:
             return 0
         if site_ids is None:
             site_ids = self.partitioner.assign(data.shape[0])
+        else:
+            site_ids = integer_array(site_ids, "site_ids", StreamError)
         self.estimator.update_batch(data, site_ids, validate=validate)
         return int(data.shape[0])
 

@@ -12,6 +12,7 @@ from repro.bn.variable import Variable
 from repro.errors import InconsistentNetworkError, QueryError
 from repro.graph.dag import DAG
 from repro.utils.rng import as_generator
+from repro.utils.validation import integer_array
 
 
 class BayesianNetwork:
@@ -209,7 +210,7 @@ class BayesianNetwork:
             for name, idx in self._index.items():
                 vec[idx] = self._variables[name].state_index(assignment[name])
             return vec
-        arr = np.asarray(assignment, dtype=np.int64)
+        arr = integer_array(assignment, "assignment", QueryError)
         if arr.shape != (len(self._order),):
             raise QueryError(
                 f"assignment has shape {arr.shape}, expected ({len(self._order)},)"
@@ -223,10 +224,10 @@ class BayesianNetwork:
         """Coerce a batch of full assignments to ``(m, n)`` state indices.
 
         The batch form of :meth:`_as_index_vector`'s sequence rule: a
-        wrong shape, or any state outside ``[0, J_i)``, raises
-        :class:`QueryError`.
+        non-integer dtype, a wrong shape, or any state outside
+        ``[0, J_i)``, raises :class:`QueryError`.
         """
-        data = np.asarray(data, dtype=np.int64)
+        data = integer_array(data, "data", QueryError)
         n = len(self._order)
         if data.ndim != 2 or data.shape[1] != n:
             raise QueryError(

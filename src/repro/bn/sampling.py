@@ -7,15 +7,18 @@ vectorized over instances, from precomputed per-variable CDF tables laid
 out by the parent-configuration stride code of the shared stride plan
 (:meth:`~repro.bn.network.BayesianNetwork.stride_rows`).  Each
 topological level draws its uniforms in one block, then each variable
-inverts its CDF for the whole batch with ``(m,)``-shaped scratch rows
-only: a per-state gather-and-count against contiguous CDF rows when ``J``
-is small (every gather row is L1-resident and no pass depends on the
+inverts its CDF for the whole batch with ``(m,)``-shaped rows only: a
+per-state gather-and-count against contiguous CDF rows when ``J`` is
+small (every gather row is L1-resident and no pass depends on the
 previous one), or one ``searchsorted`` over the packed table of
 :meth:`~repro.bn.cpd.TabularCPD.packed_cdf` for large-``J`` variables
-where counting would need too many passes.  The stream is byte-identical
-for a fixed seed and batch-size sequence and passes a per-CPD
-chi-squared goodness-of-fit against the network (both pinned by the test
-suite); ``docs/performance.md`` describes the layout.
+where counting would need too many passes.  Roots skip the gather,
+single stride-1 parents are gathered at in place, and stride-1 parents
+skip their multiply, so the loop makes the plain loop's comparisons in
+fewer passes.  The stream is byte-identical for a fixed seed and
+batch-size sequence, to the plain loop kept in the tests as well, and
+passes a per-CPD chi-squared goodness-of-fit against the network (all
+pinned by the test suite); ``docs/performance.md`` describes the layout.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ class ForwardSampler:
                 f"sample_into needs an int64 buffer of shape (m, {n}), "
                 f"got {out.dtype} {out.shape}"
             )
+        if not out.flags.writeable:
+            # Refused before the generator moves: no uniforms are drawn.
+            raise StreamError("sample_into needs a writeable buffer")
         if out.shape[0] == 0:
             return out
         return self._sample_into_cdf(out)
@@ -126,8 +132,10 @@ class ForwardSampler:
         """A reusable scratch array; reallocated only when ``shape`` moves.
 
         Chunked ingest feeds same-size batches, so in steady state the
-        sampler touches no allocator at all (the zero-copy contract of
-        ``MonitoringSession.ingest_sampler``).
+        scratch rows are allocated once; only each gather's result row
+        is fresh (see ``_sample_into_cdf``).  The event buffer itself is
+        the caller's (``MonitoringSession.ingest_sampler``'s zero-copy
+        contract).
         """
         buf = self._scratch.get(key)
         if buf is None or buf.shape != shape:
@@ -144,14 +152,28 @@ class ForwardSampler:
         ``take`` reads a K-entry L1-resident row) or, for wide domains,
         by one ``searchsorted`` over the packed table with search key
         ``cfg + u`` (see :meth:`~repro.bn.cpd.TabularCPD.packed_cdf`).
+
+        Every shortcut below saves passes without changing a comparison,
+        so the bytes and the generator state are those of the plain loop
+        (``tests/sampler_oracle.py::reference_sample_into``):
+
+        - a root has one configuration, so each state row's one CDF
+          entry is compared with ``u`` directly — no code, no gather;
+        - a family whose only parent has stride 1 gathers at that
+          parent's column, and stride-1 parents (every family's last)
+          are added without a multiply;
+        - a gather returns a fresh array: ``take`` into ``out=`` in its
+          bounds-checked mode copies through a temporary, 2.5x slower;
+        - comparisons count in a one-byte row (``J - 1 <= 31`` fits),
+          widened into the column once: bool-to-int64 passes cast
+          through a buffer.
         """
         m = out.shape[0]
         cfg = self._buffer("cfg", (m,), np.int64)
         tmp = self._buffer("tmp", (m,), np.int64)
         key = self._buffer("key", (m,), np.float64)
-        gathered = self._buffer("gathered", (m,), np.float64)
         below = self._buffer("below", (m,), bool)
-        count = self._buffer("count", (m,), np.int64)
+        count = self._buffer("count", (m,), np.uint8)
         uniforms = self._buffer(
             "uniforms", (self._max_level_width, m), np.float64
         )
@@ -161,33 +183,41 @@ class ForwardSampler:
             for u, index in zip(u_block, level):
                 cardinality, parents, state_rows, packed = self._tables[index]
                 column = out[:, index]
-                if parents:
-                    position, stride = parents[0]
-                    np.multiply(out[:, position], stride, out=cfg)
-                    for position, stride in parents[1:]:
-                        np.multiply(out[:, position], stride, out=tmp)
-                        cfg += tmp
-                else:
-                    cfg[:] = 0
                 if cardinality == 1:
                     column[:] = 0
-                elif state_rows is not None:
-                    np.take(state_rows[0], cfg, out=gathered)
-                    np.less(gathered, u, out=below)
-                    if cardinality == 2:
-                        np.copyto(column, below)
-                        continue
-                    np.copyto(count, below)
-                    for row in state_rows[1:]:
-                        np.take(row, cfg, out=gathered)
-                        np.less(gathered, u, out=below)
-                        count += below
-                    np.copyto(column, count)
+                    continue
+                if not parents:
+                    code = None
+                elif len(parents) == 1 and parents[0][1] == 1:
+                    code = out[:, parents[0][0]]
                 else:
-                    np.add(cfg, u, out=key)
+                    code = cfg
+                    (position, stride), *rest = parents
+                    np.multiply(out[:, position], stride, out=cfg)
+                    for position, stride in rest:
+                        if stride == 1:
+                            cfg += out[:, position]
+                        else:
+                            np.multiply(out[:, position], stride, out=tmp)
+                            cfg += tmp
+                if state_rows is not None:
+                    for j, row in enumerate(state_rows):
+                        threshold = row[0] if code is None else row.take(code)
+                        if j == 0:
+                            np.less(threshold, u, out=count.view(bool))
+                        else:
+                            np.less(threshold, u, out=below)
+                            count += below.view(np.uint8)
+                    np.copyto(column, count)
+                elif code is None:
+                    np.copyto(column, packed.searchsorted(u, side="right"))
+                else:
+                    # ``code`` may be a parent's column: scale it into
+                    # scratch, never in place.
+                    np.add(code, u, out=key)
                     hit = packed.searchsorted(key, side="right")
-                    np.multiply(cfg, cardinality, out=cfg)
-                    hit -= cfg
+                    np.multiply(code, cardinality, out=tmp)
+                    hit -= tmp
                     np.copyto(column, hit)
         return out
 

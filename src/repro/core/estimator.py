@@ -10,32 +10,33 @@ two counters per CPD table entry family:
   the product terms in the analysis stay independent (Sec. IV-D).
 
 ``update_batch`` implements Algorithm 2 vectorized over a batch of events:
-the increments of each event are encoded as flat counter ids, collapsed to
-unique ``(site, counter, count)`` triples by one histogram pass, and handed
-to the bank's grouped fast path (``docs/performance.md`` maps the whole
-hot path).
+the increments of each event are encoded as counter ids, collapsed to
+per-site counts by histogram passes, and handed to the bank's grouped
+fast path (``docs/performance.md`` maps the whole hot path).
 
 One row walk (``_joint_id_rows``) turns a batch of full assignments into
 counter ids: it copies the batch *transposed* into a compact ``(n, m)``
 workspace once, then walks the per-variable ``(parent position, stride)``
 pairs of the shared stride plan
 (:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) and yields each
-variable's joint-id row in layout order, so each multiply/add is a
-contiguous row operation; ``O(edges)`` work per event with no Python loop
-per variable.  It serves both directions:
+variable's joint-id row in layout order, relative to the family's block,
+so each multiply/add is a contiguous row operation; ``O(edges)`` work per
+event with no Python loop per variable.  It serves both directions:
 
-- ingest (``_encode_joint``) folds in the grouping layer's site keys and
-  upcasts each row.  Only *joint* ids are encoded: each event contributes
-  exactly one joint id and one parent id per variable, and the parent id
-  is a pure function of the joint id, so the grouping layer derives the
-  parent-half histogram from the joint-half histogram
-  (``_derive_parent_counts``) instead of encoding and binning a second
-  ``(m, n)`` array;
+- ingest.  The dense grouping path keys each family's row by site and
+  bins it with one ``bincount`` into a reused ``(k, n_counters)`` table;
+  the argsort path (``_encode_joint``) adds the block offsets into an
+  ``(n, m)`` int64 id array and bins per-site column takes.  Only
+  *joint* ids are encoded: each event contributes exactly one joint id
+  and one parent id per variable, and the parent id is a pure function of
+  the joint id, so both derive the parent-half histogram from the
+  joint-half histogram (``_derive_parent_counts``) instead of encoding
+  and binning a second ``(m, n)`` array;
 - batched point queries (``log_query_batch`` here, and
   ``QueryServer.log_joint_batch`` over snapshot terms) gather each row's
-  terms and sum them in layout order, the same float additions as the
-  scalar walk.  Reads use their own workspace, so a read burst never
-  reallocates the ingest buffers.
+  terms from the family's block and sum them in layout order, the same
+  float additions as the scalar walk.  Reads use their own workspace, so
+  a read burst never reallocates the ingest buffers.
 
 The per-variable reference encoder and query loop the tests compare
 against live in ``tests/ingest_oracle.py``.
@@ -53,9 +54,9 @@ from repro.bn.network import BayesianNetwork
 from repro.counters.base import CounterBank
 from repro.errors import QueryError, StreamError
 
-#: Largest ``k * n_counters`` key space the "dense" grouping strategy may
-#: histogram (8M int64 entries = 64 MB transient); beyond it "auto" falls
-#: back to argsort sharding.
+#: Largest ``k * n_counters`` table the "dense" grouping strategy may
+#: histogram into (8M int64 entries = 64 MB, kept for reuse); beyond it
+#: "auto" falls back to argsort sharding.
 _DENSE_GROUP_BUDGET = 1 << 23
 
 
@@ -123,11 +124,13 @@ class _SparseEncodePlan:
     The row walk steps through one plan row per variable over the
     *transposed* batch: each step is a handful of contiguous
     ``(m,)``-vector operations on a cache-resident row (multiply by the
-    CPD stride, accumulate, fold in the layout offset and the optional
-    site keys while hot), so the total work is ``O((n + edges) * m)``
-    sequential traffic — no per-variable Python arithmetic, no O(n^2)
-    matmul.  Rows hold plain Python ints: the per-row numpy calls then
-    carry no array-scalar boxing overhead.
+    CPD stride — or, for the stride-1 parent every family ends with,
+    just add — and accumulate), so the total work is
+    ``O((n + edges) * m)`` sequential traffic — no per-variable Python
+    arithmetic, no O(n^2) matmul.  Each row also carries the family's
+    joint block as a ``slice`` of the counter-id space.  Rows hold plain
+    Python ints: the per-row numpy calls then carry no array-scalar
+    boxing overhead.
 
     Built from the network's shared stride plan
     (:meth:`~repro.bn.network.BayesianNetwork.stride_rows`) — the same
@@ -142,9 +145,13 @@ class _SparseEncodePlan:
         stride_rows: list[tuple[int, int, tuple[tuple[int, int], ...]]],
         joint_offsets: list[int],
     ) -> None:
-        self.rows: list[tuple[int, int, list[tuple[int, int]]]] = [
-            (k_configs, joint_offset, list(parents))
-            for (_, k_configs, parents), joint_offset in zip(
+        self.rows: list[tuple[int, slice, list[tuple[int, int]]]] = [
+            (
+                k_configs,
+                slice(joint_offset, joint_offset + cardinality * k_configs),
+                list(parents),
+            )
+            for (cardinality, k_configs, parents), joint_offset in zip(
                 stride_rows, joint_offsets
             )
         ]
@@ -268,7 +275,7 @@ class StreamingMLEEstimator:
         return buf
 
     def _joint_id_rows(self, data: np.ndarray, workspace: str):
-        """Yield ``(index, ids)``: each variable's joint counter ids.
+        """Yield ``(index, block, ids)`` for each variable in layout order.
 
         ``data`` is ``(m, n)`` state indices.  It is copied transposed
         into a compact integer workspace once (int32 whenever the id
@@ -276,9 +283,15 @@ class StreamingMLEEstimator:
         when ``data`` is F-contiguous — the
         :meth:`~repro.bn.sampling.ForwardSampler.sample_stream`
         ``reuse_buffer`` layout — the transpose read is a free view).
-        Then, one variable at a time in layout order, the walk multiplies
-        the variable's states by its stride, accumulates each parent's
-        contribution and adds the layout offset.  ``ids`` is one reused,
+        Then, one variable at a time, the walk multiplies the variable's
+        states by its stride and accumulates each parent's contribution
+        (a stride-1 parent is added without a multiply).
+
+        ``ids`` are the family's joint ids *within* its block —
+        ``state * K + parent configuration`` — and ``block`` is the
+        ``slice`` of the counter-id space that block occupies, so a
+        consumer indexes ``array[block]`` with ``ids`` or adds
+        ``block.start`` where it needs flat ids.  ``ids`` is one reused,
         cache-hot ``(m,)`` row: consume it before advancing the walk.
 
         ``workspace`` prefixes the scratch-buffer keys.  Ingest and reads
@@ -292,41 +305,33 @@ class StreamingMLEEstimator:
         np.copyto(dataT, data.T, casting="unsafe")
         row = self._buffer(workspace + ".row", (m,), dtype)
         scratch = self._buffer(workspace + ".scratch", (m,), dtype)
-        for index, (k_configs, joint_offset, parents) in enumerate(
+        for index, (k_configs, block, parents) in enumerate(
             self._sparse_plan.rows
         ):
             np.multiply(dataT[index], k_configs, out=row)
             for position, stride in parents:
-                np.multiply(dataT[position], stride, out=scratch)
-                row += scratch
-            row += joint_offset
-            yield index, row
+                if stride == 1:
+                    row += dataT[position]
+                else:
+                    np.multiply(dataT[position], stride, out=scratch)
+                    row += scratch
+            yield index, block, row
 
-    def _encode_joint(
-        self, data: np.ndarray, add: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Joint counter ids as an ``(n, m)`` transposed int64 array.
+    def _encode_joint(self, data: np.ndarray) -> np.ndarray:
+        """Flat joint counter ids as an ``(n, m)`` transposed int64 array.
 
-        Consumes the ``_joint_id_rows`` walk in the ``"sparse"``
-        workspace.  Each row folds in ``add`` (per-event values, e.g. the
-        grouping layer's ``site * n_counters`` keys) while it is still
-        cache-hot, and the same op upcasts it into the int64 output,
-        which ``np.bincount`` consumes without an internal copy.
-
-        ``add`` requires ``offset + id + add`` to stay inside the compact
-        dtype; callers gate on ``n_sites * n_counters - 1`` fitting
-        :attr:`_sparse_dtype` (see ``_update_grouped_dense``).
+        The argsort grouping path's encoder (the site workers' ingest):
+        it consumes the ``_joint_id_rows`` walk in the ``"sparse"``
+        workspace, and one op per row adds the block offset and upcasts
+        into the int64 output, which ``np.bincount`` consumes without an
+        internal copy.  The dense path bins the walk's rows directly
+        (``_update_grouped_dense``).
         """
         out = self._buffer(
             "sparse.joint64", (len(self._layouts), data.shape[0]), np.int64
         )
-        if add is not None:
-            add = np.asarray(add, dtype=self._sparse_dtype)
-        for index, row in self._joint_id_rows(data, "sparse"):
-            if add is not None:
-                np.add(row, add, out=out[index])
-            else:
-                np.copyto(out[index], row)
+        for index, block, ids in self._joint_id_rows(data, "sparse"):
+            np.add(ids, block.start, out=out[index])
         return out
 
     def _derive_parent_counts(self, dense: np.ndarray) -> None:
@@ -389,9 +394,10 @@ class StreamingMLEEstimator:
         - ``"argsort"`` — one stable argsort of ``site_ids`` shards the batch
           into contiguous per-site runs; memory stays ``O(touched)``, which
           is why the distributed site workers use it.
-        - ``"dense"`` — increments are keyed as ``site * n_counters +
-          counter`` and collapsed by a single ``bincount`` over the whole
-          ``k * n_counters`` key space, handed to the bank as one table.
+        - ``"dense"`` — each family's increments are keyed as
+          ``site * J * K + joint id`` and collapsed by one ``bincount``
+          into its block of a reused ``(k, n_counters)`` table, handed
+          to the bank whole.
         - ``"auto"`` (default) — ``"dense"`` when the key space fits
           :data:`_DENSE_GROUP_BUDGET` and is amortized by the batch's
           increment count, else ``"argsort"``.
@@ -428,22 +434,33 @@ class StreamingMLEEstimator:
         self.events_seen += data.shape[0]
 
     def _update_grouped_dense(self, data: np.ndarray, site_ids: np.ndarray) -> None:
-        n_counters = self.n_counters
-        table = self.n_sites * n_counters
-        site_keys = site_ids * np.int64(n_counters)
-        if table - 1 <= np.iinfo(self._sparse_dtype).max:
-            # Keys fold into the encoder's cache-hot row pass.
-            ids = self._encode_joint(data, site_keys)
-        else:
-            ids = self._encode_joint(data)
-            ids += site_keys[None, :]
-        dense = np.bincount(ids.ravel(), minlength=table)
-        per_site = dense.reshape(self.n_sites, n_counters)
-        for site in range(self.n_sites):
-            self._derive_parent_counts(per_site[site])
+        """Histogram the walk family by family into one reused table.
+
+        Each family's row is keyed ``ids + site * J * K`` in the compact
+        dtype and binned by one ``np.bincount`` straight into the
+        family's ``(k, J * K)`` joint block; each site's parent half is
+        then derived from its joint half.  Every column is written on
+        every call, so the reused table needs no zeroing, and no
+        ``(n, m)`` id array is built.  Keys stay below ``k * J * K``:
+        int32 holds them unless the table has 2**31 entries (16 GiB).
+        """
+        k, m = self.n_sites, data.shape[0]
+        table = self._buffer("dense.table", (k, self.n_counters), np.int64)
+        sites = self._buffer("dense.sites", (m,), self._sparse_dtype)
+        np.copyto(sites, site_ids, casting="unsafe")
+        key = self._buffer("dense.key", (m,), self._sparse_dtype)
+        for _, block, ids in self._joint_id_rows(data, "sparse"):
+            size = block.stop - block.start
+            np.multiply(sites, size, out=key)
+            key += ids
+            table[:, block] = np.bincount(key, minlength=k * size).reshape(
+                k, size
+            )
+        for site in range(k):
+            self._derive_parent_counts(table[site])
         # The bank consumes the per-site table directly — no
         # flatnonzero/divmod round-trip through sparse triples.
-        self.bank.bulk_add_table(per_site, check=False)
+        self.bank.bulk_add_table(table, check=False)
 
     def _update_grouped_argsort(self, data: np.ndarray, site_ids: np.ndarray) -> None:
         n_counters = self.n_counters
@@ -574,7 +591,8 @@ class StreamingMLEEstimator:
 
         Consumes the ``_joint_id_rows`` walk in the ``"query"``
         workspace: ``num`` is gathered at each row's joint ids and
-        ``den`` through the joint -> parent map.
+        ``den`` through the joint -> parent map, both within the family's
+        block.
         """
         data = self.network._as_index_rows(data)
         estimates = self.bank.estimates()
@@ -584,9 +602,9 @@ class StreamingMLEEstimator:
         total = np.zeros(m, dtype=np.float64)
         scan = _StrictScan(m, len(self._layouts)) if strict else None
         with np.errstate(divide="ignore", invalid="ignore"):
-            for index, ids in self._joint_id_rows(data, "query"):
-                num = estimates.take(ids)
-                den = parents.take(parent_of_joint.take(ids))
+            for index, block, ids in self._joint_id_rows(data, "query"):
+                num = estimates[block].take(ids)
+                den = parents.take(parent_of_joint[block].take(ids))
                 total += np.where(
                     (num > 0) & (den > 0), np.log(num) - np.log(den), -np.inf
                 )

@@ -63,6 +63,7 @@ from repro.dist.site import START_METHOD, _site_worker_main
 from repro.dist.transport import POLL_INTERVAL, QueueTransport, TransportClosed
 from repro.errors import ExecutionError, SessionError, StreamError
 from repro.monitoring.channel import MessageKind
+from repro.utils.validation import integer_array
 
 
 def event_wire_dtype(network) -> np.dtype:
@@ -667,17 +668,21 @@ class DistributedSession:
         """Feed a batch of events; returns the number of events ingested.
 
         Mirrors :meth:`MonitoringSession.ingest`: sites come from the
-        session partitioner when ``site_ids`` is omitted, and the
-        assignment stream is part of the snapshot state.  The per-site
-        aggregation happens in the site workers.
+        session partitioner when ``site_ids`` is omitted, the
+        assignment stream is part of the snapshot state, and a
+        non-integer ``data`` or ``site_ids`` dtype is refused before any
+        of it moves.  The per-site aggregation happens in the site
+        workers.
         """
         if self._closed:
             raise SessionError("session is closed")
-        data = np.asarray(data, dtype=np.int64)
+        data = integer_array(data, "event data", StreamError)
         if data.ndim == 1:
             data = data.reshape(1, -1)
         if data.shape[0] == 0:
             return 0
+        if site_ids is not None:
+            site_ids = integer_array(site_ids, "site_ids", StreamError)
         if not validate:
             # Nothing else scans a trusted batch, and narrowing it below
             # must be lossless or refused — never a silent wrap.  The

@@ -260,10 +260,10 @@ class QueryServer:
         m = data.shape[0]
         total = np.zeros(m, dtype=np.float64)
         scan = _StrictScan(m, len(estimator._layouts)) if strict else None
-        for index, ids in estimator._joint_id_rows(data, "query"):
-            total += terms.take(ids)
+        for index, block, ids in estimator._joint_id_rows(data, "query"):
+            total += terms[block].take(ids)
             if scan is not None:
-                scan.see(index, neg.take(ids), bad.take(ids))
+                scan.see(index, neg[block].take(ids), bad[block].take(ids))
         if scan is not None:
             scan.check()
         self.queries_served += m

@@ -16,6 +16,20 @@ def check_positive_int(value, name: str) -> int:
     return int(value)
 
 
+def integer_array(values, name: str, error: type[ReproError]) -> np.ndarray:
+    """``values`` as an int64 array; any non-integer dtype raises ``error``.
+
+    Only integers are state indices, site ids or counts.  An int64 cast
+    would silently truncate a float (``0.9`` becomes state 0) and accept
+    a bool or object array, so those are refused — an integer-valued
+    float included.  The test reads the dtype only: O(1).
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise error(f"{name} must hold integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 def check_fraction(value, name: str, *, inclusive: bool = False) -> float:
     """Validate that ``value`` lies in (0, 1), or [0, 1] if ``inclusive``."""
     value = float(value)

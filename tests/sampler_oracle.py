@@ -1,8 +1,11 @@
-"""The sampler tests' statistical oracle: per-CPD chi-squared goodness of fit.
+"""The sampler tests' oracles: the plain inversion loop and a per-CPD
+chi-squared goodness of fit.
 
-A forward-sampling engine may draw its stream any way it likes as long
-as the stream is distributed as the network says; the engine and
-sharded-sampler tests check that here, against the ground-truth CPDs.
+:func:`reference_sample_into` is the forward sampler's per-variable loop
+before its pass-saving shortcuts; the live loop must reproduce it byte
+for byte, generator state included.  :func:`max_cpd_chi2_z` checks that
+a stream is distributed as the network says, against the ground-truth
+CPDs.
 """
 
 import math
@@ -19,6 +22,59 @@ CHI2_Z_THRESHOLD = 6.0
 #: Parent configurations with fewer samples than this are excluded from
 #: the chi-squared statistic (the usual expected-count validity rule).
 _MIN_CONFIG_SAMPLES = 20
+
+
+def reference_sample_into(sampler, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``sampler``'s next draw, by the plain loop.
+
+    Same uniform blocks from the sampler's generator, same tables; every
+    variable builds its full parent code ``cfg`` (zeros for a root),
+    gathers every state row at it and counts in scratch before copying
+    into its column.  Returns ``out``.
+    """
+    m = out.shape[0]
+    cfg = np.empty(m, dtype=np.int64)
+    tmp = np.empty(m, dtype=np.int64)
+    key = np.empty(m, dtype=np.float64)
+    gathered = np.empty(m, dtype=np.float64)
+    below = np.empty(m, dtype=bool)
+    count = np.empty(m, dtype=np.int64)
+    uniforms = np.empty((sampler._max_level_width, m), dtype=np.float64)
+    for level in sampler._levels:
+        u_block = uniforms[: len(level)]
+        sampler._rng.random(out=u_block)
+        for u, index in zip(u_block, level):
+            cardinality, parents, state_rows, packed = sampler._tables[index]
+            column = out[:, index]
+            if parents:
+                position, stride = parents[0]
+                np.multiply(out[:, position], stride, out=cfg)
+                for position, stride in parents[1:]:
+                    np.multiply(out[:, position], stride, out=tmp)
+                    cfg += tmp
+            else:
+                cfg[:] = 0
+            if cardinality == 1:
+                column[:] = 0
+            elif state_rows is not None:
+                np.take(state_rows[0], cfg, out=gathered)
+                np.less(gathered, u, out=below)
+                if cardinality == 2:
+                    np.copyto(column, below)
+                    continue
+                np.copyto(count, below)
+                for row in state_rows[1:]:
+                    np.take(row, cfg, out=gathered)
+                    np.less(gathered, u, out=below)
+                    count += below
+                np.copyto(column, count)
+            else:
+                np.add(cfg, u, out=key)
+                hit = packed.searchsorted(key, side="right")
+                np.multiply(cfg, cardinality, out=cfg)
+                hit -= cfg
+                np.copyto(column, hit)
+    return out
 
 
 def max_cpd_chi2_z(net, data: np.ndarray) -> float:

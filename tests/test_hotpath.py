@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ingest_oracle import assert_states_equal, reference_ingest
-from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
+from repro import EstimatorSpec, ForwardSampler, UniformPartitioner, link_like
 
 
 def make_estimator(net, algorithm, **kwargs):
@@ -42,6 +42,26 @@ def test_strategies_byte_identical(alarm_net, algorithm):
         bank, log = _states_after(alarm_net, algorithm, strategy)
         assert_states_equal(bank_ref, bank, strategy)
         assert_states_equal(log_ref, log, strategy)
+
+
+def test_link_paper_chunk_dense_ingest_byte_identical():
+    """One ``inproc_link``-sized chunk: 20 000 LINK rows, k = 10,
+    NONUNIFORM, through the per-family dense histogram."""
+    net = link_like()
+    data = ForwardSampler(net, seed=1).sample(20_000)
+    sites = UniformPartitioner(10, seed=2).assign(20_000)
+    states = []
+    for strategy in (None, "dense"):
+        estimator = make_estimator(net, "nonuniform", eps=0.1, n_sites=10,
+                                   seed=7)
+        if strategy is None:
+            reference_ingest(estimator, data, sites)
+        else:
+            estimator.update_batch(data, sites, strategy=strategy)
+        states.append((estimator.bank.state_dict(),
+                       estimator.bank.message_log.state_dict()))
+    assert_states_equal(states[0][0], states[1][0], "bank")
+    assert_states_equal(states[0][1], states[1][1], "log")
 
 
 def test_deterministic_backend_strategies_identical(alarm_net):

@@ -71,11 +71,6 @@ def test_encoders_emit_identical_joint_ids(
     joint_ref = reference_encode(sparse, data)[:, : net.n_variables]
     # Sparse ids are transposed, rows in natural variable order.
     assert np.array_equal(sparse._encode_joint(data).T, joint_ref)
-    # The fused per-event offset lands on every variable's id.
-    keys = np.arange(data.shape[0], dtype=np.int64) * np.int64(3)
-    assert np.array_equal(
-        sparse._encode_joint(data, keys).T, joint_ref + keys[:, None]
-    )
 
 
 @pytest.mark.parametrize("net_name,m", [

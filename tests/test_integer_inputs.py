@@ -1,0 +1,125 @@
+"""Only integers are state indices and site ids.
+
+An int64 cast truncates a float batch — state 0.9 would be counted as
+state 0, site 1.7 as site 1 — and accepts bool and object arrays.  Every
+ingest and batch-read entry point therefore refuses a non-integer dtype
+before anything moves: ``StreamError`` from both sessions' ``ingest``
+(whatever ``validate`` says), ``QueryError`` from the query paths.
+``bool`` is refused too: ``True`` is not a state index, as it is not a
+count in a snapshot's message tallies.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro import EstimatorSpec, ForwardSampler, MonitoringSession
+from repro.dist import DistributedSession
+from repro.errors import QueryError, StreamError
+
+#: Each maps a valid integer array to one a cast would have accepted.
+NON_INTEGER = {
+    "fractional-float": lambda a: a.astype(np.float64) + 0.25,
+    "integer-valued-float": lambda a: a.astype(np.float64),
+    "object": lambda a: a.astype(object),
+    "bool": lambda a: a > 0,
+}
+
+
+def _spec():
+    return EstimatorSpec("alarm", "nonuniform", eps=0.2, n_sites=4, seed=7)
+
+
+@pytest.fixture(scope="module")
+def batch(alarm_net):
+    return ForwardSampler(alarm_net, seed=3).sample(60)
+
+
+def _frozen(session) -> bytes:
+    """Bank (RNG included), message log, partitioner, stream position."""
+    return pickle.dumps((
+        session.estimator.bank.state_dict(),
+        session.message_log.state_dict(),
+        session.partitioner.state_dict(),
+        session.events_seen,
+    ))
+
+
+@pytest.mark.parametrize("kind", list(NON_INTEGER))
+@pytest.mark.parametrize("validate", [True, False])
+def test_session_ingest_refuses_non_integer_data(batch, kind, validate):
+    session = MonitoringSession(_spec())
+    session.ingest(batch[:20])
+    before = _frozen(session)
+    bad = NON_INTEGER[kind](batch[20:])
+    with pytest.raises(StreamError, match="integers"):
+        session.ingest(bad, validate=validate)
+    with pytest.raises(StreamError, match="integers"):
+        session.ingest(bad[0], validate=validate)  # one promoted event
+    assert _frozen(session) == before
+
+
+@pytest.mark.parametrize("kind", list(NON_INTEGER))
+@pytest.mark.parametrize("validate", [True, False])
+def test_session_ingest_refuses_non_integer_sites(batch, kind, validate):
+    session = MonitoringSession(_spec())
+    session.ingest(batch[:20])
+    before = _frozen(session)
+    sites = NON_INTEGER[kind](np.arange(40) % 4)
+    with pytest.raises(StreamError, match="site_ids"):
+        session.ingest(batch[20:], sites, validate=validate)
+    assert _frozen(session) == before
+
+
+def test_list_input_and_integer_widths(batch):
+    # A list of floats is refused like an array (0.2 and 1.7 used to
+    # land on sites 0 and 1); integers of any width still go in.
+    session = MonitoringSession(_spec())
+    with pytest.raises(StreamError, match="site_ids"):
+        session.ingest(batch[:2], [0.2, 1.7])
+    assert session.events_seen == 0
+    assert session.ingest(batch[:2].astype(np.uint8), np.array(
+        [0, 1], dtype=np.int16)) == 2
+
+
+def test_distributed_ingest_refuses_before_dispatch(batch):
+    with DistributedSession(_spec(), procs=2) as dist:
+        dist.ingest(batch[:20])
+        dist.flush()
+        partitioner = dist.inner.partitioner.state_dict()
+        frames = dist.wire_stats()["batch_frames_sent"]
+        for kind, bad in NON_INTEGER.items():
+            for validate in (True, False):
+                with pytest.raises(StreamError, match="integers"):
+                    dist.ingest(bad(batch[20:]), validate=validate)
+                with pytest.raises(StreamError, match="site_ids"):
+                    dist.ingest(batch[20:], bad(np.arange(40) % 4),
+                                validate=validate)
+        assert dist._seq == dist._applied_seq == 1
+        assert not dist._rounds
+        assert dist.wire_stats()["batch_frames_sent"] == frames
+        assert dist.inner.partitioner.state_dict() == partitioner
+        assert dist.events_seen == 20
+
+
+@pytest.mark.parametrize("kind", list(NON_INTEGER))
+def test_batch_reads_refuse_non_integer_rows(alarm_net, batch, kind):
+    session = MonitoringSession(_spec())
+    session.ingest(batch)
+    server = session.serve()
+    rows = NON_INTEGER[kind](batch[:5])
+    targets = [alarm_net.node_names[0]] * len(rows)
+    for strict in (False, True):
+        with pytest.raises(QueryError, match="integers"):
+            session.log_query_batch(rows, strict=strict)
+        with pytest.raises(QueryError, match="integers"):
+            server.log_joint_batch(rows, strict=strict)
+    with pytest.raises(QueryError, match="integers"):
+        session.log_query(rows[0])
+    with pytest.raises(QueryError, match="integers"):
+        session.classifier().predict_batch(targets, rows)
+    with pytest.raises(QueryError, match="integers"):
+        server.classify_batch(targets, rows)
+    assert server.snapshot_refreshes == 0
+    assert server.queries_served == 0

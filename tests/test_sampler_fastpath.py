@@ -5,7 +5,9 @@ The contract:
 - **determinism** — for a fixed seed every drawing surface (``sample``,
   ``sample_into``, ``sample_stream`` with and without buffer reuse)
   produces byte-identical draws at the same batch-size sequence (the
-  seed-0 LINK stream itself is frozen in ``tests/test_golden_pins.py``);
+  seed-0 LINK stream itself is frozen in ``tests/test_golden_pins.py``),
+  and the live inversion loop draws exactly what the plain reference
+  loop (``tests/sampler_oracle.py::reference_sample_into``) draws;
 - **statistical identity** — the stream passes a per-CPD chi-squared
   goodness-of-fit against the ground-truth network, so the fast path
   cannot buy speed with a skewed distribution;
@@ -16,18 +18,78 @@ The contract:
   refuse, with :class:`StreamError`, any state they cannot continue.
 """
 
+import functools
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from repro import EstimatorSpec, ForwardSampler, MonitoringSession, link_like
+from repro import (
+    BayesianNetwork, EstimatorSpec, ForwardSampler, MonitoringSession,
+    link_like,
+)
+from repro.bn.cpd import TabularCPD
+from repro.bn.repository import munin_like
+from repro.bn.variable import Variable
 from repro.errors import StreamError
 from repro.exec import SHARD_MODES, ShardedSampler
-from sampler_oracle import CHI2_Z_THRESHOLD, max_cpd_chi2_z
+from repro.graph.dag import DAG
+from sampler_oracle import (
+    CHI2_Z_THRESHOLD, max_cpd_chi2_z, reference_sample_into,
+)
+from test_wire_widths import wide_net  # noqa: F401  (J = 300: packed root)
 
 
 @pytest.fixture(scope="module")
 def link_net():
     return link_like()
+
+
+@pytest.fixture(scope="module")
+def munin_net():
+    return munin_like()
+
+
+def _random_net(name, families):
+    """``families`` is ``(variable, cardinality, parents)`` in topological
+    order; CPD columns are seeded Dirichlet draws."""
+    rng = np.random.default_rng(17)
+    cards, variables, cpds, dag = {}, [], [], {}
+    for variable, cardinality, parents in families:
+        cards[variable] = cardinality
+        parent_cards = tuple(cards[p] for p in parents)
+        configs = math.prod(parent_cards)
+        values = rng.dirichlet(np.ones(cardinality), size=configs).T
+        cpds.append(TabularCPD(variable, cardinality, parents, parent_cards,
+                               values))
+        variables.append(Variable(variable, cardinality))
+        dag[variable] = tuple(parents)
+    return BayesianNetwork(DAG(dag), variables, cpds, name=name)
+
+
+@pytest.fixture(scope="module")
+def unit_net():
+    """Cardinality-1 variables as root, child and parent (so a family can
+    have only stride-1 parents), and wide (J > 32, packed-table) children
+    with several parents and with one stride-1 parent."""
+    return _random_net("unit", [
+        ("A", 2, ()),
+        ("U", 1, ()),
+        ("B", 1, ("A",)),
+        ("C", 3, ("A", "B")),
+        ("D", 2, ("B",)),
+        ("E", 40, ("A", "C")),
+        ("F", 33, ("C",)),
+        ("G", 5, ("E", "F", "A")),
+    ])
+
+
+@pytest.fixture(scope="module")
+def roots_net():
+    return _random_net("roots", [
+        ("R1", 2, ()), ("R2", 5, ()), ("R3", 1, ()), ("R4", 40, ()),
+    ])
 
 
 class TestDrawContract:
@@ -61,6 +123,45 @@ class TestDrawContract:
         # count-inversion crossover) and deep topological levels.
         data = ForwardSampler(link_net, seed=4).sample(15_000)
         assert max_cpd_chi2_z(link_net, data) < CHI2_Z_THRESHOLD
+
+    def test_read_only_buffer_refused_before_drawing(self, alarm_net):
+        sampler = ForwardSampler(alarm_net, seed=5)
+        before = sampler.state_dict()
+        buffer = np.zeros((10, alarm_net.n_variables), dtype=np.int64)
+        buffer.setflags(write=False)
+        with pytest.raises(StreamError, match="writeable"):
+            sampler.sample_into(buffer)
+        assert sampler.state_dict() == before
+
+
+@pytest.mark.parametrize("chunks", [(1, 1, 1), (20_000,)])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("net_fixture", [
+    "alarm_net", "link_net", "munin_net", "wide_net", "unit_net", "roots_net",
+])
+def test_live_loop_matches_reference_loop(request, net_fixture, order, chunks):
+    """Same bytes and generator state as the plain loop, chunk by chunk.
+
+    Both sides fill one buffer (pre-filled with -1, so a skipped write
+    shows) and are compared by digest, to hold one paper-scale chunk at a
+    time; a packed-table draw that scaled its parent's column in place
+    would change that column here.
+    """
+    net = request.getfixturevalue(net_fixture)
+    live = ForwardSampler(net, seed=31)
+    reference = ForwardSampler(net, seed=31)
+    n = net.n_variables
+    for m in chunks:
+        storage = np.empty((n, m) if order == "F" else (m, n), np.int64)
+        out = storage.T if order == "F" else storage
+        digests = []
+        for draw in (live.sample_into,
+                     functools.partial(reference_sample_into, reference)):
+            storage.fill(-1)
+            assert draw(out) is out
+            digests.append(hashlib.sha256(storage).hexdigest())
+        assert digests[0] == digests[1], m
+        assert live.state_dict() == reference.state_dict()
 
 
 class TestSampleEvent:

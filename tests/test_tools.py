@@ -92,10 +92,12 @@ def _pair(base, change, *, failed=(0, 0)):
 def test_bench_pairs_summary_applies_the_gain_rule():
     bench_pairs = _load("bench_pairs")
     metrics = [
-        {"name": "events_per_s", "unit": "events/s", "better": "higher"},
-        {"name": "round_ms_p50", "unit": "ms", "better": "lower"},
+        {"name": "events_per_s", "unit": "events/s", "better": "higher",
+         "bound": 0.25},
+        {"name": "round_ms_p50", "unit": "ms", "better": "lower",
+         "bound": 0.25},
         {"name": "messages_per_event", "unit": "msgs/event",
-         "better": "lower"},
+         "better": "lower", "bound": 0.005},
     ]
     base_rate = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
     pairs = [
@@ -134,6 +136,71 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     ]
     row = bench_pairs.summarize(narrow, metrics)["metrics"][0]
     assert row["wins"] == 10 and not row["gain_holds"]
+
+
+def test_bench_pairs_judges_nothing_worse():
+    bench_pairs = _load("bench_pairs")
+    metrics = [
+        {"name": "events_per_s", "unit": "events/s", "better": "higher",
+         "bound": 0.25},
+        {"name": "read_ms_p50", "unit": "ms", "better": "lower",
+         "bound": 0.25},
+        {"name": "messages_per_event", "unit": "msgs/event",
+         "better": "lower", "bound": 0.005},
+        {"name": "eps_headroom", "unit": "ratio", "better": "higher",
+         "bound": 0.08},
+    ]
+    rates = [100, 102, 98, 101, 99, 100]
+
+    def values(rate, read, messages=5.0):
+        return {"events_per_s": rate, "read_ms_p50": read,
+                "messages_per_event": messages, "eps_headroom": 0.5}
+
+    def judge(pairs):
+        summary = bench_pairs.summarize(pairs, metrics)
+        verdicts = {row["name"]: row["verdict"] for row in summary["metrics"]}
+        return summary, verdicts
+
+    # Reads 10 % slower: inside the 25 % bound.
+    summary, verdicts = judge(
+        [_pair(values(r, 10.0), values(r + 1, 11.0)) for r in rates])
+    assert set(verdicts.values()) == {"within"}
+    assert summary["flagged"] == [] and not summary["worse"]
+    assert "nothing worse: yes" in bench_pairs.format_summary(summary)
+
+    # Reads 40 % slower: worse.
+    summary, verdicts = judge(
+        [_pair(values(r, 10.0), values(r, 14.0)) for r in rates])
+    assert verdicts["read_ms_p50"] == "worse" and summary["worse"]
+
+    # A spread wider than the bound cannot tell, and is not "worse".
+    reads = [5.0, 10.0, 20.0, 5.0, 10.0, 20.0]
+    summary, verdicts = judge(
+        [_pair(values(r, read), values(r, read)) for r, read in
+         zip(rates, reads)])
+    assert verdicts["read_ms_p50"] == "unresolved" and not summary["worse"]
+
+    # A protocol metric that moves in its last digit on one pair is
+    # inside its bound, and still flagged.
+    drift = [
+        _pair(values(r, 10.0), values(r, 10.0, 5.0 if i else 5.000001))
+        for i, r in enumerate(rates)
+    ]
+    summary, verdicts = judge(drift)
+    assert verdicts["messages_per_event"] == "within"
+    assert summary["flagged"] == [{
+        "pair": 0, "seed": None, "metric": "messages_per_event",
+        "base": 5.0, "change": 5.000001,
+    }]
+    assert summary["worse"]
+    assert "FLAGGED pair 1" in bench_pairs.format_summary(summary)
+
+    # So is a larger share of failed operations.
+    summary, _ = judge([
+        _pair(values(r, 10.0), values(r, 10.0), failed=(0, int(i == 2)))
+        for i, r in enumerate(rates)
+    ])
+    assert summary["worse"]
 
 
 _FAKE_RUN = """\

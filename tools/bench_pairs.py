@@ -19,8 +19,13 @@ side's median and quartiles, the change in median, how many pairs the
 change won (ties count for neither side), and whether the gain rule holds:
 the change wins at least nine tenths of the pairs *and* its median beats
 the base median by more than the base runs' interquartile distance.  It
-also gives each side's share of failed operations.  ``--out`` writes the
-raw run records and the summary as JSON.
+also judges "nothing worse": each metric's bound verdict (``within``,
+``better``, ``worse`` or ``unresolved``, from ``bench/compare.py`` and
+the metric's ``BENCHMARK.json`` bound), each side's share of failed
+operations, and a flag on any pair whose ``messages_per_event`` or
+``eps_headroom`` differ between the sides.  It exits 1 on a ``worse``
+verdict, a flagged pair or a larger failed share for the change.
+``--out`` writes the raw run records and the summary as JSON.
 """
 
 from __future__ import annotations
@@ -49,11 +54,25 @@ def _bench_compare():
     return module
 
 
+#: Protocol metrics: a change that keeps the protocol moves neither, so
+#: any difference within a pair is flagged, whatever the bound says.
+IDENTICAL_METRICS = ("messages_per_event", "eps_headroom")
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Judge ``pairs`` — ``{"base": record, "change": record}`` dicts of
     ``bench/run.py --out`` records — on the ``end_to_end`` metrics of
-    ``BENCHMARK.json`` (each with ``name``, ``unit``, ``better``)."""
-    quartiles = _bench_compare().quartiles
+    ``BENCHMARK.json`` (each with ``name``, ``unit``, ``better``,
+    ``bound``).
+
+    Per metric: quartiles, win count, the gain rule and the bound
+    verdict of ``bench/compare.py::verdict`` on the two sides' runs.
+    ``flagged`` lists the pairs whose :data:`IDENTICAL_METRICS` differ
+    between the sides; ``worse`` is true when any verdict is ``worse``,
+    any pair is flagged or the change failed a larger share of its
+    operations (``bench/compare.py``'s exit rule).
+    """
+    compare = _bench_compare()
     rows = []
     for metric in end_to_end:
         name = metric["name"]
@@ -61,7 +80,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = [p["change"]["end_to_end"][name] for p in pairs]
         sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-        qb, qc = quartiles(base), quartiles(change)
+        qb, qc = compare.quartiles(base), compare.quartiles(change)
         gain = sign * (qc[1] - qb[1])
         rows.append({
             "name": name,
@@ -74,22 +93,37 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(pairs),
             "gain_holds": (wins >= math.ceil(0.9 * len(pairs))
                            and gain > qb[2] - qb[0]),
+            "verdict": compare.verdict(metric, base, change),
         })
+    judged = {metric["name"] for metric in end_to_end}
+    flagged = [
+        {"pair": i, "seed": pair.get("seed"), "metric": name,
+         "base": pair["base"]["end_to_end"][name],
+         "change": pair["change"]["end_to_end"][name]}
+        for i, pair in enumerate(pairs)
+        for name in IDENTICAL_METRICS if name in judged
+        if pair["base"]["end_to_end"][name]
+        != pair["change"]["end_to_end"][name]
+    ]
 
     def failed_share(side):
         attempted = sum(p[side]["ops_attempted"] for p in pairs)
         return sum(p[side]["ops_failed"] for p in pairs) / attempted
 
+    shares = {side: failed_share(side) for side in ("base", "change")}
     return {
         "metrics": rows,
-        "failed_share": {side: failed_share(side) for side in ("base", "change")},
+        "failed_share": shares,
+        "flagged": flagged,
+        "worse": (bool(flagged) or shares["change"] > shares["base"]
+                  or any(row["verdict"] == "worse" for row in rows)),
     }
 
 
 def format_summary(summary: dict) -> str:
     lines = [f"{'metric':<19} {'base median [q1, q3]':<36} "
              f"{'change median [q1, q3]':<36} {'Δ median':>9} "
-             f"{'wins':>6}  gain rule"]
+             f"{'wins':>6}  {'gain rule':<9}  bound"]
     for row in summary["metrics"]:
         cells = [
             f"{q[1]:.5g} [{q[0]:.5g}, {q[2]:.5g}]"
@@ -99,11 +133,16 @@ def format_summary(summary: dict) -> str:
             f"{row['name']:<19} {cells[0]:<36} {cells[1]:<36} "
             f"{row['median_change']:>+9.2%} "
             f"{row['wins']:>3}/{row['pairs']:<2}  "
-            f"{'holds' if row['gain_holds'] else 'no'}"
+            f"{'holds' if row['gain_holds'] else 'no':<9}  {row['verdict']}"
         )
     shares = summary["failed_share"]
     lines.append(f"failed ops share: base {shares['base']:.3g}, "
                  f"change {shares['change']:.3g}")
+    for flag in summary["flagged"]:
+        lines.append(f"FLAGGED pair {flag['pair'] + 1} (seed {flag['seed']}): "
+                     f"{flag['metric']} base {flag['base']!r} "
+                     f"!= change {flag['change']!r}")
+    lines.append("nothing worse: " + ("NO" if summary["worse"] else "yes"))
     return "\n".join(lines)
 
 
@@ -192,7 +231,7 @@ def main(argv=None) -> int:
         Path(args.out).write_text(json.dumps(
             {"base_rev": args.base_rev, "workload": args.workload,
              "pairs": pairs, "summary": summary}, indent=1) + "\n")
-    return 0
+    return 1 if summary["worse"] else 0
 
 
 if __name__ == "__main__":
