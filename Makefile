@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist smoke-net bench-e2e-smoke docs-check check
+.PHONY: test smoke smoke-dist bench-e2e-smoke docs-check check
 
 test:
 	$(PYTHON) -m pytest -q
@@ -54,7 +54,8 @@ smoke:
 	    --view messages
 
 # The distributed runtime's conformance contract, end to end on the CLI:
-# a --runtime distributed grid must match the in-process reference.
+# a --runtime distributed grid (site workers over loopback TCP) must
+# match the in-process reference byte-for-byte.
 smoke-dist:
 	$(PYTHON) -m repro.experiments messages --network alarm \
 	    --algorithms exact,nonuniform --events 1000 --sites 5 \
@@ -68,21 +69,6 @@ smoke-dist:
 	$(PYTHON) tools/compare_bench.py /tmp/repro_smoke_dist.json \
 	    /tmp/repro_smoke_dist_ref.json
 
-# The same contract over the TCP transport: a --transport tcp grid must
-# match the in-process reference byte-for-byte.
-smoke-net:
-	$(PYTHON) -m repro.experiments messages --network alarm \
-	    --algorithms exact,nonuniform --events 1000 --sites 5 \
-	    --eval-events 200 --checkpoints 2 \
-	    --out /tmp/repro_smoke_net_ref.json
-	$(PYTHON) -m repro.experiments messages --network alarm \
-	    --algorithms exact,nonuniform --events 1000 --sites 5 \
-	    --eval-events 200 --checkpoints 2 \
-	    --runtime distributed --sites-procs 2 --transport tcp \
-	    --out /tmp/repro_smoke_net.json
-	$(PYTHON) tools/compare_bench.py /tmp/repro_smoke_net.json \
-	    /tmp/repro_smoke_net_ref.json
-
 # The end-to-end benchmark (bench/, BENCHMARK.json) scaled to seconds,
 # with every conformance check and the layer replay on: a src change
 # that breaks one of its checks or tracer probes fails here, not in the
@@ -93,4 +79,4 @@ bench-e2e-smoke:
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
-check: test smoke smoke-dist smoke-net bench-e2e-smoke docs-check
+check: test smoke smoke-dist bench-e2e-smoke docs-check

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.errors import QueryError
 from repro.utils.validation import check_positive_int
 
 
@@ -45,17 +48,31 @@ class Variable:
             )
 
     def state_index(self, state: "str | int") -> int:
-        """Resolve a state label or integer index to a validated index."""
-        if isinstance(state, str):
-            try:
-                return self.states.index(state)
-            except ValueError:
-                raise ValueError(
-                    f"variable {self.name!r} has no state {state!r}"
-                ) from None
+        """Resolve a state label or integer index to a validated index.
+
+        Only a label, an ``int`` or a numpy integer names a state: a
+        float would truncate (0.5 would read as state 0) and ``True`` is
+        not an index, so both are refused rather than cast.
+        Raises :class:`~repro.errors.QueryError` for those, an unknown
+        label, and an out-of-range index alike.
+        """
+        # Exact type first: ``bool`` is not ``int`` here, and the common
+        # case stays one comparison on the served event-query path.
+        if type(state) is not int and not isinstance(state, np.integer):
+            if isinstance(state, str):
+                try:
+                    return self.states.index(state)
+                except ValueError:
+                    raise QueryError(
+                        f"variable {self.name!r} has no state {state!r}"
+                    ) from None
+            raise QueryError(
+                f"state of variable {self.name!r} must be an integer index "
+                f"or a state label, got {state!r}"
+            )
         index = int(state)
         if not 0 <= index < self.cardinality:
-            raise ValueError(
+            raise QueryError(
                 f"state index {index} out of range for variable {self.name!r} "
                 f"with cardinality {self.cardinality}"
             )

@@ -29,7 +29,6 @@ from repro.dist.recovery import (
 from repro.dist.site import SiteShard
 from repro.dist.transport import (
     FAULT_EXIT_CODE,
-    QueueTransport,
     TransportClosed,
     create_once,
 )
@@ -37,7 +36,6 @@ from repro.dist.transport import (
 __all__ = [
     "DistributedSession",
     "SiteShard",
-    "QueueTransport",
     "TransportClosed",
     "create_once",
     "FAULT_EXIT_CODE",

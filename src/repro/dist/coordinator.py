@@ -8,9 +8,9 @@ worker processes (:mod:`repro.dist.site`).  Per ingest round it
 1. assigns sites from the session partitioner (the same stream the
    in-process path consumes),
 2. splits the batch across workers by hosted-site shard and ships one
-   :class:`~repro.dist.messages.IngestBatch` frame per worker over a
-   bounded inbox queue (full queue = backpressure: ingest stalls
-   instead of buffering unboundedly),
+   :class:`~repro.dist.messages.IngestBatch` frame per worker over its
+   TCP inbox channel (:mod:`repro.net`; full socket buffers =
+   backpressure: ingest stalls instead of buffering unboundedly),
 3. drains :class:`~repro.dist.messages.ValueReport` frames, re-aligns
    them by round, and applies each round's per-site aggregates to the
    inner session's counter bank **in ascending site order** as one
@@ -60,7 +60,7 @@ from repro.dist.messages import (
     ValueReport,
 )
 from repro.dist.site import START_METHOD, _site_worker_main
-from repro.dist.transport import POLL_INTERVAL, QueueTransport, TransportClosed
+from repro.dist.transport import TransportClosed
 from repro.errors import ExecutionError, SessionError, StreamError
 from repro.monitoring.channel import MessageKind
 from repro.utils.validation import integer_array
@@ -89,13 +89,13 @@ class _WorkerHandle:
         self.index = index
         self.sites = sites
         self.process = None
-        self.inbox: QueueTransport | None = None
-        #: This incarnation's report queue.  Per-worker (never shared):
-        #: an abrupt death can corrupt the queue its feeder thread was
-        #: writing — a fresh incarnation gets a fresh queue and the old
-        #: one is discarded, so a dying worker can never wedge the pipe
-        #: a *surviving* worker sends on.
-        self.reports: QueueTransport | None = None
+        #: This incarnation's coordinator-side channels
+        #: (:class:`~repro.net.endpoint.CoordinatorChannel`).  Opened
+        #: fresh per incarnation: the listener then refuses every Hello
+        #: but this incarnation's, so a dead predecessor's lingering
+        #: socket can neither wedge nor impersonate the replacement.
+        self.inbox = None
+        self.reports = None
         #: Last state_dict the worker reported (respawn hand-off).
         self.state: dict | None = None
         #: seq -> (data, site_ids) sub-batches sent but not yet reported
@@ -131,17 +131,15 @@ class DistributedSession:
         pipeline encoding of round ``s+1`` against application of round
         ``s`` — reads (:meth:`metrics`, queries, snapshots) flush first,
         so anytime semantics are preserved.
-    inbox_slots / report_slots:
-        Bounds of the per-worker inbox and report queues — the
-        backpressure windows.
     max_respawns:
         Worker deaths tolerated per worker slot before the session gives
         up with :class:`~repro.errors.ExecutionError`.
     transport:
-        ``"queue"`` (the default, in-host ``multiprocessing`` queues) or
-        ``"tcp"`` — the :mod:`repro.net` socket transport: workers dial
-        a loopback listener and speak the framed wire protocol, with
-        identical conformance guarantees (see ``docs/networking.md``).
+        Retired: workers always dial the coordinator's TCP listener and
+        speak the framed wire protocol (``docs/networking.md``).
+        ``"tcp"`` and ``"queue"`` (the removed in-host wire) are both
+        accepted so existing callers and recovery payloads keep
+        working; neither selects any code.
     poll_interval:
         Liveness-poll cadence threaded into every transport end
         (defaults to :data:`~repro.dist.transport.POLL_INTERVAL`).
@@ -151,7 +149,7 @@ class DistributedSession:
         installed on a worker's report / inbox transport, keyed by
         worker index.
     coordinator_faults:
-        TCP-only test hook: fault specs installed listener-side on a
+        Test hook: fault specs installed listener-side on a
         worker's *reports* channel (see :mod:`repro.net.endpoint`),
         keyed by worker index.
     wal_dir:
@@ -178,15 +176,15 @@ class DistributedSession:
         hard-kills the coordinator at a seeded injection point (see
         :data:`~repro.dist.recovery.CRASH_POINTS`).
     bind_address / advertise_address:
-        TCP only: the interface the listener binds (default loopback;
+        The interface the listener binds (default loopback;
         ``"0.0.0.0"`` for all interfaces) and, when binding a wildcard,
         the address workers are told to dial.
     max_frame_bytes:
-        TCP only: per-frame payload ceiling for both directions
+        Per-frame payload ceiling for both directions
         (default :data:`repro.net.wire.MAX_FRAME_BYTES`).
     heartbeat_timeout:
-        TCP only: worker-side dead-peer threshold in seconds (no frame
-        nor heartbeat for this long drops the connection; default off).
+        Worker-side dead-peer threshold in seconds (no frame nor
+        heartbeat for this long drops the connection; default off).
     """
 
     def __init__(
@@ -196,10 +194,8 @@ class DistributedSession:
         network=None,
         procs: int | None = None,
         max_pending: int = 1,
-        inbox_slots: int | None = None,
-        report_slots: int | None = None,
         max_respawns: int = 5,
-        transport: str = "queue",
+        transport: str = "tcp",
         poll_interval: float | None = None,
         worker_faults: dict | None = None,
         worker_inbox_faults: dict | None = None,
@@ -254,19 +250,11 @@ class DistributedSession:
             raise SessionError(f"procs must be positive, got {procs}")
         self.procs = min(procs, k)
         self.max_pending = max(1, int(max_pending))
-        self._inbox_slots = int(
-            inbox_slots if inbox_slots is not None else self.max_pending + 2
-        )
-        self._report_slots = int(
-            report_slots if report_slots is not None
-            else 4 * self.max_pending + 4
-        )
         self.max_respawns = int(max_respawns)
         if transport not in ("queue", "tcp"):
             raise SessionError(
                 f"transport must be 'queue' or 'tcp', got {transport!r}"
             )
-        self.transport = transport
         self._poll_interval = (
             None if poll_interval is None else float(poll_interval)
         )
@@ -287,32 +275,19 @@ class DistributedSession:
             raise SessionError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
-        if self.transport != "tcp":
-            for name, value in (
-                ("bind_address", bind_address),
-                ("advertise_address", advertise_address),
-                ("max_frame_bytes", max_frame_bytes),
-                ("heartbeat_timeout", heartbeat_timeout),
-            ):
-                if value is not None:
-                    raise SessionError(
-                        f"{name} only applies to the tcp transport"
-                    )
-        self._listener = None
         self._replaying = False
-        if self.transport == "tcp":
-            from repro.net.endpoint import Listener
+        from repro.net.endpoint import Listener
 
-            listener_kwargs = {
-                "advertise": advertise_address,
-                "incarnation": self._incarnation,
-                "poll_interval": self._poll_interval,
-            }
-            if bind_address is not None:
-                listener_kwargs["host"] = bind_address
-            if self._max_frame_bytes is not None:
-                listener_kwargs["max_frame_bytes"] = self._max_frame_bytes
-            self._listener = Listener(**listener_kwargs)
+        listener_kwargs = {
+            "advertise": advertise_address,
+            "incarnation": self._incarnation,
+            "poll_interval": self._poll_interval,
+        }
+        if bind_address is not None:
+            listener_kwargs["host"] = bind_address
+        if self._max_frame_bytes is not None:
+            listener_kwargs["max_frame_bytes"] = self._max_frame_bytes
+        self._listener = Listener(**listener_kwargs)
 
         if wal_dir is not None:
             from repro.dist.recovery import DurableCoordinator
@@ -374,7 +349,7 @@ class DistributedSession:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _payload(self, handle: _WorkerHandle) -> dict:
-        payload = {
+        return {
             "worker": handle.index,
             "spec": self.inner.spec.to_dict(),
             "sites": list(handle.sites),
@@ -382,49 +357,29 @@ class DistributedSession:
             "fault": self._worker_faults.get(handle.index),
             "inbox_fault": self._worker_inbox_faults.get(handle.index),
             "poll_interval": self._poll_interval,
-        }
-        if self.transport == "tcp":
-            # Socket workers carry no queue ends — they dial the
-            # listener and authenticate as this exact incarnation (of
-            # this exact coordinator incarnation: a worker spawned by a
-            # crashed coordinator life is refused by its successor).
-            payload["net"] = {
+            # The worker dials the listener and authenticates as this
+            # exact incarnation (of this exact coordinator incarnation:
+            # a worker spawned by a crashed coordinator life is refused
+            # by its successor).
+            "net": {
                 "address": self._listener.address,
                 "token": self._listener.token,
                 "incarnation": handle.respawns,
                 "coordinator": self._incarnation,
                 "max_frame_bytes": self._max_frame_bytes,
                 "heartbeat_timeout": self._heartbeat_timeout,
-            }
-        else:
-            payload["inbox"] = handle.inbox.queue
-            payload["reports"] = handle.reports.queue
-        return payload
+            },
+        }
 
     def _spawn(self, handle: _WorkerHandle) -> None:
-        if self.transport == "tcp":
-            # Fresh channels per incarnation, exactly like the fresh
-            # queues below: the listener now refuses every Hello except
-            # this incarnation's, so a SIGKILLed predecessor's lingering
-            # socket can neither wedge nor impersonate the replacement.
-            handle.inbox = self._listener.open_channel(
-                handle.index, "inbox", handle.respawns,
-            )
-            handle.reports = self._listener.open_channel(
-                handle.index, "reports", handle.respawns,
-                fault=self._coordinator_faults.get(handle.index),
-            )
-        else:
-            handle.inbox = QueueTransport(
-                self._ctx.Queue(self._inbox_slots),
-                name=f"worker-{handle.index}.inbox",
-                poll_interval=self._poll_interval,
-            )
-            handle.reports = QueueTransport(
-                self._ctx.Queue(self._report_slots),
-                name=f"worker-{handle.index}.reports",
-                poll_interval=self._poll_interval,
-            )
+        # Fresh channels per incarnation (see _WorkerHandle.__init__).
+        handle.inbox = self._listener.open_channel(
+            handle.index, "inbox", handle.respawns,
+        )
+        handle.reports = self._listener.open_channel(
+            handle.index, "reports", handle.respawns,
+            fault=self._coordinator_faults.get(handle.index),
+        )
         handle.thresholds_sent = 0
         handle.thresholds_acked = 0
         handle.process = self._ctx.Process(
@@ -439,8 +394,9 @@ class DistributedSession:
         The replacement resumes via the PR-3 ``state_dict`` hand-off
         (:meth:`~repro.dist.site.SiteShard.load_state_dict`); sub-batches
         the dead incarnation never reported are re-shipped in round
-        order.  A report that *did* reach the queue before the death is
-        deduplicated at dispatch, so the contract survives the race.
+        order.  A report that *did* reach the coordinator before the
+        death is deduplicated at dispatch, so the contract survives the
+        race.
         """
         handle.process.join(timeout=1.0)
         handle.respawns += 1
@@ -450,17 +406,9 @@ class DistributedSession:
                 f"site worker {handle.index} died {handle.respawns} times "
                 f"(last exit code {handle.process.exitcode}); giving up"
             )
-        # A fresh inbox: frames the dead worker never drained are covered
-        # by the unreported replay below, and a stale queue must not leak
-        # them to the replacement twice.  The abandoned queue's feeder
-        # thread may be wedged mid-frame on a pipe nobody will ever read
-        # again — without the cancel its atexit finalizer joins that
-        # thread forever and the whole process hangs at shutdown.
-        if self.transport != "tcp":
-            for old in (handle.inbox, handle.reports):
-                if old is not None:
-                    old.queue.cancel_join_thread()
-                    old.queue.close()
+        # Fresh channels: frames the dead worker never drained are
+        # covered by the unreported replay below, and a stale inbox must
+        # not leak them to the replacement twice.
         self._spawn(handle)
         for seq in sorted(handle.unreported):
             data, site_ids = handle.unreported[seq]
@@ -469,10 +417,10 @@ class DistributedSession:
     def _send(self, handle: _WorkerHandle, frame) -> None:
         """Ship one frame, draining reports while blocked (deadlock-free).
 
-        The inbox bound is the backpressure window: when the worker is
-        busy (or slow), the send blocks.  Reports are drained during the
-        wait so a worker blocked on the (also bounded) report queue can
-        always make progress, and worker death during the wait triggers
+        The socket buffers are the backpressure window: when the worker
+        is busy (or slow), the send blocks.  Reports are drained during
+        the wait so a worker blocked on its own report send can always
+        make progress, and worker death during the wait triggers
         revive-and-retry.
         """
         while True:
@@ -507,38 +455,18 @@ class DistributedSession:
         else:  # pragma: no cover - defensive
             raise ExecutionError(f"coordinator got unknown frame {frame!r}")
 
-    def _recv_report(self, handle: _WorkerHandle):
-        """Non-blocking receive from one worker's report queue.
-
-        A worker killed mid-send (``SIGKILL``, injected ``os._exit``)
-        can leave a half-written frame at the tail of its queue; the
-        resulting unpickling/EOF error is confined to the dead
-        incarnation's private queue, so it is dropped here — the queue
-        is abandoned and the revive path replays whatever it carried.
-        An error on a *live* worker's queue is a real bug and re-raised.
-        """
-        if handle.reports is None:
-            return None
-        try:
-            return handle.reports.try_recv()
-        except Exception:
-            if handle.alive():
-                raise
-            handle.reports = None
-            return None
-
     def _maybe_replay(self) -> None:
         """Replay unreported rounds of workers whose connection broke.
 
-        TCP only: frames that were in flight on a severed/replaced
-        connection are gone; the worker itself is (usually) still
-        alive, so the revive-replay path never fires.  Re-shipping the
+        Frames that were in flight on a severed/replaced connection are
+        gone; the worker itself is (usually) still alive, so the
+        revive-replay path never fires.  Re-shipping the
         worker's unreported sub-batches closes the gap — re-encoded
         aggregates are pure functions of the sub-batch and reports are
         deduplicated per round, so a replay that races the original
         report applies exactly once either way.
         """
-        if self._listener is None or self._replaying:
+        if self._replaying:
             return
         disrupted = self._listener.take_disrupted()
         if not disrupted:
@@ -557,15 +485,20 @@ class DistributedSession:
             self._replaying = False
 
     def _dispatch_available(self) -> bool:
-        """Drain everything currently queued without blocking."""
+        """Drain everything already received without blocking.
+
+        A worker killed mid-send leaves at most a half-written frame on
+        its dead connection; the listener discards it with the
+        connection (EOF drops the decoder), so ``try_recv`` only ever
+        returns whole frames and never raises here.
+        """
         got_any = False
         while True:
             progressed = False
-            if self._listener is not None:
-                self._listener.pump(0.0)
-                self._maybe_replay()
+            self._listener.pump(0.0)
+            self._maybe_replay()
             for handle in self._workers:
-                frame = self._recv_report(handle)
+                frame = handle.reports.try_recv()
                 if frame is not None:
                     self._dispatch(frame)
                     progressed = got_any = True
@@ -575,25 +508,17 @@ class DistributedSession:
     def _wait_reports(self, timeout: float = 0.25) -> None:
         """Sleep until a report may be ready or a worker dies.
 
-        Blocks on the report channels' read ends — queue-feeder pipes
-        or, under TCP, the listener and every live connection socket
+        Blocks on the listener and every live connection socket
         (``multiprocessing.connection.wait`` accepts anything with a
-        ``fileno``) — and the worker process sentinels together, so
-        frame arrival, a (re)connect, and worker death all wake the
-        event loop immediately instead of on a poll tick.
+        ``fileno``) and the worker process sentinels together, so frame
+        arrival, a (re)connect, and worker death all wake the event
+        loop immediately instead of on a poll tick.
         """
-        waitables = []
-        if self._listener is not None:
-            waitables.extend(self._listener.waitables())
-        for handle in self._workers:
-            if self._listener is None and handle.reports is not None:
-                waitables.append(handle.reports.queue._reader)
-            if handle.alive():
-                waitables.append(handle.process.sentinel)
-        if waitables:
-            _wait_connections(waitables, timeout=timeout)
-        else:  # pragma: no cover - every worker gone and abandoned
-            time.sleep(self._poll_interval or POLL_INTERVAL)
+        waitables = self._listener.waitables()
+        waitables.extend(
+            h.process.sentinel for h in self._workers if h.alive()
+        )
+        _wait_connections(waitables, timeout=timeout)
 
     def _drain_blocking(self) -> None:
         """Wait for at least one frame, reviving dead workers meanwhile."""
@@ -855,10 +780,8 @@ class DistributedSession:
         stalls across all worker inboxes.  ``bytes_sent`` /
         ``bytes_received`` are the coordinator->worker and
         worker->coordinator bytes the TCP channels moved (see
-        :meth:`repro.net.endpoint.CoordinatorChannel.stats`); the queue
-        transport pickles inside ``multiprocessing`` and reports 0.
-        Like the blocked counters they cover each worker's current
-        incarnation.
+        :meth:`repro.net.endpoint.CoordinatorChannel.stats`).  Like the
+        blocked counters they cover each worker's current incarnation.
         """
         stats = dict(self._wire)
         stats["workers"] = self.procs
@@ -868,10 +791,7 @@ class DistributedSession:
         stats["blocked_seconds"] = float(
             sum(h.inbox.blocked_seconds for h in self._workers)
         )
-        channels = [] if self._listener is None else [
-            c for h in self._workers for c in (h.inbox, h.reports)
-            if c is not None
-        ]
+        channels = [c for h in self._workers for c in (h.inbox, h.reports)]
         stats["bytes_sent"] = sum(c.bytes_sent for c in channels)
         stats["bytes_received"] = sum(c.bytes_received for c in channels)
         return stats
@@ -943,13 +863,7 @@ class DistributedSession:
                 if handle.process.is_alive():  # pragma: no cover - defensive
                     handle.process.terminate()
                     handle.process.join(timeout=1.0)
-        if self._listener is not None:
-            self._listener.close()
-        else:
-            for handle in self._workers:
-                handle.inbox.queue.cancel_join_thread()
-                if handle.reports is not None:
-                    handle.reports.queue.cancel_join_thread()
+        self._listener.close()
 
     def __enter__(self) -> "DistributedSession":
         return self

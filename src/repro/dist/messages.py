@@ -3,7 +3,7 @@
 The in-process path simulates the paper's protocol inside the counter
 banks; the distributed runtime moves the *site-side work* (encoding a
 sub-batch into per-site counter aggregates) into real worker processes
-and ships the results back as frames over multiprocessing queues.  Two
+and ships the results back as frames over TCP (:mod:`repro.net`).  Two
 message vocabularies coexist and must not be confused:
 
 - **Protocol messages** (REPORT/BROADCAST/SYNC) are the paper's

@@ -456,8 +456,8 @@ class DurableCoordinator:
             and crash.get("point") == point
             and int(crash.get("seq", -1)) == int(seq)
         ):
-            # os._exit: no atexit, no finally blocks, no queue feeder
-            # joins — the closest a test can get to SIGKILLing itself.
+            # os._exit: no atexit, no finally blocks, no socket
+            # shutdown — the closest a test can get to SIGKILLing itself.
             os._exit(FAULT_EXIT_CODE)
 
     # ------------------------------------------------------------------
@@ -707,13 +707,14 @@ def run_crashing_coordinator(payload: dict) -> None:
     """Spawn entry: run a durable coordinator that dies on schedule.
 
     ``payload`` is all-JSON-shaped (spawn-picklable): the spec as a
-    dict, ``transport`` / ``procs``, the recovery ``dir``, the WAL
+    dict, ``procs``, the recovery ``dir``, the WAL
     ``fsync`` policy and ``checkpoint_rounds``, an optional ``crash``
     spec (see :class:`DurableCoordinator`), and a ``stream`` dict
     (``seed`` / ``n_events`` / ``chunk``) naming the deterministic
     batches to feed.  Without a crash spec the run completes and exits
     0 — the driver asserts :data:`~repro.dist.transport.FAULT_EXIT_CODE`
-    for crash runs and 0 otherwise.
+    for crash runs and 0 otherwise.  A ``transport`` key, which payloads
+    written while the runtime had two wires still carry, is ignored.
     """
     from repro.api.spec import EstimatorSpec
     from repro.dist.coordinator import DistributedSession
@@ -729,7 +730,6 @@ def run_crashing_coordinator(payload: dict) -> None:
     session = DistributedSession(
         spec, network=net,
         procs=payload.get("procs"),
-        transport=payload.get("transport", "queue"),
         wal_dir=payload["dir"],
         wal_fsync=payload.get("fsync", "always"),
         checkpoint_rounds=payload.get("checkpoint_rounds"),

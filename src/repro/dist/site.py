@@ -34,7 +34,7 @@ from repro.dist.messages import (
     ThresholdUpdate,
     ValueReport,
 )
-from repro.dist.transport import QueueTransport, TransportClosed
+from repro.dist.transport import TransportClosed
 
 #: Start method for site workers (same rationale as exec/multiprocess.py).
 START_METHOD = "spawn"
@@ -180,14 +180,18 @@ def _site_worker_main(payload: dict) -> None:
     """Worker entry point: encode batches until told to shut down.
 
     ``payload`` carries only picklable values: the spec as a dict, the
-    hosted site ids, the channel ends — both queue ends, or (under the
-    TCP transport) a ``net`` dict with the coordinator's listener
-    address, session token, and this incarnation number — an optional
-    resume ``state`` (from the previous incarnation's last report) and
-    an optional declarative ``fault`` spec wrapped around the report
-    transport by the fault-injection tests.
+    hosted site ids, a ``net`` dict with the coordinator's listener
+    address, session token, this incarnation number and the wire knobs
+    (both channels dial it over TCP), an optional resume ``state``
+    (from the previous incarnation's last report), the liveness
+    ``poll_interval``, and optional declarative ``fault`` /
+    ``inbox_fault`` specs installed on the report / inbox transport by
+    the fault-injection tests.
     """
     import multiprocessing
+
+    from repro.net.transport import SocketTransport
+    from repro.net.wire import MAX_FRAME_BYTES
 
     spec = EstimatorSpec.from_dict(payload["spec"])
     shard = SiteShard(spec, payload["sites"])
@@ -196,42 +200,27 @@ def _site_worker_main(payload: dict) -> None:
     worker = int(payload["worker"])
     parent = multiprocessing.parent_process()
     parent_alive = parent.is_alive if parent is not None else (lambda: True)
-    net = payload.get("net")
-    if net is not None:
-        from repro.net.transport import SocketTransport
-        from repro.net.wire import MAX_FRAME_BYTES
-
-        socket_kwargs = {
-            "incarnation": net["incarnation"],
-            "token": net["token"],
-            "coordinator": net.get("coordinator", 0),
-            "max_frame_bytes": net.get("max_frame_bytes") or MAX_FRAME_BYTES,
-            "heartbeat_timeout": net.get("heartbeat_timeout"),
-            "poll_interval": payload.get("poll_interval"),
-        }
-        inbox = SocketTransport(
-            net["address"], worker=worker, channel="inbox",
-            name=f"worker-{worker}.inbox",
-            fault=payload.get("inbox_fault"),
-            **socket_kwargs,
-        )
-        reports = SocketTransport(
-            net["address"], worker=worker, channel="reports",
-            name=f"worker-{worker}.reports",
-            fault=payload.get("fault"),
-            **socket_kwargs,
-        )
-    else:
-        inbox = QueueTransport(
-            payload["inbox"], name=f"worker-{worker}.inbox",
-            fault=payload.get("inbox_fault"),
-            poll_interval=payload.get("poll_interval"),
-        )
-        reports = QueueTransport(
-            payload["reports"], name=f"worker-{worker}.reports",
-            fault=payload.get("fault"),
-            poll_interval=payload.get("poll_interval"),
-        )
+    net = payload["net"]
+    socket_kwargs = {
+        "incarnation": net["incarnation"],
+        "token": net["token"],
+        "coordinator": net.get("coordinator", 0),
+        "max_frame_bytes": net.get("max_frame_bytes") or MAX_FRAME_BYTES,
+        "heartbeat_timeout": net.get("heartbeat_timeout"),
+        "poll_interval": payload.get("poll_interval"),
+    }
+    inbox = SocketTransport(
+        net["address"], worker=worker, channel="inbox",
+        name=f"worker-{worker}.inbox",
+        fault=payload.get("inbox_fault"),
+        **socket_kwargs,
+    )
+    reports = SocketTransport(
+        net["address"], worker=worker, channel="reports",
+        name=f"worker-{worker}.reports",
+        fault=payload.get("fault"),
+        **socket_kwargs,
+    )
     acked = 0
     try:
         while True:
@@ -261,8 +250,7 @@ def _site_worker_main(payload: dict) -> None:
     except TransportClosed:  # pragma: no cover - parent/listener died
         return
     finally:
-        if net is not None:
-            # Both sends above block until the kernel accepted every
-            # byte, so closing here never truncates a reported frame.
-            reports.close()
-            inbox.close()
+        # Both sends above block until the kernel accepted every byte,
+        # so closing here never truncates a reported frame.
+        reports.close()
+        inbox.close()

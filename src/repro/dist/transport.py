@@ -1,19 +1,15 @@
-"""Bounded-queue transport for the distributed runtime.
+"""Primitives shared by the distributed runtime's transport ends.
 
-:class:`QueueTransport` wraps one ``multiprocessing`` queue end with
+The wire itself is :mod:`repro.net` (TCP); this module holds what its
+ends, the chunked executor and the recovery harness share: the
+liveness-poll cadence, the injected-fault exit code, the die-once
+marker, and the :class:`TransportClosed` error.
 
-- **backpressure accounting**: sends into a full queue block (bounded
-  queues are the flow-control mechanism — a slow consumer stalls its
-  producers instead of buffering unboundedly), and every blocked
-  interval is counted so tests and benches can observe backpressure;
-- **liveness hooks**: blocking operations poll an optional ``alive``
-  callback so a producer never deadlocks against a dead consumer;
-- **declarative fault injection**: a plain-dict ``fault`` spec — built
-  by the helpers in ``tests/dist_faults.py`` — can delay each send or
-  kill the process after N sends.  A dict rather than a callable, so it
-  pickles into spawn-started workers unchanged.
-
-Fault spec keys (all optional):
+Fault specs are plain dicts — built by the helpers in
+``tests/dist_faults.py`` — rather than callables, so they pickle into
+spawn-started workers unchanged.  The shared keys (all optional;
+:mod:`repro.net.transport` and :mod:`repro.net.endpoint` add the
+network faults):
 
 ``kill_after_sends``
     Die abruptly (``os._exit``) *before* the Nth successful send.
@@ -31,12 +27,10 @@ Fault spec keys (all optional):
 from __future__ import annotations
 
 import os
-import queue as queue_mod
-import time
 
 from repro.errors import ExecutionError
 
-#: Seconds between liveness polls while blocked on a full/empty queue.
+#: Seconds between liveness polls while a transport end is blocked.
 POLL_INTERVAL = 0.05
 
 #: Exit code used by injected kills (distinct from Python tracebacks).
@@ -60,144 +54,4 @@ def create_once(marker) -> bool:
 
 
 class TransportClosed(ExecutionError):
-    """The peer of a blocking queue operation is gone."""
-
-
-class QueueTransport:
-    """One end of a bounded frame queue, instrumented and fault-injectable.
-
-    Parameters
-    ----------
-    queue:
-        The underlying ``multiprocessing`` queue (bounded; the bound is
-        the backpressure window).
-    name:
-        Diagnostic label used in error messages.
-    fault:
-        Optional declarative fault spec (see module docstring); applied
-        on this end only.
-    poll_interval:
-        Seconds between liveness polls while blocked; defaults to the
-        module-level :data:`POLL_INTERVAL`.  Threaded down from
-        ``DistributedSession(poll_interval=...)`` so queue and socket
-        transports can tune their poll cadence independently.
-    """
-
-    def __init__(self, queue, *, name: str = "queue", fault: dict | None = None,
-                 poll_interval: float | None = None) -> None:
-        self.queue = queue
-        self.name = str(name)
-        self.fault = dict(fault) if fault else {}
-        self.poll_interval = (
-            POLL_INTERVAL if poll_interval is None else float(poll_interval)
-        )
-        #: Frames successfully sent / received through this end.
-        self.sent = 0
-        self.received = 0
-        #: Number of sends that found the queue full at least once.
-        self.blocked_sends = 0
-        #: Total seconds spent blocked on full-queue sends.
-        self.blocked_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    def _maybe_die(self) -> None:
-        limit = self.fault.get("kill_after_sends")
-        if limit is None or self.sent < int(limit):
-            return
-        marker = self.fault.get("once_marker")
-        if marker is not None and not create_once(marker):
-            return  # an earlier incarnation already took the fault
-        os._exit(FAULT_EXIT_CODE)  # abrupt: no cleanup, no exception
-
-    def send(self, frame, *, alive=None, timeout: float | None = None) -> None:
-        """Put ``frame``, blocking under backpressure.
-
-        Polls ``alive()`` (when given) while blocked so a dead peer
-        raises :class:`TransportClosed` instead of hanging; ``timeout``
-        bounds the total wait the same way.
-        """
-        delay = self.fault.get("delay_send")
-        if delay:
-            time.sleep(float(delay))
-        self._maybe_die()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        blocked_at = None
-        while True:
-            try:
-                self.queue.put(frame, timeout=self.poll_interval)
-            except queue_mod.Full:
-                if blocked_at is None:
-                    blocked_at = time.monotonic()
-                    self.blocked_sends += 1
-                if alive is not None and not alive():
-                    self.blocked_seconds += time.monotonic() - blocked_at
-                    raise TransportClosed(
-                        f"peer of {self.name!r} died while the queue was full"
-                    )
-                if deadline is not None and time.monotonic() >= deadline:
-                    self.blocked_seconds += time.monotonic() - blocked_at
-                    raise TransportClosed(
-                        f"send on {self.name!r} timed out under backpressure"
-                    )
-                continue
-            if blocked_at is not None:
-                self.blocked_seconds += time.monotonic() - blocked_at
-            self.sent += 1
-            return
-
-    def recv(self, *, alive=None, timeout: float | None = None):
-        """Take the next frame, or ``None`` when ``timeout`` expires.
-
-        ``alive()`` is polled while the queue is empty; a dead peer
-        raises :class:`TransportClosed` (frames already queued are
-        still drained first).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                frame = self.queue.get(timeout=self.poll_interval)
-            except queue_mod.Empty:
-                if alive is not None and not alive():
-                    try:  # one last non-blocking look: drain races cleanly
-                        frame = self.queue.get_nowait()
-                    except queue_mod.Empty:
-                        raise TransportClosed(
-                            f"peer of {self.name!r} died with the queue empty"
-                        ) from None
-                elif deadline is not None and time.monotonic() >= deadline:
-                    return None
-                else:
-                    continue
-            self.received += 1
-            delay = self.fault.get("delay_recv")
-            if delay:
-                time.sleep(float(delay))
-            return frame
-
-    def try_recv(self):
-        """Non-blocking :meth:`recv`; ``None`` when the queue is empty."""
-        try:
-            frame = self.queue.get_nowait()
-        except queue_mod.Empty:
-            return None
-        self.received += 1
-        delay = self.fault.get("delay_recv")
-        if delay:
-            time.sleep(float(delay))
-        return frame
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Instrumentation counters (JSON-ready)."""
-        return {
-            "sent": int(self.sent),
-            "received": int(self.received),
-            "blocked_sends": int(self.blocked_sends),
-            "blocked_seconds": float(self.blocked_seconds),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"QueueTransport({self.name!r}, sent={self.sent}, "
-            f"received={self.received}, blocked={self.blocked_sends})"
-        )
+    """The peer of a blocking transport operation is gone."""

@@ -82,15 +82,17 @@ class RunTask:
     runtime: str = "inprocess"
     #: Worker process count for the distributed runtime (None = auto).
     sites_procs: "int | None" = None
-    #: Channel of the distributed runtime: "queue" (in-host
-    #: multiprocessing queues) or "tcp" (the repro.net socket wire).
-    #: Conformant transports, so — like `runtime` — serialized only when
-    #: non-default to keep existing cache keys.
+    #: Retired: the distributed runtime has one wire (TCP), so this
+    #: selects no code.  "queue" (the default, named after the removed
+    #: in-host wire) and "tcp" are both accepted, and "tcp" is still
+    #: serialized when given, so every cache key written before the
+    #: field retired stays literal-identical.
     transport: str = "queue"
-    #: TCP-only wire knobs (None = the transport defaults).  Operational
-    #: — frames decode identically under any admitted cap — but part of
-    #: the descriptor so a run that *failed* on a cap is distinguishable
-    #: from one that fit; serialized only when set (cache-key stable).
+    #: Wire knobs of the distributed runtime (None = the defaults).
+    #: Operational — frames decode identically under any admitted cap —
+    #: but part of the descriptor so a run that *failed* on a cap is
+    #: distinguishable from one that fit; serialized only when set
+    #: (cache-key stable).
     max_frame_mb: "float | None" = None
     heartbeat_timeout: "float | None" = None
 
@@ -145,11 +147,6 @@ class RunTask:
                 f"unknown transport {self.transport!r}; expected 'queue' "
                 "or 'tcp'"
             )
-        if self.transport != "queue" and self.runtime != "distributed":
-            raise ExecutionError(
-                f"transport {self.transport!r} requires runtime="
-                "'distributed' (the in-process runtime has no wire)"
-            )
         for field in ("max_frame_mb", "heartbeat_timeout"):
             value = getattr(self, field)
             if value is None:
@@ -159,9 +156,10 @@ class RunTask:
                 raise ExecutionError(
                     f"{field} must be positive, got {value}"
                 )
-            if self.transport != "tcp":
+            if self.runtime != "distributed":
                 raise ExecutionError(
-                    f"{field} only applies to the tcp transport"
+                    f"{field} requires runtime='distributed' (the "
+                    "in-process runtime has no wire)"
                 )
             object.__setattr__(self, field, value)
         schedule = tuple(int(c) for c in self.checkpoints)
@@ -258,7 +256,8 @@ class RunTask:
         The retired ``hyz_engine`` field must be ``"vectorized"`` (the
         sequential replay drew its coins in another order, so its runs
         cannot be continued); ``update_strategy`` may hold any value it
-        ever could and is ignored.  Anything else raises
+        ever could and is ignored; ``transport`` may be ``"queue"`` or
+        ``"tcp"`` and selects no code.  Anything else raises
         :class:`ExecutionError`.
         """
         schema = payload.get("schema", TASK_SCHEMA)
@@ -331,7 +330,6 @@ class RunTask:
             stop_after=stop_after,
             runtime=self.runtime,
             sites_procs=self.sites_procs,
-            transport=self.transport,
             max_frame_mb=self.max_frame_mb,
             heartbeat_timeout=self.heartbeat_timeout,
         )

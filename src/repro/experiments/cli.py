@@ -103,8 +103,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--runtime", default="inprocess",
         choices=["inprocess", "distributed"],
         help="session runtime (default: %(default)s); 'distributed' runs "
-        "real site worker processes and produces identical results "
-        "(see docs/distributed.md)",
+        "real site worker processes over a loopback TCP wire and "
+        "produces identical results (see docs/distributed.md)",
     )
     parser.add_argument(
         "--sites-procs", type=int, default=None,
@@ -112,20 +112,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(default: one per CPU core, capped at k)",
     )
     parser.add_argument(
-        "--transport", default="queue", choices=["queue", "tcp"],
-        help="channel of --runtime distributed (default: %(default)s); "
-        "'tcp' runs the repro.net socket wire over loopback with "
-        "identical results (see docs/networking.md)",
-    )
-    parser.add_argument(
         "--max-frame-mb", type=float, default=None,
-        help="per-frame payload ceiling in MiB for --transport tcp "
+        help="per-frame payload ceiling in MiB for --runtime distributed "
         "(default: the wire's 256 MiB cap)",
     )
     parser.add_argument(
         "--heartbeat-timeout", type=float, default=None,
         help="worker-side dead-peer threshold in seconds for "
-        "--transport tcp (default: off)",
+        "--runtime distributed (default: off)",
     )
     parser.add_argument(
         "--executor", default="serial", choices=executor_names(),
@@ -210,7 +204,6 @@ def _grid_command(args, *, name, eps_values=None, site_counts=None) -> int:
         counter_backend=args.counter_backend,
         runtime=args.runtime,
         sites_procs=args.sites_procs,
-        transport=args.transport,
         max_frame_mb=args.max_frame_mb,
         heartbeat_timeout=args.heartbeat_timeout,
         resume_dir=args.resume_dir,

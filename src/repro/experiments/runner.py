@@ -197,7 +197,6 @@ class ExperimentRunner:
         keep_snapshot: bool = False,
         runtime: str = "inprocess",
         sites_procs: int | None = None,
-        transport: str = "queue",
         max_frame_mb: float | None = None,
         heartbeat_timeout: float | None = None,
     ) -> RunResult | None:
@@ -223,9 +222,9 @@ class ExperimentRunner:
 
         ``runtime="distributed"`` runs the session as a
         :class:`~repro.dist.DistributedSession` over ``sites_procs``
-        worker processes, speaking ``transport`` (``"queue"`` or
-        ``"tcp"`` — the :mod:`repro.net` socket wire).  Runtime and
-        transport are conformant with the in-process reference (same
+        worker processes that speak the :mod:`repro.net` TCP wire, with
+        ``max_frame_mb`` / ``heartbeat_timeout`` as its wire knobs.  The
+        runtime is conformant with the in-process reference (same
         message counts, same estimates — see ``docs/distributed.md``
         and ``docs/networking.md``), so results are byte-identical; the
         knobs are operational, like the executor choice.
@@ -235,20 +234,12 @@ class ExperimentRunner:
                 f"unknown runtime {runtime!r}; expected 'inprocess' or "
                 "'distributed'"
             )
-        if transport not in ("queue", "tcp"):
-            raise EvaluationError(
-                f"unknown transport {transport!r}; expected 'queue' or 'tcp'"
-            )
-        if transport != "queue" and runtime != "distributed":
-            raise EvaluationError(
-                f"transport {transport!r} requires runtime='distributed' "
-                "(the in-process runtime has no wire)"
-            )
         for name, value in (("max_frame_mb", max_frame_mb),
                             ("heartbeat_timeout", heartbeat_timeout)):
-            if value is not None and transport != "tcp":
+            if value is not None and runtime != "distributed":
                 raise EvaluationError(
-                    f"{name} only applies to the tcp transport"
+                    f"{name} requires runtime='distributed' (the "
+                    "in-process runtime has no wire)"
                 )
         if stop_after is not None and snapshot_path is None:
             raise EvaluationError(
@@ -293,7 +284,7 @@ class ExperimentRunner:
             from repro.dist import DistributedSession
 
             session_cls = DistributedSession
-            session_kwargs = {"procs": sites_procs, "transport": transport}
+            session_kwargs = {"procs": sites_procs}
             if max_frame_mb is not None:
                 session_kwargs["max_frame_bytes"] = int(
                     float(max_frame_mb) * 1024 * 1024
@@ -454,7 +445,6 @@ class ExperimentRunner:
         counter_backend: str = "hyz",
         runtime: str = "inprocess",
         sites_procs: int | None = None,
-        transport: str = "queue",
         max_frame_mb: float | None = None,
         heartbeat_timeout: float | None = None,
     ) -> list[RunTask]:
@@ -502,7 +492,6 @@ class ExperimentRunner:
                                 chunk_size=self.chunk_size,
                                 runtime=runtime,
                                 sites_procs=sites_procs,
-                                transport=transport,
                                 max_frame_mb=max_frame_mb,
                                 heartbeat_timeout=heartbeat_timeout,
                             )
@@ -524,7 +513,6 @@ class ExperimentRunner:
         counter_backend: str = "hyz",
         runtime: str = "inprocess",
         sites_procs: int | None = None,
-        transport: str = "queue",
         max_frame_mb: float | None = None,
         heartbeat_timeout: float | None = None,
         resume_dir=None,
@@ -568,7 +556,6 @@ class ExperimentRunner:
             counter_backend=counter_backend,
             runtime=runtime,
             sites_procs=sites_procs,
-            transport=transport,
             max_frame_mb=max_frame_mb,
             heartbeat_timeout=heartbeat_timeout,
         )

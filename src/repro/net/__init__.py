@@ -1,15 +1,15 @@
 """TCP transport subsystem for the distributed runtime.
 
-The queue runtime of :mod:`repro.dist` reaches exactly as far as one
-host; this package is the wire that takes the same coordinator/site
-protocol across a network.  Three layers:
+This package is the only wire between the coordinator and the site
+workers of :mod:`repro.dist`, on one host (loopback) or across a
+network.  Three layers:
 
 - :mod:`repro.net.wire` — length-prefixed, CRC-checked binary framing
   for the :mod:`repro.dist.messages` vocabulary, zero-copy for numpy
   payloads, plus the transport's own control frames (Hello/HelloAck/
   Ping).
 - :mod:`repro.net.transport` — :class:`SocketTransport`, the
-  dialer-side (site worker) end: the ``QueueTransport`` surface over a
+  dialer-side (site worker) end: a blocking send/recv surface over a
   non-blocking socket with backpressure accounting, heartbeats, and
   exponential-backoff reconnect.
 - :mod:`repro.net.endpoint` — :class:`Listener` and
@@ -17,7 +17,7 @@ protocol across a network.  Three layers:
   an incarnation-checked handshake, and disruption tracking that
   drives the coordinator's unreported-round replay.
 
-``DistributedSession(..., transport="tcp")`` plugs the three together;
+:class:`~repro.dist.DistributedSession` plugs the three together;
 ``docs/networking.md`` documents the wire format and the recovery
 policies.
 """

@@ -6,8 +6,8 @@ listening socket, a shared :mod:`selectors` loop over all accepted
 connections, and a registry of :class:`CoordinatorChannel` objects — the
 coordinator-side peers of the workers'
 :class:`~repro.net.transport.SocketTransport` ends, speaking the same
-``QueueTransport`` surface (``send``/``recv``/``try_recv``/``stats``)
-the coordinator event loop already drives.
+transport surface (``send``/``recv``/``try_recv``/``stats``) the
+coordinator event loop drives.
 
 **Handshake.**  A dialer's first frame must be a
 :class:`~repro.net.wire.Hello` carrying worker id, respawn incarnation,
@@ -21,8 +21,7 @@ incarnation: a SIGKILLed worker's lingering socket, a delayed reconnect
 from a dead incarnation, a forged or replayed Hello, or a worker from a
 pre-recovery coordinator life is refused with a
 :class:`~repro.net.wire.HelloAck` and closed, so it can never wedge or
-impersonate the replacement — the per-incarnation-queue guarantee of
-the queue runtime, enforced at the socket layer.
+impersonate the replacement.
 
 **Disruption tracking.**  Whenever an authenticated connection is lost
 (EOF, reset, wire error) or replaced by a re-dial, the owning worker id
@@ -401,7 +400,7 @@ class Listener:
 class CoordinatorChannel:
     """The coordinator-side peer of one worker direction.
 
-    Speaks the ``QueueTransport`` surface over whatever connection the
+    Speaks the transport surface over whatever connection the
     :class:`Listener` has currently assigned to it.  Unlike the dialer
     side it never initiates connections: between the worker's dials the
     channel simply queues outbound frames (``send`` keeps blocking with
@@ -410,7 +409,7 @@ class CoordinatorChannel:
 
     ``send`` tracks in-flight frames by identity: the coordinator's
     retry loop re-sends the *same frame object* after a timeout, and a
-    wire stream — unlike a queue — cannot un-send a partially written
+    wire stream cannot un-send a partially written
     frame, so a retry resumes the pending entry instead of queueing a
     duplicate.
     """
@@ -499,7 +498,7 @@ class CoordinatorChannel:
         return progressed
 
     # ------------------------------------------------------------------
-    # The QueueTransport surface
+    # The transport surface
     # ------------------------------------------------------------------
     def send(self, frame, *, alive=None, timeout: float | None = None) -> None:
         """Queue ``frame``; block until the kernel accepted its bytes.
@@ -508,9 +507,9 @@ class CoordinatorChannel:
         timed out resumes the pending entry (see class docstring).
         While blocked the *whole listener* is pumped, so reports from
         every worker keep draining into their channels and a worker
-        blocked on its report send can always make progress — the same
-        deadlock-freedom argument as the queue runtime's drain-while-
-        blocked loop, enforced one layer lower.
+        blocked on its report send can always make progress — the
+        deadlock-freedom half of the coordinator's drain-while-blocked
+        loop, enforced one layer lower.
         """
         if self.closed:
             raise TransportClosed(f"{self.name!r} is closed")
@@ -590,7 +589,7 @@ class CoordinatorChannel:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Instrumentation counters (JSON-ready), queue surface + wire."""
+        """Instrumentation counters (JSON-ready), transport surface + wire."""
         return {
             "sent": int(self.sent),
             "received": int(self.received),

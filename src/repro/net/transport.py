@@ -1,21 +1,21 @@
-"""`SocketTransport`: the `QueueTransport` surface over a TCP connection.
+"""`SocketTransport`: the dialer (site worker) end of a TCP channel.
 
-This is the *dialer-side* transport a site worker runs: it owns one
-socket, drives it with a :mod:`selectors` event loop, and exposes the
-exact blocking surface the worker loop already speaks —
-``send``/``recv``/``try_recv``/``stats``/``close`` with ``alive``
-polling, ``timeout`` semantics, and :class:`TransportClosed` on a dead
-peer — so :func:`repro.dist.site._site_worker_main` runs unchanged over
-TCP.  (The coordinator-side counterpart, which shares one selector
-across every worker's connections, is
-:class:`repro.net.endpoint.CoordinatorChannel`.)
+This is the transport a site worker runs: it owns one socket, drives it
+with a :mod:`selectors` event loop, and exposes the blocking surface
+the worker loop speaks — ``send``/``recv``/``try_recv``/``stats``/
+``close`` with ``alive`` polling, ``timeout`` semantics, and
+:class:`TransportClosed` on a dead peer (see
+:func:`repro.dist.site._site_worker_main`).  The coordinator-side
+counterpart, which shares one selector across every worker's
+connections and speaks the same surface, is
+:class:`repro.net.endpoint.CoordinatorChannel`.
 
-Semantics relative to the queue transport:
+Semantics:
 
 - **Backpressure**: ``send`` blocks until the frame's bytes are handed
   to the kernel.  A slow or stalled peer fills the socket buffers and
-  the send blocks exactly like a full bounded queue; blocked intervals
-  are counted in ``blocked_sends`` / ``blocked_seconds``.
+  the send blocks; blocked intervals are counted in ``blocked_sends`` /
+  ``blocked_seconds``.
 - **Liveness**: blocking operations poll ``alive()`` and heartbeat the
   connection (a :class:`~repro.net.wire.Ping` after
   ``heartbeat_interval`` of send silence); with ``heartbeat_timeout``
@@ -29,8 +29,7 @@ Semantics relative to the queue transport:
 
 Fault specs extend the declarative vocabulary of
 :mod:`repro.dist.transport` (same dict, same pickling rationale):
-``kill_after_sends``/``once_marker``/``delay_send``/``delay_recv`` are
-honored identically, plus
+``kill_after_sends``/``once_marker``/``delay_send``/``delay_recv``, plus
 
 ``sever_after_sends``
     Abruptly close the socket *before* the Nth+1 successful send — a
@@ -183,8 +182,8 @@ class SocketTransport:
     fault:
         Declarative fault spec (module docstring).
     poll_interval:
-        Liveness-poll cadence while blocked (defaults to the queue
-        transport's :data:`~repro.dist.transport.POLL_INTERVAL`).
+        Liveness-poll cadence while blocked (defaults to
+        :data:`~repro.dist.transport.POLL_INTERVAL`).
     connect_timeout:
         Ceiling on one blocking operation's (re)connect attempts.
     heartbeat_timeout:
@@ -228,7 +227,7 @@ class SocketTransport:
         self.heartbeat_timeout = (
             None if heartbeat_timeout is None else float(heartbeat_timeout)
         )
-        # The QueueTransport accounting surface, plus wire extras.
+        # The transport accounting surface, plus wire extras.
         self.sent = 0
         self.received = 0
         self.blocked_sends = 0
@@ -491,16 +490,16 @@ class SocketTransport:
         self._drop_connection()
 
     # ------------------------------------------------------------------
-    # The QueueTransport surface
+    # The transport surface
     # ------------------------------------------------------------------
     def send(self, frame, *, alive=None, timeout: float | None = None) -> None:
         """Queue ``frame`` and block until the kernel accepted its bytes.
 
         Blocking here *is* the backpressure: a stalled peer fills the
         socket buffers and the send waits, polling ``alive`` and
-        honoring ``timeout`` exactly like the queue transport (on
-        timeout the frame stays queued and a later send or pump
-        completes it — wire streams cannot un-send a partial frame).
+        honoring ``timeout`` (on timeout the frame stays queued and a
+        later send or pump completes it — wire streams cannot un-send a
+        partial frame).
         """
         if self._closed:
             raise TransportClosed(f"{self.name!r} is closed")
@@ -592,7 +591,7 @@ class SocketTransport:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Instrumentation counters (JSON-ready), queue surface + wire."""
+        """Instrumentation counters (JSON-ready), transport surface + wire."""
         return {
             "sent": int(self.sent),
             "received": int(self.received),

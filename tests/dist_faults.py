@@ -1,8 +1,8 @@
 """Shared fault-injection helpers for the distributed and executor suites.
 
-The runtime's transports accept *declarative* fault specs — plain dicts,
-so they pickle into spawn-started workers unchanged (see
-``repro.dist.transport``).  These helpers build the specs, and
+The runtime's transport ends accept *declarative* fault specs — plain
+dicts, so they pickle into spawn-started workers unchanged (see
+``repro.dist.transport`` and ``repro.net.transport``).  These helpers build the specs, and
 :class:`DieOnceMarker` manages the marker file behind the
 die-once-then-recover pattern both the dist suite and ``test_exec.py``'s
 chunked worker-death tests rely on.
@@ -120,8 +120,7 @@ def delay_recv(seconds: float) -> dict:
 def sever_after(sends: int, marker: DieOnceMarker | str | None = None) -> dict:
     """Abruptly close the TCP connection before the ``sends + 1``-th send.
 
-    A simulated network cut (``repro.net`` transports only): the process
-    survives and re-dials, so this exercises reconnect + replay rather
+    A simulated network cut: the process survives and re-dials, so this exercises reconnect + replay rather
     than respawn.  A ``marker`` arms the cut exactly once.
     """
     spec = {"sever_after_sends": int(sends)}

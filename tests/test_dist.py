@@ -13,9 +13,7 @@ cases, the executor/CLI integration, and the auto-mode sampler.
 """
 
 import os
-import queue
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -28,9 +26,7 @@ from repro.bn.sampling import ForwardSampler
 from repro.dist import (
     FAULT_EXIT_CODE,
     DistributedSession,
-    QueueTransport,
     SiteShard,
-    TransportClosed,
     create_once,
 )
 from repro.errors import ExecutionError, SessionError
@@ -83,7 +79,7 @@ def run_pair(spec, batches, **dist_kwargs):
 
 
 # ----------------------------------------------------------------------
-# Transport layer
+# Shared transport primitives (the wire itself: tests/test_net.py)
 # ----------------------------------------------------------------------
 class TestCreateOnce:
     def test_first_creator_wins(self, tmp_path):
@@ -104,64 +100,6 @@ class TestCreateOnce:
         assert merge(spec, delay_send(0.1), delay_recv(0.2)) == {
             "kill_after_sends": 3, "once_marker": marker.path,
             "delay_send": 0.1, "delay_recv": 0.2,
-        }
-
-
-class TestQueueTransport:
-    def test_roundtrip_counts_frames(self):
-        transport = QueueTransport(queue.Queue())
-        transport.send("a")
-        transport.send("b")
-        assert transport.recv() == "a"
-        assert transport.try_recv() == "b"
-        assert transport.sent == 2
-        assert transport.received == 2
-        assert transport.blocked_sends == 0
-
-    def test_empty_queue_returns_none(self):
-        transport = QueueTransport(queue.Queue())
-        assert transport.try_recv() is None
-        assert transport.recv(timeout=0.01) is None
-
-    def test_full_queue_blocks_then_times_out(self):
-        transport = QueueTransport(queue.Queue(maxsize=1))
-        transport.send("fill")
-        with pytest.raises(TransportClosed, match="backpressure"):
-            transport.send("blocked", timeout=0.15)
-        assert transport.blocked_sends == 1
-        assert transport.blocked_seconds > 0.0
-
-    def test_send_to_dead_peer_raises(self):
-        transport = QueueTransport(queue.Queue(maxsize=1), name="inbox")
-        transport.send("fill")
-        with pytest.raises(TransportClosed, match="died"):
-            transport.send("lost", alive=lambda: False)
-
-    def test_recv_drains_before_reporting_death(self):
-        transport = QueueTransport(queue.Queue())
-        transport.queue.put("last-words")
-        assert transport.recv(alive=lambda: False) == "last-words"
-        with pytest.raises(TransportClosed, match="died"):
-            transport.recv(alive=lambda: False)
-
-    def test_delay_faults_slow_the_endpoint(self):
-        slow = QueueTransport(queue.Queue(), fault=merge(
-            delay_send(0.05), delay_recv(0.05)
-        ))
-        t0 = time.monotonic()
-        slow.send("x")
-        assert time.monotonic() - t0 >= 0.05
-        t0 = time.monotonic()
-        assert slow.recv() == "x"
-        assert time.monotonic() - t0 >= 0.05
-
-    def test_stats_are_json_ready(self):
-        transport = QueueTransport(queue.Queue())
-        transport.send("x")
-        transport.recv()
-        assert transport.stats() == {
-            "sent": 1, "received": 1,
-            "blocked_sends": 0, "blocked_seconds": 0.0,
         }
 
     def test_fault_exit_code_is_distinct(self):
@@ -299,13 +237,13 @@ class TestFaultInjection:
             dist._closed = True  # workers are already gone
 
     def test_backpressure_under_slow_consumer(self, tmp_path):
-        # A slow site worker (delayed inbox consumption), a 1-slot
-        # inbox, and pipelined rounds: ingest must stall (bounded
-        # memory), record the stall, and still satisfy the contract.
+        # A slow site worker (delayed inbox consumption) and pipelined
+        # rounds: ingest must stall, record the stall, and still
+        # satisfy the contract.
         spec = spec_for("nonuniform", "hyz")
         batches = batches_for(spec.resolve_network(), rounds=4, size=40)
         _, dist = run_pair(
-            spec, batches, procs=2, inbox_slots=1, max_pending=3,
+            spec, batches, procs=2, max_pending=3,
             worker_inbox_faults={0: delay_recv(0.3)},
         )
         stats = dist.wire_stats()
@@ -540,6 +478,19 @@ class TestDistributedSessionAPI:
             sites = [s for w in dist._workers for s in w.sites]
             assert sites == [0, 1, 2]  # contiguous ascending shards
 
+    def test_retired_transport_keyword(self):
+        # TCP is the only wire: both old names still construct a session
+        # (over TCP), anything else is refused before a worker spawns.
+        spec = spec_for("exact", "exact", k=2)
+        with pytest.raises(SessionError, match="transport"):
+            DistributedSession(spec, procs=1, transport="carrier-pigeon")
+        batch = batches_for(spec.resolve_network(), rounds=1)[0]
+        for transport in ("queue", "tcp"):
+            with DistributedSession(spec, procs=1,
+                                    transport=transport) as dist:
+                dist.ingest(batch)
+                assert dist.wire_stats()["bytes_sent"] > 0
+
     def test_pipelined_rounds_conform(self):
         spec = spec_for("nonuniform", "hyz")
         batches = batches_for(spec.resolve_network(), rounds=6, size=40)
@@ -599,6 +550,13 @@ class TestRunTaskRuntime:
             self._task(runtime="cluster")
         with pytest.raises(ExecutionError, match="sites_procs"):
             self._task(sites_procs=0)
+        # The wire knobs need a wire.
+        for knob in ("max_frame_mb", "heartbeat_timeout"):
+            with pytest.raises(ExecutionError, match="runtime"):
+                self._task(**{knob: 1.0})
+            assert getattr(
+                self._task(runtime="distributed", **{knob: 1.0}), knob
+            ) == 1.0
 
     def test_run_one_distributed_matches_inprocess(self):
         from repro.experiments.runner import ExperimentRunner

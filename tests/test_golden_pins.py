@@ -190,6 +190,21 @@ def test_legacy_payloads_load():
     with pytest.raises(ExecutionError, match="bogus"):
         RunTask.from_dict({**task.to_dict(), "update_strategy": "bogus"})
 
+    # The retired transport field: both wire names load and round-trip,
+    # a "queue" task is the default task, and only "tcp" is serialized.
+    dist = _task("exact", runtime="distributed")
+    assert "transport" not in dist.to_dict()
+    for transport in ("queue", "tcp"):
+        payload = {**dist.to_dict(), "transport": transport}
+        loaded = RunTask.from_dict(payload)
+        assert RunTask.from_dict(loaded.to_dict()) == loaded
+        assert loaded.to_dict() == (
+            payload if transport == "tcp" else dist.to_dict()
+        )
+    assert RunTask.from_dict({**dist.to_dict(), "transport": "queue"}) == dist
+    with pytest.raises(ExecutionError, match="transport"):
+        RunTask.from_dict({**dist.to_dict(), "transport": "carrier-pigeon"})
+
 
 def test_runner_snapshot_with_legacy_spec_resumes(tmp_path):
     runner = ExperimentRunner(eval_events=50, seed=2)

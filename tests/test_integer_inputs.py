@@ -7,6 +7,12 @@ before anything moves: ``StreamError`` from both sessions' ``ingest``
 (whatever ``validate`` says), ``QueryError`` from the query paths.
 ``bool`` is refused too: ``True`` is not a state index, as it is not a
 count in a snapshot's message tallies.
+
+The mapping forms (``{name: state}`` assignments, events and evidence)
+resolve each entry through ``Variable.state_index``, which refuses the
+same values one at a time — a float (0.5 used to read as state 0),
+``bool`` and numpy floats — and raises ``QueryError``, not a bare
+``ValueError``, for an unknown label or out-of-range index.
 """
 
 import pickle
@@ -14,7 +20,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import EstimatorSpec, ForwardSampler, MonitoringSession
+from repro import (
+    EstimatorSpec, ForwardSampler, MonitoringSession, VariableElimination,
+)
 from repro.dist import DistributedSession
 from repro.errors import QueryError, StreamError
 
@@ -123,3 +131,85 @@ def test_batch_reads_refuse_non_integer_rows(alarm_net, batch, kind):
         server.classify_batch(targets, rows)
     assert server.snapshot_refreshes == 0
     assert server.queries_served == 0
+
+
+# ----------------------------------------------------------------------
+# Mapping forms: one entry at a time through Variable.state_index
+# ----------------------------------------------------------------------
+#: Each maps a variable and one of its valid states to a mapping entry
+#: that a cast would have accepted, or that raised a bare ValueError.
+BAD_STATES = {
+    "fractional-float": lambda var, state: state + 0.5,
+    "integer-valued-float": lambda var, state: float(state),
+    "bool": lambda var, state: True,
+    "np.float64": lambda var, state: np.float64(state),
+    "out-of-range": lambda var, state: var.cardinality,
+    "unknown-label": lambda var, state: "no-such-state",
+}
+
+
+@pytest.fixture(scope="module")
+def mapping_case(alarm_net, batch):
+    """A trained session, its server, a full assignment as a mapping,
+    the classification target and the variable whose entry goes bad
+    (a parent, so both the parent and the child lookups see it)."""
+    session = MonitoringSession(
+        EstimatorSpec("alarm", "exact", n_sites=4, seed=7,
+                      counter_backend="exact")
+    )
+    session.ingest(ForwardSampler(alarm_net, seed=5).sample(500))
+    event = {name: int(v) for name, v in zip(alarm_net.node_names, batch[0])}
+    bad_name = next(n for n in alarm_net.node_names
+                    if alarm_net.dag.children(n))
+    target = next(n for n in alarm_net.node_names if n != bad_name)
+    return session, session.serve(), event, target, bad_name
+
+
+def _mapping_entry_points(session, server, target, net):
+    engine = VariableElimination(net)
+
+    def evidence(event):
+        return {k: v for k, v in event.items() if k != target}
+
+    return {
+        "log_query": session.log_query,
+        "query": session.query,
+        "query_event": session.query_event,
+        "served-log_joint": server.log_joint,
+        "served-log_event": server.log_event,
+        "served-classify": lambda e: server.classify(target, evidence(e)),
+        "classifier": lambda e: session.classifier().predict(
+            target, evidence(e)),
+        "inference": lambda e: engine.query([target], evidence(e)).values,
+    }
+
+
+MAPPING_ENTRY_POINTS = [
+    "log_query", "query", "query_event", "served-log_joint",
+    "served-log_event", "served-classify", "classifier", "inference",
+]
+
+
+@pytest.mark.parametrize("kind", list(BAD_STATES))
+@pytest.mark.parametrize("entry", MAPPING_ENTRY_POINTS)
+def test_mapping_states_refuse_non_integers(alarm_net, mapping_case,
+                                            entry, kind):
+    session, server, event, target, bad_name = mapping_case
+    call = _mapping_entry_points(session, server, target, alarm_net)[entry]
+    var = alarm_net.variable(bad_name)
+    bad = {**event, bad_name: BAD_STATES[kind](var, event[bad_name])}
+    with pytest.raises(QueryError, match=repr(bad_name)):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", MAPPING_ENTRY_POINTS)
+def test_mapping_states_accept_numpy_integers_and_labels(
+    alarm_net, mapping_case, entry
+):
+    session, server, event, target, _ = mapping_case
+    call = _mapping_entry_points(session, server, target, alarm_net)[entry]
+    expected = call(event)
+    as_numpy = {k: np.int64(v) for k, v in event.items()}
+    as_labels = {k: alarm_net.variable(k).states[v] for k, v in event.items()}
+    for form in (as_numpy, as_labels):
+        assert np.array_equal(call(form), expected)

@@ -12,15 +12,14 @@ Three layers, mirroring the package:
    connections, and a SIGKILL-style half-written frame — all on a real
    loopback socket pair driven single-coordinator-threaded, the way the
    production event loop runs.
-3. **The conformance contract over TCP**: the PR-7 matrix, worker kills
-   (injected and SIGKILL), severed connections mid-round with
-   reconnect + unreported-round replay, and the executor integration —
-   all asserting byte-identical results against the in-process
-   reference session.
+3. **Network faults under a real session**: severed connections
+   mid-round with reconnect + unreported-round replay, asserting
+   byte-identical results against the in-process reference session.
+   TCP is the runtime's only wire, so the conformance matrix, worker
+   kills (injected and SIGKILL), backpressure and the executor
+   integration in ``tests/test_dist.py`` all run over it too.
 """
 
-import os
-import signal
 import socket
 import threading
 import time
@@ -32,13 +31,11 @@ from dist_faults import (
     DieOnceMarker,
     discard_frames,
     drop_sends,
-    kill_after,
     merge,
     sever_after,
     sockbuf,
 )
-from repro.api.session import MonitoringSession
-from repro.dist import DistributedSession, QueueTransport, TransportClosed
+from repro.dist import DistributedSession, TransportClosed
 from repro.dist.messages import (
     IngestBatch,
     RoundSync,
@@ -48,7 +45,6 @@ from repro.dist.messages import (
     ValueReport,
 )
 from repro.dist.transport import POLL_INTERVAL
-from repro.errors import ExecutionError
 from repro.net import (
     ChecksumError,
     CoordinatorChannel,
@@ -66,7 +62,7 @@ from repro.net import (
     encode_frame,
     make_hello,
 )
-from test_dist import assert_conformant, batches_for, run_pair, spec_for
+from test_dist import batches_for, run_pair, spec_for
 
 
 def encoded(frame, **kwargs) -> bytes:
@@ -748,17 +744,8 @@ class TestSocketEndpoints:
 # Satellite: poll_interval threading (default pinned)
 # ----------------------------------------------------------------------
 class TestPollInterval:
-    def test_queue_transport_default_unchanged(self):
-        import queue
-
-        assert POLL_INTERVAL == 0.05  # the regression pin
-        transport = QueueTransport(queue.Queue())
-        assert transport.poll_interval == POLL_INTERVAL
-        assert QueueTransport(
-            queue.Queue(), poll_interval=0.01
-        ).poll_interval == 0.01
-
     def test_socket_endpoints_default_unchanged(self):
+        assert POLL_INTERVAL == 0.05  # the regression pin
         lst = Listener()
         try:
             assert lst.poll_interval == POLL_INTERVAL
@@ -782,46 +769,11 @@ class TestPollInterval:
 
 
 # ----------------------------------------------------------------------
-# The conformance contract over TCP (real worker processes)
+# Network faults under a real session (worker processes).  The
+# conformance matrix, worker kills and backpressure run over this same
+# wire in tests/test_dist.py.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["exact", "deterministic", "hyz"])
-@pytest.mark.parametrize(
-    "algorithm", ["exact", "baseline", "uniform", "nonuniform"]
-)
-class TestTcpConformanceMatrix:
-    def test_tcp_equals_inprocess(self, algorithm, backend):
-        spec = spec_for(algorithm, backend)
-        batches = batches_for(spec.resolve_network(), rounds=2)
-        run_pair(spec, batches, procs=2, transport="tcp")
-
-
 class TestTcpFaultInjection:
-    def test_killed_worker_recovers_over_tcp(self, tmp_path):
-        marker = DieOnceMarker(tmp_path)
-        spec = spec_for("nonuniform", "hyz")
-        batches = batches_for(spec.resolve_network(), rounds=5)
-        _, dist = run_pair(
-            spec, batches, procs=2, transport="tcp",
-            worker_faults={0: kill_after(2, marker)},
-        )
-        assert marker.fired
-        assert dist.wire_stats()["worker_respawns"] == 1
-
-    def test_sigkill_between_rounds_recovers_over_tcp(self):
-        spec = spec_for("nonuniform", "hyz")
-        batches = batches_for(spec.resolve_network(), rounds=6)
-        ref = MonitoringSession(spec)
-        with DistributedSession(spec, procs=2, transport="tcp") as dist:
-            for index, batch in enumerate(batches):
-                ref.ingest(batch, validate=False)
-                dist.ingest(batch, validate=False)
-                if index == 2:
-                    victim = dist._workers[1].process
-                    os.kill(victim.pid, signal.SIGKILL)
-                    victim.join(timeout=5.0)
-            assert_conformant(ref, dist)
-            assert dist.wire_stats()["worker_respawns"] == 1
-
     def test_severed_reports_connection_mid_stream(self, tmp_path):
         # A network cut after the second report: the worker survives,
         # re-dials, and the stream completes conformantly.
@@ -829,7 +781,7 @@ class TestTcpFaultInjection:
         spec = spec_for("nonuniform", "hyz")
         batches = batches_for(spec.resolve_network(), rounds=5)
         _, dist = run_pair(
-            spec, batches, procs=2, transport="tcp",
+            spec, batches, procs=2,
             worker_faults={0: sever_after(2, marker)},
         )
         assert marker.fired
@@ -844,7 +796,7 @@ class TestTcpFaultInjection:
         spec = spec_for("nonuniform", "hyz")
         batches = batches_for(spec.resolve_network(), rounds=4)
         _, dist = run_pair(
-            spec, batches, procs=2, transport="tcp",
+            spec, batches, procs=2,
             coordinator_faults={0: discard_frames(1)},
         )
         wire = dist.wire_stats()
@@ -852,93 +804,3 @@ class TestTcpFaultInjection:
         assert wire["duplicate_report_frames"] == 0
         assert wire["worker_respawns"] == 0
         assert dist._listener.stats()["discarded_frames"] == 1
-
-    def test_tcp_backpressure_under_slow_consumer(self):
-        spec = spec_for("nonuniform", "hyz")
-        batches = batches_for(spec.resolve_network(), rounds=4, size=40)
-        _, dist = run_pair(
-            spec, batches, procs=2, transport="tcp", max_pending=3,
-            worker_inbox_faults={0: delay_recv_spec()},
-        )
-        stats = dist.wire_stats()
-        assert stats["rounds_applied"] == 4
-
-    def test_tcp_sampler_stream_with_kill(self, tmp_path):
-        marker = DieOnceMarker(tmp_path)
-        spec = spec_for("nonuniform", "hyz")
-        ref = MonitoringSession(spec)
-        ref.ingest_sampler(ref.sampler(seed=9), 300, chunk=60)
-        with DistributedSession(
-            spec, procs=2, transport="tcp",
-            worker_faults={0: kill_after(2, marker)},
-        ) as dist:
-            dist.ingest_sampler(dist.sampler(seed=9), 300, chunk=60)
-            assert_conformant(ref, dist)
-            assert dist.wire_stats()["worker_respawns"] == 1
-
-
-def delay_recv_spec():
-    from dist_faults import delay_recv
-
-    return delay_recv(0.2)
-
-
-# ----------------------------------------------------------------------
-# Executor / CLI integration
-# ----------------------------------------------------------------------
-class TestTransportTaskField:
-    CHECKPOINTS = (200, 400)
-
-    def _task(self, **kwargs):
-        from repro.exec import RunTask
-
-        return RunTask(
-            network="alarm", algorithm="nonuniform", eps=0.3, n_sites=4,
-            n_events=400, checkpoints=self.CHECKPOINTS, **kwargs
-        )
-
-    def test_default_transport_keeps_legacy_cache_keys(self):
-        task = self._task(runtime="distributed")
-        payload = task.to_dict()
-        assert "transport" not in payload
-        assert task.cache_key == self._task(
-            runtime="distributed", transport="queue"
-        ).cache_key
-
-    def test_tcp_transport_round_trips(self):
-        from repro.exec import RunTask
-
-        task = self._task(runtime="distributed", transport="tcp")
-        payload = task.to_dict()
-        assert payload["transport"] == "tcp"
-        assert RunTask.from_dict(payload) == task
-        assert task.cache_key != self._task(runtime="distributed").cache_key
-
-    def test_tcp_requires_distributed_runtime(self):
-        with pytest.raises(ExecutionError, match="requires runtime"):
-            self._task(transport="tcp")
-        with pytest.raises(ExecutionError, match="transport"):
-            self._task(runtime="distributed", transport="carrier-pigeon")
-
-    def test_run_one_tcp_matches_inprocess(self):
-        from repro.experiments.results import strip_timing
-        from repro.experiments.runner import ExperimentRunner
-
-        runner = ExperimentRunner(eval_events=100, seed=0)
-        kwargs = dict(eps=0.3, n_sites=4, n_events=400, checkpoints=2)
-        ref = runner.run_one("alarm", "nonuniform", **kwargs)
-        tcp = runner.run_one(
-            "alarm", "nonuniform", runtime="distributed", sites_procs=2,
-            transport="tcp", **kwargs
-        )
-        assert strip_timing(tcp.to_dict()) == strip_timing(ref.to_dict())
-
-    def test_cli_exposes_transport_flag(self, capsys):
-        # argparse rejects unknown choices with exit code 2, proving the
-        # flag is wired on the grid subcommands.
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit) as err:
-            main(["messages", "--transport", "bogus"])
-        assert err.value.code == 2
-        assert "--transport" in capsys.readouterr().err

@@ -7,14 +7,14 @@ but before the apply, or midway through a checkpoint — and
 ``DistributedSession(recover_from=dir)`` must come back byte-identical
 to an uninterrupted run: same metrics, same per-site message counts,
 same estimates (HYZ RNG state included), same serve-layer snapshot
-epoch.  The chaos matrix drives all three crash points across both
-transports and every counter backend.
+epoch.  The chaos matrix drives all three crash points across every
+counter backend.
 
 Below the matrix sit the artifact-damage tests (a torn WAL tail
 recovers to the last complete record; CRC/structural corruption raises
 :class:`WalCorrupt`; a stale checkpoint ``meta.json`` raises a typed
 error — a partial round is never applied), the WAL unit tests, and the
-TCP bind/advertise + frame-cap/heartbeat session knobs.
+bind/advertise + frame-cap/heartbeat session knobs.
 """
 
 import json
@@ -75,12 +75,11 @@ def chaos_spec(backend: str) -> EstimatorSpec:
     )
 
 
-def crash_payload(backend, transport, directory, *, crash,
+def crash_payload(backend, directory, *, crash,
                   checkpoint_rounds=CHECKPOINT_ROUNDS, fsync="always"):
     return {
         "spec": chaos_spec(backend).to_dict(),
         "procs": PROCS,
-        "transport": transport,
         "dir": str(directory),
         "fsync": fsync,
         "checkpoint_rounds": checkpoint_rounds,
@@ -386,7 +385,7 @@ class TestCrashedDirectoryDamage:
         # rounds 1..4 and the checkpoint directory stays empty.
         directory = tmp_path / "crashed"
         payload = crash_payload(
-            "hyz", "queue", directory,
+            "hyz", directory,
             crash=coordinator_crash(CRASH_SEQ, "post-append"),
             checkpoint_rounds=None,
         )
@@ -433,7 +432,7 @@ class TestCrashedDirectoryDamage:
         # A checkpointing run this time, so the bundle exists...
         directory = tmp_path / "crashed-ckpt"
         payload = crash_payload(
-            "hyz", "queue", directory,
+            "hyz", directory,
             crash=coordinator_crash(CRASH_SEQ, "post-append"),
         )
         assert run_crashing_child(payload) == FAULT_EXIT_CODE
@@ -451,18 +450,17 @@ class TestCrashedDirectoryDamage:
 # The chaos matrix
 # ----------------------------------------------------------------------
 class TestChaosMatrix:
-    """Crash point x transport x counter backend, byte-identical always."""
+    """Crash point x counter backend, byte-identical always."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("transport", ["queue", "tcp"])
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_crash_recover_conformance(
-        self, point, transport, backend, tmp_path,
+        self, point, backend, tmp_path,
         chaos_net, chaos_batches, chaos_refs,
     ):
         directory = tmp_path / "wal"
         payload = crash_payload(
-            backend, transport, directory,
+            backend, directory,
             crash=coordinator_crash(CRASH_SEQ, point),
         )
         assert run_crashing_child(payload) == FAULT_EXIT_CODE, (
@@ -470,7 +468,7 @@ class TestChaosMatrix:
         )
         recovered = DistributedSession(
             recover_from=str(directory), network=chaos_net,
-            procs=PROCS, transport=transport,
+            procs=PROCS,
         )
         ref = chaos_refs[backend]
         try:
@@ -511,7 +509,7 @@ class TestChaosMatrix:
 
 
 # ----------------------------------------------------------------------
-# TCP session knobs (bind/advertise, frame cap, heartbeat)
+# Session network knobs (bind/advertise, frame cap, heartbeat)
 # ----------------------------------------------------------------------
 class TestSessionNetworkKnobs:
     def test_bind_all_interfaces_advertise_loopback(
@@ -519,7 +517,7 @@ class TestSessionNetworkKnobs:
     ):
         with DistributedSession(
             chaos_spec("exact"), network=chaos_net, procs=PROCS,
-            transport="tcp", bind_address="0.0.0.0",
+            bind_address="0.0.0.0",
             advertise_address="127.0.0.1",
         ) as dist:
             listener = dist._listener
@@ -536,28 +534,13 @@ class TestSessionNetworkKnobs:
     ):
         with DistributedSession(
             chaos_spec("exact"), network=chaos_net, procs=PROCS,
-            transport="tcp", max_frame_bytes=1 << 20,
+            max_frame_bytes=1 << 20,
             heartbeat_timeout=30.0,
         ) as dist:
             assert dist._listener.max_frame_bytes == 1 << 20
             dist.ingest(chaos_batches[0], validate=False)
             dist.flush()
             assert dist.events_seen == CHUNK
-
-    @pytest.mark.parametrize("kwargs", [
-        {"bind_address": "0.0.0.0"},
-        {"advertise_address": "127.0.0.1"},
-        {"max_frame_bytes": 1 << 20},
-        {"heartbeat_timeout": 10.0},
-    ])
-    def test_tcp_only_knobs_rejected_on_queue_transport(
-        self, chaos_net, kwargs
-    ):
-        with pytest.raises(SessionError, match="tcp"):
-            DistributedSession(
-                chaos_spec("exact"), network=chaos_net, procs=PROCS,
-                **kwargs,
-            )
 
     @pytest.mark.parametrize("kwargs", [
         {"max_frame_bytes": 0},
@@ -567,5 +550,5 @@ class TestSessionNetworkKnobs:
         with pytest.raises(SessionError, match="positive"):
             DistributedSession(
                 chaos_spec("exact"), network=chaos_net, procs=PROCS,
-                transport="tcp", **kwargs,
+                **kwargs,
             )

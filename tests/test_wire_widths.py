@@ -6,7 +6,7 @@ narrowest holding their bounds.  The codec is untouched — frames carry
 each array's dtype — so what needs pinning is the *producers'* choice:
 the boundary table, that narrowing is lossless or refused, that the
 conformance contract survives it on a network that does not fit a byte
-(both transports, and across a SIGKILL replay from the narrow buffers),
+(over the wire, and across a SIGKILL replay from the narrow buffers),
 and that WALs written with int64 aggregates still recover.
 """
 
@@ -139,14 +139,13 @@ class TestWidthTable:
 # Conformance on a network that does not fit a byte
 # ----------------------------------------------------------------------
 class TestWideNetworkConformance:
-    @pytest.mark.parametrize("transport", ["queue", "tcp"])
-    def test_distributed_equals_inprocess(self, wide_net, transport):
+    def test_distributed_equals_inprocess(self, wide_net):
         spec = wide_spec(wide_net)
         sampler = ForwardSampler(wide_net, seed=9)
         batches = [sampler.sample(400) for _ in range(3)]
         assert max(int(b.max()) for b in batches) > 255
         ref = MonitoringSession(spec)
-        with DistributedSession(spec, procs=2, transport=transport) as dist:
+        with DistributedSession(spec, procs=2) as dist:
             assert dist._wire_dtype == np.uint16
             for index, batch in enumerate(batches):
                 ref.ingest(batch, validate=bool(index % 2))
@@ -191,7 +190,7 @@ class TestNarrowingIsRefusedNotWrapped:
         bad = sampler.sample(80)
         bad[17, 5] = bad_value
         ref = MonitoringSession(spec)
-        with DistributedSession(spec, procs=2, transport="tcp") as dist:
+        with DistributedSession(spec, procs=2) as dist:
             assert dist._wire_dtype == np.uint8
             ref.ingest(first, validate=False)
             dist.ingest(first, validate=False)
@@ -228,7 +227,7 @@ class TestWireByteCounters:
     def test_tcp_session_counts_both_directions(self, alarm_net):
         spec = alarm_spec()
         batch = ForwardSampler(alarm_net, seed=8).sample(500)
-        with DistributedSession(spec, procs=2, transport="tcp") as dist:
+        with DistributedSession(spec, procs=2) as dist:
             dist.ingest(batch, validate=False)
             stats = dist.wire_stats()
             # One byte per state index plus int64 site ids and headers:
@@ -243,13 +242,6 @@ class TestWireByteCounters:
                 assert stats[key] == sum(c.stats()[key] for c in channels)
             assert all(h.reports.stats()["bytes_sent"] == 0
                        for h in dist._workers)
-
-    def test_queue_session_reports_zero(self, alarm_net):
-        spec = alarm_spec()
-        with DistributedSession(spec, procs=2) as dist:
-            dist.ingest(ForwardSampler(alarm_net, seed=8).sample(50))
-            stats = dist.wire_stats()
-            assert stats["bytes_sent"] == stats["bytes_received"] == 0
 
 
 # ----------------------------------------------------------------------

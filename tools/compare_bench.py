@@ -6,9 +6,8 @@ except the measured ``wall_seconds``, so this tool zeroes that
 (``repro.experiments.results.strip_timing``) and compares the canonical
 JSON byte-for-byte.  ``make smoke`` uses it to enforce the executor
 determinism contract (a multiprocess or chunked grid must match the
-serial reference exactly); ``make smoke-dist`` and ``make smoke-net``
-use it to check that a ``--runtime distributed`` grid matches the
-in-process one.  It gates no performance — that is ``bench/compare.py``.
+serial reference exactly); ``make smoke-dist`` uses it to check that
+a ``--runtime distributed`` grid matches the in-process one.  It gates no performance — that is ``bench/compare.py``.
 
 Usage: ``python tools/compare_bench.py A.json B.json`` — exits 0 when
 equivalent, 1 with a first-difference summary otherwise, 2 with one
