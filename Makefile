@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist bench-e2e-smoke docs-check check
+.PHONY: test smoke smoke-dist bench-e2e-smoke bench-pairs docs-check check
 
 test:
 	$(PYTHON) -m pytest -q
@@ -75,6 +75,18 @@ smoke-dist:
 # next performance PR.
 bench-e2e-smoke:
 	$(PYTHON) -m pytest bench/ -q
+
+# Alternating parent/change pairs of the end-to-end benchmark and the
+# verdict on a performance claim (tools/bench_pairs.py).  A run takes
+# ~25-30 s, so ten pairs take ~10 min: not part of `check` or CI.
+#   make bench-pairs BASE=<rev> WORKLOAD=<name> PAIRS=10 SEED_BASE=<n> [OUT=<json>]
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(BASE)" && test -n "$(WORKLOAD)" && test -n "$(SEED_BASE)" \
+	    || { echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name>" \
+	        "PAIRS=10 SEED_BASE=<n> [OUT=<json>]" >&2; exit 2; }
+	$(PYTHON) tools/bench_pairs.py $(BASE) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS) --seed-base $(SEED_BASE) $(if $(OUT),--out $(OUT))
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

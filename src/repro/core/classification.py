@@ -126,11 +126,16 @@ class BayesianClassifier:
         ``data`` supplies the true values; the target's column is treated
         as hidden.  Returns the predicted state per row.  A row holding
         a state outside its variable's domain (target column included)
-        raises :class:`QueryError`, as a scalar ``log_query`` would.
+        raises :class:`QueryError`, as a scalar ``log_query`` would, and
+        so does an unknown target, as in :meth:`scores`; both before any
+        row is scored.
         """
         data = self.network._as_index_rows(data)
         if data.shape[0] != len(targets):
             raise QueryError("data rows must align with the targets list")
+        for target in dict.fromkeys(targets):
+            if target not in self.network.dag.nodes:
+                raise QueryError(f"unknown target variable {target!r}")
         if isinstance(self.model, StreamingMLEEstimator):
             self._estimates_cache = self.model.bank.estimates()
         names = self.network.node_names

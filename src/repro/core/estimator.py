@@ -59,6 +59,13 @@ from repro.errors import QueryError, StreamError
 #: "auto" falls back to argsort sharding.
 _DENSE_GROUP_BUDGET = 1 << 23
 
+#: Rows per block when ``_joint_id_rows`` transposes a batch that is not
+#: F-contiguous: a block's reads and writes stay in cache, where one
+#: whole-array transposed copy strides across every row per column
+#: (C-order int64 into int32 on a 2-core Xeon: 2000 x 724 rows
+#: 3.1 -> 2.0 ms, 20 000 x 724 rows 105 -> 34 ms).
+_TRANSPOSE_BLOCK = 256
+
 
 class _VariableLayout:
     """Counter-id layout for one variable's two counter families."""
@@ -282,7 +289,9 @@ class StreamingMLEEstimator:
         space fits, which halves memory traffic and doubles SIMD width;
         when ``data`` is F-contiguous — the
         :meth:`~repro.bn.sampling.ForwardSampler.sample_stream`
-        ``reuse_buffer`` layout — the transpose read is a free view).
+        ``reuse_buffer`` layout — the transpose read is a free view and
+        one copy; any other layout is copied in blocks of
+        :data:`_TRANSPOSE_BLOCK` rows).
         Then, one variable at a time, the walk multiplies the variable's
         states by its stride and accumulates each parent's contribution
         (a stride-1 parent is added without a multiply).
@@ -302,7 +311,14 @@ class StreamingMLEEstimator:
         m = data.shape[0]
         dtype = self._sparse_dtype
         dataT = self._buffer(workspace + ".dataT", (n, m), dtype)
-        np.copyto(dataT, data.T, casting="unsafe")
+        if data.flags.f_contiguous:
+            np.copyto(dataT, data.T, casting="unsafe")
+        else:
+            for start in range(0, m, _TRANSPOSE_BLOCK):
+                stop = start + _TRANSPOSE_BLOCK
+                np.copyto(
+                    dataT[:, start:stop], data[start:stop].T, casting="unsafe"
+                )
         row = self._buffer(workspace + ".row", (m,), dtype)
         scratch = self._buffer(workspace + ".scratch", (m,), dtype)
         for index, (k_configs, block, parents) in enumerate(
@@ -534,15 +550,22 @@ class StreamingMLEEstimator:
         value = self.log_query(assignment)
         return math.exp(value) if value > -math.inf else 0.0
 
-    def log_query_event(self, event: Mapping[str, int]) -> float:
-        """Estimated log-probability of an ancestrally closed partial event."""
-        estimates = self.bank.estimates()
+    def _event_ids(
+        self, event: Mapping[str, int]
+    ) -> list[tuple[str, int, int]]:
+        """Validate a partial event and resolve its counter ids.
+
+        One ``(name, joint id, parent id)`` per assigned variable, in the
+        event's order.  Raises :class:`QueryError` for an unknown
+        variable, an event that is not ancestrally closed, or a state
+        its variable does not have — before any counter is read.
+        """
         plans = self._event_plans
         for name in event:
             if name not in plans:
                 raise QueryError(f"unknown variable {name!r} in event")
-        total = 0.0
         variable = self.network.variable
+        ids = []
         for name, state in event.items():
             layout, parent_names, strides, var = plans[name]
             for parent in parent_names:
@@ -554,11 +577,22 @@ class StreamingMLEEstimator:
             pstate = 0
             for parent, stride in zip(parent_names, strides):
                 pstate += variable(parent).state_index(event[parent]) * stride
-            state_idx = var.state_index(state)
-            num = estimates[
-                layout.joint_offset + state_idx * layout.k_configs + pstate
-            ]
-            den = estimates[layout.parent_offset + pstate]
+            ids.append((
+                name,
+                layout.joint_offset
+                + var.state_index(state) * layout.k_configs + pstate,
+                layout.parent_offset + pstate,
+            ))
+        return ids
+
+    def log_query_event(self, event: Mapping[str, int]) -> float:
+        """Estimated log-probability of an ancestrally closed partial event."""
+        ids = self._event_ids(event)
+        estimates = self.bank.estimates()
+        total = 0.0
+        for name, joint, parent in ids:
+            num = estimates[joint]
+            den = estimates[parent]
             if num <= 0.0:
                 return -math.inf
             if den <= 0.0:

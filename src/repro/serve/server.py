@@ -15,6 +15,11 @@ tables instead of per-call counter walks:
   entries stay servable across sync epochs while the Theorem-3 margin
   provably holds.
 
+The event and classification batches answer each distinct request once
+and scatter the answer to its duplicates, with the cache statistics and
+recency order of a per-request loop (``docs/serving.md``, "How a batch
+coalesces").
+
 Staleness bound (``docs/serving.md`` derives it): every counter
 estimate is ``(1 ± eps)``-correct, so any two valid estimate vectors
 for the same underlying counts keep each log-CPD term of family ``f``
@@ -96,6 +101,32 @@ class _DecisionEntry:
         self.epoch = epoch
 
 
+class _Coalesced:
+    """One batch's equal request keys, grouped.
+
+    Group ``g`` is the ``g``-th distinct key in order of first
+    occurrence: ``first[g]`` is the position of that occurrence,
+    ``counts[g]`` the group's size and ``inverse[r]`` the group of
+    request ``r``.  ``recency`` lists the groups by their *last*
+    occurrence: the recency order a per-request loop leaves in an LRU.
+    """
+
+    __slots__ = ("first", "inverse", "counts", "recency")
+
+    def __init__(self, keys) -> None:
+        groups: dict = {}
+        group = groups.setdefault
+        self.inverse = np.array(
+            [group(key, len(groups)) for key in keys], dtype=np.intp
+        )
+        self.counts = np.bincount(self.inverse, minlength=len(groups))
+        # A stable sort lines each group's positions up in request order.
+        order = np.argsort(self.inverse, kind="stable")
+        ends = np.cumsum(self.counts)
+        self.first = order[ends - self.counts].tolist()
+        self.recency = np.argsort(order[ends - 1]).tolist()
+
+
 class _TargetPlan:
     """Static scoring plan for one classification target.
 
@@ -172,6 +203,11 @@ class QueryServer:
         self._slice_cache = _LRU(slice_cache_size)
         self._decision_cache = _LRU(decision_cache_size)
         self._target_plans: dict[str, _TargetPlan] = {}
+        # The narrowest dtype holding every state: classify_batch's
+        # grouping keys (see _row_keys).
+        self._state_dtype = np.min_scalar_type(
+            int(self._network.cardinalities().max()) - 1
+        )
         self._thresholds: dict[str, float] = {}
         self._family_drift = self._compute_family_drift()
         self.snapshot_refreshes = 0
@@ -288,51 +324,7 @@ class QueryServer:
         the event LRU; the cache is dropped whenever the snapshot
         refreshes, so a hit is always an answer for the current epoch.
         """
-        snap = self.snapshot()
-        key = tuple(event.items())
-        cached = self._event_cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            return cached
-        value = self._log_event_uncached(snap, event)
-        self._event_cache.put(key, value)
-        self.queries_served += 1
-        return value
-
-    def _log_event_uncached(
-        self, snap: ModelSnapshot, event: Mapping[str, int]
-    ) -> float:
-        plans = self._estimator._event_plans
-        for name in event:
-            if name not in plans:
-                raise QueryError(f"unknown variable {name!r} in event")
-        variable = self._network.variable
-        terms, neg, bad = snap.terms, snap.neg, snap.bad
-        total = 0.0
-        for name, state in event.items():
-            layout, parent_names, strides, var = plans[name]
-            for parent in parent_names:
-                if parent not in event:
-                    raise QueryError(
-                        f"event is not ancestrally closed: {name!r} assigned "
-                        f"but parent {parent!r} is not"
-                    )
-            pstate = 0
-            for parent, stride in zip(parent_names, strides):
-                pstate += variable(parent).state_index(event[parent]) * stride
-            jid = (
-                layout.joint_offset
-                + var.state_index(state) * layout.k_configs
-                + pstate
-            )
-            if neg[jid]:
-                return -math.inf
-            if bad[jid]:
-                raise QueryError(
-                    f"no data observed for parent configuration of {name!r}"
-                )
-            total += terms[jid]
-        return float(total)
+        return float(self.log_event_batch((event,))[0])
 
     def event_probability(self, event: Mapping[str, int]) -> float:
         """Bit-identical to the live session's ``query_event``."""
@@ -340,15 +332,55 @@ class QueryServer:
         return math.exp(value) if value > -math.inf else 0.0
 
     def log_event_batch(self, events) -> np.ndarray:
-        """``log_event`` over a sequence of events.
+        """``log_event`` over a sequence of events, each distinct one once.
 
-        The batch amortizes one snapshot check across the whole request
-        and routes every item through the event LRU — Zipf-skewed
-        request streams (the realistic case for a serving tier) hit the
-        cache for the bulk of the batch.
+        Requests are grouped by the event LRU's key; each group is
+        validated, looked up and, on a miss, evaluated once, and its
+        answer is scattered back to every request in it.  The cache
+        statistics and the LRU's recency order are those a per-request
+        loop leaves (``docs/serving.md``, "How a batch coalesces").  An
+        invalid event raises :class:`QueryError` before the snapshot, a
+        cache or a counter moves.
         """
-        self.snapshot()
-        return np.array([self.log_event(e) for e in events])
+        events = list(events)
+        # The names in order, then the states: equal keys are equal
+        # item sequences, and the flat tuple builds twice as fast as
+        # ``tuple(event.items())``.
+        keys = [(*event, *event.values()) for event in events]
+        batch = _Coalesced(keys)
+        ids = [self._estimator._event_ids(events[r]) for r in batch.first]
+        snap = self.snapshot()
+        cache = self._event_cache
+        values = []
+        missed = 0
+        for r, event_ids in zip(batch.first, ids):
+            value = cache.data.get(keys[r])
+            if value is None:
+                value = self._event_value(snap, event_ids)
+                missed += 1
+            values.append(value)
+        for g in batch.recency:
+            cache.put(keys[batch.first[g]], values[g])
+        cache.hits += len(keys) - missed
+        cache.misses += missed
+        self.queries_served += len(keys)
+        return np.array(values, dtype=np.float64)[batch.inverse]
+
+    @staticmethod
+    def _event_value(snap: ModelSnapshot, ids) -> float:
+        """One validated event's log-probability from ``snap``'s terms,
+        with the live walk's early ``-inf`` and zero-parent raise."""
+        terms, neg, bad = snap.terms, snap.neg, snap.bad
+        total = 0.0
+        for name, joint, _ in ids:
+            if neg[joint]:
+                return -math.inf
+            if bad[joint]:
+                raise QueryError(
+                    f"no data observed for parent configuration of {name!r}"
+                )
+            total += terms[joint]
+        return float(total)
 
     # ------------------------------------------------------------------
     # Classification (Sec. V)
@@ -391,14 +423,14 @@ class QueryServer:
 
     def scores(self, target: str, evidence: Mapping[str, int]) -> np.ndarray:
         """Bit-identical to ``BayesianClassifier.scores``."""
-        snap = self.snapshot()
         plan = self._target_plan(target)
-        vec = self._evidence_vector(target, plan, evidence)
+        vec = self._evidence_vector(target, evidence)
+        snap = self.snapshot()
         self.queries_served += 1
         return self._scores_from_vec(snap, plan, vec)
 
     def _evidence_vector(
-        self, target: str, plan: _TargetPlan, evidence: Mapping[str, int]
+        self, target: str, evidence: Mapping[str, int]
     ) -> np.ndarray:
         names = self._network.node_names
         missing = set(names) - set(evidence) - {target}
@@ -418,61 +450,108 @@ class QueryServer:
 
     def classify(self, target: str, evidence: Mapping[str, int]) -> int:
         """Bit-identical to ``BayesianClassifier.predict``, cached."""
-        snap = self.snapshot()
-        plan = self._target_plan(target)
-        vec = self._evidence_vector(target, plan, evidence)
-        return self._classify_vec(snap, target, plan, vec)
+        self._target_plan(target)  # an unknown target is the first error
+        vec = self._evidence_vector(target, evidence)
+        return int(self.classify_batch((target,), vec[None, :])[0])
 
     def classify_batch(self, targets, data: np.ndarray) -> np.ndarray:
         """Bit-identical to ``BayesianClassifier.predict_batch``, cached.
 
         ``data`` rows are full assignments whose target column is
         ignored (treated as hidden), exactly like the live batch path.
-        Every column must still hold an in-range state: a row that does
-        not raises :class:`QueryError`, as on the live path.
+        Every column must still hold an in-range state and every target
+        must name a variable: otherwise :class:`QueryError`, as on the
+        live path, before the snapshot, a cache or a counter moves.
+
+        Requests are grouped by (target, row with the target column
+        zeroed) and each group is decided once (:meth:`_decide`).  The
+        grouping key is one bytes slice per row over the rows narrowed
+        to the smallest dtype that holds every state, with the target
+        index appended.
         """
         data = self._network._as_index_rows(data)
+        targets = list(targets)
         if data.shape[0] != len(targets):
             raise QueryError("data rows must align with the targets list")
-        snap = self.snapshot()
-        predictions = np.empty(len(targets), dtype=np.int64)
-        for r, target in enumerate(targets):
-            plan = self._target_plan(target)
+        plans = {t: self._target_plan(t) for t in dict.fromkeys(targets)}
+        index_of = {t: plan.target_index for t, plan in plans.items()}
+        index = np.fromiter(
+            map(index_of.__getitem__, targets),
+            dtype=np.intp, count=len(targets),
+        )
+        batch = _Coalesced(self._row_keys(data, index))
+        requests = []
+        for r in batch.first:
+            plan = plans[targets[r]]
             vec = data[r].copy()
             vec[plan.target_index] = 0
-            predictions[r] = self._classify_vec(snap, target, plan, vec)
-        return predictions
+            requests.append((targets[r], plan, vec))
+        snap = self.snapshot()
+        return self._decide(snap, requests, batch)[batch.inverse]
 
-    def _classify_vec(
-        self, snap: ModelSnapshot, target: str, plan: _TargetPlan,
-        vec: np.ndarray,
-    ) -> int:
-        key = (plan.target_index, vec.tobytes())
-        entry = self._decision_cache.get(key)
-        if entry is not None:
-            if entry.epoch == snap.epoch:
-                # Same epoch: not one message since the decision was
-                # computed, so the estimates — and the decision — are
-                # literally unchanged.
-                self.queries_served += 1
-                return entry.decision
-            if entry.margin > self.staleness_threshold(target):
-                # Theorem-3 margin still covers the worst drift the
-                # accuracy guarantee allows: serve stale.
-                self.decision_stale_hits += 1
-                self.queries_served += 1
-                return entry.decision
-            self.decision_invalidations += 1
-            self._decision_cache.misses += 1
-            self._decision_cache.hits -= 1  # the get above counted a hit
-        scores = self._scores_from_vec(snap, plan, vec)
-        decision = int(np.argmax(scores))
-        self._decision_cache.put(
-            key,
-            _DecisionEntry(decision, self.decision_margin(scores), snap.epoch),
-        )
-        self.queries_served += 1
-        return decision
+    def _row_keys(self, data: np.ndarray, index: np.ndarray) -> list[bytes]:
+        """One grouping key per classification request (see
+        :meth:`classify_batch`); equal keys are equal requests."""
+        m, n = data.shape
+        dtype = self._state_dtype
+        tail = np.dtype(np.intp).itemsize // dtype.itemsize
+        keys = np.empty((m, n + tail), dtype=dtype)
+        np.copyto(keys[:, :n], data, casting="unsafe")
+        keys[np.arange(m), index] = 0
+        keys[:, n:] = index.view(dtype).reshape(m, tail)
+        # Each row as one opaque item, which ``tolist`` yields as bytes.
+        row = np.dtype((np.void, keys.strides[0]))
+        return keys.view(row).ravel().tolist()
+
+    def _decide(
+        self, snap: ModelSnapshot, requests, batch: "_Coalesced"
+    ) -> np.ndarray:
+        """Decisions for distinct ``(target, plan, vec)`` requests (``vec``
+        with the target column zeroed), group ``g`` standing for
+        ``batch.counts[g]`` identical requests.
+
+        Each entry's fate is read from the decision cache as the batch
+        begins; recomputations run in first-occurrence order and the
+        cache takes the entries in last-occurrence order, so the slice
+        and decision LRUs end as a per-request loop leaves them.
+        """
+        cache = self._decision_cache
+        threshold = self.staleness_threshold
+        keys, entries = [], []
+        fresh = stale = invalidated = 0
+        for (target, plan, vec), count in zip(requests, batch.counts):
+            key = (plan.target_index, vec.tobytes())
+            entry = cache.data.get(key)
+            # A same-epoch entry is served as is: not one message since
+            # the decision was computed, so the estimates — and the
+            # decision — are literally unchanged.
+            if entry is not None and entry.epoch != snap.epoch:
+                if entry.margin > threshold(target):
+                    # Theorem-3 margin still covers the worst drift the
+                    # accuracy guarantee allows: serve stale, and every
+                    # duplicate with it.
+                    stale += int(count)
+                else:
+                    invalidated += 1
+                    entry = None
+            if entry is None:
+                scores = self._scores_from_vec(snap, plan, vec)
+                entry = _DecisionEntry(
+                    int(np.argmax(scores)), self.decision_margin(scores),
+                    snap.epoch,
+                )
+                fresh += 1
+            keys.append(key)
+            entries.append(entry)
+        for g in batch.recency:
+            cache.put(keys[g], entries[g])
+        total = int(batch.counts.sum())
+        cache.hits += total - fresh
+        cache.misses += fresh
+        self.decision_stale_hits += stale
+        self.decision_invalidations += invalidated
+        self.queries_served += total
+        return np.array([e.decision for e in entries], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Theorem-3 staleness bound

@@ -28,16 +28,26 @@ import pytest
 
 from ingest_oracle import (
     assert_states_equal,
+    reference_encode,
     reference_log_query_batch,
     reference_snapshot_terms,
 )
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
+from repro.bn.cpd import TabularCPD
+from repro.bn.network import BayesianNetwork
 from repro.bn.repository import link_like
+from repro.bn.variable import Variable
 from repro.errors import QueryError
 from repro.monitoring.channel import MessageKind, MessageLog
 from repro.serve import ModelSnapshot, QueryServer, QueryWorkload
+from repro.graph.dag import DAG
 from repro.serve.snapshot import ServePlan
+from serve_oracle import (
+    assert_servers_equal,
+    reference_classify_batch,
+    reference_log_event_batch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +320,25 @@ class TestServedConformance:
         full = {n: 0 for n in names}
         with pytest.raises(QueryError):
             server.classify(names[0], full)  # target in evidence
+        # The batch methods raise the same error as their scalar forms.
+        classifier = session.classifier()
+        rows = QueryWorkload(alarm_net, seed=1).assignments(4)
+        for unknown in ("NOPE", 3):
+            targets = [names[0], names[1], unknown, names[2]]
+            with pytest.raises(QueryError, match="unknown target"):
+                classifier.scores(unknown, {})
+            with pytest.raises(QueryError, match="unknown target"):
+                classifier.predict_batch(targets, rows)
+            with pytest.raises(QueryError, match="unknown target"):
+                server.classify_batch(targets, rows)
+            with pytest.raises(QueryError, match="unknown target"):
+                server.classify(unknown, {})
+        good = {name: 0 for name in names if not alarm_net.dag.parents(name)}
+        for bad in ({"no-such-variable": 0}, {child: 0}):
+            with pytest.raises(QueryError):
+                session.estimator.log_query_event(bad)
+            with pytest.raises(QueryError):
+                server.log_event_batch([good, bad, good])
 
     def test_distributed_session_serve(self, alarm_net):
         from repro.dist import DistributedSession
@@ -492,6 +521,190 @@ class TestStalenessBound:
 
 
 # ---------------------------------------------------------------------------
+# Coalesced batch reads vs the per-request loop
+# ---------------------------------------------------------------------------
+def _assert_batches_match(coalesced, reference, events, targets, data):
+    """Run the batches on ``coalesced`` and the per-request loop on
+    ``reference`` (two servers over one session), and compare."""
+    if events is not None:
+        got = coalesced.log_event_batch(events)
+        want = reference_log_event_batch(reference, events)
+        assert _same_bytes(got, want)
+    if targets is not None:
+        got = coalesced.classify_batch(targets, data)
+        want = reference_classify_batch(reference, targets, data)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert_servers_equal(coalesced, reference)
+
+
+@pytest.fixture(scope="module")
+def wide_net():
+    """``W -> Y -> Z``: ``W`` has 300 states, so a row key narrowed to
+    one byte would merge states 1 and 257."""
+    dag = DAG({"W": (), "Y": ("W",), "Z": ("Y",)})
+    variables = [Variable("W", 300), Variable("Y", 2), Variable("Z", 2)]
+    flat = np.full((300, 1), 1 / 300)
+    half = np.full((2, 300), 0.5)
+    cpds = [
+        TabularCPD("W", 300, (), (), flat),
+        TabularCPD("Y", 2, ("W",), (300,), half),
+        TabularCPD("Z", 2, ("Y",), (2,), np.full((2, 2), 0.5)),
+    ]
+    return BayesianNetwork(dag, variables, cpds, name="wide")
+
+
+class TestCoalescedBatches:
+    def test_duplicates_match_per_request_loop(self, alarm_net):
+        session, sampler = _session(alarm_net, events=1500)
+        coalesced, reference = session.serve(), session.serve()
+        workload = QueryWorkload(alarm_net, seed=12)
+        events = workload.events(300, pool_size=12, zipf_exponent=1.1)
+        targets, data = workload.classification_batch(
+            300, pool_size=16, zipf_exponent=1.1
+        )
+        # Fresh copies: grouping is by value, never by object identity.
+        events = [dict(event) for event in events]
+        for _ in range(2):  # misses, then the same epoch's hits
+            _assert_batches_match(
+                coalesced, reference, events, targets, data
+            )
+        session.ingest(sampler.sample(60))  # value caches drop
+        _assert_batches_match(coalesced, reference, events, targets, data)
+        stats = coalesced.stats()
+        assert stats["event_cache"]["misses"] == 24
+        assert stats["queries_served"] == 1800
+
+    def test_one_row_under_two_targets(self, alarm_net):
+        session, _ = _session(alarm_net, events=1500)
+        coalesced, reference = session.serve(), session.serve()
+        names = alarm_net.node_names
+        first, second = names[3], names[20]
+        row = QueryWorkload(alarm_net, seed=2).assignments(1)[0]
+        # Zero in both target columns: only the target tells them apart.
+        row[alarm_net.variable_index(first)] = 0
+        row[alarm_net.variable_index(second)] = 0
+        targets = [first, second] * 5
+        data = np.tile(row, (10, 1))
+        _assert_batches_match(coalesced, reference, None, targets, data)
+        assert coalesced.stats()["decision_cache"]["misses"] == 2
+        assert np.array_equal(
+            coalesced.classify_batch(targets, data),
+            session.classifier().predict_batch(targets, data),
+        )
+
+    def test_epoch_advance_mixes_stale_hits_and_invalidations(
+        self, alarm_net
+    ):
+        session, sampler = _session(alarm_net, events=2000)
+        coalesced, reference = session.serve(), session.serve()
+        workload = QueryWorkload(alarm_net, seed=6)
+        targets, data = workload.classification_batch(
+            200, pool_size=20, zipf_exponent=1.1
+        )
+        _assert_batches_match(coalesced, reference, None, targets, data)
+        # Every other entry can no longer certify its decision.
+        for server in (coalesced, reference):
+            for i, entry in enumerate(server._decision_cache.data.values()):
+                entry.margin = 0.0 if i % 2 else math.inf
+        session.ingest(sampler.sample(50))
+        more_targets, more_data = workload.classification_batch(
+            100, pool_size=20, zipf_exponent=1.1
+        )
+        targets = targets[:150] + more_targets
+        data = np.concatenate([data[:150], more_data])
+        _assert_batches_match(coalesced, reference, None, targets, data)
+        decisions = coalesced.stats()["decision_cache"]
+        assert decisions["stale_hits"] > 0
+        assert decisions["invalidations"] > 0
+
+    def test_lru_beyond_capacity_keeps_last_keys(self, alarm_net):
+        session, _ = _session(alarm_net, events=1500)
+        server = session.serve(event_cache_size=4, decision_cache_size=4)
+        workload = QueryWorkload(alarm_net, seed=8)
+        events = workload.events(60, pool_size=10)
+        targets, data = workload.classification_batch(60, pool_size=10)
+        server.log_event_batch(events)
+        server.classify_batch(targets, data)
+        stats = server.stats()
+        # A duplicate within one batch is always a hit.
+        assert stats["event_cache"]["misses"] == len(
+            {(*e, *e.values()) for e in events})
+        assert stats["decision_cache"]["misses"] == len(
+            {(t, row.tobytes()) for t, row in zip(targets, data)})
+        # The cache keeps the four most recently requested keys.
+        recent = list(dict.fromkeys(
+            (*e, *e.values()) for e in reversed(events)))[:4]
+        assert list(server._event_cache.data) == recent[::-1]
+
+    def test_wide_states_are_not_merged(self, wide_net):
+        spec = EstimatorSpec(
+            network=wide_net, algorithm="exact", n_sites=2, seed=0,
+            counter_backend="exact",
+        )
+        session = MonitoringSession(spec, network=wide_net)
+        # Y follows W = 1 as 0 and W = 257 as 1; Z is noise.
+        session.ingest(np.array(
+            [[1, 0, 0], [1, 0, 1], [257, 1, 0], [257, 1, 1]] * 3
+        ))
+        coalesced, reference = session.serve(), session.serve()
+        # With Y hidden, the rows differ in W alone.
+        data = np.array([[1, 1, 0], [257, 0, 0]] * 4)
+        targets = ["Y"] * len(data)
+        _assert_batches_match(coalesced, reference, None, targets, data)
+        served = coalesced.classify_batch(targets, data)
+        assert served.tolist() == [0, 1] * 4
+        assert np.array_equal(
+            served, session.classifier().predict_batch(targets, data)
+        )
+        assert coalesced.stats()["decision_cache"]["misses"] == 2
+
+
+class TestFailedBatchLeavesServerUnchanged:
+    @staticmethod
+    def _state(server):
+        return (
+            server.stats(),
+            list(server._event_cache.data.items()),
+            list(server._slice_cache.data),
+            [
+                (key, entry.decision, entry.margin, entry.epoch)
+                for key, entry in server._decision_cache.data.items()
+            ],
+        )
+
+    def test_classify_batch_unknown_target(self, alarm_net):
+        session, sampler = _session(alarm_net, events=1500)
+        server = session.serve()
+        workload = QueryWorkload(alarm_net, seed=5)
+        targets, data = workload.classification_batch(50, pool_size=8)
+        server.classify_batch(targets[:20], data[:20])
+        before = self._state(server)
+        session.ingest(sampler.sample(40))  # the refresh must wait too
+        bad = list(targets)
+        bad[30] = "NOPE"
+        with pytest.raises(QueryError, match="NOPE"):
+            server.classify_batch(bad, data)
+        assert self._state(server) == before
+
+    def test_log_event_batch_bad_event(self, alarm_net):
+        session, sampler = _session(alarm_net, events=1500)
+        server = session.serve()
+        events = QueryWorkload(alarm_net, seed=5).events(10, pool_size=4)
+        server.log_event_batch(events[:3])
+        before = self._state(server)
+        session.ingest(sampler.sample(40))
+        child = next(
+            n for n in alarm_net.node_names if alarm_net.dag.parents(n)
+        )
+        assigned = next(iter(events[0]))
+        for bad in ({"no-such-variable": 0}, {child: 0},
+                    {**events[0], assigned: 10 ** 6}):
+            with pytest.raises(QueryError):
+                server.log_event_batch(events[:5] + [bad] + events[5:])
+            assert self._state(server) == before
+
+
+# ---------------------------------------------------------------------------
 # Satellite: scalar/batch zero-denominator unification
 # ---------------------------------------------------------------------------
 def _poisoned_estimator(small_net):
@@ -623,6 +836,29 @@ class TestBatchReadWalk:
             assert _same_bytes(server.log_joint_batch(rows), live)
             assert _same_bytes(server.log_joint_batch(rows, strict=True), live)
             session.ingest(sampler.sample(300))
+
+    def test_every_layout_walks_to_the_same_ids(self, link_net):
+        estimator = EstimatorSpec(
+            network=link_net, algorithm="exact", n_sites=2, seed=0,
+            counter_backend="exact",
+        ).session().estimator
+        # 700 rows: two whole transpose blocks and a partial one.
+        rows = QueryWorkload(link_net, seed=7).assignments(700)
+        padded = np.zeros((700, 2 * rows.shape[1]), dtype=np.int64)
+        padded[:, ::2] = rows
+        layouts = {
+            "C-order": np.ascontiguousarray(rows),
+            "F-order": np.asfortranarray(rows),
+            "strided columns": padded[:, ::2],
+            "strided rows": np.repeat(rows, 2, axis=0)[::2],
+        }
+        want = reference_encode(estimator, rows)
+        for name, data in layouts.items():
+            assert np.array_equal(data, rows)
+            walk = estimator._joint_id_rows(data, "query")
+            for index, block, ids in walk:
+                assert np.array_equal(ids + block.start, want[:, index]), \
+                    (name, index)
 
     def test_reads_leave_ingest_buffers_untouched(self, alarm_net):
         session, _ = _session(alarm_net, events=1500)  # 500-event chunks
