@@ -78,8 +78,9 @@ bench-e2e-smoke:
 
 # Alternating parent/change pairs of the end-to-end benchmark and the
 # verdict on a performance claim (tools/bench_pairs.py).  A run takes
-# ~25-30 s, so ten pairs take ~10 min: not part of `check` or CI.
-#   make bench-pairs BASE=<rev> WORKLOAD=<name> PAIRS=10 SEED_BASE=<n> [OUT=<json>]
+# ~25-30 s, so ten pairs take ~10 min per workload: not part of `check`
+# or CI.  WORKLOAD takes one name or a comma-separated list.
+#   make bench-pairs BASE=<rev> WORKLOAD=<name>[,<name>...] PAIRS=10 SEED_BASE=<n> [OUT=<json>]
 PAIRS ?= 10
 bench-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" && test -n "$(SEED_BASE)" \

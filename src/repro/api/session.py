@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 
@@ -367,7 +369,10 @@ class MonitoringSession:
             "extra": extra,
         }
         tmp_arrays = bundle / f".tmp-{arrays_name}"
-        np.savez_compressed(tmp_arrays, **arrays)
+        # Stored, not deflated: zlib was most of a snapshot's time (ALARM
+        # exact at k = 30: 9.6 -> 1.0 ms, LINK 308 -> 8 ms), and recovery
+        # checkpoints sit on the apply path.  docs/recovery.md has sizes.
+        np.savez(tmp_arrays, **arrays)
         if durable:
             _fsync_path(tmp_arrays)
         os.replace(tmp_arrays, bundle / arrays_name)
@@ -455,8 +460,17 @@ class MonitoringSession:
                 f"snapshot at {bundle} has a spec without {exc}"
             ) from exc
         session = cls(spec, network=network)
-        with np.load(arrays_path) as handle:
-            arrays = {key: handle[key] for key in handle.files}
+        # Stored (np.savez) and deflated (np.savez_compressed) bundles
+        # both read here.
+        try:
+            with np.load(arrays_path) as handle:
+                arrays = {key: handle[key] for key in handle.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            raise SessionError(
+                f"snapshot at {bundle}: damaged arrays file "
+                f"{arrays_path.name}: {exc}"
+            ) from exc
         if "log.per_site" not in arrays:
             raise SessionError(
                 f"snapshot at {bundle}: {arrays_path.name} has no "

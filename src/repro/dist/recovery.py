@@ -175,6 +175,12 @@ def _decode_record(payload: bytes) -> RoundRecord:
         meta = json.loads(payload[_META_LEN.size:offset])
     except ValueError as exc:
         raise WalCorrupt(f"WAL record meta is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not all(
+        isinstance(meta.get(field), int) for field in ("seq", "m", "epoch")
+    ):
+        raise WalCorrupt(
+            "WAL record meta is not an object with integer seq, m and epoch"
+        )
     decoder = FrameDecoder()
     try:
         frames = decoder.feed(payload[offset:])
@@ -321,13 +327,22 @@ class WriteAheadLog:
 
         ``seq=None`` drops everything (the checkpoint case: the
         append -> apply -> checkpoint ordering means every record in the
-        log is already folded into the bundle being committed).
-        Survivors are re-encoded into a sibling temp file which then
-        atomically replaces the log, so a crash mid-truncate leaves
+        log is already folded into the bundle being committed).  It
+        truncates the open log to zero bytes in place and fsyncs it: the
+        truncate is atomic, and a reset that never reached the disk
+        leaves records recovery skips as ``<= applied_seq``.
+        Otherwise survivors are re-encoded into a sibling temp file which
+        then atomically replaces the log, so a crash mid-truncate leaves
         either the old log or the new one — never a hybrid.
         """
+        if seq is None:
+            self._fh.truncate(0)
+            self._fh.seek(0)
+            os.fsync(self._fh.fileno())
+            self._unsynced = 0
+            return
         self.sync(force=True)
-        survivors = [] if seq is None else [
+        survivors = [
             record for record in self.scan(self.path)
             if record.seq > int(seq)
         ]

@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import json
+import math
 import struct
 import zlib
 
@@ -281,15 +282,35 @@ _ENCODERS = {
     Ping: (18, _encode_empty),
 }
 
+
+def _report_arrays(meta) -> int:
+    aggregates = meta["aggregates"]
+    if not isinstance(aggregates, list) or not all(
+        isinstance(entry, dict) and "site" in entry and "n_events" in entry
+        for entry in aggregates
+    ):
+        raise WireError(
+            "ValueReport meta 'aggregates' is not a list of "
+            "{site, n_events} objects"
+        )
+    return 2 * len(aggregates)
+
+
+def _no_arrays(meta) -> int:
+    return 0
+
+
+#: kind byte -> (decoder, required meta fields, arrays the meta implies).
 _DECODERS = {
-    1: _decode_ingest,
-    2: _decode_report,
-    3: _decode_threshold,
-    4: _decode_sync,
-    5: lambda meta, arrays: Shutdown(),
-    16: _decode_hello,
-    17: _decode_hello_ack,
-    18: lambda meta, arrays: Ping(),
+    1: (_decode_ingest, ("seq",), lambda meta: 2),
+    2: (_decode_report, ("worker", "seq", "state", "aggregates"),
+        _report_arrays),
+    3: (_decode_threshold, ("seq", "rounds"), _no_arrays),
+    4: (_decode_sync, ("worker", "acked"), _no_arrays),
+    5: (lambda meta, arrays: Shutdown(), (), _no_arrays),
+    16: (_decode_hello, ("worker", "incarnation", "channel"), _no_arrays),
+    17: (_decode_hello_ack, ("ok",), _no_arrays),
+    18: (lambda meta, arrays: Ping(), (), _no_arrays),
 }
 
 
@@ -350,40 +371,89 @@ def encode_frame(frame, *, max_bytes: int = MAX_FRAME_BYTES) -> list:
     return [header + prefix] + buffers
 
 
+def _array_spec(spec) -> tuple:
+    """``(dtype, shape, element count)`` of one meta ``arrays`` entry."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("dtype"), str):
+        raise WireError(f"frame array spec {spec!r} has no dtype string")
+    try:
+        dtype = np.dtype(spec["dtype"])
+    except (TypeError, ValueError) as exc:
+        raise WireError(
+            f"frame array dtype {spec['dtype']!r} is not a dtype: {exc}"
+        ) from None
+    if dtype.kind not in "biuf":
+        raise WireError(
+            f"frame array dtype {spec['dtype']!r} is not a plain numeric "
+            "or boolean dtype"
+        )
+    shape = spec.get("shape")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise WireError(
+            f"frame array shape {shape!r} is not a list of non-negative "
+            "integers"
+        )
+    shape = tuple(shape)
+    return dtype, shape, math.prod(shape)
+
+
 def decode_payload(kind: int, payload) -> object:
     """Rebuild a frame from its kind byte and payload buffer.
 
     ``payload`` must be a writable buffer (the decoder hands over a
     ``memoryview`` of a dedicated ``bytearray``); decoded arrays are
-    zero-copy views into it.
+    zero-copy views into it.  Any payload the frame kind cannot be
+    rebuilt from — meta that is not a JSON object or lacks a field, an
+    array spec with a non-numeric dtype or a bad shape, the wrong number
+    of arrays, a field value the frame rejects — raises
+    :class:`WireError`.
     """
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
+    entry = _DECODERS.get(kind)
+    if entry is None:
         raise WireError(f"unknown frame kind {kind}")
+    decoder, fields, n_arrays = entry
     view = memoryview(payload)
-    if view.nbytes == 0:
-        return decoder({}, [])
-    if view.nbytes < _META_LEN.size:
-        raise WireError("truncated frame payload: no meta length")
-    (meta_len,) = _META_LEN.unpack_from(view, 0)
-    offset = _META_LEN.size + meta_len
-    if offset > view.nbytes:
-        raise WireError("truncated frame payload: meta overruns the frame")
-    try:
-        meta = json.loads(bytes(view[_META_LEN.size:offset]))
-    except ValueError as exc:
-        raise WireError(f"frame meta is not valid JSON: {exc}") from exc
+    meta, specs, offset = {}, [], 0
+    if view.nbytes:
+        if view.nbytes < _META_LEN.size:
+            raise WireError("truncated frame payload: no meta length")
+        (meta_len,) = _META_LEN.unpack_from(view, 0)
+        offset = _META_LEN.size + meta_len
+        if offset > view.nbytes:
+            raise WireError(
+                "truncated frame payload: meta overruns the frame"
+            )
+        try:
+            meta = json.loads(bytes(view[_META_LEN.size:offset]))
+        except ValueError as exc:
+            raise WireError(f"frame meta is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise WireError(
+                f"frame meta is a JSON {type(meta).__name__}, not an object"
+            )
+        specs = meta.get("arrays", [])
+        if not isinstance(specs, list):
+            raise WireError("frame meta 'arrays' is not a list")
+    missing = [field for field in fields if field not in meta]
+    if missing:
+        raise WireError(f"frame kind {kind} meta lacks {missing}")
+    expected = n_arrays(meta)
+    if len(specs) != expected:
+        raise WireError(
+            f"frame kind {kind} carries {len(specs)} arrays, its meta "
+            f"implies {expected}"
+        )
     arrays = []
-    for spec in meta.get("arrays", ()):
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(int(s) for s in spec["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+    for spec in specs:
+        dtype, shape, count = _array_spec(spec)
+        nbytes = dtype.itemsize * count
         if offset + nbytes > view.nbytes:
             raise WireError(
                 "truncated frame payload: array overruns the frame"
             )
         arrays.append(
-            np.frombuffer(view, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
+            np.frombuffer(view, dtype=dtype, count=count,
                           offset=offset).reshape(shape)
         )
         offset += nbytes
@@ -391,7 +461,12 @@ def decode_payload(kind: int, payload) -> object:
         raise WireError(
             f"frame payload has {view.nbytes - offset} trailing bytes"
         )
-    return decoder(meta, arrays)
+    try:
+        return decoder(meta, arrays)
+    except (TypeError, ValueError) as exc:
+        raise WireError(
+            f"frame kind {kind} meta has a bad field value: {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,12 @@ Three layers, mirroring the package:
    integration in ``tests/test_dist.py`` all run over it too.
 """
 
+import json
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ from repro.dist.messages import (
     ThresholdUpdate,
     ValueReport,
 )
+from repro.dist.recovery import WAL_MAGIC, WAL_VERSION, WalCorrupt, WriteAheadLog
 from repro.dist.transport import POLL_INTERVAL
 from repro.net import (
     ChecksumError,
@@ -62,6 +66,7 @@ from repro.net import (
     encode_frame,
     make_hello,
 )
+from repro.net.wire import HEADER, MAGIC, VERSION
 from test_dist import batches_for, run_pair, spec_for
 
 
@@ -232,6 +237,128 @@ class TestWireFormat:
         (out,) = FrameDecoder().feed(encoded(batch))
         assert out.data.shape == (0, 5)
         assert out.site_ids.shape == (0,)
+
+
+def raw_frame(kind: int, meta, body: bytes = b"") -> bytes:
+    """A CRC-valid frame of ``kind`` with arbitrary JSON ``meta``."""
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    payload = struct.pack("<I", len(meta_bytes)) + meta_bytes + body
+    return HEADER.pack(MAGIC, VERSION, kind, len(payload),
+                       zlib.crc32(payload)) + payload
+
+
+_I8 = {"dtype": "<i8", "shape": [1]}
+
+
+def _ingest(data_spec):
+    """IngestBatch meta with ``data_spec`` for the data array."""
+    return {"seq": 1, "arrays": [data_spec, _I8]}
+
+
+def _report(aggregates, n_arrays):
+    return {"worker": 0, "seq": 1, "state": None, "aggregates": aggregates,
+            "arrays": [_I8] * n_arrays}
+
+
+#: CRC-valid frames whose meta no frame can be rebuilt from:
+#: ``(kind byte, meta, array bytes, the error it must raise)``.
+BAD_FRAMES = {
+    "object_dtype": (1, _ingest({"dtype": "|O", "shape": [1]}), bytes(16),
+                     "not a plain numeric"),
+    "unknown_dtype": (1, _ingest({"dtype": "zz", "shape": [1]}), bytes(16),
+                      "not a dtype"),
+    "structured_dtype": (
+        1, _ingest({"dtype": "<i8,<i8", "shape": [1]}), bytes(24),
+        "not a plain numeric"),
+    "dtype_not_string": (1, _ingest({"dtype": 8, "shape": [1]}), bytes(16),
+                         "no dtype string"),
+    "string_shape": (1, _ingest({"dtype": "<i8", "shape": "4x"}), bytes(16),
+                     "non-negative integers"),
+    "negative_dimension": (
+        1, _ingest({"dtype": "<i8", "shape": [-1]}), bytes(16),
+        "non-negative integers"),
+    "bool_dimension": (
+        1, _ingest({"dtype": "<i8", "shape": [True]}), bytes(16),
+        "non-negative integers"),
+    "spec_not_object": (1, {"seq": 1, "arrays": ["<i8", _I8]}, bytes(16),
+                        "no dtype string"),
+    "arrays_not_list": (1, {"seq": 1, "arrays": {"dtype": "<i8"}}, b"",
+                        "'arrays' is not a list"),
+    "list_meta": (4, [0, 1], b"", "not an object"),
+    "ingest_without_seq": (1, {"arrays": [_I8, _I8]}, bytes(16), "lacks"),
+    "ingest_with_one_array": (1, {"seq": 1, "arrays": [_I8]}, bytes(8),
+                              "carries 1 arrays"),
+    "report_without_aggregates": (
+        2, {"worker": 0, "seq": 1, "state": None, "arrays": []}, b"",
+        "lacks"),
+    "report_one_array_per_entry": (
+        2, _report([{"site": 0, "n_events": 1}], 1), bytes(8),
+        "carries 1 arrays"),
+    "report_entry_not_object": (2, _report([3], 2), bytes(16),
+                                "'aggregates'"),
+    "report_entry_without_site": (
+        2, _report([{"n_events": 1}], 2), bytes(16), "'aggregates'"),
+    "seq_not_a_number": (3, {"seq": "x", "rounds": 1}, b"",
+                         "bad field value"),
+    "acked_null": (4, {"worker": 0, "acked": None}, b"", "bad field value"),
+}
+
+
+class TestMalformedFrameMeta:
+    """A frame that passes its CRC but carries meta no frame can be
+    rebuilt from raises :class:`WireError` and poisons the decoder —
+    never a bare ``KeyError``/``TypeError``, which would escape the
+    event loop instead of dropping the connection."""
+
+    @pytest.mark.parametrize("case", list(BAD_FRAMES))
+    def test_feed_raises_wire_error_and_poisons(self, case):
+        kind, meta, body, error = BAD_FRAMES[case]
+        decoder = FrameDecoder()
+        with pytest.raises(WireError, match=error):
+            decoder.feed(raw_frame(kind, meta, body))
+        with pytest.raises(WireError, match="reconnect"):
+            decoder.feed(encoded(Ping()))
+
+    @pytest.mark.parametrize("case", list(BAD_FRAMES))
+    def test_wal_scan_raises_wal_corrupt(self, case, tmp_path):
+        meta = json.dumps({"seq": 1, "m": 50, "epoch": 0,
+                           "partitioner": None, "workers": [0]}).encode()
+        payload = (struct.pack("<I", len(meta)) + meta
+                   + raw_frame(*BAD_FRAMES[case][:3]))
+        path = tmp_path / "wal.log"
+        path.write_bytes(struct.pack(
+            "<2sBBII", WAL_MAGIC, WAL_VERSION, 1, len(payload),
+            zlib.crc32(payload),
+        ) + payload)
+        with pytest.raises(WalCorrupt, match="corrupt frame"):
+            WriteAheadLog.scan(path)
+
+    def test_empty_payload_of_a_frame_with_fields(self):
+        blob = HEADER.pack(MAGIC, VERSION, 1, 0, 0)  # IngestBatch, no meta
+        with pytest.raises(WireError, match="lacks"):
+            FrameDecoder().feed(blob)
+
+    def test_the_table_shapes_decode_once_repaired(self):
+        (batch,) = FrameDecoder().feed(raw_frame(
+            1, _ingest({"dtype": "|u1", "shape": [2, 3]}),
+            bytes(range(6)) + bytes(8)))
+        assert batch.data.tolist() == [[0, 1, 2], [3, 4, 5]]
+        (report,) = FrameDecoder().feed(raw_frame(
+            2, _report([{"site": 4, "n_events": 1}], 2), bytes(16)))
+        assert report.aggregates[0].site == 4
+
+    def test_bad_meta_drops_connection_not_listener(self, listener):
+        chan = listener.open_channel(0, "reports", 0)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        assert ack.ok
+        sock.sendall(raw_frame(*BAD_FRAMES["ingest_without_seq"][:3]))
+        pump_until(listener, lambda: not chan.connected)
+        assert listener.stats()["wire_errors"] == 1
+        assert chan._inbound == []
+        sock.close()
+        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        assert ack2.ok
+        sock2.close()
 
 
 class TestSendQueue:

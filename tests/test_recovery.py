@@ -19,7 +19,10 @@ bind/advertise + frame-cap/heartbeat session knobs.
 
 import json
 import os
+import shutil
 import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -184,6 +187,22 @@ class TestWriteAheadLog:
         assert path.stat().st_size == 0
         assert WriteAheadLog.scan(path) == []
 
+    @pytest.mark.parametrize("fsync", ["always", "interval", "off"])
+    def test_reset_empties_the_open_log_in_place(self, tmp_path, fsync):
+        path = tmp_path / WAL_NAME
+        wal = WriteAheadLog(path, fsync=fsync, fsync_interval=2)
+        for seq in (1, 2, 3):
+            wal.append_round(seq, 50, seq - 1, None, sample_reports(seq))
+        inode = path.stat().st_ino
+        wal.truncate_through(None)
+        assert path.stat().st_size == 0
+        assert path.stat().st_ino == inode  # no temp file, no rename
+        size = wal.append_round(4, 50, 3, None, sample_reports(4))
+        wal.close()
+        assert path.stat().st_size == size  # the append landed at offset 0
+        assert path.read_bytes()[:len(WAL_MAGIC)] == WAL_MAGIC
+        assert [r.seq for r in WriteAheadLog.scan(path)] == [4]
+
     def test_fsync_policies(self, tmp_path):
         always = WriteAheadLog(tmp_path / "a.log", fsync="always")
         for seq in (1, 2, 3):
@@ -261,6 +280,21 @@ class TestWalDamage:
         with pytest.raises(WalCorrupt, match="version"):
             WriteAheadLog.scan(path)
 
+    @pytest.mark.parametrize("meta", [
+        [1, 50, 0],
+        {"m": 50, "epoch": 0, "workers": []},
+        {"seq": "1", "m": 50, "epoch": 0, "workers": []},
+    ], ids=["list", "no_seq", "string_seq"])
+    def test_record_meta_without_integer_fields_raises(self, tmp_path, meta):
+        meta_bytes = json.dumps(meta).encode()
+        payload = struct.pack("<I", len(meta_bytes)) + meta_bytes
+        path = tmp_path / WAL_NAME
+        path.write_bytes(struct.pack(
+            "<2sBBII", WAL_MAGIC, 1, 1, len(payload), zlib.crc32(payload)
+        ) + payload)
+        with pytest.raises(WalCorrupt, match="integer seq"):
+            WriteAheadLog.scan(path)
+
     def test_implausible_length_raises(self, tmp_path):
         path = tmp_path / WAL_NAME
         header = struct.Struct("<2sBBII")
@@ -291,6 +325,11 @@ class TestDurableSession:
                 // CHECKPOINT_ROUNDS
         # A clean close checkpoints, so the WAL is empty...
         assert (wal_dir / WAL_NAME).stat().st_size == 0
+        # ...and the checkpoint's arrays are stored, not deflated.
+        (arrays,) = (wal_dir / CHECKPOINT_NAME).glob("arrays-*.npz")
+        with zipfile.ZipFile(arrays) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
         # ...and recovery replays nothing but lands on the same state.
         inner, incarnation, info = load_recovery(wal_dir, network=chaos_net)
         assert info["replayed_rounds"] == 0
@@ -368,6 +407,58 @@ class TestParentWalCompatibility:
         # One epoch per non-silent site per round, as the walk recorded.
         assert ref.message_log.epoch == inner.message_log.epoch
         for live in (recovered, inner):
+            assert_states_equal(ref.estimator.bank.state_dict(),
+                                live.estimator.bank.state_dict())
+            assert_states_equal(ref.message_log.state_dict(),
+                                live.message_log.state_dict())
+            assert_states_equal(ref.partitioner.state_dict(),
+                                live.partitioner.state_dict())
+
+
+class TestUnresetWal:
+    def test_records_covered_by_the_checkpoint_are_skipped(
+        self, tmp_path, chaos_net, chaos_batches, chaos_refs
+    ):
+        """A checkpoint whose WAL reset never reached the disk: the log
+        still holds every round the bundle covers, and recovery lands on
+        the same state as from the empty log the reset would leave."""
+        spec = chaos_spec("hyz")
+        inner = MonitoringSession(spec, network=chaos_net)
+        durable = DurableCoordinator(tmp_path / "unreset", inner, fsync="off")
+        shards = [SiteShard(spec, range(0, K // 2), network=chaos_net),
+                  SiteShard(spec, range(K // 2, K), network=chaos_net)]
+        for seq, batch in enumerate(chaos_batches, start=1):
+            sites = inner.partitioner.assign(batch.shape[0])
+            got = {}
+            for worker, shard in enumerate(shards):
+                mask = np.isin(sites, shard.sites)
+                got[worker] = shard.encode(seq, batch[mask], sites[mask])
+            record = {"m": batch.shape[0], "got": got,
+                      "partitioner": inner.partitioner.state_dict()}
+            durable.log_round(seq, record)
+            reference_apply_round(inner.estimator.bank, got)
+            inner.estimator.events_seen += record["m"]
+            durable.after_apply(seq, record)
+        wal_path = durable.directory / WAL_NAME
+        unreset = wal_path.read_bytes()
+        durable.checkpoint()
+        durable.wal.close()
+        assert wal_path.stat().st_size == 0
+        shutil.copytree(durable.directory, tmp_path / "reset")
+        wal_path.write_bytes(unreset)
+        assert [r.seq for r in WriteAheadLog.scan(wal_path)] == \
+            list(range(1, len(chaos_batches) + 1))
+
+        recovered = {}
+        for name in ("reset", "unreset"):
+            recovered[name] = load_recovery(tmp_path / name,
+                                            network=chaos_net)
+        (reset, _, reset_info), (skipped, _, skipped_info) = (
+            recovered["reset"], recovered["unreset"])
+        assert skipped_info == reset_info
+        assert skipped_info["replayed_rounds"] == 0
+        ref = chaos_refs["hyz"]
+        for live in (reset, skipped):
             assert_states_equal(ref.estimator.bank.state_dict(),
                                 live.estimator.bank.state_dict())
             assert_states_equal(ref.message_log.state_dict(),

@@ -9,10 +9,12 @@ to a session that never stopped.
 
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
 
+from ingest_oracle import state_sha256
 from repro import (
     EstimatorSpec,
     ForwardSampler,
@@ -94,6 +96,35 @@ BUNDLE_DAMAGE = {
     "negative_site_count":
         lambda meta, arrays: arrays["log.per_site"].__setitem__(0, -1),
 }
+
+#: Ways the arrays file itself can be damaged on disk, each for a stored
+#: (``np.savez``) and a deflated (``np.savez_compressed``) file:
+#: ``(damage the file bytes, write the arrays)``.
+ARRAYS_FILE_DAMAGE = {
+    f"{name}_{kind}": (cut, writer)
+    for name, cut in (
+        ("flipped_byte", lambda blob: (
+            blob[:len(blob) // 2] + bytes([blob[len(blob) // 2] ^ 0xFF])
+            + blob[len(blob) // 2 + 1:])),
+        ("cut_in_half", lambda blob: blob[:len(blob) // 2]),
+    )
+    for kind, writer in (("stored", np.savez),
+                         ("deflated", np.savez_compressed))
+}
+
+
+def _member_types(arrays_path) -> set:
+    with zipfile.ZipFile(arrays_path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def _session_digests(session) -> list:
+    return [
+        state_sha256(session.estimator.bank.state_dict()),
+        state_sha256(session.message_log.state_dict()),
+        state_sha256(session.partitioner.state_dict()),
+        session.events_seen,
+    ]
 
 
 class TestSnapshotResumeMatrix:
@@ -181,7 +212,9 @@ class TestSnapshotResumeMatrix:
         with pytest.raises(SessionError):
             MonitoringSession.restore(bundle)
 
-    @pytest.mark.parametrize("damage", list(BUNDLE_DAMAGE))
+    @pytest.mark.parametrize(
+        "damage", [*BUNDLE_DAMAGE, *ARRAYS_FILE_DAMAGE]
+    )
     def test_malformed_bundle_is_a_session_error(
         self, small_net, tmp_path, damage
     ):
@@ -194,11 +227,56 @@ class TestSnapshotResumeMatrix:
         arrays_path = bundle / meta["arrays"]
         with np.load(arrays_path) as handle:
             arrays = {key: handle[key] for key in handle.files}
-        BUNDLE_DAMAGE[damage](meta, arrays)
-        (bundle / "meta.json").write_text(json.dumps(meta))
-        np.savez_compressed(arrays_path, **arrays)
+        if damage in BUNDLE_DAMAGE:
+            BUNDLE_DAMAGE[damage](meta, arrays)
+            (bundle / "meta.json").write_text(json.dumps(meta))
+            np.savez_compressed(arrays_path, **arrays)
+        else:
+            cut, writer = ARRAYS_FILE_DAMAGE[damage]
+            writer(arrays_path, **arrays)
+            arrays_path.write_bytes(cut(arrays_path.read_bytes()))
         with pytest.raises(SessionError, match=re.escape(str(bundle))):
             MonitoringSession.restore(bundle, network=small_net)
+
+
+class TestArraysFileFormat:
+    """Snapshots store their arrays uncompressed; bundles written with
+    deflated arrays (the format before) still restore."""
+
+    def test_fresh_bundle_members_are_stored(self, small_net, tmp_path):
+        session = EstimatorSpec(
+            small_net, "nonuniform", eps=0.3, n_sites=3, seed=2
+        ).session()
+        session.ingest(_stream(small_net, 200))
+        bundle = session.snapshot(tmp_path / "snap")
+        arrays_path = bundle / MonitoringSession.peek(bundle)["arrays"]
+        assert _member_types(arrays_path) == {zipfile.ZIP_STORED}
+
+    def test_deflated_bundle_restores_and_continues_identically(
+        self, small_net, tmp_path
+    ):
+        spec = EstimatorSpec(small_net, "nonuniform", eps=0.3, n_sites=4,
+                             seed=17)
+        data = _stream(small_net, 1_200)
+        session = MonitoringSession(spec, network=small_net)
+        session.ingest(data[:600])
+        bundle = session.snapshot(tmp_path / "snap")
+        stored = MonitoringSession.restore(bundle, network=small_net)
+
+        arrays_path = bundle / MonitoringSession.peek(bundle)["arrays"]
+        with np.load(arrays_path) as handle:
+            arrays = {key: handle[key] for key in handle.files}
+        np.savez_compressed(arrays_path, **arrays)
+        assert _member_types(arrays_path) == {zipfile.ZIP_DEFLATED}
+        deflated = MonitoringSession.restore(bundle, network=small_net)
+        assert _session_digests(deflated) == _session_digests(stored)
+        assert _session_digests(deflated) == _session_digests(session)
+
+        for live in (session, stored, deflated):
+            live.ingest(data[600:])
+        assert _session_digests(deflated) == _session_digests(session)
+        assert _session_digests(stored) == _session_digests(session)
+        assert np.array_equal(deflated.estimates(), session.estimates())
 
 
 class TestSessionLifecycle:

@@ -1,6 +1,7 @@
 """Tests for the repo tooling under ``tools/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,53 @@ def test_bench_pairs_refuses_a_failed_run(tmp_path, correct, shown):
         _FAKE_RUN.replace("CORRECT", repr(correct)))
     with pytest.raises(RuntimeError, match=shown):
         bench_pairs._run(tmp_path, "serve_link", 1, 1, tmp_path / "r.json")
+
+
+def test_bench_pairs_judges_every_listed_workload(
+    tmp_path, capsys, monkeypatch
+):
+    bench_pairs = _load("bench_pairs")
+    contract = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, out):
+        # dist_link's change side ingests 40 % slower; nothing else moves.
+        side = "change" if tree == bench_pairs.ROOT else "base"
+        calls.append((workload, seed, side))
+        values = {m["name"]: 1.0 + seed / 100 for m in contract["end_to_end"]}
+        if workload == "dist_link" and side == "change":
+            values["events_per_s"] *= 0.6
+        return {"end_to_end": values, "ops_attempted": 10, "ops_failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "_extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "pairs.json"
+    status = bench_pairs.main([
+        "HEAD", "--workload", "serve_link,dist_link", "--pairs", "4",
+        "--seed-base", "10", "--out", str(out),
+    ])
+    assert status == 1
+    printed = capsys.readouterr().out
+    blocks = printed.split("dist_link: 4 pairs")
+    assert len(blocks) == 2 and "serve_link: 4 pairs" in blocks[0]
+    assert "nothing worse: yes" in blocks[0]
+    assert "nothing worse: NO" in blocks[1]
+    assert [(w, s) for w, s, _ in calls[::2]] == [
+        (w, s) for w in ("serve_link", "dist_link") for s in range(10, 14)]
+    record = json.loads(out.read_text())
+    assert [b["workload"] for b in record["workloads"]] == \
+        ["serve_link", "dist_link"]
+    assert [b["summary"]["worse"] for b in record["workloads"]] == \
+        [False, True]
+
+    # One workload that holds exits 0; an unknown name is a usage error.
+    assert bench_pairs.main(["HEAD", "--workload", "serve_link",
+                             "--pairs", "4", "--seed-base", "10"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "--workload", "serve_link,nope",
+                          "--seed-base", "1"])
+    assert exc.value.code == 2
+    assert "nope" in capsys.readouterr().err
 
 
 def test_check_docs_reads_bench_pairs_flags():

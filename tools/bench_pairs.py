@@ -3,6 +3,9 @@
 
     python tools/bench_pairs.py BASE_REV --workload serve_link --pairs 10 \\
         --seed-base 500
+    python tools/bench_pairs.py BASE_REV \\
+        --workload inproc_link,dist_wal_alarm,dist_link,serve_link \\
+        --pairs 10 --seed-base 500
 
 ``BASE_REV`` (any git revision) is extracted with ``git archive`` into a
 temporary directory; the change side is this checkout's working tree.
@@ -23,9 +26,12 @@ also judges "nothing worse": each metric's bound verdict (``within``,
 ``better``, ``worse`` or ``unresolved``, from ``bench/compare.py`` and
 the metric's ``BENCHMARK.json`` bound), each side's share of failed
 operations, and a flag on any pair whose ``messages_per_event`` or
-``eps_headroom`` differ between the sides.  It exits 1 on a ``worse``
-verdict, a flagged pair or a larger failed share for the change.
-``--out`` writes the raw run records and the summary as JSON.
+``eps_headroom`` differ between the sides.  ``--workload`` takes one
+name or a comma-separated list; each workload runs its own pairs, with
+the same seeds, and gets its own summary block.  The tool exits 1 when
+any workload has a ``worse`` verdict, a flagged pair or a larger failed
+share for the change.  ``--out`` writes every workload's raw run
+records and summary as JSON.
 """
 
 from __future__ import annotations
@@ -178,6 +184,39 @@ def _run(tree: Path, workload: str, seed: int, seconds: float,
     return record
 
 
+def _workload_list(names: list[str]):
+    """argparse type: a comma-separated list of ``BENCHMARK.json``
+    workload names."""
+    def parse(text: str) -> list[str]:
+        chosen = [name.strip() for name in text.split(",")]
+        unknown = [name for name in chosen if name not in names]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown workload(s) {', '.join(map(repr, unknown))} "
+                f"(choose from {', '.join(names)})")
+        return chosen
+    return parse
+
+
+def _run_pairs(trees: dict, workload: str, args, seconds: float,
+               tmp: Path) -> list[dict]:
+    """``args.pairs`` alternating base/change pairs of one workload."""
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = _run(trees[side], workload, seed, seconds,
+                              tmp / f"{side}-{workload}-{seed}.json")
+        print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
+              + ", ".join(f"{side} events_per_s "
+                          f"{pair[side]['end_to_end']['events_per_s']:.5g}"
+                          for side in order), file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
 def main(argv=None) -> int:
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(
@@ -185,8 +224,10 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("base_rev", help="git revision of the base side")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in contract["workloads"]])
+    parser.add_argument(
+        "--workload", required=True,
+        type=_workload_list([w["name"] for w in contract["workloads"]]),
+        help="workload name, or a comma-separated list of them")
     parser.add_argument("--pairs", type=int, default=10,
                         help="number of base/change pairs (default 10)")
     parser.add_argument("--seed-base", type=int, required=True,
@@ -194,7 +235,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write run records and summary here")
     args = parser.parse_args(argv)
 
-    pairs = []
+    blocks = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
         base_tree = tmp / "base"
@@ -206,32 +247,25 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         trees = {"base": base_tree, "change": ROOT}
-        for i in range(args.pairs):
-            seed = args.seed_base + i
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                try:
-                    pair[side] = _run(trees[side], args.workload, seed,
-                                      contract["run_seconds"],
-                                      tmp / f"{side}-{seed}.json")
-                except RuntimeError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-            print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-                f"{side} events_per_s "
-                f"{pair[side]['end_to_end']['events_per_s']:.5g}"
-                for side in order), file=sys.stderr)
-            pairs.append(pair)
-    summary = summarize(pairs, contract["end_to_end"])
-    print(f"{args.workload}: {args.pairs} pairs, base {args.base_rev}, "
-          f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
-    print(format_summary(summary))
+        for workload in args.workload:
+            try:
+                pairs = _run_pairs(trees, workload, args,
+                                   contract["run_seconds"], tmp)
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            summary = summarize(pairs, contract["end_to_end"])
+            print(f"{workload}: {args.pairs} pairs, base {args.base_rev}, "
+                  f"seeds {args.seed_base}.."
+                  f"{args.seed_base + args.pairs - 1}")
+            print(format_summary(summary), flush=True)
+            blocks.append({"workload": workload, "pairs": pairs,
+                           "summary": summary})
     if args.out:
         Path(args.out).write_text(json.dumps(
-            {"base_rev": args.base_rev, "workload": args.workload,
-             "pairs": pairs, "summary": summary}, indent=1) + "\n")
-    return 1 if summary["worse"] else 0
+            {"base_rev": args.base_rev, "workloads": blocks}, indent=1)
+            + "\n")
+    return 1 if any(block["summary"]["worse"] for block in blocks) else 0
 
 
 if __name__ == "__main__":
