@@ -461,9 +461,10 @@ class MonitoringSession:
             ) from exc
         session = cls(spec, network=network)
         # Stored (np.savez) and deflated (np.savez_compressed) bundles
-        # both read here.
+        # both read here.  The file is opened in our own ``with``: when
+        # ``np.load`` rejects it, NumPy does not close a path it opened.
         try:
-            with np.load(arrays_path) as handle:
+            with open(arrays_path, "rb") as fh, np.load(fh) as handle:
                 arrays = {key: handle[key] for key in handle.files}
         except (OSError, ValueError, EOFError, zipfile.BadZipFile,
                 zlib.error) as exc:

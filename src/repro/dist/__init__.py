@@ -10,10 +10,8 @@ seeded stream — see ``docs/distributed.md``).
 from repro.dist.coordinator import DistributedSession
 from repro.dist.messages import (
     IngestBatch,
-    RoundSync,
     Shutdown,
     SiteAggregate,
-    ThresholdUpdate,
     ValueReport,
 )
 from repro.dist.recovery import (
@@ -42,8 +40,6 @@ __all__ = [
     "IngestBatch",
     "SiteAggregate",
     "ValueReport",
-    "ThresholdUpdate",
-    "RoundSync",
     "Shutdown",
     "WriteAheadLog",
     "RoundRecord",

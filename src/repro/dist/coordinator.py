@@ -8,20 +8,21 @@ worker processes (:mod:`repro.dist.site`).  Per ingest round it
 1. assigns sites from the session partitioner (the same stream the
    in-process path consumes),
 2. splits the batch across workers by hosted-site shard and ships one
-   :class:`~repro.dist.messages.IngestBatch` frame per worker over its
-   TCP inbox channel (:mod:`repro.net`; full socket buffers =
+   :class:`~repro.dist.messages.IngestBatch` frame per worker over the
+   worker's one TCP connection (:mod:`repro.net`; full socket buffers =
    backpressure: ingest stalls instead of buffering unboundedly),
-3. drains :class:`~repro.dist.messages.ValueReport` frames, re-aligns
-   them by round, and applies each round's per-site aggregates to the
-   inner session's counter bank **in ascending site order** as one
-   dense ``(k, n_counters)`` table (``CounterBank.bulk_add_sites``) —
-   the same apply the in-process dense path makes, so the bank state,
-   message-log tallies (epoch included), and RNG consumption are
-   bit-identical to the in-process channel,
-4. fans out a :class:`~repro.dist.messages.ThresholdUpdate` to every
-   worker whenever the apply started new counter rounds (the
-   coordinator's round-sync broadcast), collecting the workers'
-   :class:`~repro.dist.messages.RoundSync` acks.
+3. drains :class:`~repro.dist.messages.ValueReport` frames from the
+   same connections, re-aligns them by round, and applies each round's
+   per-site aggregates to the inner session's counter bank **in
+   ascending site order** as one dense ``(k, n_counters)`` table
+   (``CounterBank.bulk_add_sites``) — the same apply the in-process
+   dense path makes, so the bank state, message-log tallies (epoch
+   included), and RNG consumption are bit-identical to the in-process
+   channel.
+
+The paper's round broadcast (Algorithm 2) is a *protocol* message: the
+bank tallies it when an apply starts new counter rounds.  Workers hold
+no protocol state, so no frame carries it.
 
 **Conformance contract** (pinned by ``tests/test_dist.py``): for any
 ``EstimatorSpec`` and seeded stream, a ``DistributedSession`` fed the
@@ -43,6 +44,7 @@ byte-identically (:mod:`repro.dist.recovery`, ``docs/recovery.md``).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from collections.abc import Iterable
@@ -52,17 +54,10 @@ import numpy as np
 
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
-from repro.dist.messages import (
-    IngestBatch,
-    RoundSync,
-    Shutdown,
-    ThresholdUpdate,
-    ValueReport,
-)
+from repro.dist.messages import IngestBatch, Shutdown, ValueReport
 from repro.dist.site import START_METHOD, _site_worker_main
 from repro.dist.transport import TransportClosed
 from repro.errors import ExecutionError, SessionError, StreamError
-from repro.monitoring.channel import MessageKind
 from repro.utils.validation import integer_array
 
 
@@ -81,29 +76,27 @@ class _WorkerHandle:
     """Driver-side record of one site worker process."""
 
     __slots__ = (
-        "index", "sites", "process", "inbox", "reports", "state",
-        "unreported", "thresholds_sent", "thresholds_acked", "respawns",
+        "index", "sites", "process", "channel", "state", "unreported",
+        "respawns",
     )
 
     def __init__(self, index: int, sites: tuple[int, ...]) -> None:
         self.index = index
         self.sites = sites
         self.process = None
-        #: This incarnation's coordinator-side channels
-        #: (:class:`~repro.net.endpoint.CoordinatorChannel`).  Opened
-        #: fresh per incarnation: the listener then refuses every Hello
-        #: but this incarnation's, so a dead predecessor's lingering
-        #: socket can neither wedge nor impersonate the replacement.
-        self.inbox = None
-        self.reports = None
+        #: This incarnation's coordinator-side channel
+        #: (:class:`~repro.net.endpoint.CoordinatorChannel`): batches go
+        #: down it, reports come up it.  Opened fresh per incarnation:
+        #: the listener then refuses every Hello but this incarnation's,
+        #: so a dead predecessor's lingering socket can neither wedge
+        #: nor impersonate the replacement.
+        self.channel = None
         #: Last state_dict the worker reported (respawn hand-off).
         self.state: dict | None = None
         #: seq -> (data, site_ids) sub-batches sent but not yet reported
         #: by this worker (``data`` in the session's wire dtype);
         #: replayed verbatim after a respawn.
         self.unreported: dict[int, tuple] = {}
-        self.thresholds_sent = 0
-        self.thresholds_acked = 0
         self.respawns = 0
 
     def alive(self) -> bool:
@@ -143,15 +136,14 @@ class DistributedSession:
     poll_interval:
         Liveness-poll cadence threaded into every transport end
         (defaults to :data:`~repro.dist.transport.POLL_INTERVAL`).
-    worker_faults / worker_inbox_faults:
-        Test hooks: declarative fault specs (see
+    worker_faults:
+        Test hook: declarative fault specs (see
         :mod:`repro.dist.transport` and :mod:`repro.net.transport`)
-        installed on a worker's report / inbox transport, keyed by
-        worker index.
+        installed on a worker's transport, keyed by worker index.
     coordinator_faults:
         Test hook: fault specs installed listener-side on a
-        worker's *reports* channel (see :mod:`repro.net.endpoint`),
-        keyed by worker index.
+        worker's channel (see :mod:`repro.net.endpoint`), keyed by
+        worker index.
     wal_dir:
         Directory for coordinator durability (``docs/recovery.md``): a
         write-ahead round log, periodic crash-atomic checkpoints, and a
@@ -198,7 +190,6 @@ class DistributedSession:
         transport: str = "tcp",
         poll_interval: float | None = None,
         worker_faults: dict | None = None,
-        worker_inbox_faults: dict | None = None,
         coordinator_faults: dict | None = None,
         wal_dir=None,
         wal_fsync: str = "always",
@@ -259,7 +250,6 @@ class DistributedSession:
             None if poll_interval is None else float(poll_interval)
         )
         self._worker_faults = dict(worker_faults or {})
-        self._worker_inbox_faults = dict(worker_inbox_faults or {})
         self._coordinator_faults = dict(coordinator_faults or {})
         self._max_frame_bytes = (
             None if max_frame_bytes is None else int(max_frame_bytes)
@@ -275,63 +265,18 @@ class DistributedSession:
             raise SessionError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
-        self._replaying = False
-        from repro.net.endpoint import Listener
-
-        listener_kwargs = {
-            "advertise": advertise_address,
-            "incarnation": self._incarnation,
-            "poll_interval": self._poll_interval,
-        }
-        if bind_address is not None:
-            listener_kwargs["host"] = bind_address
-        if self._max_frame_bytes is not None:
-            listener_kwargs["max_frame_bytes"] = self._max_frame_bytes
-        self._listener = Listener(**listener_kwargs)
-
-        if wal_dir is not None:
-            from repro.dist.recovery import DurableCoordinator
-
-            self._durable = DurableCoordinator(
-                wal_dir, self.inner, fsync=wal_fsync,
-                fsync_interval=wal_fsync_interval,
-                checkpoint_rounds=checkpoint_rounds,
-                crash=wal_crash, incarnation=self._incarnation,
-                fresh=(recover_from is None),
-            )
-            if recover_from is not None:
-                # Commit the recovery: bump the on-disk incarnation,
-                # then fold the replayed WAL into a fresh checkpoint so
-                # round numbering can restart at 1 and an immediate
-                # re-crash recovers from here instead of replaying.
-                self._durable._write_state()
-                self._durable.checkpoint()
-        elif wal_crash is not None:
+        if wal_crash is not None and wal_dir is None:
             raise SessionError("wal_crash requires wal_dir")
-
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context(START_METHOD)
-        #: Global site id -> worker index (contiguous shards).
-        bounds = np.linspace(0, k, self.procs + 1).astype(np.int64)
-        self._site_to_worker = np.repeat(
-            np.arange(self.procs, dtype=np.int64), np.diff(bounds)
-        )
-        self._workers: list[_WorkerHandle] = []
-        for w in range(self.procs):
-            handle = _WorkerHandle(
-                w, tuple(range(int(bounds[w]), int(bounds[w + 1])))
-            )
-            self._workers.append(handle)
-            self._spawn(handle)
-
+        self._replaying = False
+        #: Set when a worker slot exhausted ``max_respawns``: the
+        #: session is dead, and :meth:`close` only releases it.
+        self._gave_up = False
         #: Round bookkeeping: seq of the last round shipped / applied.
         self._seq = 0
         self._applied_seq = 0
         #: seq -> in-flight round: batch size, expected worker set,
         #: received {worker: aggregates}, and the ship timestamp.
         self._rounds: dict[int, dict] = {}
-        self._closed = False
         #: Wire accounting (frames, not protocol messages).
         self._wire = {
             "batch_frames_sent": 0,
@@ -344,6 +289,57 @@ class DistributedSession:
             "rounds_applied": 0,
             "round_latency_seconds": 0.0,
         }
+        #: Global site id -> worker index (contiguous shards).
+        bounds = np.linspace(0, k, self.procs + 1).astype(np.int64)
+        self._site_to_worker = np.repeat(
+            np.arange(self.procs, dtype=np.int64), np.diff(bounds)
+        )
+        self._workers: list[_WorkerHandle] = []
+        self._listener = None
+        self._closed = False
+        self._ctx = multiprocessing.get_context(START_METHOD)
+        # Every argument is checked by now (the WAL's own first thing in
+        # DurableCoordinator): a failure past here releases what opened.
+        try:
+            if wal_dir is not None:
+                from repro.dist.recovery import DurableCoordinator
+
+                self._durable = DurableCoordinator(
+                    wal_dir, self.inner, fsync=wal_fsync,
+                    fsync_interval=wal_fsync_interval,
+                    checkpoint_rounds=checkpoint_rounds,
+                    crash=wal_crash, incarnation=self._incarnation,
+                    fresh=(recover_from is None),
+                )
+                if recover_from is not None:
+                    # Commit the recovery: bump the on-disk incarnation,
+                    # then fold the replayed WAL into a fresh checkpoint
+                    # so round numbering can restart at 1 and an
+                    # immediate re-crash recovers from here instead of
+                    # replaying.
+                    self._durable._write_state()
+                    self._durable.checkpoint()
+            from repro.net.endpoint import Listener
+
+            listener_kwargs = {
+                "advertise": advertise_address,
+                "incarnation": self._incarnation,
+                "poll_interval": self._poll_interval,
+            }
+            if bind_address is not None:
+                listener_kwargs["host"] = bind_address
+            if self._max_frame_bytes is not None:
+                listener_kwargs["max_frame_bytes"] = self._max_frame_bytes
+            self._listener = Listener(**listener_kwargs)
+            for w in range(self.procs):
+                handle = _WorkerHandle(
+                    w, tuple(range(int(bounds[w]), int(bounds[w + 1])))
+                )
+                self._workers.append(handle)
+                self._spawn(handle)
+        except BaseException:
+            self._release()
+            raise
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -355,7 +351,6 @@ class DistributedSession:
             "sites": list(handle.sites),
             "state": handle.state,
             "fault": self._worker_faults.get(handle.index),
-            "inbox_fault": self._worker_inbox_faults.get(handle.index),
             "poll_interval": self._poll_interval,
             # The worker dials the listener and authenticates as this
             # exact incarnation (of this exact coordinator incarnation:
@@ -372,21 +367,17 @@ class DistributedSession:
         }
 
     def _spawn(self, handle: _WorkerHandle) -> None:
-        # Fresh channels per incarnation (see _WorkerHandle.__init__).
-        handle.inbox = self._listener.open_channel(
-            handle.index, "inbox", handle.respawns,
-        )
-        handle.reports = self._listener.open_channel(
-            handle.index, "reports", handle.respawns,
+        # A fresh channel per incarnation (see _WorkerHandle.__init__).
+        handle.channel = self._listener.open_channel(
+            handle.index, handle.respawns,
             fault=self._coordinator_faults.get(handle.index),
         )
-        handle.thresholds_sent = 0
-        handle.thresholds_acked = 0
-        handle.process = self._ctx.Process(
+        process = self._ctx.Process(
             target=_site_worker_main, args=(self._payload(handle),),
             daemon=True,
         )
-        handle.process.start()
+        process.start()
+        handle.process = process  # only a started process is joined
 
     def _revive(self, handle: _WorkerHandle) -> None:
         """Respawn a dead worker from its last reported state and replay.
@@ -402,13 +393,14 @@ class DistributedSession:
         handle.respawns += 1
         self._wire["worker_respawns"] += 1
         if handle.respawns > self.max_respawns:
+            self._gave_up = True
             raise ExecutionError(
                 f"site worker {handle.index} died {handle.respawns} times "
                 f"(last exit code {handle.process.exitcode}); giving up"
             )
-        # Fresh channels: frames the dead worker never drained are
-        # covered by the unreported replay below, and a stale inbox must
-        # not leak them to the replacement twice.
+        # A fresh channel: frames the dead worker never drained are
+        # covered by the unreported replay below, and a stale outbox
+        # must not leak them to the replacement twice.
         self._spawn(handle)
         for seq in sorted(handle.unreported):
             data, site_ids = handle.unreported[seq]
@@ -427,7 +419,7 @@ class DistributedSession:
             if not handle.alive():
                 self._revive(handle)
             try:
-                handle.inbox.send(frame, alive=handle.alive, timeout=0.25)
+                handle.channel.send(frame, alive=handle.alive, timeout=0.25)
                 return
             except TransportClosed:
                 self._dispatch_available()
@@ -436,24 +428,20 @@ class DistributedSession:
     # Report dispatch and round application
     # ------------------------------------------------------------------
     def _dispatch(self, frame) -> None:
-        if isinstance(frame, ValueReport):
-            self._wire["report_frames_received"] += 1
-            handle = self._workers[frame.worker]
-            handle.state = frame.state
-            handle.unreported.pop(frame.seq, None)
-            record = self._rounds.get(frame.seq)
-            if record is None or frame.worker in record["got"]:
-                # A replayed round whose original report raced the death
-                # detection (or arrived after the round was applied).
-                self._wire["duplicate_report_frames"] += 1
-                return
-            if frame.worker in record["expected"]:
-                record["got"][frame.worker] = frame.aggregates
-        elif isinstance(frame, RoundSync):
-            self._wire["sync_frames_received"] += 1
-            self._workers[frame.worker].thresholds_acked += 1
-        else:  # pragma: no cover - defensive
+        if not isinstance(frame, ValueReport):  # pragma: no cover
             raise ExecutionError(f"coordinator got unknown frame {frame!r}")
+        self._wire["report_frames_received"] += 1
+        handle = self._workers[frame.worker]
+        handle.state = frame.state
+        handle.unreported.pop(frame.seq, None)
+        record = self._rounds.get(frame.seq)
+        if record is None or frame.worker in record["got"]:
+            # A replayed round whose original report raced the death
+            # detection (or arrived after the round was applied).
+            self._wire["duplicate_report_frames"] += 1
+            return
+        if frame.worker in record["expected"]:
+            record["got"][frame.worker] = frame.aggregates
 
     def _maybe_replay(self) -> None:
         """Replay unreported rounds of workers whose connection broke.
@@ -498,7 +486,7 @@ class DistributedSession:
             self._listener.pump(0.0)
             self._maybe_replay()
             for handle in self._workers:
-                frame = handle.reports.try_recv()
+                frame = handle.channel.try_recv()
                 if frame is not None:
                     self._dispatch(frame)
                     progressed = got_any = True
@@ -542,7 +530,6 @@ class DistributedSession:
         them for the same batch.
         """
         bank = self.inner.estimator.bank
-        log = self.inner.message_log
         while True:
             seq = self._applied_seq + 1
             record = self._rounds.get(seq)
@@ -553,7 +540,6 @@ class DistributedSession:
                 # touches the banks, so a crash between here and the
                 # apply replays it instead of losing it.
                 self._durable.log_round(seq, record)
-            broadcasts_before = log.count(MessageKind.BROADCAST)
             bank.bulk_add_sites(
                 (agg.site, agg.counter_ids, agg.counts)
                 for worker_index in sorted(record["got"])
@@ -568,15 +554,6 @@ class DistributedSession:
             )
             if self._durable is not None:
                 self._durable.after_apply(seq, record)
-            started = log.count(MessageKind.BROADCAST) - broadcasts_before
-            if started:
-                # Round-sync fan-out: every worker learns that counter
-                # rounds advanced (batched into one frame per worker).
-                rounds = started // self.inner.spec.n_sites
-                for handle in self._workers:
-                    self._send(handle, ThresholdUpdate(seq, rounds))
-                    handle.thresholds_sent += 1
-                    self._wire["threshold_frames_sent"] += 1
 
     def _settle(self, allowed_pending: int) -> None:
         while self._seq - self._applied_seq > allowed_pending:
@@ -775,23 +752,23 @@ class DistributedSession:
 
         Frames, not protocol messages: ``batch_frames_sent`` counts
         coordinator->worker sub-batches, ``report_frames_received`` the
-        batched per-round replies, and so on.  ``blocked_sends`` /
-        ``blocked_seconds`` aggregate coordinator-side backpressure
-        stalls across all worker inboxes.  ``bytes_sent`` /
-        ``bytes_received`` are the coordinator->worker and
-        worker->coordinator bytes the TCP channels moved (see
+        batched per-round replies, and so on.  ``threshold_frames_sent``
+        and ``sync_frames_received`` stay 0: no frame carries the round
+        broadcast (module docstring), and existing readers sum them.
+        ``blocked_sends`` / ``blocked_seconds`` aggregate
+        coordinator-side backpressure stalls across all worker sends.
+        ``bytes_sent`` / ``bytes_received`` are the coordinator->worker
+        and worker->coordinator bytes the TCP connections moved (see
         :meth:`repro.net.endpoint.CoordinatorChannel.stats`).  Like the
         blocked counters they cover each worker's current incarnation.
         """
         stats = dict(self._wire)
         stats["workers"] = self.procs
-        stats["blocked_sends"] = sum(
-            h.inbox.blocked_sends for h in self._workers
-        )
+        channels = [h.channel for h in self._workers]
+        stats["blocked_sends"] = sum(c.blocked_sends for c in channels)
         stats["blocked_seconds"] = float(
-            sum(h.inbox.blocked_seconds for h in self._workers)
+            sum(c.blocked_seconds for c in channels)
         )
-        channels = [c for h in self._workers for c in (h.inbox, h.reports)]
         stats["bytes_sent"] = sum(c.bytes_sent for c in channels)
         stats["bytes_received"] = sum(c.bytes_received for c in channels)
         return stats
@@ -829,30 +806,33 @@ class DistributedSession:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush, collect outstanding round-sync acks, stop the workers."""
+        """Flush, checkpoint when durable, stop the workers.
+
+        After the session gave up on a worker there is nothing to flush:
+        close only stops the surviving workers and closes the listener,
+        and a durable session closes its WAL without a checkpoint, so
+        ``recover_from`` lands on the last applied round.
+        """
         if self._closed:
             return
-        self.flush()
-        # Outstanding threshold acks make the wire accounting of a
-        # fault-free run deterministic before the workers go away.
-        deadline = time.monotonic() + 30.0
-        while any(
-            h.thresholds_acked < h.thresholds_sent and h.alive()
-            for h in self._workers
-        ):
-            if not self._dispatch_available():
-                self._wait_reports()
-            if time.monotonic() > deadline:  # pragma: no cover - defensive
-                break
+        try:
+            if not self._gave_up:
+                self.flush()
+                if self._durable is not None:
+                    # A clean shutdown leaves an empty WAL and a
+                    # checkpoint of the complete run — restartable,
+                    # with nothing to replay.
+                    self._durable.close()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Stop every worker, close the listener and the WAL file."""
         self._closed = True
-        if self._durable is not None:
-            # A clean shutdown leaves an empty WAL and a checkpoint of
-            # the complete run — restartable, with nothing to replay.
-            self._durable.close()
         for handle in self._workers:
             if handle.alive():
                 try:
-                    handle.inbox.send(
+                    handle.channel.send(
                         Shutdown(), alive=handle.alive, timeout=5.0
                     )
                 except TransportClosed:
@@ -863,7 +843,10 @@ class DistributedSession:
                 if handle.process.is_alive():  # pragma: no cover - defensive
                     handle.process.terminate()
                     handle.process.join(timeout=1.0)
-        self._listener.close()
+        if self._listener is not None:
+            self._listener.close()
+        if self._durable is not None:
+            self._durable.wal.close()
 
     def __enter__(self) -> "DistributedSession":
         return self

@@ -34,8 +34,6 @@ __all__ = [
     "IngestBatch",
     "SiteAggregate",
     "ValueReport",
-    "ThresholdUpdate",
-    "RoundSync",
     "Shutdown",
 ]
 
@@ -114,43 +112,6 @@ class ValueReport:
             f"ValueReport(worker={self.worker}, seq={self.seq}, "
             f"sites={[a.site for a in self.aggregates]})"
         )
-
-
-class ThresholdUpdate:
-    """Coordinator -> every site worker: counter rounds advanced.
-
-    Fanned out after the coordinator applies a round in which the bank
-    started new counter rounds (broadcast traffic in the protocol
-    tallies).  ``rounds`` is the number of broadcasts batched into this
-    frame and ``seq`` the coordinator round that triggered them.
-    """
-
-    __slots__ = ("seq", "rounds")
-
-    def __init__(self, seq: int, rounds: int) -> None:
-        self.seq = int(seq)
-        self.rounds = int(rounds)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThresholdUpdate(seq={self.seq}, rounds={self.rounds})"
-
-
-class RoundSync:
-    """Site worker -> coordinator: ack of one :class:`ThresholdUpdate`.
-
-    ``acked`` counts the threshold frames this worker incarnation has
-    answered so far; the coordinator drains outstanding acks before
-    shutdown so wire accounting is deterministic on fault-free runs.
-    """
-
-    __slots__ = ("worker", "acked")
-
-    def __init__(self, worker: int, acked: int) -> None:
-        self.worker = int(worker)
-        self.acked = int(acked)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RoundSync(worker={self.worker}, acked={self.acked})"
 
 
 class Shutdown:

@@ -221,18 +221,10 @@ class WriteAheadLog:
 
     def __init__(self, path, *, fsync: str = "always",
                  fsync_interval: int = 8) -> None:
-        if fsync not in ("always", "interval", "off"):
-            raise RecoveryError(
-                f"fsync policy must be 'always', 'interval', or 'off', "
-                f"got {fsync!r}"
-            )
+        _check_fsync_policy(fsync, fsync_interval)
         self.path = Path(path)
         self.fsync = fsync
         self.fsync_interval = int(fsync_interval)
-        if self.fsync == "interval" and self.fsync_interval < 1:
-            raise RecoveryError(
-                f"fsync_interval must be positive, got {fsync_interval}"
-            )
         self._fh = open(self.path, "ab")
         self._unsynced = 0
         #: Accounting surfaced by ``durability_stats`` / the benches.
@@ -373,6 +365,18 @@ class WriteAheadLog:
         )
 
 
+def _check_fsync_policy(fsync: str, fsync_interval: int) -> None:
+    if fsync not in ("always", "interval", "off"):
+        raise RecoveryError(
+            f"fsync policy must be 'always', 'interval', or 'off', "
+            f"got {fsync!r}"
+        )
+    if fsync == "interval" and int(fsync_interval) < 1:
+        raise RecoveryError(
+            f"fsync_interval must be positive, got {fsync_interval}"
+        )
+
+
 def _fsync_dir(path) -> None:
     fd = os.open(str(path), os.O_RDONLY)
     try:
@@ -410,6 +414,8 @@ class DurableCoordinator:
         self.directory = Path(directory)
         self.inner = inner
         self.incarnation = int(incarnation)
+        # Every argument is checked before the directory is touched.
+        _check_fsync_policy(fsync, fsync_interval)
         if checkpoint_rounds is not None and int(checkpoint_rounds) < 1:
             raise RecoveryError(
                 f"checkpoint_rounds must be positive, got {checkpoint_rounds}"

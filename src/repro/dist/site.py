@@ -13,6 +13,13 @@ are bit-identical to the slices the in-process path would have handed
 the real bank — which is what makes the coordinator's conformance
 contract (`docs/distributed.md`) hold by construction.
 
+A worker dials the coordinator once and keeps that one TCP connection:
+:class:`~repro.dist.messages.IngestBatch` and ``Shutdown`` frames
+arrive on it, :class:`~repro.dist.messages.ValueReport` frames leave on
+it.  Nothing else needs to cross: the protocol's thresholds and counter
+rounds live in the coordinator's bank, so a worker holds no protocol
+state to keep in sync.
+
 The worker entry point follows the spawn-safe patterns of
 ``exec/multiprocess.py``: a top-level function rebuilding everything
 from a picklable payload, started with the ``spawn`` method so no
@@ -28,10 +35,8 @@ from repro.core.estimator import StreamingMLEEstimator
 from repro.counters.base import CounterBank
 from repro.dist.messages import (
     IngestBatch,
-    RoundSync,
     Shutdown,
     SiteAggregate,
-    ThresholdUpdate,
     ValueReport,
 )
 from repro.dist.transport import TransportClosed
@@ -182,10 +187,10 @@ def _site_worker_main(payload: dict) -> None:
     ``payload`` carries only picklable values: the spec as a dict, the
     hosted site ids, a ``net`` dict with the coordinator's listener
     address, session token, this incarnation number and the wire knobs
-    (both channels dial it over TCP), an optional resume ``state``
-    (from the previous incarnation's last report), the liveness
-    ``poll_interval``, and optional declarative ``fault`` /
-    ``inbox_fault`` specs installed on the report / inbox transport by
+    (the worker dials it once; the one connection carries batches in
+    and reports out), an optional resume ``state`` (from the previous
+    incarnation's last report), the liveness ``poll_interval``, and an
+    optional declarative ``fault`` spec installed on the transport by
     the fault-injection tests.
     """
     import multiprocessing
@@ -201,56 +206,35 @@ def _site_worker_main(payload: dict) -> None:
     parent = multiprocessing.parent_process()
     parent_alive = parent.is_alive if parent is not None else (lambda: True)
     net = payload["net"]
-    socket_kwargs = {
-        "incarnation": net["incarnation"],
-        "token": net["token"],
-        "coordinator": net.get("coordinator", 0),
-        "max_frame_bytes": net.get("max_frame_bytes") or MAX_FRAME_BYTES,
-        "heartbeat_timeout": net.get("heartbeat_timeout"),
-        "poll_interval": payload.get("poll_interval"),
-    }
-    inbox = SocketTransport(
-        net["address"], worker=worker, channel="inbox",
-        name=f"worker-{worker}.inbox",
-        fault=payload.get("inbox_fault"),
-        **socket_kwargs,
-    )
-    reports = SocketTransport(
-        net["address"], worker=worker, channel="reports",
-        name=f"worker-{worker}.reports",
+    conn = SocketTransport(
+        net["address"], worker=worker,
+        incarnation=net["incarnation"],
+        token=net["token"],
+        coordinator=net.get("coordinator", 0),
+        max_frame_bytes=net.get("max_frame_bytes") or MAX_FRAME_BYTES,
+        heartbeat_timeout=net.get("heartbeat_timeout"),
+        poll_interval=payload.get("poll_interval"),
         fault=payload.get("fault"),
-        **socket_kwargs,
     )
-    acked = 0
     try:
         while True:
-            frame = inbox.recv(alive=parent_alive)
+            frame = conn.recv(alive=parent_alive)
             if isinstance(frame, Shutdown):
                 return
-            if isinstance(frame, IngestBatch):
-                aggregates = shard.encode(
-                    frame.seq, frame.data, frame.site_ids
-                )
-                reports.send(
-                    ValueReport(
-                        worker, frame.seq, aggregates, shard.state_dict()
-                    ),
-                    alive=parent_alive,
-                )
-            elif isinstance(frame, ThresholdUpdate):
-                # The protocol's threshold/round state lives in the
-                # coordinator's bank; the ack closes the round-sync loop
-                # so fan-out is observable on the wire.
-                acked += 1
-                reports.send(RoundSync(worker, acked), alive=parent_alive)
-            else:  # pragma: no cover - defensive
+            if not isinstance(frame, IngestBatch):  # pragma: no cover
                 raise RuntimeError(
                     f"site worker got unknown frame {frame!r}"
                 )
+            aggregates = shard.encode(frame.seq, frame.data, frame.site_ids)
+            # A blocked send keeps reading the socket, so the
+            # coordinator's own blocked send of the next batch drains.
+            conn.send(
+                ValueReport(worker, frame.seq, aggregates, shard.state_dict()),
+                alive=parent_alive,
+            )
     except TransportClosed:  # pragma: no cover - parent/listener died
         return
     finally:
-        # Both sends above block until the kernel accepted every byte,
+        # The send above blocks until the kernel accepted every byte,
         # so closing here never truncates a reported frame.
-        reports.close()
-        inbox.close()
+        conn.close()

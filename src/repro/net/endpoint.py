@@ -3,20 +3,20 @@
 One :class:`Listener` serves every worker of a
 :class:`~repro.dist.coordinator.DistributedSession`: it owns the single
 listening socket, a shared :mod:`selectors` loop over all accepted
-connections, and a registry of :class:`CoordinatorChannel` objects — the
-coordinator-side peers of the workers'
+connections, and a registry of :class:`CoordinatorChannel` objects, one
+per worker — the coordinator-side peers of the workers'
 :class:`~repro.net.transport.SocketTransport` ends, speaking the same
 transport surface (``send``/``recv``/``try_recv``/``stats``) the
-coordinator event loop drives.
+coordinator event loop drives.  A worker's one connection carries both
+directions: batches and ``Shutdown`` down, reports up.
 
 **Handshake.**  A dialer's first frame must be a
 :class:`~repro.net.wire.Hello` carrying worker id, respawn incarnation,
-channel name (``"inbox"``/``"reports"``), the coordinator's restart
-incarnation, and an HMAC-SHA256 over all of them keyed by the session
-token (the token never crosses the wire; see
+the coordinator's restart incarnation, and an HMAC-SHA256 over all of
+them keyed by the session token (the token never crosses the wire; see
 :func:`~repro.net.wire.hello_mac`).  The listener verifies the MAC with
-``hmac.compare_digest`` and accepts only the *expected* worker
-incarnation of a registered channel under its *own* coordinator
+``hmac.compare_digest`` and accepts only the *expected* incarnation of
+a registered worker under its *own* coordinator
 incarnation: a SIGKILLed worker's lingering socket, a delayed reconnect
 from a dead incarnation, a forged or replayed Hello, or a worker from a
 pre-recovery coordinator life is refused with a
@@ -32,14 +32,14 @@ connection invisible to the conformance contract (reports are
 deduplicated per round, aggregates are pure functions of the
 sub-batch).
 
-**Fault injection.**  ``channel_faults`` maps ``(worker, channel)`` to
-a declarative spec; beyond the shared ``delay_send``/``delay_recv``
-keys it understands
+**Fault injection.**  ``channel_faults`` maps a worker id to a
+declarative spec; beyond the shared ``delay_send``/``delay_recv`` keys
+it understands
 
 ``discard_frames``
-    Drop the first N decoded payload frames on this channel *and sever
-    the connection* — deterministic in-flight loss, the adversarial
-    case the replay path exists for.
+    Drop the first N decoded payload frames from this worker *and
+    sever the connection* — deterministic in-flight loss, the
+    adversarial case the replay path exists for.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class Listener:
         socket (inherited by accepted connections, so the receive
         window is narrow from the SYN) — the backpressure test hook.
     channel_faults:
-        ``(worker, channel) -> fault`` specs (module docstring).
+        ``worker -> fault`` specs (module docstring).
     """
 
     def __init__(
@@ -133,15 +133,19 @@ class Listener:
         self.sockbuf = None if sockbuf is None else int(sockbuf)
         self._channel_faults = dict(channel_faults or {})
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        if self.sockbuf:
-            self._sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, self.sockbuf
-            )
-            self._sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_SNDBUF, self.sockbuf
-            )
-        self._sock.bind((host, port))
-        self._sock.listen(64)
+        try:
+            if self.sockbuf:
+                self._sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, self.sockbuf
+                )
+                self._sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, self.sockbuf
+                )
+            self._sock.bind((host, port))
+            self._sock.listen(64)
+        except BaseException:
+            self._sock.close()
+            raise
         self._sock.setblocking(False)
         #: The socket's actual ``(host, port)``.
         self.bound_address = self._sock.getsockname()
@@ -156,10 +160,8 @@ class Listener:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._sock, selectors.EVENT_READ, None)
         self._connections: set[_Connection] = set()
-        #: (worker, channel name) -> channel object.
-        self._channels: dict[tuple[int, str], CoordinatorChannel] = {}
-        #: worker -> the only incarnation whose Hello is accepted.
-        self._expected: dict[int, int] = {}
+        #: worker -> its channel.
+        self._channels: dict[int, CoordinatorChannel] = {}
         self._disrupted: set[int] = set()
         self._closed = False
         #: Diagnostics (JSON-ready via :meth:`stats`).
@@ -173,10 +175,10 @@ class Listener:
     # Channel registry
     # ------------------------------------------------------------------
     def open_channel(
-        self, worker: int, channel: str, incarnation: int, *,
+        self, worker: int, incarnation: int, *,
         name: str | None = None, fault: dict | None = None,
     ) -> "CoordinatorChannel":
-        """Register (or replace) the channel for one worker direction.
+        """Register (or replace) the channel of one worker.
 
         Replacing an existing channel — a worker respawn — closes the
         old one and its connection outright: the new incarnation starts
@@ -184,19 +186,17 @@ class Listener:
         from now on (``incarnation`` becomes the only accepted value
         for this worker).
         """
-        key = (int(worker), str(channel))
-        old = self._channels.get(key)
+        worker = int(worker)
+        old = self._channels.get(worker)
         if old is not None:
             old.close()
         if fault is None:
-            fault = self._channel_faults.get(key)
+            fault = self._channel_faults.get(worker)
         chan = CoordinatorChannel(
-            self, key,
-            name=name or f"worker-{key[0]}.{key[1]}",
+            self, worker, incarnation, name=name or f"worker-{worker}",
             fault=fault,
         )
-        self._channels[key] = chan
-        self._expected[key[0]] = int(incarnation)
+        self._channels[worker] = chan
         return chan
 
     def take_disrupted(self) -> set[int]:
@@ -308,11 +308,9 @@ class Listener:
             self.wire_errors += 1
             self._drop_conn(conn, disrupt=False)
             return
-        key = (frame.worker, frame.channel)
-        chan = self._channels.get(key)
+        chan = self._channels.get(frame.worker)
         expected_mac = hello_mac(
-            self.token, frame.worker, frame.incarnation, frame.channel,
-            frame.coordinator,
+            self.token, frame.worker, frame.incarnation, frame.coordinator,
         )
         if not hmac.compare_digest(expected_mac, frame.mac):
             reason = "bad handshake MAC (session token mismatch)"
@@ -322,12 +320,11 @@ class Listener:
                 f"(this coordinator is incarnation {self.incarnation})"
             )
         elif chan is None or chan.closed:
-            reason = f"unknown channel {key!r}"
-        elif frame.incarnation != self._expected.get(frame.worker):
+            reason = f"no channel for worker {frame.worker}"
+        elif frame.incarnation != chan.incarnation:
             reason = (
                 f"stale incarnation {frame.incarnation} of worker "
-                f"{frame.worker} (expected "
-                f"{self._expected.get(frame.worker)})"
+                f"{frame.worker} (expected {chan.incarnation})"
             )
         else:
             reason = None
@@ -362,7 +359,7 @@ class Listener:
         if conn.channel is not None:
             conn.channel._detach(conn)
             if disrupt:
-                self._disrupted.add(conn.channel.key[0])
+                self._disrupted.add(conn.channel.worker)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -398,7 +395,7 @@ class Listener:
 
 
 class CoordinatorChannel:
-    """The coordinator-side peer of one worker direction.
+    """The coordinator-side peer of one worker's connection.
 
     Speaks the transport surface over whatever connection the
     :class:`Listener` has currently assigned to it.  Unlike the dialer
@@ -415,11 +412,13 @@ class CoordinatorChannel:
     """
 
     def __init__(
-        self, listener: Listener, key: tuple[int, str], *,
+        self, listener: Listener, worker: int, incarnation: int, *,
         name: str, fault: dict | None = None,
     ) -> None:
         self.listener = listener
-        self.key = key
+        self.worker = worker
+        #: The only worker incarnation whose Hello attaches here.
+        self.incarnation = int(incarnation)
         self.name = str(name)
         self.fault = dict(fault) if fault else {}
         self.poll_interval = listener.poll_interval

@@ -1,6 +1,7 @@
 """`SocketTransport`: the dialer (site worker) end of a TCP channel.
 
-This is the transport a site worker runs: it owns one socket, drives it
+This is the transport a site worker runs: it owns the worker's one
+socket, which carries batches in and reports out, drives it
 with a :mod:`selectors` event loop, and exposes the blocking surface
 the worker loop speaks — ``send``/``recv``/``try_recv``/``stats``/
 ``close`` with ``alive`` polling, ``timeout`` semantics, and
@@ -15,7 +16,8 @@ Semantics:
 - **Backpressure**: ``send`` blocks until the frame's bytes are handed
   to the kernel.  A slow or stalled peer fills the socket buffers and
   the send blocks; blocked intervals are counted in ``blocked_sends`` /
-  ``blocked_seconds``.
+  ``blocked_seconds``.  A blocked send keeps reading the same socket,
+  so the peer's own blocked send always drains.
 - **Liveness**: blocking operations poll ``alive()`` and heartbeat the
   connection (a :class:`~repro.net.wire.Ping` after
   ``heartbeat_interval`` of send silence); with ``heartbeat_timeout``
@@ -174,7 +176,7 @@ class SocketTransport:
     ----------
     address:
         The coordinator listener's ``(host, port)``.
-    worker / channel / incarnation / token / coordinator:
+    worker / incarnation / token / coordinator:
         The handshake identity (see :class:`~repro.net.wire.Hello`):
         the token keys the Hello's HMAC (it never crosses the wire) and
         ``coordinator`` is the listener's restart generation this
@@ -196,7 +198,6 @@ class SocketTransport:
         address,
         *,
         worker: int,
-        channel: str,
         incarnation: int = 0,
         token: str = "",
         coordinator: int = 0,
@@ -211,11 +212,10 @@ class SocketTransport:
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
         self.worker = int(worker)
-        self.channel = str(channel)
         self.incarnation = int(incarnation)
         self.token = str(token)
         self.coordinator = int(coordinator)
-        self.name = name or f"worker-{worker}.{channel}"
+        self.name = name or f"worker-{worker}"
         self.fault = dict(fault) if fault else {}
         self.poll_interval = (
             POLL_INTERVAL if poll_interval is None else float(poll_interval)
@@ -283,7 +283,7 @@ class SocketTransport:
             sock.settimeout(self.handshake_timeout)
             hello = encode_frame(
                 make_hello(
-                    self.token, self.worker, self.incarnation, self.channel,
+                    self.token, self.worker, self.incarnation,
                     self.coordinator,
                 )
             )

@@ -50,10 +50,8 @@ import numpy as np
 
 from repro.dist.messages import (
     IngestBatch,
-    RoundSync,
     Shutdown,
     SiteAggregate,
-    ThresholdUpdate,
     ValueReport,
 )
 from repro.errors import ExecutionError
@@ -108,8 +106,8 @@ class ChecksumError(WireError):
 class Hello:
     """Dialer -> listener: identify this connection.
 
-    ``channel`` names the logical direction (``"inbox"`` or
-    ``"reports"``), ``incarnation`` the worker respawn generation — the
+    A worker's one connection carries both directions.  ``incarnation``
+    is the worker respawn generation — the
     listener rejects stale incarnations so a SIGKILLed worker's lingering
     socket can never impersonate its replacement — and ``coordinator``
     the coordinator's own restart generation (bumped by crash recovery,
@@ -120,27 +118,26 @@ class Hello:
     HMAC-SHA256 over the identity fields keyed by the token (see
     :func:`hello_mac`), which both authenticates the dialer and binds
     the claimed identity — an observer of one handshake cannot replay
-    it as a different worker/channel/incarnation.
+    it as a different worker/incarnation.
     """
 
-    __slots__ = ("worker", "incarnation", "channel", "mac", "coordinator")
+    __slots__ = ("worker", "incarnation", "mac", "coordinator")
 
-    def __init__(self, worker: int, incarnation: int, channel: str,
-                 mac: str = "", coordinator: int = 0) -> None:
+    def __init__(self, worker: int, incarnation: int, mac: str = "",
+                 coordinator: int = 0) -> None:
         self.worker = int(worker)
         self.incarnation = int(incarnation)
-        self.channel = str(channel)
         self.mac = str(mac)
         self.coordinator = int(coordinator)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Hello(worker={self.worker}, incarnation={self.incarnation}, "
-            f"channel={self.channel!r}, coordinator={self.coordinator})"
+            f"coordinator={self.coordinator})"
         )
 
 
-def hello_mac(token: str, worker: int, incarnation: int, channel: str,
+def hello_mac(token: str, worker: int, incarnation: int,
               coordinator: int = 0) -> str:
     """The HMAC-SHA256 a valid :class:`Hello` must carry.
 
@@ -148,20 +145,20 @@ def hello_mac(token: str, worker: int, incarnation: int, channel: str,
     authorizes — so the token itself stays off the wire and a captured
     Hello cannot be replayed under a different identity.
     """
-    message = (
-        f"{int(worker)}|{int(incarnation)}|{str(channel)}|{int(coordinator)}"
-    ).encode("utf-8")
+    message = f"{int(worker)}|{int(incarnation)}|{int(coordinator)}".encode(
+        "utf-8"
+    )
     return _hmac.new(
         str(token).encode("utf-8"), message, hashlib.sha256
     ).hexdigest()
 
 
-def make_hello(token: str, worker: int, incarnation: int, channel: str,
+def make_hello(token: str, worker: int, incarnation: int,
                coordinator: int = 0) -> Hello:
     """A correctly MAC-signed :class:`Hello` for the given identity."""
     return Hello(
-        worker, incarnation, channel,
-        mac=hello_mac(token, worker, incarnation, channel, coordinator),
+        worker, incarnation,
+        mac=hello_mac(token, worker, incarnation, coordinator),
         coordinator=coordinator,
     )
 
@@ -225,27 +222,10 @@ def _decode_report(meta, arrays):
     return ValueReport(meta["worker"], meta["seq"], aggregates, meta["state"])
 
 
-def _encode_threshold(frame: ThresholdUpdate):
-    return {"seq": frame.seq, "rounds": frame.rounds}, []
-
-
-def _decode_threshold(meta, arrays):
-    return ThresholdUpdate(meta["seq"], meta["rounds"])
-
-
-def _encode_sync(frame: RoundSync):
-    return {"worker": frame.worker, "acked": frame.acked}, []
-
-
-def _decode_sync(meta, arrays):
-    return RoundSync(meta["worker"], meta["acked"])
-
-
 def _encode_hello(frame: Hello):
     return {
         "worker": frame.worker,
         "incarnation": frame.incarnation,
-        "channel": frame.channel,
         "mac": frame.mac,
         "coordinator": frame.coordinator,
     }, []
@@ -253,8 +233,8 @@ def _encode_hello(frame: Hello):
 
 def _decode_hello(meta, arrays):
     return Hello(
-        meta["worker"], meta["incarnation"], meta["channel"],
-        meta.get("mac", ""), meta.get("coordinator", 0),
+        meta["worker"], meta["incarnation"], meta.get("mac", ""),
+        meta.get("coordinator", 0),
     )
 
 
@@ -274,8 +254,6 @@ def _encode_empty(frame):
 _ENCODERS = {
     IngestBatch: (1, _encode_ingest),
     ValueReport: (2, _encode_report),
-    ThresholdUpdate: (3, _encode_threshold),
-    RoundSync: (4, _encode_sync),
     Shutdown: (5, _encode_empty),
     Hello: (16, _encode_hello),
     HelloAck: (17, _encode_hello_ack),
@@ -305,10 +283,8 @@ _DECODERS = {
     1: (_decode_ingest, ("seq",), lambda meta: 2),
     2: (_decode_report, ("worker", "seq", "state", "aggregates"),
         _report_arrays),
-    3: (_decode_threshold, ("seq", "rounds"), _no_arrays),
-    4: (_decode_sync, ("worker", "acked"), _no_arrays),
     5: (lambda meta, arrays: Shutdown(), (), _no_arrays),
-    16: (_decode_hello, ("worker", "incarnation", "channel"), _no_arrays),
+    16: (_decode_hello, ("worker", "incarnation"), _no_arrays),
     17: (_decode_hello_ack, ("ok",), _no_arrays),
     18: (lambda meta, arrays: Ping(), (), _no_arrays),
 }

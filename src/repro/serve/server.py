@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from collections.abc import Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -125,6 +126,17 @@ class _Coalesced:
         ends = np.cumsum(self.counts)
         self.first = order[ends - self.counts].tolist()
         self.recency = np.argsort(order[ends - 1]).tolist()
+
+
+def _plain_states(states) -> bool:
+    """Whether every state is a label, an ``int`` or a numpy integer:
+    the only types whose equal values ``Variable.state_index`` treats
+    alike (it refuses ``bool`` and floats).  Names need no check: they
+    resolve by equality."""
+    return all(
+        kind is int or issubclass(kind, (str, np.integer))
+        for kind in set(map(type, chain.from_iterable(states)))
+    )
 
 
 class _TargetPlan:
@@ -340,7 +352,9 @@ class QueryServer:
         statistics and the LRU's recency order are those a per-request
         loop leaves (``docs/serving.md``, "How a batch coalesces").  An
         invalid event raises :class:`QueryError` before the snapshot, a
-        cache or a counter moves.
+        cache or a counter moves — a duplicate too: when a state is not
+        a label, an ``int`` or a numpy integer, every request is
+        validated.
         """
         events = list(events)
         # The names in order, then the states: equal keys are equal
@@ -348,7 +362,17 @@ class QueryServer:
         # ``tuple(event.items())``.
         keys = [(*event, *event.values()) for event in events]
         batch = _Coalesced(keys)
-        ids = [self._estimator._event_ids(events[r]) for r in batch.first]
+        validate = self._estimator._event_ids
+        # ``True == 1`` and ``1.0 == 1``: such a state groups with a
+        # valid one, but on its own it is refused.  Each group's first
+        # is validated below, so the states of every other request are
+        # checked — unless it is that very object.
+        objects = np.fromiter(map(id, events), np.intp, len(events))
+        copies = np.flatnonzero(objects != objects[batch.first][batch.inverse])
+        if not _plain_states(events[r].values() for r in copies.tolist()):
+            for event in events:
+                validate(event)
+        ids = [validate(events[r]) for r in batch.first]
         snap = self.snapshot()
         cache = self._event_cache
         values = []

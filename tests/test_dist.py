@@ -229,22 +229,26 @@ class TestFaultInjection:
             spec, procs=2, max_respawns=2,
             worker_faults={0: kill_after(0)},
         )
-        try:
-            with pytest.raises(ExecutionError, match="died"):
-                for batch in batches:
-                    dist.ingest(batch, validate=False)
-        finally:
-            dist._closed = True  # workers are already gone
+        with pytest.raises(ExecutionError, match="died 3 times"):
+            for batch in batches:
+                dist.ingest(batch, validate=False)
+        # Worker 1 is still alive: close neither flushes nor respawns
+        # nor raises, and leaves no process or socket behind.
+        assert dist._workers[1].alive()
+        dist.close()
+        assert not any(h.process.is_alive() for h in dist._workers)
+        assert dist.wire_stats()["worker_respawns"] == 3
+        assert dist._listener._sock.fileno() == -1  # closed
 
     def test_backpressure_under_slow_consumer(self, tmp_path):
-        # A slow site worker (delayed inbox consumption) and pipelined
+        # A slow site worker (delayed batch consumption) and pipelined
         # rounds: ingest must stall, record the stall, and still
         # satisfy the contract.
         spec = spec_for("nonuniform", "hyz")
         batches = batches_for(spec.resolve_network(), rounds=4, size=40)
         _, dist = run_pair(
             spec, batches, procs=2, max_pending=3,
-            worker_inbox_faults={0: delay_recv(0.3)},
+            worker_faults={0: delay_recv(0.3)},
         )
         stats = dist.wire_stats()
         assert stats["blocked_sends"] > 0
@@ -336,8 +340,8 @@ class TestMessageLogEdges:
 
     def test_record_syncs_all_order_commutes(self):
         # Tallies are counters, so any interleaving of bulk records
-        # lands on the same state — the property the coordinator's
-        # batched ThresholdUpdate fan-out relies on.
+        # lands on the same state — the property the bank's batched
+        # broadcast and sync tallies rely on.
         first, second = MessageLog(3), MessageLog(3)
         first.record_broadcast_all(2)
         first.record_syncs_all(1)

@@ -4,11 +4,12 @@ Three layers, mirroring the package:
 
 1. **Wire format** (``net/wire.py``): every ``dist/messages.py`` frame
    round-trips byte-identically; partial reads reassemble; zero-length
-   payloads work; oversized frames and CRC mismatches raise *typed*
-   errors synchronously (never hang a reader).
+   payloads work; oversized frames, CRC mismatches and retired frame
+   kinds raise *typed* errors synchronously (never hang a reader).
 2. **Endpoints** (``net/transport.py`` / ``net/endpoint.py``): the
-   handshake (token, channel, incarnation refusal), heartbeats,
-   backpressure blocking with ``blocked_sends`` accounting, severed
+   handshake (token, incarnation refusal), heartbeats, backpressure
+   blocking with ``blocked_sends`` accounting in either direction of a
+   worker's one connection, severed
    connections, and a SIGKILL-style half-written frame — all on a real
    loopback socket pair driven single-coordinator-threaded, the way the
    production event loop runs.
@@ -41,10 +42,8 @@ from dist_faults import (
 from repro.dist import DistributedSession, TransportClosed
 from repro.dist.messages import (
     IngestBatch,
-    RoundSync,
     Shutdown,
     SiteAggregate,
-    ThresholdUpdate,
     ValueReport,
 )
 from repro.dist.recovery import WAL_MAGIC, WAL_VERSION, WalCorrupt, WriteAheadLog
@@ -74,6 +73,11 @@ def encoded(frame, **kwargs) -> bytes:
     return b"".join(encode_frame(frame, **kwargs))
 
 
+def small(seq: int = 1) -> ValueReport:
+    """A tiny payload frame, told apart by ``seq``."""
+    return ValueReport(0, seq, [], None)
+
+
 def sample_frames():
     """One of every dist/messages.py frame (plus the control frames)."""
     rng = np.random.default_rng(7)
@@ -95,10 +99,8 @@ def sample_frames():
         IngestBatch(1, data, site_ids),
         ValueReport(0, 1, aggregates, state),
         ValueReport(1, 2, [], None),
-        ThresholdUpdate(3, 2),
-        RoundSync(1, 4),
         Shutdown(),
-        Hello(1, 2, "reports", "deadbeef", coordinator=3),
+        Hello(1, 2, "deadbeef", coordinator=3),
         HelloAck(False, "stale incarnation"),
         Ping(),
     ]
@@ -118,13 +120,9 @@ def assert_frames_equal(a, b):
             assert (x.site, x.n_events) == (y.site, y.n_events)
             assert np.array_equal(x.counter_ids, y.counter_ids)
             assert np.array_equal(x.counts, y.counts)
-    elif isinstance(a, ThresholdUpdate):
-        assert (a.seq, a.rounds) == (b.seq, b.rounds)
-    elif isinstance(a, RoundSync):
-        assert (a.worker, a.acked) == (b.worker, b.acked)
     elif isinstance(a, Hello):
-        assert (a.worker, a.incarnation, a.channel, a.mac, a.coordinator) == (
-            b.worker, b.incarnation, b.channel, b.mac, b.coordinator
+        assert (a.worker, a.incarnation, a.mac, a.coordinator) == (
+            b.worker, b.incarnation, b.mac, b.coordinator
         )
     elif isinstance(a, HelloAck):
         assert (a.ok, a.reason) == (b.ok, b.reason)
@@ -190,7 +188,7 @@ class TestWireFormat:
             decoder.feed(b"")
 
     def test_crc_mismatch_raises_typed_error(self):
-        blob = bytearray(encoded(RoundSync(1, 2)))
+        blob = bytearray(encoded(small()))
         blob[-1] ^= 0xFF  # flip one payload byte
         with pytest.raises(ChecksumError, match="CRC"):
             FrameDecoder().feed(bytes(blob))
@@ -212,6 +210,19 @@ class TestWireFormat:
     def test_unknown_kind_byte_raises_on_decode(self):
         with pytest.raises(WireError, match="unknown frame kind"):
             decode_payload(200, bytearray())
+
+    @pytest.mark.parametrize("kind, meta", [
+        (3, {"seq": 1, "rounds": 1}),
+        (4, {"worker": 0, "acked": 1}),
+    ], ids=["kind3", "kind4"])
+    def test_retired_round_sync_kinds_are_refused(self, kind, meta):
+        # Kinds 3 and 4 carried the removed round-sync exchange; a
+        # CRC-valid frame of either is now an unknown kind.
+        decoder = FrameDecoder()
+        with pytest.raises(WireError, match=f"unknown frame kind {kind}"):
+            decoder.feed(raw_frame(kind, meta))
+        with pytest.raises(WireError, match="reconnect"):
+            decoder.feed(encoded(Ping()))
 
     def test_truncated_payload_raises(self):
         blob = encoded(IngestBatch(1, np.arange(8, dtype=np.int64).reshape(2, 4),
@@ -284,7 +295,7 @@ BAD_FRAMES = {
                         "no dtype string"),
     "arrays_not_list": (1, {"seq": 1, "arrays": {"dtype": "<i8"}}, b"",
                         "'arrays' is not a list"),
-    "list_meta": (4, [0, 1], b"", "not an object"),
+    "list_meta": (2, [0, 1], b"", "not an object"),
     "ingest_without_seq": (1, {"arrays": [_I8, _I8]}, bytes(16), "lacks"),
     "ingest_with_one_array": (1, {"seq": 1, "arrays": [_I8]}, bytes(8),
                               "carries 1 arrays"),
@@ -298,9 +309,10 @@ BAD_FRAMES = {
                                 "'aggregates'"),
     "report_entry_without_site": (
         2, _report([{"n_events": 1}], 2), bytes(16), "'aggregates'"),
-    "seq_not_a_number": (3, {"seq": "x", "rounds": 1}, b"",
+    "seq_not_a_number": (1, {"seq": "x", "arrays": [_I8, _I8]}, bytes(16),
                          "bad field value"),
-    "acked_null": (4, {"worker": 0, "acked": None}, b"", "bad field value"),
+    "worker_null": (2, dict(_report([], 0), worker=None), b"",
+                    "bad field value"),
 }
 
 
@@ -348,15 +360,15 @@ class TestMalformedFrameMeta:
         assert report.aggregates[0].site == 4
 
     def test_bad_meta_drops_connection_not_listener(self, listener):
-        chan = listener.open_channel(0, "reports", 0)
-        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        chan = listener.open_channel(0, 0)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack.ok
         sock.sendall(raw_frame(*BAD_FRAMES["ingest_without_seq"][:3]))
         pump_until(listener, lambda: not chan.connected)
         assert listener.stats()["wire_errors"] == 1
         assert chan._inbound == []
         sock.close()
-        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack2.ok
         sock2.close()
 
@@ -367,12 +379,12 @@ class TestSendQueue:
 
     def test_partial_write_bookkeeping_across_buffers(self):
         q = SendQueue()
-        first = q.push(encode_frame(RoundSync(0, 1)))
+        first = q.push(encode_frame(small()))
         second = q.push(encode_frame(
             IngestBatch(1, np.arange(6, dtype=np.int64).reshape(2, 3),
                         np.zeros(2, np.int64))
         ))
-        total = encoded(RoundSync(0, 1)) + encoded(
+        total = encoded(small()) + encoded(
             IngestBatch(1, np.arange(6, dtype=np.int64).reshape(2, 3),
                         np.zeros(2, np.int64))
         )
@@ -390,8 +402,8 @@ class TestSendQueue:
 
     def test_rewind_restarts_head_frame(self):
         q = SendQueue()
-        q.push(encode_frame(RoundSync(0, 1)))
-        blob = encoded(RoundSync(0, 1))
+        q.push(encode_frame(small()))
+        blob = encoded(small())
         q.advance(4)
         assert self._entry_bytes(q) == blob[4:]
         q.rewind()
@@ -400,11 +412,11 @@ class TestSendQueue:
     def test_drop_control_discards_stale_pings(self):
         q = SendQueue()
         q.push(encode_frame(Ping()), control=True)
-        q.push(encode_frame(RoundSync(0, 1)))
+        q.push(encode_frame(small()))
         q.push(encode_frame(Ping()), control=True)
         q.drop_control()
         assert q.pending_frames == 1
-        assert self._entry_bytes(q) == encoded(RoundSync(0, 1))
+        assert self._entry_bytes(q) == encoded(small())
 
 
 # ----------------------------------------------------------------------
@@ -491,22 +503,19 @@ def listener_gen2():
     lst.close()
 
 
-def transport_for(listener, channel="reports", *, worker=0, incarnation=0,
-                  **kwargs):
+def transport_for(listener, *, worker=0, incarnation=0, **kwargs):
     kwargs.setdefault("poll_interval", 0.01)
     kwargs.setdefault("connect_timeout", 5.0)
     return SocketTransport(
-        listener.address, worker=worker, channel=channel,
-        incarnation=incarnation, token=listener.token, **kwargs
+        listener.address, worker=worker, incarnation=incarnation,
+        token=listener.token, **kwargs
     )
 
 
 class TestHandshake:
     def test_accepts_expected_incarnation(self, listener):
-        chan = listener.open_channel(0, "reports", 1)
-        sock, ack = raw_dial(
-            listener, make_hello(listener.token, 0, 1, "reports")
-        )
+        chan = listener.open_channel(0, 1)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 1))
         assert ack.ok
         assert chan.connected
         assert listener.stats()["accepted"] == 1
@@ -514,19 +523,19 @@ class TestHandshake:
 
     def test_refuses_bad_token(self, listener):
         # A dialer with the wrong session token produces a wrong MAC.
-        listener.open_channel(0, "reports", 0)
-        sock, ack = raw_dial(listener, make_hello("wrong", 0, 0, "reports"))
+        listener.open_channel(0, 0)
+        sock, ack = raw_dial(listener, make_hello("wrong", 0, 0))
         assert not ack.ok and "token" in ack.reason
         assert listener.stats()["refused"] == 1
         sock.close()
 
     def test_refuses_tampered_identity(self, listener):
         # The MAC binds the identity fields: a captured Hello replayed
-        # under a different worker/channel fails verification even
-        # though the MAC itself was produced with the right token.
-        listener.open_channel(0, "reports", 0)
-        listener.open_channel(1, "reports", 0)
-        hello = make_hello(listener.token, 0, 0, "reports")
+        # under a different worker fails verification even though the
+        # MAC itself was produced with the right token.
+        listener.open_channel(0, 0)
+        listener.open_channel(1, 0)
+        hello = make_hello(listener.token, 0, 0)
         hello.worker = 1
         sock, ack = raw_dial(listener, hello)
         assert not ack.ok and "MAC" in ack.reason
@@ -535,15 +544,15 @@ class TestHandshake:
     def test_refuses_stale_coordinator_incarnation(self, listener_gen2):
         # The recovery guard: a worker spawned by a crashed coordinator
         # life dials the successor and is refused (docs/recovery.md).
-        listener_gen2.open_channel(0, "reports", 0)
+        listener_gen2.open_channel(0, 0)
         sock, ack = raw_dial(
             listener_gen2,
-            make_hello(listener_gen2.token, 0, 0, "reports", coordinator=1),
+            make_hello(listener_gen2.token, 0, 0, coordinator=1),
         )
         assert not ack.ok and "stale coordinator incarnation" in ack.reason
         sock2, ack2 = raw_dial(
             listener_gen2,
-            make_hello(listener_gen2.token, 0, 0, "reports", coordinator=2),
+            make_hello(listener_gen2.token, 0, 0, coordinator=2),
         )
         assert ack2.ok
         sock.close()
@@ -552,26 +561,22 @@ class TestHandshake:
     def test_refuses_stale_incarnation(self, listener):
         # The SIGKILL guard: after a respawn bumps the expected
         # incarnation, the dead worker's lingering dial is refused.
-        listener.open_channel(0, "reports", 2)
-        sock, ack = raw_dial(
-            listener, make_hello(listener.token, 0, 1, "reports")
-        )
+        listener.open_channel(0, 2)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 1))
         assert not ack.ok and "stale incarnation" in ack.reason
         sock.close()
 
     def test_refuses_unknown_channel(self, listener):
-        sock, ack = raw_dial(
-            listener, make_hello(listener.token, 5, 0, "reports")
-        )
-        assert not ack.ok and "unknown channel" in ack.reason
+        sock, ack = raw_dial(listener, make_hello(listener.token, 5, 0))
+        assert not ack.ok and "no channel for worker 5" in ack.reason
         sock.close()
 
     def test_bad_token_raises_typed_error_not_hang(self, listener):
         # End-to-end through SocketTransport: a refused MAC surfaces as
         # HandshakeRefused (a typed TransportClosed) instead of a hang.
-        listener.open_channel(0, "reports", 0)
+        listener.open_channel(0, 0)
         transport = SocketTransport(
-            listener.address, worker=0, channel="reports",
+            listener.address, worker=0,
             incarnation=0, token="not-the-session-token",
             poll_interval=0.01, connect_timeout=5.0,
         )
@@ -582,7 +587,7 @@ class TestHandshake:
         transport.close()
 
     def test_transport_raises_handshake_refused(self, listener):
-        listener.open_channel(0, "reports", 3)
+        listener.open_channel(0, 3)
         transport = transport_for(listener, incarnation=1)
         worker = _Worker(lambda: transport.recv(timeout=5.0))
         pump_until(listener, lambda: not worker.is_alive())
@@ -592,46 +597,81 @@ class TestHandshake:
 
     def test_connect_timeout_when_nobody_listens(self):
         transport = SocketTransport(
-            ("127.0.0.1", 1), worker=0, channel="reports",
+            ("127.0.0.1", 1), worker=0,
             connect_timeout=0.3, poll_interval=0.01,
         )
         t0 = time.monotonic()
         with pytest.raises(TransportClosed, match="could not connect"):
-            transport.send(RoundSync(0, 1))
+            transport.send(small())
         assert time.monotonic() - t0 < 5.0
         transport.close()
 
 
 class TestSocketEndpoints:
     def test_both_directions_round_trip(self, listener):
-        inbox_chan = listener.open_channel(0, "inbox", 0)
-        reports_chan = listener.open_channel(0, "reports", 0)
+        # One connection carries the batch down and the report up.
+        chan = listener.open_channel(0, 0)
         batch = IngestBatch(
             1, np.arange(15, dtype=np.int64).reshape(3, 5),
             np.zeros(3, np.int64),
         )
 
         def worker_side():
-            inbox = transport_for(listener, "inbox")
-            reports = transport_for(listener, "reports")
+            conn = transport_for(listener)
             try:
-                frame = inbox.recv(timeout=10.0)
-                reports.send(RoundSync(0, frame.seq))
-                return frame, inbox.stats(), reports.stats()
+                frame = conn.recv(timeout=10.0)
+                conn.send(small(frame.seq))
+                return frame, conn.stats()
             finally:
-                reports.close()
-                inbox.close()
+                conn.close()
 
         worker = _Worker(worker_side)
-        inbox_chan.send(batch, timeout=10.0)
-        sync = reports_chan.recv(timeout=10.0)
-        frame, inbox_stats, report_stats = worker.finish()
-        assert isinstance(sync, RoundSync) and sync.acked == 1
+        chan.send(batch, timeout=10.0)
+        report = chan.recv(timeout=10.0)
+        frame, stats = worker.finish()
+        assert isinstance(report, ValueReport) and report.seq == 1
         assert_frames_equal(frame, batch)
-        assert inbox_chan.stats()["sent"] == 1
-        assert reports_chan.stats()["received"] == 1
-        assert inbox_stats["received"] == 1
-        assert report_stats["sent"] == 1
+        assert chan.stats()["sent"] == chan.stats()["received"] == 1
+        assert stats["sent"] == stats["received"] == 1
+        assert listener.stats()["accepted"] == 1
+
+    def test_both_directions_fill_one_socket(self):
+        # Each end sends a frame far larger than the narrowed windows
+        # before reading anything.  A blocked send keeps reading the
+        # same socket, so both sends block and both still complete.
+        listener = Listener(poll_interval=0.01, sockbuf=65536)
+        chan = listener.open_channel(0, 0)
+        down = IngestBatch(
+            1, np.arange(1_000_000, dtype=np.int64).reshape(-1, 5),
+            np.zeros(200_000, np.int64),
+        )
+        up = ValueReport(0, 1, [
+            SiteAggregate(
+                0, np.arange(500_000, dtype=np.int64),
+                np.ones(500_000, dtype=np.int64), 9,
+            )
+        ], None)
+
+        def worker_side():
+            conn = transport_for(listener, fault=sockbuf(65536))
+            try:
+                conn.send(up, timeout=10.0)
+                return conn.recv(timeout=10.0), conn.stats()
+            finally:
+                conn.close()
+
+        worker = _Worker(worker_side)
+        try:
+            pump_until(listener, lambda: chan.connected)
+            chan.send(down, timeout=10.0)
+            report = chan.recv(timeout=10.0)
+            frame, stats = worker.finish()
+        finally:
+            listener.close()
+        assert chan.blocked_sends == 1
+        assert stats["blocked_sends"] == 1
+        assert_frames_equal(frame, down)
+        assert_frames_equal(report, up)
 
     def test_coordinator_send_backpressure_blocks_and_resumes(self):
         # Narrow windows both sides (the listener's sockbuf is applied
@@ -644,7 +684,7 @@ class TestSocketEndpoints:
         self._backpressure_case(listener)
 
     def _backpressure_case(self, listener):
-        chan = listener.open_channel(0, "inbox", 0)
+        chan = listener.open_channel(0, 0)
         big = IngestBatch(
             1, np.arange(1_000_000, dtype=np.int64).reshape(-1, 5),
             np.zeros(200_000, np.int64),
@@ -652,8 +692,7 @@ class TestSocketEndpoints:
         release = threading.Event()
 
         def worker_side():
-            transport = transport_for(listener, "inbox",
-                                      fault=sockbuf(65536))
+            transport = transport_for(listener, fault=sockbuf(65536))
             try:
                 transport._ensure_connected()
                 release.wait(timeout=10.0)
@@ -680,7 +719,7 @@ class TestSocketEndpoints:
 
     def test_worker_send_backpressure_blocks_then_pump_completes(self):
         listener = Listener(poll_interval=0.01, sockbuf=65536)
-        chan = listener.open_channel(0, "reports", 0)
+        chan = listener.open_channel(0, 0)
         big = ValueReport(0, 1, [
             SiteAggregate(
                 0, np.arange(500_000, dtype=np.int64),
@@ -691,8 +730,7 @@ class TestSocketEndpoints:
         timed_out = threading.Event()
 
         def worker_side():
-            transport = transport_for(listener, "reports",
-                                      fault=sockbuf(65536))
+            transport = transport_for(listener, fault=sockbuf(65536))
             try:
                 transport._ensure_connected()
                 # Past the handshake the coordinator stops pumping, so
@@ -724,16 +762,16 @@ class TestSocketEndpoints:
         assert_frames_equal(frame, big)
 
     def test_severed_connection_reconnects(self, listener, tmp_path):
-        chan = listener.open_channel(0, "reports", 0)
+        chan = listener.open_channel(0, 0)
         marker = DieOnceMarker(tmp_path, "sever")
 
         def worker_side():
             transport = transport_for(
-                listener, "reports", fault=sever_after(1, marker),
+                listener, fault=sever_after(1, marker),
             )
             try:
-                transport.send(RoundSync(0, 1), timeout=10.0)
-                transport.send(RoundSync(0, 2), timeout=10.0)
+                transport.send(small(1), timeout=10.0)
+                transport.send(small(2), timeout=10.0)
                 return transport.stats()
             finally:
                 transport.close()
@@ -741,20 +779,19 @@ class TestSocketEndpoints:
         worker = _Worker(worker_side)
         got = [chan.recv(timeout=10.0), chan.recv(timeout=10.0)]
         stats = worker.finish()
-        assert [f.acked for f in got] == [1, 2]
+        assert [f.seq for f in got] == [1, 2]
         assert stats["reconnects"] == 1
         assert chan.replacements == 1
         assert 0 in listener.take_disrupted()
 
     def test_drop_sends_fault_discards_silently(self, listener):
-        chan = listener.open_channel(0, "reports", 0)
+        chan = listener.open_channel(0, 0)
 
         def worker_side():
-            transport = transport_for(listener, "reports",
-                                      fault=drop_sends(1))
+            transport = transport_for(listener, fault=drop_sends(1))
             try:
-                transport.send(RoundSync(0, 1), timeout=10.0)  # dropped
-                transport.send(RoundSync(0, 2), timeout=10.0)  # delivered
+                transport.send(small(1), timeout=10.0)  # dropped
+                transport.send(small(2), timeout=10.0)  # delivered
                 return transport.stats()
             finally:
                 transport.close()
@@ -762,17 +799,17 @@ class TestSocketEndpoints:
         worker = _Worker(worker_side)
         frame = chan.recv(timeout=10.0)
         stats = worker.finish()
-        assert frame.acked == 2
+        assert frame.seq == 2
         assert stats == merge(stats, {"sent": 1, "dropped_frames": 1})
 
     def test_half_written_frame_on_eof_is_discarded(self, listener):
         # The SIGKILL-mid-send shape: EOF with a partial frame pending.
         # The connection is dropped, nothing is routed, no error leaks,
         # and the listener keeps serving new dials.
-        chan = listener.open_channel(0, "reports", 0)
-        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        chan = listener.open_channel(0, 0)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack.ok
-        blob = encoded(RoundSync(0, 7))
+        blob = encoded(small(7))
         sock.sendall(blob[:len(blob) - 4])
         sock.close()
         pump_until(listener, lambda: not chan.connected)
@@ -780,35 +817,33 @@ class TestSocketEndpoints:
         assert listener.stats()["wire_errors"] == 0
         assert listener.take_disrupted() == {0}
         # Still live: a fresh dial handshakes and delivers.
-        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack2.ok
         sock2.sendall(blob)
         pump_until(listener, lambda: chan._inbound)
-        assert chan.try_recv().acked == 7
+        assert chan.try_recv().seq == 7
         sock2.close()
 
     def test_corrupt_stream_drops_connection_not_listener(self, listener):
-        chan = listener.open_channel(0, "reports", 0)
-        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        chan = listener.open_channel(0, 0)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack.ok
-        blob = bytearray(encoded(RoundSync(0, 1)))
+        blob = bytearray(encoded(small()))
         blob[-1] ^= 0xFF
         sock.sendall(bytes(blob))
         pump_until(listener, lambda: not chan.connected)
         assert listener.stats()["wire_errors"] == 1
         assert chan._inbound == []
         sock.close()
-        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack2.ok
         sock2.close()
 
     def test_heartbeats_are_sent_and_never_counted(self, listener):
-        chan = listener.open_channel(0, "reports", 0)
+        chan = listener.open_channel(0, 0)
 
         def worker_side():
-            transport = transport_for(
-                listener, "reports", heartbeat_interval=0.05,
-            )
+            transport = transport_for(listener, heartbeat_interval=0.05)
             try:
                 transport._ensure_connected()
                 deadline = time.monotonic() + 0.5
@@ -831,12 +866,11 @@ class TestSocketEndpoints:
         assert chan._inbound == []
 
     def test_heartbeat_timeout_drops_silent_peer(self, listener):
-        listener.open_channel(0, "reports", 0)
+        listener.open_channel(0, 0)
 
         def worker_side():
             transport = transport_for(
-                listener, "reports", heartbeat_timeout=0.15,
-                heartbeat_interval=10.0,
+                listener, heartbeat_timeout=0.15, heartbeat_interval=10.0,
             )
             try:
                 transport._ensure_connected()
@@ -854,15 +888,15 @@ class TestSocketEndpoints:
         assert worker.finish() is False
 
     def test_respawn_closes_old_channel_and_refuses_old_dials(self, listener):
-        first = listener.open_channel(0, "reports", 0)
-        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        first = listener.open_channel(0, 0)
+        sock, ack = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert ack.ok
-        second = listener.open_channel(0, "reports", 1)
+        second = listener.open_channel(0, 1)
         assert first.closed and not second.closed
         with pytest.raises(TransportClosed, match="closed"):
             first.recv(timeout=0.01)
         sock.close()
-        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0, "reports"))
+        sock2, ack2 = raw_dial(listener, make_hello(listener.token, 0, 0))
         assert not ack2.ok and "stale" in ack2.reason
         sock2.close()
 
@@ -876,10 +910,8 @@ class TestPollInterval:
         lst = Listener()
         try:
             assert lst.poll_interval == POLL_INTERVAL
-            assert lst.open_channel(0, "inbox", 0).poll_interval == POLL_INTERVAL
-            transport = SocketTransport(
-                lst.address, worker=0, channel="inbox"
-            )
+            assert lst.open_channel(0, 0).poll_interval == POLL_INTERVAL
+            transport = SocketTransport(lst.address, worker=0)
             assert transport.poll_interval == POLL_INTERVAL
             transport.close()
         finally:
@@ -889,9 +921,7 @@ class TestPollInterval:
         spec = spec_for("exact", "exact", k=2)
         with DistributedSession(spec, procs=2, poll_interval=0.01) as dist:
             assert all(
-                h.inbox.poll_interval == 0.01 and
-                h.reports.poll_interval == 0.01
-                for h in dist._workers
+                h.channel.poll_interval == 0.01 for h in dist._workers
             )
 
 
@@ -901,7 +931,29 @@ class TestPollInterval:
 # wire in tests/test_dist.py.
 # ----------------------------------------------------------------------
 class TestTcpFaultInjection:
-    def test_severed_reports_connection_mid_stream(self, tmp_path):
+    def test_clean_run_dials_once_per_worker(self):
+        spec = spec_for("nonuniform", "hyz")
+        batches = batches_for(spec.resolve_network(), rounds=3)
+        _, dist = run_pair(spec, batches, procs=2)
+        assert dist._listener.stats()["accepted"] == dist.procs == 2
+        assert dist._listener.stats()["replacements"] == 0
+
+    def test_narrow_socket_pipelined_rounds_conform(self):
+        # A worker whose one socket is narrowed to a few kilobytes
+        # (below one sub-batch, about one report) with three rounds in
+        # flight: batches queue down while reports queue up the same
+        # connection.
+        spec = spec_for("nonuniform", "hyz")
+        batches = batches_for(spec.resolve_network(), rounds=6, size=400)
+        _, dist = run_pair(
+            spec, batches, procs=2, max_pending=3,
+            worker_faults={0: sockbuf(4096)},
+        )
+        stats = dist.wire_stats()
+        assert stats["worker_respawns"] == 0
+        assert stats["blocked_sends"] > 0
+
+    def test_severed_connection_mid_stream(self, tmp_path):
         # A network cut after the second report: the worker survives,
         # re-dials, and the stream completes conformantly.
         marker = DieOnceMarker(tmp_path, "sever")

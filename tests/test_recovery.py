@@ -17,10 +17,12 @@ error — a partial round is never applied), the WAL unit tests, and the
 bind/advertise + frame-cap/heartbeat session knobs.
 """
 
+import gc
 import json
 import os
 import shutil
 import struct
+import warnings
 import zipfile
 import zlib
 
@@ -31,9 +33,11 @@ from dist_faults import (
     CRASH_POINTS,
     FAULT_EXIT_CODE,
     coordinator_crash,
+    kill_after,
     run_crashing_child,
 )
 from ingest_oracle import assert_states_equal, reference_apply_round
+from test_dist import assert_conformant
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
 from repro.bn.repository import network_by_name
@@ -54,7 +58,7 @@ from repro.dist.recovery import (
     WAL_NAME,
     recovery_stream,
 )
-from repro.errors import SessionError
+from repro.errors import ExecutionError, SessionError
 
 # The chaos-matrix grid, sized for the spawn-heavy single-core CI box:
 # 6 rounds of 50 events, a checkpoint every 2 applied rounds, and the
@@ -350,6 +354,72 @@ class TestDurableSession:
                 chaos_spec("exact"), network=chaos_net, procs=PROCS,
                 wal_crash=coordinator_crash(1, "pre-append"),
             )
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"wal_crash": coordinator_crash(1, "pre-append")}, SessionError),
+        ({"wal_fsync": "bogus"}, RecoveryError),
+        ({"checkpoint_rounds": 0}, RecoveryError),
+        # Past the argument checks: the WAL is open when the bind fails.
+        ({"bind_address": "192.0.2.1"}, OSError),
+    ], ids=["wal_crash_without_wal_dir", "bogus_fsync",
+            "zero_checkpoint_rounds", "unbindable_address"])
+    def test_failed_construction_leaks_nothing(
+        self, tmp_path, chaos_net, bad, error
+    ):
+        wal_dir = tmp_path / "durable"
+        wal_dir.mkdir()
+        (wal_dir / STATE_NAME).write_text("a previous run's state")
+        kwargs = dict(bad)
+        if "wal_crash" not in kwargs:
+            kwargs["wal_dir"] = str(wal_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                DistributedSession(
+                    chaos_spec("exact"), network=chaos_net, procs=PROCS,
+                    **kwargs,
+                )
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        if "bind_address" not in kwargs:
+            # Refused before the directory was touched.
+            assert (wal_dir / STATE_NAME).read_text() \
+                == "a previous run's state"
+
+    def test_give_up_recovers_the_last_applied_round(
+        self, tmp_path, chaos_net, chaos_batches
+    ):
+        # Worker 0 dies before its third report, every incarnation, so
+        # the session gives up in round 3 with rounds 1-2 applied.
+        wal_dir = tmp_path / "durable"
+        spec = chaos_spec("hyz")
+        dist = DistributedSession(
+            spec, network=chaos_net, procs=PROCS, wal_dir=str(wal_dir),
+            max_respawns=0, worker_faults={0: kill_after(2)},
+        )
+        with pytest.raises(ExecutionError, match="giving up"):
+            for batch in chaos_batches:
+                dist.ingest(batch, validate=False)
+        dist.close()
+        assert not any(h.process.is_alive() for h in dist._workers)
+        # No closing checkpoint: the WAL still holds both rounds.
+        assert not (wal_dir / CHECKPOINT_NAME / "meta.json").exists()
+        assert [r.seq for r in WriteAheadLog.scan(wal_dir / WAL_NAME)] \
+            == [1, 2]
+        ref = MonitoringSession(spec, network=chaos_net)
+        recovered = DistributedSession(
+            recover_from=str(wal_dir), network=chaos_net, procs=PROCS,
+        )
+        try:
+            assert recovered.recovery_info["applied_seq"] == 2
+            for batch in chaos_batches:
+                if ref.events_seen >= 2 * CHUNK:
+                    recovered.ingest(batch, validate=False)
+                ref.ingest(batch, validate=False)
+            assert_conformant(ref, recovered)
+        finally:
+            recovered.close()
 
     def test_recover_from_excludes_spec(self, tmp_path, chaos_net):
         with pytest.raises(SessionError, match="recover_from"):

@@ -697,10 +697,17 @@ class TestFailedBatchLeavesServerUnchanged:
             n for n in alarm_net.node_names if alarm_net.dag.parents(n)
         )
         assigned = next(iter(events[0]))
+        # A state equal to a valid one but of a refused type is refused
+        # in a batch too, even right behind its valid twin.
+        root, twin = "HYPOVOLEMIA", {"HYPOVOLEMIA": 1}
         for bad in ({"no-such-variable": 0}, {child: 0},
-                    {**events[0], assigned: 10 ** 6}):
+                    {**events[0], assigned: 10 ** 6},
+                    {root: True}, {root: 1.0}, {root: np.float64(1.0)}):
+            if root in bad:
+                with pytest.raises(QueryError):
+                    server.log_event(bad)
             with pytest.raises(QueryError):
-                server.log_event_batch(events[:5] + [bad] + events[5:])
+                server.log_event_batch(events[:5] + [twin, bad] + events[5:])
             assert self._state(server) == before
 
 
