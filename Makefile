@@ -68,6 +68,15 @@ smoke-dist:
 	    --out /tmp/repro_smoke_dist.json
 	$(PYTHON) tools/compare_bench.py /tmp/repro_smoke_dist.json \
 	    /tmp/repro_smoke_dist_ref.json
+	# Nested starts: each grid worker starts its own site workers.
+	$(PYTHON) -m repro.experiments messages --network alarm \
+	    --algorithms exact,nonuniform --events 1000 --sites 5 \
+	    --eval-events 200 --checkpoints 2 \
+	    --runtime distributed --sites-procs 2 \
+	    --executor multiprocess --jobs 2 \
+	    --out /tmp/repro_smoke_dist_mp.json
+	$(PYTHON) tools/compare_bench.py /tmp/repro_smoke_dist_mp.json \
+	    /tmp/repro_smoke_dist_ref.json
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) scaled to seconds,
 # with every conformance check and the layer replay on: a src change

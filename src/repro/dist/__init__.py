@@ -2,7 +2,7 @@
 
 The in-process :class:`~repro.api.session.MonitoringSession` remains the
 reference implementation; :class:`DistributedSession` runs the site-side
-encoding in spawn-safe worker processes and is contractually conformant
+encoding in worker processes and is contractually conformant
 with it (same per-site message counts, same estimates, for any spec and
 seeded stream — see ``docs/distributed.md``).
 """

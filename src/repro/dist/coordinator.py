@@ -2,8 +2,8 @@
 
 :class:`DistributedSession` mirrors
 :class:`~repro.api.session.MonitoringSession`'s ingest/query/snapshot
-API while running the site-side half of Algorithm 2 in real spawn-safe
-worker processes (:mod:`repro.dist.site`).  Per ingest round it
+API while running the site-side half of Algorithm 2 in real worker
+processes (:mod:`repro.dist.site`).  Per ingest round it
 
 1. assigns sites from the session partitioner (the same stream the
    in-process path consumes),
@@ -44,7 +44,6 @@ byte-identically (:mod:`repro.dist.recovery`, ``docs/recovery.md``).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections.abc import Iterable
@@ -55,9 +54,10 @@ import numpy as np
 from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
 from repro.dist.messages import IngestBatch, Shutdown, ValueReport
-from repro.dist.site import START_METHOD, _site_worker_main
+from repro.dist.site import _site_worker_main
 from repro.dist.transport import TransportClosed
 from repro.errors import ExecutionError, SessionError, StreamError
+from repro.utils.procs import worker_context
 from repro.utils.validation import integer_array
 
 
@@ -297,7 +297,7 @@ class DistributedSession:
         self._workers: list[_WorkerHandle] = []
         self._listener = None
         self._closed = False
-        self._ctx = multiprocessing.get_context(START_METHOD)
+        self._ctx = worker_context()
         # Every argument is checked by now (the WAL's own first thing in
         # DurableCoordinator): a failure past here releases what opened.
         try:
@@ -390,13 +390,18 @@ class DistributedSession:
         race.
         """
         handle.process.join(timeout=1.0)
+        exitcode = handle.process.exitcode
+        # Close the dead incarnation now: its sentinel and pipe fds
+        # would otherwise wait for the garbage collector.
+        handle.process.close()
+        handle.process = None
         handle.respawns += 1
         self._wire["worker_respawns"] += 1
         if handle.respawns > self.max_respawns:
             self._gave_up = True
             raise ExecutionError(
                 f"site worker {handle.index} died {handle.respawns} times "
-                f"(last exit code {handle.process.exitcode}); giving up"
+                f"(last exit code {exitcode}); giving up"
             )
         # A fresh channel: frames the dead worker never drained are
         # covered by the unreported replay below, and a stale outbox
@@ -827,7 +832,7 @@ class DistributedSession:
             self._release()
 
     def _release(self) -> None:
-        """Stop every worker, close the listener and the WAL file."""
+        """Stop and close every worker, the listener and the WAL file."""
         self._closed = True
         for handle in self._workers:
             if handle.alive():
@@ -838,11 +843,13 @@ class DistributedSession:
                 except TransportClosed:
                     pass
         for handle in self._workers:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():  # pragma: no cover - defensive
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
+            process, handle.process = handle.process, None
+            if process is not None:
+                process.join(timeout=5.0)
+                if process.is_alive():  # pragma: no cover - defensive
+                    process.kill()
+                    process.join()
+                process.close()
         if self._listener is not None:
             self._listener.close()
         if self._durable is not None:

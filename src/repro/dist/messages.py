@@ -18,7 +18,7 @@ message vocabularies coexist and must not be confused:
   paper assumes when it counts one counter update as one message).
 
 Every frame is a plain ``__slots__`` class, picklable by reference from
-spawn-started workers.  ``docs/distributed.md`` documents the format.
+worker processes.  ``docs/distributed.md`` documents the format.
 
 :class:`ValueReport` frames double as the coordinator's durability unit:
 the write-ahead round log (:mod:`repro.dist.recovery`) persists each

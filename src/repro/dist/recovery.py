@@ -700,7 +700,7 @@ def load_recovery(directory, *, network=None):
 
 
 # ----------------------------------------------------------------------
-# Chaos-harness entry points (importable from spawn-started processes)
+# Chaos-harness entry points (importable from worker processes)
 # ----------------------------------------------------------------------
 def recovery_stream(network, *, n_events: int, chunk: int, seed: int):
     """The chaos stream: identical batches for driver and crashed child.

@@ -1,4 +1,4 @@
-"""The site worker: spawn-safe process hosting a shard of sites.
+"""The site worker: a worker process hosting a shard of sites.
 
 Each worker owns a contiguous shard of the ``k`` sites and performs the
 genuinely site-local part of Algorithm 2: encoding its sub-batch of
@@ -20,10 +20,11 @@ it.  Nothing else needs to cross: the protocol's thresholds and counter
 rounds live in the coordinator's bank, so a worker holds no protocol
 state to keep in sync.
 
-The worker entry point follows the spawn-safe patterns of
+The worker entry point follows the patterns of
 ``exec/multiprocess.py``: a top-level function rebuilding everything
-from a picklable payload, started with the ``spawn`` method so no
-parent state is inherited.
+from a picklable payload, started from
+:func:`~repro.utils.procs.worker_context` so no coordinator state is
+inherited.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from repro.dist.messages import (
     ValueReport,
 )
 from repro.dist.transport import TransportClosed
-
-#: Start method for site workers (same rationale as exec/multiprocess.py).
-START_METHOD = "spawn"
 
 
 class _CollectorBank(CounterBank):

@@ -7,7 +7,7 @@ marker, and the :class:`TransportClosed` error.
 
 Fault specs are plain dicts — built by the helpers in
 ``tests/dist_faults.py`` — rather than callables, so they pickle into
-spawn-started workers unchanged.  The shared keys (all optional;
+worker processes unchanged.  The shared keys (all optional;
 :mod:`repro.net.transport` and :mod:`repro.net.endpoint` add the
 network faults):
 

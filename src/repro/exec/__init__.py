@@ -5,13 +5,13 @@ emit a task graph — a list of frozen, JSON-serializable
 :class:`RunTask` descriptors — and an :class:`Executor` drives it:
 
 - :class:`SerialExecutor` — in-process, in task order (the reference);
-- :class:`MultiprocessExecutor` — spawn-safe workers, one grid cell
+- :class:`MultiprocessExecutor` — worker processes, one grid cell
   each, for parallel sweeps on LINK/MUNIN-sized grids;
 - :class:`ChunkedExecutor` — one long stream advanced segment-by-segment
   through session snapshot bundles, surviving worker death, for the
   m >~ 1M runs.
 
-:class:`ShardedSampler` reuses the same spawn-safe worker patterns one
+:class:`ShardedSampler` reuses the same worker patterns one
 layer down: it parallelizes the *stream generation* of a single run
 across thread or process shards with per-chunk child RNG streams (the
 stream is byte-identical across modes and shard counts).

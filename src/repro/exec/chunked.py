@@ -5,7 +5,7 @@ chunked executor therefore never asks a worker for the whole stream: it
 splits each task at its checkpoint schedule into *segments* — worker
 ``i`` advances the run from the last snapshot bundle to the next
 segment boundary (a checkpoint, since snapshots land only there), then
-exits.  Every segment runs in a fresh spawn-started process; if one dies
+exits.  Every segment runs in a fresh worker process; if one dies
 mid-segment, the bundle from the previous boundary is still on disk and
 the driver simply re-runs the segment, so the run survives worker death
 with at most one segment of rework.  Results stay byte-identical to the
@@ -25,7 +25,6 @@ sequential).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import multiprocessing.connection
 import os
 import shutil
@@ -37,9 +36,7 @@ from repro.api.session import MonitoringSession
 from repro.errors import ExecutionError, SessionError
 from repro.exec.base import Executor, _reject_unknown_options, register_executor
 from repro.exec.task import RunTask
-
-#: Start method for segment workers (same rationale as multiprocess.py).
-START_METHOD = "spawn"
+from repro.utils.procs import worker_context
 
 
 def _segment_worker(payload: dict) -> None:
@@ -167,15 +164,18 @@ class ChunkedExecutor(Executor):
             yield from self._drive(tasks, pending, resume_dir, stop_after)
         finally:
             for state in getattr(self, "_active", ()):  # pragma: no cover
-                if state.process is not None and state.process.is_alive():
+                if state.process is not None:
                     state.process.terminate()
+                    state.process.join()
+                    state.process.close()
+                    state.process = None
             if scratch is not None:
                 shutil.rmtree(scratch, ignore_errors=True)
 
     def _drive(self, tasks, pending, resume_dir, stop_after):
         from repro.experiments.results import RunResult
 
-        context = multiprocessing.get_context(START_METHOD)
+        context = worker_context()
         ready: deque[_TaskState] = deque()
         for index in pending:
             task = tasks[index]

@@ -1,4 +1,4 @@
-"""The parallel-grid executor: spawn-started workers, one task each.
+"""The parallel-grid executor: worker processes, one task each.
 
 Workers receive a :class:`~repro.exec.task.RunTask` as a plain dict and
 rebuild the whole run — runner, session, stream generators — from the
@@ -9,9 +9,10 @@ or global RNG state), a 4-worker grid is byte-identical to a serial one;
 only completion order differs, and the shared driver re-aligns results
 to task order.
 
-The ``spawn`` start method is used on every platform: workers import the
-library fresh instead of inheriting forked state, which keeps them safe
-under threaded parents and identical across OSes.  A worker *crash*
+Workers start from :func:`~repro.utils.procs.worker_context`: forks
+of a preloaded forkserver, never of the driver, so no driver state is
+inherited, which keeps them safe under threaded parents and identical
+across OSes.  A worker *crash*
 (e.g. OOM kill) aborts the whole grid — per-task progress down to the
 last checkpoint survives in ``resume_dir``, and re-invoking the same
 grid continues from there; for single long streams that must survive
@@ -21,15 +22,12 @@ worker death *within* one invocation, use the chunked executor instead.
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
 import os
 
 from repro.errors import ExecutionError
 from repro.exec.base import Executor, _reject_unknown_options, register_executor
 from repro.exec.task import RunTask
-
-#: Start method used for worker processes (see module docstring).
-START_METHOD = "spawn"
+from repro.utils.procs import worker_context
 
 
 def _run_task_worker(payload: dict) -> dict | None:
@@ -47,7 +45,7 @@ def _run_task_worker(payload: dict) -> dict | None:
 
 
 class MultiprocessExecutor(Executor):
-    """Fans independent tasks out over a spawn-safe process pool."""
+    """Fans independent tasks out over a process pool."""
 
     name = "multiprocess"
 
@@ -59,7 +57,6 @@ class MultiprocessExecutor(Executor):
     def _execute(self, tasks, pending, *, resume_dir, stop_after):
         from repro.experiments.results import RunResult
 
-        context = multiprocessing.get_context(START_METHOD)
         payloads = {
             index: {
                 "task": tasks[index].to_dict(),
@@ -74,7 +71,7 @@ class MultiprocessExecutor(Executor):
         }
         workers = min(self.jobs, len(pending))
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
+            max_workers=workers, mp_context=worker_context()
         ) as pool:
             futures = {
                 pool.submit(_run_task_worker, payload): index
@@ -109,5 +106,5 @@ def _multiprocess_factory(options: dict) -> MultiprocessExecutor:
 register_executor(
     "multiprocess",
     _multiprocess_factory,
-    description="fan grid cells out over spawn-started worker processes",
+    description="fan grid cells out over worker processes",
 )

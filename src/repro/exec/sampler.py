@@ -2,7 +2,7 @@
 
 :class:`ShardedSampler` drives the per-chunk draw of a
 :class:`~repro.bn.sampling.ForwardSampler` across a pool of thread or
-spawn-safe process workers (the worker patterns of
+process workers (the worker patterns of
 :mod:`repro.exec.multiprocess`), overlapping the generation of chunk
 ``c + 1 .. c + shards`` with the consumption of chunk ``c`` — e.g. by
 :meth:`~repro.api.session.MonitoringSession.ingest_sampler`, whose
@@ -28,7 +28,6 @@ sharding caveats in ``docs/performance.md``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -41,7 +40,7 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.bn.sampling import ForwardSampler, check_sampler_state
 from repro.errors import StreamError
-from repro.exec.multiprocess import START_METHOD
+from repro.utils.procs import worker_context
 from repro.utils.validation import check_positive_int
 
 #: Execution modes accepted by :class:`ShardedSampler`.
@@ -108,7 +107,7 @@ class ShardedSampler:
         spawnable root, not a rolling stream.
     mode:
         ``"serial"`` (in-line, the reference), ``"thread"``, or
-        ``"process"`` (spawn-safe pool).  All three draw byte-identical
+        ``"process"`` (process pool).  All three draw byte-identical
         streams; see the module docstring.
     """
 
@@ -192,7 +191,7 @@ class ShardedSampler:
         else:
             pool = ProcessPoolExecutor(
                 max_workers=self.shards,
-                mp_context=multiprocessing.get_context(START_METHOD),
+                mp_context=worker_context(),
                 initializer=_init_worker,
                 initargs=(self.network, self._entropy),
             )

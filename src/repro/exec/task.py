@@ -6,7 +6,7 @@ schedule, seeds, and the harness settings (``eval_events``,
 ``chunk_size``) that shape the RNG draw layout.  It is frozen and
 JSON-serializable like
 :class:`~repro.api.spec.EstimatorSpec`, so executors can ship it to
-spawn-started worker processes (or to disk) and rebuild the run from
+worker processes (or to disk) and rebuild the run from
 scratch anywhere: two executions of the same descriptor produce
 byte-identical results regardless of which process, worker, or segment
 schedule performed them.

@@ -1,7 +1,7 @@
 """Shared fault-injection helpers for the distributed and executor suites.
 
 The runtime's transport ends accept *declarative* fault specs — plain
-dicts, so they pickle into spawn-started workers unchanged (see
+dicts, so they pickle into worker processes unchanged (see
 ``repro.dist.transport`` and ``repro.net.transport``).  These helpers build the specs, and
 :class:`DieOnceMarker` manages the marker file behind the
 die-once-then-recover pattern both the dist suite and ``test_exec.py``'s
@@ -10,14 +10,13 @@ chunked worker-death tests rely on.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import pytest
 
 from repro.dist.recovery import CRASH_POINTS, run_crashing_coordinator
-from repro.dist.site import START_METHOD
 from repro.dist.transport import FAULT_EXIT_CODE, create_once
+from repro.utils.procs import worker_context
 
 __all__ = [
     "CRASH_POINTS",
@@ -80,9 +79,8 @@ def coordinator_crash(seq: int, point: str) -> dict:
 
 
 def run_crashing_child(payload) -> int:
-    """Run ``run_crashing_coordinator(payload)`` in a spawn child; its exit code."""
-    ctx = multiprocessing.get_context(START_METHOD)
-    child = ctx.Process(target=run_crashing_coordinator, args=(payload,))
+    """Run ``run_crashing_coordinator(payload)`` in a worker child; its exit code."""
+    child = worker_context().Process(target=run_crashing_coordinator, args=(payload,))
     child.start()
     child.join(timeout=180)
     if child.is_alive():  # pragma: no cover - hang diagnostics

@@ -220,6 +220,34 @@ class TestFaultInjection:
             assert_conformant(ref, dist)
             assert dist.wire_stats()["worker_respawns"] == 1
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_closed_sessions_hold_no_fds(self):
+        # A closed session still referenced by its caller must not keep
+        # its workers' Process handles (pipes, sentinels) open, neither
+        # the SIGKILLed incarnation's nor the final one's.
+        spec = spec_for("exact", "exact", k=4)
+        batch = batches_for(spec.resolve_network(), rounds=1)[0]
+
+        def cycle():
+            dist = DistributedSession(spec, procs=2)
+            dist.ingest(batch, validate=False)
+            victim = dist._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            dist.ingest(batch, validate=False)
+            dist.close()
+            assert dist.wire_stats()["worker_respawns"] == 1
+            return dist
+
+        # The first cycle starts the process-wide worker server, whose
+        # fds stay open for the life of the interpreter.
+        kept = [cycle()]
+        baseline = len(os.listdir("/proc/self/fd"))
+        kept += [cycle() for _ in range(3)]
+        assert len(os.listdir("/proc/self/fd")) == baseline
+
     def test_unrecoverable_worker_raises(self, tmp_path):
         # Without a die-once marker every respawned incarnation dies
         # again; the coordinator must give up instead of looping.
@@ -236,7 +264,8 @@ class TestFaultInjection:
         # nor raises, and leaves no process or socket behind.
         assert dist._workers[1].alive()
         dist.close()
-        assert not any(h.process.is_alive() for h in dist._workers)
+        # close() joined and closed every incarnation's Process.
+        assert all(h.process is None for h in dist._workers)
         assert dist.wire_stats()["worker_respawns"] == 3
         assert dist._listener._sock.fileno() == -1  # closed
 
