@@ -11,8 +11,10 @@ two counters per CPD table entry family:
 
 ``update_batch`` implements Algorithm 2 vectorized over a batch of events:
 the increments of each event are encoded as counter ids, collapsed to
-per-site counts by histogram passes, and handed to the bank's grouped
-fast path (``docs/performance.md`` maps the whole hot path).
+per-site counts by one histogram pass per family (``count_table``), and
+handed to the bank as one table (``docs/performance.md`` maps the whole
+hot path).  A distributed site worker runs the same ``count_table`` over
+its hosted sites and ships the table's non-zero entries instead.
 
 One row walk (``_joint_id_rows``) turns a batch of full assignments into
 counter ids: it copies the batch *transposed* into a compact ``(n, m)``
@@ -23,13 +25,11 @@ variable's joint-id row in layout order, relative to the family's block,
 so each multiply/add is a contiguous row operation; ``O(edges)`` work per
 event with no Python loop per variable.  It serves both directions:
 
-- ingest.  The dense grouping path keys each family's row by site and
-  bins it with one ``bincount`` into a reused ``(k, n_counters)`` table;
-  the argsort path (``_encode_joint``) adds the block offsets into an
-  ``(n, m)`` int64 id array and bins per-site column takes.  Only
+- ingest.  ``count_table`` keys each family's row by site and bins it
+  with one ``bincount`` into a reused ``(k, n_counters)`` table.  Only
   *joint* ids are encoded: each event contributes exactly one joint id
   and one parent id per variable, and the parent id is a pure function of
-  the joint id, so both derive the parent-half histogram from the
+  the joint id, so the parent-half histogram is derived from the
   joint-half histogram (``_derive_parent_counts``) instead of encoding
   and binning a second ``(m, n)`` array;
 - batched point queries (``log_query_batch`` here, and
@@ -53,11 +53,6 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.counters.base import CounterBank
 from repro.errors import QueryError, StreamError
-
-#: Largest ``k * n_counters`` table the "dense" grouping strategy may
-#: histogram into (8M int64 entries = 64 MB, kept for reuse); beyond it
-#: "auto" falls back to argsort sharding.
-_DENSE_GROUP_BUDGET = 1 << 23
 
 #: Rows per block when ``_joint_id_rows`` transposes a batch that is not
 #: F-contiguous: a block's reads and writes stay in cache, where one
@@ -333,23 +328,6 @@ class StreamingMLEEstimator:
                     row += scratch
             yield index, block, row
 
-    def _encode_joint(self, data: np.ndarray) -> np.ndarray:
-        """Flat joint counter ids as an ``(n, m)`` transposed int64 array.
-
-        The argsort grouping path's encoder (the site workers' ingest):
-        it consumes the ``_joint_id_rows`` walk in the ``"sparse"``
-        workspace, and one op per row adds the block offset and upcasts
-        into the int64 output, which ``np.bincount`` consumes without an
-        internal copy.  The dense path bins the walk's rows directly
-        (``_update_grouped_dense``).
-        """
-        out = self._buffer(
-            "sparse.joint64", (len(self._layouts), data.shape[0]), np.int64
-        )
-        for index, block, ids in self._joint_id_rows(data, "sparse"):
-            np.add(ids, block.start, out=out[index])
-        return out
-
     def _derive_parent_counts(self, dense: np.ndarray) -> None:
         """Fill one site's parent-counter histogram region in place.
 
@@ -394,7 +372,6 @@ class StreamingMLEEstimator:
         data: np.ndarray,
         site_ids: np.ndarray,
         *,
-        strategy: str = "auto",
         validate: bool = True,
     ) -> None:
         """Feed a batch of events, each observed at its assigned site.
@@ -404,61 +381,34 @@ class StreamingMLEEstimator:
         range scans for callers whose batches are valid by construction
         (the session's fused sampler ingest); shape checks always run.
 
-        ``strategy`` picks how the per-event increments are grouped into
-        the unique ``(site, counter, count)`` triples the bank consumes:
-
-        - ``"argsort"`` — one stable argsort of ``site_ids`` shards the batch
-          into contiguous per-site runs; memory stays ``O(touched)``, which
-          is why the distributed site workers use it.
-        - ``"dense"`` — each family's increments are keyed as
-          ``site * J * K + joint id`` and collapsed by one ``bincount``
-          into its block of a reused ``(k, n_counters)`` table, handed
-          to the bank whole.
-        - ``"auto"`` (default) — ``"dense"`` when the key space fits
-          :data:`_DENSE_GROUP_BUDGET` and is amortized by the batch's
-          increment count, else ``"argsort"``.
-
-        Both strategies hand the bank identical per-site (sorted, unique)
-        aggregates in ascending site order, so they leave it in a
-        byte-identical state — including the RNG-driven HYZ bank, whose
-        draw order depends only on the per-site slices it receives.
+        The batch is counted into one per-site table (:meth:`count_table`)
+        and handed to the bank whole: sites ascending, silent sites
+        skipped, so every bank ends byte-identical to a per-site walk of
+        the same aggregates (``tests/ingest_oracle.py::reference_ingest``)
+        — including the RNG-driven HYZ bank.
         """
         data, site_ids = self._validate_batch(data, site_ids, check=validate)
         if data.shape[0] == 0:
             return
-        if strategy == "auto":
-            # Dense pays O(k * n_counters) per call regardless of batch
-            # size, so it must also be amortized by the batch: require the
-            # key table to fit the budget AND not dwarf the increment count
-            # (2n per event), or tiny batches regress badly.
-            table = self.n_sites * self.n_counters
-            increments = 2 * len(self._layouts) * data.shape[0]
-            strategy = (
-                "dense"
-                if table <= _DENSE_GROUP_BUDGET and table <= 8 * increments
-                else "argsort"
-            )
-        if strategy == "dense":
-            self._update_grouped_dense(data, site_ids)
-        elif strategy == "argsort":
-            self._update_grouped_argsort(data, site_ids)
-        else:
-            raise StreamError(
-                f"unknown update strategy {strategy!r}; expected 'auto', "
-                "'dense' or 'argsort'"
-            )
+        self.bank.bulk_add_table(self.count_table(data, site_ids), check=False)
         self.events_seen += data.shape[0]
 
-    def _update_grouped_dense(self, data: np.ndarray, site_ids: np.ndarray) -> None:
-        """Histogram the walk family by family into one reused table.
+    def count_table(self, data: np.ndarray, site_ids: np.ndarray) -> np.ndarray:
+        """Count a batch into a reused ``(n_sites, n_counters)`` table.
 
-        Each family's row is keyed ``ids + site * J * K`` in the compact
-        dtype and binned by one ``np.bincount`` straight into the
-        family's ``(k, J * K)`` joint block; each site's parent half is
-        then derived from its joint half.  Every column is written on
-        every call, so the reused table needs no zeroing, and no
-        ``(n, m)`` id array is built.  Keys stay below ``k * J * K``:
-        int32 holds them unless the table has 2**31 entries (16 GiB).
+        Row ``s`` holds site ``s``'s increment total of every counter.
+        ``data`` and ``site_ids`` must already be valid (any integer
+        dtype; :meth:`update_batch` checks them), and ``site_ids`` index
+        the bank's sites.  Each family's walk row is keyed
+        ``ids + site * J * K`` in the compact dtype and binned by one
+        ``np.bincount`` straight into the family's ``(k, J * K)`` joint
+        block; each site's parent half is then derived from its joint
+        half.  Every column is written on every call, so the table needs
+        no zeroing, and no ``(n, m)`` id array is built.  Keys stay below
+        ``k * J * K``: int32 holds them unless the table has 2**31
+        entries (16 GiB).
+
+        The table is estimator workspace: the next call overwrites it.
         """
         k, m = self.n_sites, data.shape[0]
         table = self._buffer("dense.table", (k, self.n_counters), np.int64)
@@ -474,44 +424,7 @@ class StreamingMLEEstimator:
             )
         for site in range(k):
             self._derive_parent_counts(table[site])
-        # The bank consumes the per-site table directly — no
-        # flatnonzero/divmod round-trip through sparse triples.
-        self.bank.bulk_add_table(table, check=False)
-
-    def _update_grouped_argsort(self, data: np.ndarray, site_ids: np.ndarray) -> None:
-        n_counters = self.n_counters
-        order = np.argsort(site_ids, kind="stable")
-        sorted_sites = site_ids[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_sites[1:] != sorted_sites[:-1]]
-        )
-        bounds = np.append(starts, sorted_sites.size)
-        # Transposed ids are encoded in stream order; per-site slices
-        # become column takes below.
-        ids = self._encode_joint(data)
-        site_parts, counter_parts, count_parts = [], [], []
-        for i in range(starts.size):
-            lo, hi = bounds[i], bounds[i + 1]
-            flat = ids.take(order[lo:hi], axis=1).ravel()
-            dense = np.bincount(flat, minlength=n_counters)
-            self._derive_parent_counts(dense)
-            touched = np.flatnonzero(dense)
-            counter_parts.append(touched)
-            count_parts.append(dense[touched])
-            site_parts.append(
-                np.full(touched.size, sorted_sites[lo], dtype=np.int64)
-            )
-        self.bank.bulk_add_grouped(
-            np.concatenate(site_parts),
-            np.concatenate(counter_parts),
-            np.concatenate(count_parts),
-            check=False,
-        )
-
-    def update(self, event: np.ndarray, site_id: int) -> None:
-        """Algorithm 2 for a single event."""
-        event = np.asarray(event, dtype=np.int64).reshape(1, -1)
-        self.update_batch(event, np.array([site_id]))
+        return table
 
     # ------------------------------------------------------------------
     # Queries (Algorithm 3)

@@ -1,9 +1,10 @@
 """Distributed counters for the continuous monitoring model.
 
-All banks share one interface: ``bulk_add(counter_ids, site_ids, counts)``
-applies increments observed at sites, and ``estimates()`` returns the
-coordinator's current view of every counter.  Messages are tallied in a
-:class:`~repro.monitoring.channel.MessageLog`.
+All banks share one interface: ``bulk_add_table(table)`` applies a
+``(n_sites, n_counters)`` table of increments observed at sites (and
+``bulk_add_sites`` one distributed round of per-site slices), and
+``estimates()`` returns the coordinator's current view of every counter.
+Messages are tallied in a :class:`~repro.monitoring.channel.MessageLog`.
 
 - :class:`ExactCounterBank` — one message per increment (EXACTMLE).
 - :class:`HYZCounterBank` — the randomized counter of Huang, Yi & Zhang
@@ -12,20 +13,16 @@ coordinator's current view of every counter.  Messages are tallied in a
 - :class:`DeterministicCounterBank` — (1+eps)-threshold counters in the
   style of Keralapura et al. (paper ref [22]); deterministic guarantee,
   no ``sqrt(k)`` saving.  Used for counter ablations.
-- :class:`ReferenceHYZCounter` — slow per-increment implementation of the
-  same protocol, used in tests to validate the bulk simulation.
 """
 
 from repro.counters.base import CounterBank
 from repro.counters.deterministic import DeterministicCounterBank
 from repro.counters.exact import ExactCounterBank
 from repro.counters.hyz import HYZCounterBank
-from repro.counters.reference import ReferenceHYZCounter
 
 __all__ = [
     "CounterBank",
     "ExactCounterBank",
     "HYZCounterBank",
     "DeterministicCounterBank",
-    "ReferenceHYZCounter",
 ]

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import CounterError
 from repro.monitoring.channel import MessageLog
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, integer_array
 
 
 class CounterBank(abc.ABC):
@@ -50,25 +50,6 @@ class CounterBank(abc.ABC):
         # all-zero between calls.
         self._round_table: np.ndarray | None = None
 
-    # ------------------------------------------------------------------
-    def _validate_bulk(self, counter_ids, site_ids, counts):
-        counter_ids = np.asarray(counter_ids, dtype=np.int64)
-        site_ids = np.asarray(site_ids, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if not (counter_ids.shape == site_ids.shape == counts.shape):
-            raise CounterError("counter_ids, site_ids, counts must align")
-        if counter_ids.ndim != 1:
-            raise CounterError("bulk_add expects 1-D arrays")
-        if counter_ids.size == 0:
-            return counter_ids, site_ids, counts
-        if counter_ids.min() < 0 or counter_ids.max() >= self.n_counters:
-            raise CounterError("counter id out of range")
-        if site_ids.min() < 0 or site_ids.max() >= self.n_sites:
-            raise CounterError("site id out of range")
-        if counts.min() < 0:
-            raise CounterError("counts must be >= 0")
-        return counter_ids, site_ids, counts
-
     @abc.abstractmethod
     def _apply_site(self, site: int, counter_ids: np.ndarray,
                     counts: np.ndarray) -> None:
@@ -78,15 +59,14 @@ class CounterBank(abc.ABC):
         positive increment totals.  The simulated protocol decides which
         messages this traffic triggers.
 
-        This is the whole-slice hook of the grouped fast path: every entry
-        point (``bulk_add``, ``bulk_add_site``, ``bulk_add_grouped``) hands
-        a bank one complete site slice at a time, in ascending site order,
-        so implementations may batch work across all counters touched at
-        the site — :class:`~repro.counters.hyz.HYZCounterBank` vectorizes
-        its whole span replay here.  Banks whose state is site-independent
-        can go further and override :meth:`_apply_grouped` to consume the
-        entire multi-site batch at once (see
-        :class:`~repro.counters.exact.ExactCounterBank`).
+        This is the whole-slice hook: :meth:`bulk_add_site` hands a bank
+        one complete site slice, and the default :meth:`_apply_table`
+        hands it every non-silent row of a table, in ascending site
+        order, so implementations may batch work across all counters
+        touched at the site —
+        :class:`~repro.counters.hyz.HYZCounterBank` vectorizes its whole
+        span replay here, and its :meth:`_apply_table` walks the rows it
+        cannot finish in one array pass through this hook too.
         """
 
     @abc.abstractmethod
@@ -126,102 +106,27 @@ class CounterBank(abc.ABC):
         target[...] = value.astype(target.dtype, copy=False)
 
     # ------------------------------------------------------------------
-    def bulk_add(self, counter_ids, site_ids, counts) -> None:
-        """Apply ``counts[j]`` increments of counter ``counter_ids[j]``
-        observed at site ``site_ids[j]``.  Pairs may repeat."""
-        counter_ids, site_ids, counts = self._validate_bulk(
-            counter_ids, site_ids, counts
-        )
-        if counter_ids.size == 0:
-            return
-        for site in range(self.n_sites):
-            mask = site_ids == site
-            if not mask.any():
-                continue
-            dense = np.bincount(
-                counter_ids[mask],
-                weights=counts[mask].astype(np.float64),
-                minlength=self.n_counters,
-            ).astype(np.int64)
-            touched = np.nonzero(dense)[0]
-            if touched.size:
-                self._apply_site(site, touched, dense[touched])
-
-    def bulk_add_grouped(self, site_ids, counter_ids, counts, *,
-                         check: bool = True) -> None:
-        """Apply pre-grouped ``(site, counter, count)`` increment triples.
-
-        The fast path used by the streaming estimator's argsort sharding:
-        the triples must already be aggregated so that ``(site, counter)``
-        pairs are unique, sorted site-major then counter-minor, with strictly
-        positive counts.  Each site's slice is handed to :meth:`_apply_site`
-        directly — no per-site masking or dense ``bincount`` scan — and sites
-        are visited in ascending order, so randomized banks consume their RNG
-        streams exactly as the per-site path would.
-
-        ``check=False`` skips the O(size) ordering/range validation; it is
-        reserved for callers that produce the triples by construction (the
-        streaming estimator's grouping pass emits ``flatnonzero`` output of
-        a dense per-site histogram, which is sorted and unique by design).
-        External callers should leave it on.
-        """
-        site_ids = np.asarray(site_ids, dtype=np.int64)
-        counter_ids = np.asarray(counter_ids, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if not (site_ids.shape == counter_ids.shape == counts.shape):
-            raise CounterError("site_ids, counter_ids, counts must align")
-        if site_ids.ndim != 1:
-            raise CounterError("bulk_add_grouped expects 1-D arrays")
-        if site_ids.size == 0:
-            return
-        if check:
-            if site_ids[0] < 0 or site_ids[-1] >= self.n_sites:
-                raise CounterError("site id out of range")
-            if counter_ids.min() < 0 or counter_ids.max() >= self.n_counters:
-                raise CounterError("counter id out of range")
-            if counts.min() <= 0:
-                raise CounterError("bulk_add_grouped counts must be > 0")
-            site_steps = np.diff(site_ids)
-            if np.any(site_steps < 0):
-                raise CounterError("bulk_add_grouped site_ids must be sorted")
-            if np.any((site_steps == 0) & (np.diff(counter_ids) <= 0)):
-                raise CounterError(
-                    "bulk_add_grouped (site, counter) pairs must be unique "
-                    "and sorted counter-minor within each site"
-                )
-        self._apply_grouped(site_ids, counter_ids, counts)
-
-    def _apply_grouped(self, site_ids: np.ndarray, counter_ids: np.ndarray,
-                       counts: np.ndarray) -> None:
-        """Dispatch validated grouped triples; sites arrive in ascending
-        order.  Banks with site-independent state may override this with a
-        fully vectorized version (see :class:`ExactCounterBank`)."""
-        starts = np.flatnonzero(np.r_[True, site_ids[1:] != site_ids[:-1]])
-        bounds = np.append(starts, site_ids.size)
-        for i in range(starts.size):
-            lo, hi = bounds[i], bounds[i + 1]
-            self._apply_site(int(site_ids[lo]), counter_ids[lo:hi], counts[lo:hi])
-
     def bulk_add_table(self, table: np.ndarray, *, check: bool = True) -> None:
         """Apply a dense ``(n_sites, n_counters)`` increment table.
 
-        The dense-histogram sibling of :meth:`bulk_add_grouped`: row
-        ``s`` holds site ``s``'s aggregated increments (zeros allowed).
-        The streaming estimator's dense grouping strategy already owns
-        exactly this table, so handing it over whole skips the
-        flatnonzero/divmod round-trip through sparse triples.  Sites are
+        Row ``s`` holds site ``s``'s aggregated increments (zeros
+        allowed): the table
+        :meth:`~repro.core.estimator.StreamingMLEEstimator.count_table`
+        fills, which every in-process ingest hands over whole.  Sites are
         processed in ascending order and silent sites are skipped, so
         every bank ends in the state, RNG position and message tallies
-        the triple form produces — byte-identical.  Banks may get there
-        without the per-site calls: the exact and deterministic banks
-        add the table whole, and the HYZ bank finishes counters whose
-        outcome draws no randomness in one pass before walking the rest
-        per site.
+        one :meth:`bulk_add_site` call per non-silent row produces —
+        byte-identical.  Banks may get there without the per-site calls:
+        the exact and deterministic banks add the table whole, and the
+        HYZ bank finishes counters whose outcome draws no randomness in
+        one pass before walking the rest per site.
 
-        ``check=False`` skips validation for callers whose table is
+        A table that does not hold integers is refused whatever
+        ``check`` says (the test reads the dtype only).  ``check=False``
+        skips the O(size) sign scan for callers whose table is
         non-negative by construction (a ``bincount`` output).
         """
-        table = np.asarray(table, dtype=np.int64)
+        table = integer_array(table, "table", CounterError)
         if table.shape != (self.n_sites, self.n_counters):
             raise CounterError(
                 f"table must have shape ({self.n_sites}, "
@@ -292,15 +197,47 @@ class CounterBank(abc.ABC):
         finally:
             table[sites] = 0
 
+    def bulk_add_grouped(self, site_ids, counter_ids, counts) -> None:
+        """Apply ``(site, counter, count)`` triples sorted by site.
+
+        A thin adapter: the triples are split into one slice per site run
+        and applied by :meth:`bulk_add_sites`, whose rules they obey
+        (sites strictly ascending from run to run, ids unique within a
+        site, counts positive).  Nothing under ``src/`` calls it; it goes
+        away together with :meth:`bulk_add_site` once the benchmark's
+        tracer, which wraps both by name, is re-pointed at
+        :meth:`bulk_add_table` and :meth:`bulk_add_sites`.
+        """
+        site_ids = integer_array(site_ids, "site_ids", CounterError)
+        counter_ids = integer_array(counter_ids, "counter_ids", CounterError)
+        counts = integer_array(counts, "counts", CounterError)
+        if not (site_ids.shape == counter_ids.shape == counts.shape) \
+                or site_ids.ndim != 1:
+            raise CounterError(
+                "site_ids, counter_ids and counts must be aligned 1-D"
+            )
+        bounds = np.flatnonzero(np.diff(site_ids)) + 1
+        self.bulk_add_sites(
+            (site[0], ids, values) for site, ids, values in zip(
+                np.split(site_ids, bounds), np.split(counter_ids, bounds),
+                np.split(counts, bounds),
+            ) if site.size
+        )
+
     def _check_site_slice(self, site, counter_ids, counts):
         """``bulk_add_site``'s checks; returns the slice as int64 arrays.
 
-        Strictly ascending ids — what every in-repo producer ships — are
-        proven unique by one O(n) comparison; only other orders pay for
-        the ``np.unique`` sort.
+        Only an ``int`` or a numpy integer names a site (a float would
+        truncate and ``True`` is not a site), and only integer arrays
+        hold ids and counts: the type tests are O(1).  Strictly
+        ascending ids — what every in-repo producer ships — are proven
+        unique by one O(n) comparison; only other orders pay for the
+        ``np.unique`` sort.
         """
-        counter_ids = np.asarray(counter_ids, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        if type(site) is not int and not isinstance(site, np.integer):
+            raise CounterError(f"site must be an integer, got {site!r}")
+        counter_ids = integer_array(counter_ids, "counter_ids", CounterError)
+        counts = integer_array(counts, "counts", CounterError)
         if counter_ids.shape != counts.shape or counter_ids.ndim != 1:
             raise CounterError("counter_ids and counts must be aligned 1-D")
         if not 0 <= site < self.n_sites:
@@ -317,12 +254,6 @@ class CounterBank(abc.ABC):
         ):
             raise CounterError("bulk_add_site counter_ids must be unique")
         return counter_ids, counts
-
-    def add(self, counter_id: int, site_id: int, count: int = 1) -> None:
-        """Convenience scalar form of :meth:`bulk_add`."""
-        self.bulk_add(
-            np.array([counter_id]), np.array([site_id]), np.array([count])
-        )
 
     def true_totals(self) -> np.ndarray:
         """Ground-truth counter values (test/diagnostic use only)."""

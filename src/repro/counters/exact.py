@@ -27,20 +27,6 @@ class ExactCounterBank(CounterBank):
         # One REPORT per increment, attributed to the observing site.
         self.message_log.record(MessageKind.REPORT, site, int(counts.sum()))
 
-    def _apply_grouped(self, site_ids, counter_ids, counts) -> None:
-        # Exact counters have no per-site protocol state, so the whole
-        # grouped batch lands in three vectorized operations instead of a
-        # Python loop over sites.  (site, counter) pairs are unique, so the
-        # local scatter needs no np.add.at; counter ids repeat across sites,
-        # so the coordinator sum does.
-        self._local[counter_ids, site_ids] += counts
-        np.add.at(self._coordinator, counter_ids, counts)
-        per_site = np.bincount(site_ids, weights=counts, minlength=self.n_sites)
-        touched = np.flatnonzero(per_site)
-        self.message_log.record_reports_bulk(
-            touched, per_site[touched].astype(np.int64)
-        )
-
     def _apply_table(self, table) -> None:
         # The dense-table fast path degenerates to three whole-array adds:
         # no per-site slicing at all.

@@ -8,7 +8,7 @@ makes ``base`` the exact total and sets the per-increment report probability
 count with probability ``p`` per increment, and the coordinator starts a
 new round when its unbiased estimate reaches ``2 * base``.
 
-``bulk_add`` never feeds increments one at a time: a span of ``b``
+The bank never feeds increments one at a time: a span of ``b``
 increments at one site is replayed by sampling the geometric inter-report
 gaps directly, and the replay is *vectorized across counters* — one
 inverse-CDF batch draws every touched counter's first-report gap, spans
@@ -21,9 +21,8 @@ exact-mode counter the whole table leaves inside its round.
 
 The protocol derivation (unbiasedness, variance bound) and the replay's
 distribution-preservation argument live in ``docs/hyz-protocol.md``.
-:class:`~repro.counters.reference.ReferenceHYZCounter` replays the protocol
-one increment at a time and serves as the statistical oracle the bank is
-tested against.
+``tests/hyz_oracle.py`` replays the protocol one increment at a time and
+serves as the statistical oracle the bank is tested against.
 """
 
 from __future__ import annotations
@@ -140,13 +139,13 @@ class HYZCounterBank(CounterBank):
     # ------------------------------------------------------------------
     # Site-side simulation
     # ------------------------------------------------------------------
-    # `bulk_add_grouped` and `bulk_add_site` are inherited from
-    # CounterBank: they hand each site's whole (counter, count) slice to
-    # `_apply_site` in ascending site order.  `_apply_table` below (behind
-    # `bulk_add_table` and `bulk_add_sites`) walks the same slices minus
-    # counters whose outcome draws no randomness, so every entry point
-    # consumes this bank's RNG stream identically — the hot-path
-    # regression test pins that byte-for-byte.
+    # `bulk_add_site` is inherited from CounterBank: it hands one site's
+    # whole (counter, count) slice to `_apply_site`.  `_apply_table`
+    # below (behind `bulk_add_table`, `bulk_add_sites` and the
+    # `bulk_add_grouped` adapter) walks the same slices in ascending site
+    # order minus counters whose outcome draws no randomness, so every
+    # entry point consumes this bank's RNG stream identically — the
+    # hot-path regression test pins that byte-for-byte.
     def _apply_table(self, table: np.ndarray) -> None:
         """Apply a dense ``(n_sites, n_counters)`` table.
 

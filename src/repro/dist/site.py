@@ -2,16 +2,14 @@
 
 Each worker owns a contiguous shard of the ``k`` sites and performs the
 genuinely site-local part of Algorithm 2: encoding its sub-batch of
-events into per-site aggregated ``(counter_id, count)`` increments.  The
-encoding reuses the full :class:`~repro.core.estimator.StreamingMLEEstimator`
-fast path (sparse encoder, derived parent histograms, argsort grouping)
-by pointing it at a :class:`_CollectorBank` — a bank whose ``_apply_site``
-hook records the per-site slices instead of simulating the protocol.
-Because both grouping strategies hand banks identical sorted-unique
-per-site slices in ascending site order, the aggregates a worker ships
-are bit-identical to the slices the in-process path would have handed
-the real bank — which is what makes the coordinator's conformance
-contract (`docs/distributed.md`) hold by construction.
+events into per-site aggregated ``(counter_id, count)`` increments.  It
+counts through the same
+:meth:`~repro.core.estimator.StreamingMLEEstimator.count_table` the
+in-process session applies to its bank, over a table holding the hosted
+sites' rows only, and ships each row's non-zero entries.  Those are the
+sorted-unique per-site slices the in-process bank consumes from the
+same table, which is what makes the coordinator's conformance contract
+(`docs/distributed.md`) hold by construction.
 
 A worker dials the coordinator once and keeps that one TCP connection:
 :class:`~repro.dist.messages.IngestBatch` and ``Shutdown`` frames
@@ -33,7 +31,7 @@ import numpy as np
 
 from repro.api.spec import EstimatorSpec
 from repro.core.estimator import StreamingMLEEstimator
-from repro.counters.base import CounterBank
+from repro.counters.exact import ExactCounterBank
 from repro.dist.messages import (
     IngestBatch,
     Shutdown,
@@ -41,42 +39,6 @@ from repro.dist.messages import (
     ValueReport,
 )
 from repro.dist.transport import TransportClosed
-
-
-class _CollectorBank(CounterBank):
-    """A bank that records per-site slices instead of simulating anything.
-
-    The estimator's grouping layer calls ``_apply_site`` once per
-    non-silent site, ascending, with the site's sorted-unique aggregate
-    — exactly the payload a :class:`ValueReport` needs.  The arrays are
-    estimator-owned workspace, so they are copied out here — into the
-    narrowest unsigned dtypes that hold their bounds, since these copies
-    are what the report frame (and the WAL record) carries: ids are
-    below ``n_counters``, and a counter gains at most one increment per
-    event, so counts fit the dtype the shard picks from the round's
-    row count.
-    """
-
-    def __init__(self, n_counters: int, n_sites: int) -> None:
-        super().__init__(n_counters, n_sites)
-        self.collected: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self._id_dtype = np.min_scalar_type(n_counters - 1)
-        #: Set per round by :meth:`SiteShard.encode` from the sub-batch's
-        #: row count; int64 until then, so no caller can wrap a count.
-        self.count_dtype = np.dtype(np.int64)
-
-    def _apply_site(self, site, counter_ids, counts) -> None:
-        self.collected.append(
-            (int(site), np.array(counter_ids, dtype=self._id_dtype),
-             np.array(counts, dtype=self.count_dtype))
-        )
-
-    def estimates(self) -> np.ndarray:  # pragma: no cover - never queried
-        return np.zeros(self.n_counters, dtype=np.float64)
-
-    def take(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        slices, self.collected = self.collected, []
-        return slices
 
 
 class SiteShard:
@@ -97,15 +59,15 @@ class SiteShard:
         self.spec = spec
         self.sites = tuple(int(s) for s in sites)
         net = network if network is not None else spec.resolve_network()
-        self._collector_holder: list[_CollectorBank] = []
-
-        def factory(n_counters: int) -> _CollectorBank:
-            bank = _CollectorBank(n_counters, spec.n_sites)
-            self._collector_holder.append(bank)
-            return bank
-
-        self.estimator = StreamingMLEEstimator(net, factory, name="site-shard")
-        self.collector = self._collector_holder[0]
+        # The bank only sizes the count table: one row per site from the
+        # first hosted site to the last, which for the coordinator's
+        # contiguous shards is one row per hosted site.  The protocol
+        # runs coordinator-side, so nothing is ever applied to it.
+        span = self.sites[-1] - self.sites[0] + 1
+        self.estimator = StreamingMLEEstimator(
+            net, lambda n: ExactCounterBank(n, span), name="site-shard",
+        )
+        self._id_dtype = np.min_scalar_type(self.estimator.n_counters - 1)
         #: Stream position of this shard (events encoded so far).
         self.events_seen = 0
         #: Next coordinator round this shard expects to encode.
@@ -118,29 +80,31 @@ class SiteShard:
 
         Returns one :class:`SiteAggregate` per hosted site with events,
         ascending by site id.  Batches arrive pre-validated from the
-        coordinator, so the estimator's range scans are skipped; they
-        arrive in the session's narrow wire dtype, and the estimator's
-        int64 normalisation is the upcast.
+        coordinator in the session's narrow wire dtype, which the
+        encoder's workspace copy reads as is.  Row ``site - sites[0]``
+        of the count table is the site's aggregate; its non-zero ids
+        and counts are copied out in the narrowest unsigned dtypes that
+        hold their bounds, since these copies are what the report frame
+        (and the WAL record) carries: ids are below ``n_counters``, and
+        a counter gains at most one increment per event, so counts fit
+        the sub-batch's row count.
         """
         aggregates: list[SiteAggregate] = []
-        if data.shape[0]:
-            self.collector.count_dtype = np.min_scalar_type(data.shape[0])
-            # The argsort strategy keeps worker memory at O(touched)
-            # instead of the dense path's O(k * n_counters) table.
-            self.estimator.update_batch(
-                data, site_ids, strategy="argsort", validate=False
-            )
-            counts_per_site = np.bincount(
-                site_ids, minlength=self.spec.n_sites
-            )
-            for site, counter_ids, counts in self.collector.take():
-                aggregates.append(
-                    SiteAggregate(
-                        site, counter_ids, counts,
-                        int(counts_per_site[site]),
-                    )
-                )
-        self.events_seen += int(data.shape[0])
+        rows = int(data.shape[0])
+        if rows:
+            first = self.sites[0]
+            local = np.asarray(site_ids, dtype=np.int64) - first
+            table = self.estimator.count_table(data, local)
+            count_dtype = np.min_scalar_type(rows)
+            events = np.bincount(local, minlength=self.estimator.n_sites)
+            for row in np.flatnonzero(events):
+                counts = table[row]
+                ids = np.flatnonzero(counts)
+                aggregates.append(SiteAggregate(
+                    first + int(row), ids.astype(self._id_dtype),
+                    counts[ids].astype(count_dtype), int(events[row]),
+                ))
+        self.events_seen += rows
         self.next_seq = int(seq) + 1
         return aggregates
 

@@ -22,10 +22,12 @@ def integer_array(values, name: str, error: type[ReproError]) -> np.ndarray:
     Only integers are state indices, site ids or counts.  An int64 cast
     would silently truncate a float (``0.9`` becomes state 0) and accept
     a bool or object array, so those are refused — an integer-valued
-    float included.  The test reads the dtype only: O(1).
+    float included.  The test reads the dtype only: O(1).  An empty
+    array holds nothing to truncate, so it passes whatever its dtype
+    (NumPy reads ``[]`` as float64).
     """
     array = np.asarray(values)
-    if array.dtype.kind not in "iu":
+    if array.dtype.kind not in "iu" and array.size:
         raise error(f"{name} must hold integers, got dtype {array.dtype}")
     return array.astype(np.int64, copy=False)
 

@@ -15,9 +15,15 @@ with:
 - :func:`reference_snapshot_terms` — a snapshot's term table with one
   ``math.log`` pair per joint counter, the build before it logged each
   distinct estimate once;
-- :func:`reference_ingest` — that encoding, one ``bincount`` per site and
-  ``bank.bulk_add_site`` in ascending site order (the original
-  boolean-mask ingest);
+- :func:`reference_site_slices` — that encoding, one ``bincount`` per
+  site: each site's sorted-unique ``(counter_ids, counts)`` slice, sites
+  ascending (the original boolean-mask grouping), which
+  :func:`reference_ingest` hands to ``bank.bulk_add_site`` one site at a
+  time and a site worker's reports must equal;
+- :func:`bulk_add` — un-aggregated ``(counter, site, count)`` increments,
+  summed per site and walked through ``bank.bulk_add_site`` (the bank's
+  removed ``bulk_add`` entry point), for tests that drive a bank with
+  raw traffic;
 - :func:`reference_apply_round` — a distributed round's aggregates fed
   through ``bank.bulk_add_site`` one site at a time, the coordinator's
   apply before it handed whole rounds to ``bank.bulk_add_sites``;
@@ -117,23 +123,54 @@ def reference_snapshot_terms(estimates, plan):
     return terms, neg, bad
 
 
-def reference_ingest(estimator, data, sites) -> None:
-    """Feed a batch through the per-site mask loop (no fast path).
+def reference_site_slices(estimator, data, sites) -> list:
+    """``[(site, counter_ids, counts), ...]`` of a batch, sites ascending.
 
-    Encodes with :func:`reference_encode`, histograms each site's rows
-    and hands the touched counters to ``bank.bulk_add_site`` site by
-    site, ascending — the order every grouping strategy must reproduce.
+    Encodes with :func:`reference_encode` and histograms each site's rows
+    under a boolean mask; sites without events are omitted.  Ids are
+    int64, strictly ascending; counts are positive int64.
     """
     ids = reference_encode(estimator, data)
     sites = np.asarray(sites, dtype=np.int64)
-    for site in range(estimator.n_sites):
-        mask = sites == site
-        if not mask.any():
-            continue
-        dense = np.bincount(ids[mask].ravel(), minlength=estimator.n_counters)
+    slices = []
+    for site in np.unique(sites):
+        dense = np.bincount(
+            ids[sites == site].ravel(), minlength=estimator.n_counters
+        )
         touched = np.flatnonzero(dense)
-        estimator.bank.bulk_add_site(site, touched, dense[touched])
-    estimator.events_seen += int(sites.size)
+        slices.append((int(site), touched, dense[touched]))
+    return slices
+
+
+def reference_ingest(estimator, data, sites) -> None:
+    """Feed a batch through the per-site mask loop (no fast path).
+
+    Hands each :func:`reference_site_slices` slice to
+    ``bank.bulk_add_site`` site by site, ascending — the order the
+    estimator's table apply must reproduce.
+    """
+    for site, touched, counts in reference_site_slices(estimator, data, sites):
+        estimator.bank.bulk_add_site(site, touched, counts)
+    estimator.events_seen += int(np.size(sites))
+
+
+def bulk_add(bank, counter_ids, site_ids, counts) -> None:
+    """Apply ``counts[j]`` increments of counter ``counter_ids[j]``
+    observed at site ``site_ids[j]``; pairs may repeat.
+
+    Each site's increments are summed per counter and handed to
+    ``bank.bulk_add_site``, sites ascending.
+    """
+    counter_ids = np.asarray(counter_ids, dtype=np.int64)
+    site_ids = np.asarray(site_ids, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    for site in np.unique(site_ids):
+        mask = site_ids == site
+        dense = np.bincount(counter_ids[mask], weights=counts[mask],
+                            minlength=bank.n_counters).astype(np.int64)
+        touched = np.flatnonzero(dense)
+        if touched.size:
+            bank.bulk_add_site(site, touched, dense[touched])
 
 
 def reference_apply_round(bank, reports: dict) -> None:

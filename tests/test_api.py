@@ -201,6 +201,9 @@ class TestEstimatorSpec:
     lambda net: EstimatorSpec(net, "exact").session().ingest(
         np.zeros((1, net.n_variables), dtype=np.int64), strategy="dense"),
     lambda net: ExperimentRunner(update_strategy="auto"),
+    lambda net: EstimatorSpec(net, "exact").build().update_batch(
+        np.zeros((1, net.n_variables), dtype=np.int64), [0],
+        strategy="argsort"),
 ])
 def test_removed_engine_options_are_type_errors(small_net, call):
     with pytest.raises(TypeError):

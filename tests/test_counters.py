@@ -5,6 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
+from hyz_oracle import ReferenceHYZCounter
+from ingest_oracle import bulk_add
 from repro import DeterministicCounterBank, ExactCounterBank, HYZCounterBank
 from repro.errors import CounterError
 
@@ -23,7 +25,7 @@ class TestExactCounterBank:
         truth = np.zeros(50, dtype=np.int64)
         for _ in range(5):
             counter_ids, site_ids, counts = _random_workload(rng, 50, 8, 400)
-            bank.bulk_add(counter_ids, site_ids, counts)
+            bulk_add(bank, counter_ids, site_ids, counts)
             np.add.at(truth, counter_ids, counts)
         assert np.array_equal(bank.estimates(), truth.astype(float))
         assert np.array_equal(bank.true_totals(), truth)
@@ -34,7 +36,7 @@ class TestExactCounterBank:
         rng = np.random.default_rng(1)
         counter_ids, site_ids, counts = _random_workload(rng, 40, 6, 300)
         a = ExactCounterBank(40, 6)
-        a.bulk_add(counter_ids, site_ids, counts)
+        bulk_add(a, counter_ids, site_ids, counts)
         # Aggregate the same workload into sorted unique grouped triples.
         keys = site_ids * 40 + counter_ids
         dense = np.bincount(keys, weights=counts, minlength=40 * 6).astype(
@@ -46,17 +48,6 @@ class TestExactCounterBank:
         assert np.array_equal(a.estimates(), b.estimates())
         assert np.array_equal(a._local, b._local)
         assert a.total_messages == b.total_messages
-
-    def test_bulk_add_validation(self):
-        bank = ExactCounterBank(10, 3)
-        with pytest.raises(CounterError):
-            bank.bulk_add([0, 1], [0], [1, 1])
-        with pytest.raises(CounterError):
-            bank.add(10, 0)
-        with pytest.raises(CounterError):
-            bank.add(0, 3)
-        with pytest.raises(CounterError):
-            bank.bulk_add([0], [0], [-1])
 
     def test_bulk_add_grouped_validation(self):
         bank = ExactCounterBank(10, 3)
@@ -153,9 +144,6 @@ class TestBulkMatchesReference:
     def test_bulk_simulation_agrees_with_per_increment_protocol(self):
         # The skip-ahead bulk simulation and the per-increment reference
         # must agree statistically: both unbiased, comparable traffic.
-        from repro import HYZCounterBank
-        from repro.counters.reference import ReferenceHYZCounter
-
         eps, k, total, replicas = 0.5, 4, 800, 120
         bank = HYZCounterBank(replicas, k, eps, seed=10)
         per_site = total // k
@@ -189,7 +177,7 @@ class TestDeterministicCounterBank:
         truth = np.zeros(30, dtype=np.int64)
         for _ in range(8):
             counter_ids, site_ids, counts = _random_workload(rng, 30, k, 300)
-            bank.bulk_add(counter_ids, site_ids, counts)
+            bulk_add(bank, counter_ids, site_ids, counts)
             np.add.at(truth, counter_ids, counts)
         estimates = bank.estimates()
         # Keralapura-style guarantee: A <= C <= (1 + eps) * A + k.
@@ -204,7 +192,7 @@ class TestDeterministicCounterBank:
         bank = DeterministicCounterBank(1, 1, eps)
         messages = []
         for _ in range(200):
-            bank.add(0, 0)
+            bank.bulk_add_site(0, [0], [1])
             messages.append(bank.total_messages)
         # Reports must be geometrically spaced: far fewer messages than
         # increments, and the counter never drifts beyond the (1+eps) slack.

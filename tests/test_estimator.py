@@ -135,8 +135,6 @@ class TestValidation:
             bad = good.copy()
             bad[0, 0] = 99
             estimator.update_batch(bad, [0, 1, 2])
-        with pytest.raises(StreamError):  # unknown strategy
-            estimator.update_batch(good, [0, 1, 2], strategy="quantum")
 
     def test_unknown_algorithm_and_backend(self, small_net):
         with pytest.raises(AllocationError):

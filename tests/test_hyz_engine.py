@@ -1,6 +1,6 @@
 """Tests for the HYZ bank's vectorized span replay.
 
-The replay and :class:`~repro.counters.reference.ReferenceHYZCounter`, the
+The replay and ``ReferenceHYZCounter`` (``tests/hyz_oracle.py``), the
 per-increment oracle, consume the RNG stream in different orders, so the
 contract is *self-consistency* (same seed, same workload -> byte-identical
 results) plus *statistical agreement* with the oracle, and exact equality
@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from hyz_oracle import ReferenceHYZCounter
 from ingest_oracle import assert_states_equal
 from repro import HYZCounterBank
-from repro.counters.reference import ReferenceHYZCounter
 from repro.monitoring.channel import MessageLog
 
 

@@ -4,13 +4,14 @@ Pins the determinism contracts of the fast path:
 
 - the encoder equivalence matrix — the sparse segment-sum encoder and
   the per-variable-loop reference of ``tests/ingest_oracle.py`` produce
-  byte-identical counter ids, and both grouping strategies leave every
-  bank byte-identical to the reference ingest on ALARM and the
-  LINK/MUNIN stand-ins;
+  byte-identical counter ids, and the table ingest leaves every bank
+  byte-identical to the reference ingest on ALARM and the LINK/MUNIN
+  stand-ins;
 - the deterministic counter bank's vectorized threshold pass is
   byte-identical to the scalar reference loop;
-- ``bulk_add_table`` (the dense-histogram bank entry point) matches
-  ``bulk_add_grouped`` for every bank;
+- ``bulk_add_table`` (the dense-histogram bank entry point) matches the
+  per-site ``bulk_add_site`` walk and the ``bulk_add_grouped`` adapter
+  for every bank;
 - the fused zero-copy sampler/session path (``sample_into``,
   ``reuse_buffer`` streams, ``ingest_sampler``, ``validate=False``)
   reproduces the allocating path byte-for-byte;
@@ -23,7 +24,9 @@ Pins the determinism contracts of the fast path:
 import numpy as np
 import pytest
 
-from ingest_oracle import ScalarThresholdBank, reference_encode, reference_ingest
+from ingest_oracle import (
+    ScalarThresholdBank, bulk_add, reference_encode, reference_ingest,
+)
 from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
 from repro.bn.repository import link_like, munin_like
 from repro.counters.deterministic import DeterministicCounterBank
@@ -69,8 +72,12 @@ def test_encoders_emit_identical_joint_ids(
     data, _ = _workload(net, 400, 4)
     sparse = EstimatorSpec(net, "exact", n_sites=4).build(network=net)
     joint_ref = reference_encode(sparse, data)[:, : net.n_variables]
-    # Sparse ids are transposed, rows in natural variable order.
-    assert np.array_equal(sparse._encode_joint(data).T, joint_ref)
+    # The walk yields one row per variable, relative to the family block.
+    rows = [
+        ids.astype(np.int64) + block.start
+        for _, block, ids in sparse._joint_id_rows(data, "sparse")
+    ]
+    assert np.array_equal(np.stack(rows, axis=1), joint_ref)
 
 
 @pytest.mark.parametrize("net_name,m", [
@@ -80,21 +87,20 @@ def test_encoders_emit_identical_joint_ids(
 def test_encoder_matrix_byte_identical_banks(
     net_name, m, algorithm, alarm_net, link_net, munin_net
 ):
-    """Both grouping strategies must match the reference ingest."""
+    """The table ingest must match the reference ingest."""
     net = _net_by_name(net_name, alarm_net, link_net, munin_net)
     k = 5
     data, sites = _workload(net, m, k, seed=3)
     spec = EstimatorSpec(net, algorithm, eps=0.3, n_sites=k, seed=11)
 
-    def run(strategy):
+    def run(reference):
         estimator = spec.build(network=net)
         # Two chunks so buffer reuse spans update calls.
         for chunk in (slice(None, m // 2), slice(m // 2, None)):
-            if strategy is None:
+            if reference:
                 reference_ingest(estimator, data[chunk], sites[chunk])
             else:
-                estimator.update_batch(data[chunk], sites[chunk],
-                                       strategy=strategy)
+                estimator.update_batch(data[chunk], sites[chunk])
         return (
             estimator.bank._local.copy(),
             estimator.bank.estimates(),
@@ -102,13 +108,11 @@ def test_encoder_matrix_byte_identical_banks(
             estimator.bank.message_log.snapshot(),
         )
 
-    reference = run(None)
-    for strategy in ("dense", "argsort"):
-        local, estimates, messages, snapshot = run(strategy)
-        assert np.array_equal(reference[0], local), strategy
-        assert np.array_equal(reference[1], estimates), strategy
-        assert reference[2] == messages, strategy
-        assert reference[3] == snapshot, strategy
+    expected, actual = run(True), run(False)
+    assert np.array_equal(expected[0], actual[0])
+    assert np.array_equal(expected[1], actual[1])
+    assert expected[2] == actual[2]
+    assert expected[3] == actual[3]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_deterministic_engines_byte_identical_random_traffic():
         site_ids = rng.integers(0, 7, size=size)
         counts = rng.integers(1, 500, size=size)
         for bank in (vectorized, scalar):
-            bank.bulk_add(counter_ids, site_ids, counts)
+            bulk_add(bank, counter_ids, site_ids, counts)
     assert np.array_equal(vectorized._local, scalar._local)
     assert np.array_equal(vectorized._reported, scalar._reported)
     assert np.array_equal(
@@ -186,8 +190,7 @@ def test_deterministic_engines_identical_through_estimator(alarm_net):
 ])
 def test_bulk_add_table_matches_grouped(bank_factory):
     rng = np.random.default_rng(33)
-    via_table = bank_factory()
-    via_triples = bank_factory()
+    via_table, via_triples, via_walk = (bank_factory() for _ in range(3))
     for _ in range(5):
         table = rng.integers(0, 30, size=(5, 40))
         table[rng.random(table.shape) < 0.4] = 0
@@ -196,12 +199,15 @@ def test_bulk_add_table_matches_grouped(bank_factory):
         via_triples.bulk_add_grouped(
             flat // 40, flat % 40, table.ravel()[flat]
         )
-    assert np.array_equal(via_table._local, via_triples._local)
-    assert np.array_equal(via_table.estimates(), via_triples.estimates())
-    assert via_table.total_messages == via_triples.total_messages
-    assert (
-        via_table.message_log.snapshot() == via_triples.message_log.snapshot()
-    )
+        for site in range(5):
+            ids = np.flatnonzero(table[site])
+            if ids.size:
+                via_walk.bulk_add_site(site, ids, table[site, ids])
+    for other in (via_triples, via_walk):
+        assert np.array_equal(via_table._local, other._local)
+        assert np.array_equal(via_table.estimates(), other.estimates())
+        assert via_table.total_messages == other.total_messages
+        assert via_table.message_log.snapshot() == other.message_log.snapshot()
 
 
 def test_bulk_add_table_validation():

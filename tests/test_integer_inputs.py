@@ -6,7 +6,10 @@ ingest and batch-read entry point therefore refuses a non-integer dtype
 before anything moves: ``StreamError`` from both sessions' ``ingest``
 (whatever ``validate`` says), ``QueryError`` from the query paths.
 ``bool`` is refused too: ``True`` is not a state index, as it is not a
-count in a snapshot's message tallies.
+count in a snapshot's message tallies.  The counter banks' entry points
+refuse the same arrays (ids, counts, tables) and any site that is not an
+``int`` or a numpy integer with ``CounterError``: a float site used to
+land on its truncation, and a float table to add its truncated zeros.
 
 The mapping forms (``{name: state}`` assignments, events and evidence)
 resolve each entry through ``Variable.state_index``, which refuses the
@@ -21,10 +24,11 @@ import numpy as np
 import pytest
 
 from repro import (
-    EstimatorSpec, ForwardSampler, MonitoringSession, VariableElimination,
+    DeterministicCounterBank, EstimatorSpec, ExactCounterBank, ForwardSampler,
+    HYZCounterBank, MonitoringSession, VariableElimination,
 )
 from repro.dist import DistributedSession
-from repro.errors import QueryError, StreamError
+from repro.errors import CounterError, QueryError, StreamError
 
 #: Each maps a valid integer array to one a cast would have accepted.
 NON_INTEGER = {
@@ -131,6 +135,97 @@ def test_batch_reads_refuse_non_integer_rows(alarm_net, batch, kind):
         server.classify_batch(targets, rows)
     assert server.snapshot_refreshes == 0
     assert server.queries_served == 0
+
+
+# ----------------------------------------------------------------------
+# Counter-bank entry points
+# ----------------------------------------------------------------------
+BANKS = {
+    "exact": lambda: ExactCounterBank(10, 3),
+    "deterministic": lambda: DeterministicCounterBank(10, 3, 0.2),
+    "hyz": lambda: HYZCounterBank(10, 3, 0.2, seed=5),
+}
+
+IDS, COUNTS = np.array([2, 5]), np.array([3, 1])
+SITES = np.array([0, 1])
+
+
+def _table():
+    table = np.zeros((3, 10), dtype=np.int64)
+    table[1, [2, 5]] = [3, 1]
+    return table
+
+
+#: Each applies a valid call with one argument made non-integer by
+#: ``bad``; the ``bulk_add_sites`` cases put it behind a valid slice.
+BANK_CALLS = {
+    "bulk_add_site-ids": lambda b, bad: b.bulk_add_site(1, bad(IDS), COUNTS),
+    "bulk_add_site-counts":
+        lambda b, bad: b.bulk_add_site(1, IDS, bad(COUNTS)),
+    "bulk_add_sites-ids": lambda b, bad: b.bulk_add_sites(
+        [(0, IDS, COUNTS), (1, bad(IDS), COUNTS)]),
+    "bulk_add_sites-counts": lambda b, bad: b.bulk_add_sites(
+        [(0, IDS, COUNTS), (1, IDS, bad(COUNTS))]),
+    "bulk_add_table": lambda b, bad: b.bulk_add_table(bad(_table())),
+    "bulk_add_table-unchecked":
+        lambda b, bad: b.bulk_add_table(bad(_table()), check=False),
+    "bulk_add_grouped-sites":
+        lambda b, bad: b.bulk_add_grouped(bad(SITES), IDS, COUNTS),
+    "bulk_add_grouped-ids":
+        lambda b, bad: b.bulk_add_grouped(SITES, bad(IDS), COUNTS),
+    "bulk_add_grouped-counts":
+        lambda b, bad: b.bulk_add_grouped(SITES, IDS, bad(COUNTS)),
+}
+
+#: Sites a cast would have accepted: 1.7 landed on site 1, as did True.
+BAD_SITES = {
+    "fractional-float": 1.7,
+    "integer-valued-float": 1.0,
+    "np.float64": np.float64(1.0),
+    "bool": True,
+    "np.bool_": np.bool_(True),
+}
+
+
+def _bank_frozen(bank) -> bytes:
+    """Every byte of protocol state, RNG and message log included."""
+    return pickle.dumps((bank.state_dict(), bank.message_log.state_dict()))
+
+
+def _live_bank(backend):
+    bank = BANKS[backend]()
+    bank.bulk_add_site(0, np.arange(10), np.full(10, 30))
+    return bank
+
+
+@pytest.mark.parametrize("backend", sorted(BANKS))
+@pytest.mark.parametrize("kind", list(NON_INTEGER))
+@pytest.mark.parametrize("call", list(BANK_CALLS))
+def test_bank_entry_points_refuse_non_integer_arrays(backend, kind, call):
+    bank = _live_bank(backend)
+    before = _bank_frozen(bank)
+    with pytest.raises(CounterError, match="integers"):
+        BANK_CALLS[call](bank, NON_INTEGER[kind])
+    assert _bank_frozen(bank) == before
+    # The valid twin still applies, so the refusal left nothing behind.
+    BANK_CALLS[call](bank, lambda a: a)
+    assert _bank_frozen(bank) != before
+
+
+@pytest.mark.parametrize("backend", sorted(BANKS))
+@pytest.mark.parametrize("kind", list(BAD_SITES))
+def test_bank_entry_points_refuse_non_integer_sites(backend, kind):
+    bank = _live_bank(backend)
+    before = _bank_frozen(bank)
+    site = BAD_SITES[kind]
+    with pytest.raises(CounterError, match="site"):
+        bank.bulk_add_site(site, IDS, COUNTS)
+    with pytest.raises(CounterError, match="site"):
+        bank.bulk_add_sites([(0, IDS, COUNTS), (site, IDS, COUNTS)])
+    assert _bank_frozen(bank) == before
+    for site in (1, np.int64(1), np.uint8(1)):
+        bank.bulk_add_site(site, IDS, COUNTS)
+    assert np.array_equal(bank.true_totals()[IDS], 30 + 3 * COUNTS)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the repo tooling under ``tools/``."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -282,3 +283,23 @@ def test_check_docs_reads_bench_pairs_flags():
     assert "tools/bench_pairs.py" in check_docs.CLI_SOURCES
     flags = check_docs.cli_flags((TOOLS / "bench_pairs.py").read_text())
     assert {"--pairs", "--seed-base", "--workload"} <= flags
+
+
+def test_tracer_wraps_only_bank_entry_points_that_exist():
+    """``bench/tracer.py`` wraps bank entry points by name on every
+    in-process ``--trace 1`` run; a deleted one would fail only there.
+    Every literal ``wrap("<name>", ...)`` must name a ``CounterBank``
+    attribute."""
+    from repro.counters.base import CounterBank
+
+    tracer = TOOLS.parent / "bench" / "tracer.py"
+    names = [
+        node.args[0].value
+        for node in ast.walk(ast.parse(tracer.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "wrap"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    ]
+    assert names, "no wrap(...) call found in bench/tracer.py"
+    missing = [name for name in names if not hasattr(CounterBank, name)]
+    assert not missing, f"bench/tracer.py wraps missing bank methods {missing}"

@@ -33,7 +33,6 @@ from repro.dist import (
 from repro.dist.coordinator import event_wire_dtype
 from repro.dist.messages import SiteAggregate
 from repro.dist.recovery import WAL_NAME
-from repro.dist.site import _CollectorBank
 from repro.errors import StreamError
 from repro.graph.dag import DAG
 from test_dist import assert_conformant
@@ -105,18 +104,29 @@ class TestWidthTable:
         (65537, np.uint32),
     ])
     def test_report_id_dtype_follows_n_counters(self, n_counters, dtype):
-        bank = _CollectorBank(n_counters, 1)
-        top = np.array([0, n_counters - 1])
-        bank.bulk_add_site(0, top, np.array([1, 1]))
-        ((_, ids, _),) = bank.take()
-        assert ids.dtype == dtype
-        assert np.array_equal(ids, top)
+        # One variable of c states has c joint counters and one parent
+        # counter; its last state's joint id and the parent id are the
+        # two largest ids.
+        net = single_variable_net(n_counters - 1)
+        spec = EstimatorSpec(net, "exact", n_sites=1)
+        shard = SiteShard(spec, (0,), network=net)
+        data = np.array([[0], [n_counters - 2]], dtype=event_wire_dtype(net))
+        (aggregate,) = shard.encode(1, data, np.zeros(2, dtype=np.int64))
+        assert aggregate.counter_ids.dtype == dtype
+        assert np.array_equal(aggregate.counter_ids,
+                              [0, n_counters - 2, n_counters - 1])
 
-    def test_collector_counts_stay_int64_until_a_bound_is_set(self):
-        bank = _CollectorBank(8, 1)
-        bank.bulk_add_site(0, np.array([3]), np.array([70_000]))
-        ((_, _, counts),) = bank.take()
-        assert counts.dtype == np.int64 and counts[0] == 70_000
+    def test_report_counts_hold_a_count_past_uint16(self):
+        # A count is bounded by the sub-batch's rows, never wrapped: 70 000
+        # copies of one event at one site give counts of 70 000 in uint32.
+        net = single_variable_net(2)
+        spec = EstimatorSpec(net, "exact", n_sites=1)
+        shard = SiteShard(spec, (0,), network=net)
+        rows = 70_000
+        data = np.ones((rows, 1), dtype=np.uint8)
+        (aggregate,) = shard.encode(1, data, np.zeros(rows, dtype=np.int64))
+        assert aggregate.counts.dtype == np.uint32
+        assert aggregate.counts.tolist() == [rows, rows]
 
     @pytest.mark.parametrize("rows, dtype", [
         (255, np.uint8), (256, np.uint16),
