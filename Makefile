@@ -7,7 +7,8 @@ test:
 	$(PYTHON) -m pytest -q
 
 smoke:
-	rm -rf /tmp/repro_smoke_resume /tmp/repro_smoke_chunked
+	rm -rf /tmp/repro_smoke_resume /tmp/repro_smoke_chunked \
+	    /tmp/repro_smoke_chunked_link
 	$(PYTHON) -m repro.experiments messages --network alarm \
 	    --algorithms exact,nonuniform --events 1000 --sites 5 \
 	    --eval-events 200 --checkpoints 2 \
@@ -41,6 +42,24 @@ smoke:
 	    --out /tmp/repro_smoke_chunked_ref.json
 	$(PYTHON) tools/compare_bench.py /tmp/repro_smoke_chunked.json \
 	    /tmp/repro_smoke_chunked_ref.json
+	# The same cycle on LINK (724 variables), where the F-ordered draws
+	# and the resumed stream state carry the most bytes.
+	$(PYTHON) -m repro.experiments messages --network link \
+	    --algorithms nonuniform --events 6000 --sites 10 \
+	    --eval-events 100 --checkpoints 3 --executor chunked \
+	    --resume-dir /tmp/repro_smoke_chunked_link --stop-after 2000 \
+	    --out /tmp/repro_smoke_chunked_link_partial.json; test $$? -eq 3
+	$(PYTHON) -m repro.experiments messages --network link \
+	    --algorithms nonuniform --events 6000 --sites 10 \
+	    --eval-events 100 --checkpoints 3 --executor chunked \
+	    --resume-dir /tmp/repro_smoke_chunked_link \
+	    --out /tmp/repro_smoke_chunked_link.json
+	$(PYTHON) -m repro.experiments messages --network link \
+	    --algorithms nonuniform --events 6000 --sites 10 \
+	    --eval-events 100 --checkpoints 3 \
+	    --out /tmp/repro_smoke_chunked_link_ref.json
+	$(PYTHON) tools/compare_bench.py /tmp/repro_smoke_chunked_link.json \
+	    /tmp/repro_smoke_chunked_link_ref.json
 	$(PYTHON) -m repro.experiments classify --features 6 --events 2000 \
 	    --eval-events 300 --sites 4 --out /tmp/repro_smoke_classify.json
 	$(PYTHON) -m repro.experiments separation --events-values 500,1000 \

@@ -306,13 +306,11 @@ class BayesianNetwork:
     def log_probability_batch(self, data: np.ndarray) -> np.ndarray:
         """Vectorized log joint probability for rows of state indices.
 
-        ``data`` has shape ``(m, n)`` with columns in topological order.
+        ``data`` has shape ``(m, n)`` with columns in topological order;
+        a non-integer dtype, a wrong shape or an out-of-range state
+        raises :class:`QueryError` (see :meth:`_as_index_rows`).
         """
-        data = np.asarray(data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[1] != len(self._order):
-            raise QueryError(
-                f"data must have shape (m, {len(self._order)}), got {data.shape}"
-            )
+        data = self._as_index_rows(data)
         total = np.zeros(data.shape[0], dtype=np.float64)
         for name, idx in self._index.items():
             cpd = self._cpds[name]

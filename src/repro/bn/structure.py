@@ -16,10 +16,11 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.graph.dag import DAG
+from repro.utils.validation import integer_array
 
 
 def _validate_data(data: np.ndarray, cardinalities: Sequence[int]) -> np.ndarray:
-    data = np.asarray(data, dtype=np.int64)
+    data = integer_array(data, "data", ModelError)
     cards = np.asarray(cardinalities, dtype=np.int64)
     if data.ndim != 2:
         raise ModelError(f"data must be 2-D, got shape {data.shape}")

@@ -22,6 +22,7 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.core.estimator import StreamingMLEEstimator
 from repro.errors import QueryError
+from repro.utils.validation import integer_array
 
 
 class BayesianClassifier:
@@ -159,7 +160,7 @@ class BayesianClassifier:
 
     def error_rate(self, targets: list[str], data: np.ndarray) -> float:
         """Fraction of rows where the prediction misses the true state."""
-        data = np.asarray(data, dtype=np.int64)
+        data = integer_array(data, "data", QueryError)
         predictions = self.predict_batch(targets, data)
         truth = np.array(
             [

@@ -53,6 +53,7 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.counters.base import CounterBank
 from repro.errors import QueryError, StreamError
+from repro.utils.validation import integers
 
 #: Rows per block when ``_joint_id_rows`` transposes a batch that is not
 #: F-contiguous: a block's reads and writes stay in cache, where one
@@ -282,10 +283,10 @@ class StreamingMLEEstimator:
         ``data`` is ``(m, n)`` state indices.  It is copied transposed
         into a compact integer workspace once (int32 whenever the id
         space fits, which halves memory traffic and doubles SIMD width;
-        when ``data`` is F-contiguous — the
-        :meth:`~repro.bn.sampling.ForwardSampler.sample_stream`
-        ``reuse_buffer`` layout — the transpose read is a free view and
-        one copy; any other layout is copied in blocks of
+        when ``data`` is F-contiguous — the layout of every
+        :class:`~repro.bn.sampling.ForwardSampler` draw — the transpose
+        read is a free view and one copy; any other layout is copied in
+        blocks of
         :data:`_TRANSPOSE_BLOCK` rows).
         Then, one variable at a time, the walk multiplies the variable's
         states by its stride and accumulates each parent's contribution
@@ -349,8 +350,10 @@ class StreamingMLEEstimator:
 
     def _validate_batch(self, data, site_ids, *,
                         check: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        data = np.asarray(data, dtype=np.int64)
-        site_ids = np.asarray(site_ids, dtype=np.int64)
+        # Any integer dtype passes uncopied: ``count_table`` narrows it
+        # into its own workspace.
+        data = integers(data, "event data", StreamError)
+        site_ids = integers(site_ids, "site_ids", StreamError)
         if data.ndim != 2 or data.shape[1] != len(self._layouts):
             raise StreamError(
                 f"data must have shape (m, {len(self._layouts)}), "

@@ -346,6 +346,13 @@ class ExperimentRunner:
             done = 0
 
         produced = 0
+        if resume_state is not None and "sampler" in resume_state:
+            # The bundle holds the stream position itself: continue the
+            # generators from there.  A bundle without it (written
+            # before the runner stored one) replays the prefix below.
+            sampler.load_state_dict(resume_state["sampler"])
+            parts.load_state_dict(resume_state["partitioner"])
+            produced = done
         for target in schedule:
             while produced < target:
                 size = min(self.chunk_size, target - produced)
@@ -384,6 +391,8 @@ class ExperimentRunner:
                         "runner": {
                             "params": run_params,
                             "produced": produced,
+                            "sampler": sampler.state_dict(),
+                            "partitioner": parts.state_dict(),
                             "wall_seconds": wall,
                             "checkpoints": [r.to_dict() for r in records],
                         }

@@ -43,7 +43,11 @@ class QueryWorkload:
 
     # ------------------------------------------------------------------
     def assignments(self, m: int) -> np.ndarray:
-        """``(m, n)`` full assignments drawn from the network itself."""
+        """``(m, n)`` full assignments drawn from the network itself.
+
+        F-ordered, as :meth:`~repro.bn.sampling.ForwardSampler.sample`
+        draws them; every batch read takes any layout.
+        """
         return self._sampler.sample(m)
 
     def zipf_picks(

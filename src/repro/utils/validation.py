@@ -16,8 +16,8 @@ def check_positive_int(value, name: str) -> int:
     return int(value)
 
 
-def integer_array(values, name: str, error: type[ReproError]) -> np.ndarray:
-    """``values`` as an int64 array; any non-integer dtype raises ``error``.
+def integers(values, name: str, error: type[ReproError]) -> np.ndarray:
+    """``values`` as an array of its own integer dtype; any other raises.
 
     Only integers are state indices, site ids or counts.  An int64 cast
     would silently truncate a float (``0.9`` becomes state 0) and accept
@@ -29,7 +29,12 @@ def integer_array(values, name: str, error: type[ReproError]) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind not in "iu" and array.size:
         raise error(f"{name} must hold integers, got dtype {array.dtype}")
-    return array.astype(np.int64, copy=False)
+    return array
+
+
+def integer_array(values, name: str, error: type[ReproError]) -> np.ndarray:
+    """:func:`integers`, widened to int64 (no copy for an int64 input)."""
+    return integers(values, name, error).astype(np.int64, copy=False)
 
 
 def check_fraction(value, name: str, *, inclusive: bool = False) -> float:

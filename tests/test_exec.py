@@ -219,6 +219,67 @@ class TestChunkedRecovery:
         assert marker.fired
 
 
+class TestStreamResume:
+    """A resumed segment continues the stream from the bundle's sampler
+    and partitioner state instead of re-drawing the prefix; a bundle
+    without that state (as older runners wrote) still resumes by
+    replay.  Either way the result equals an uninterrupted run."""
+
+    RUN = dict(eps=0.2, n_sites=3, n_events=800, checkpoints=4)
+
+    @staticmethod
+    def _count_draws(monkeypatch) -> list:
+        from repro.bn.sampling import ForwardSampler
+
+        drawn = []
+        real = ForwardSampler.sample_into
+
+        def counting(self, out):
+            drawn.append(out.shape[0])
+            return real(self, out)
+
+        monkeypatch.setattr(ForwardSampler, "sample_into", counting)
+        return drawn
+
+    def _resume(self, runner, bundle, monkeypatch, *, strip_stream: bool):
+        assert runner.run_one(
+            "alarm", "nonuniform", snapshot_path=bundle, stop_after=400,
+            **self.RUN
+        ) is None
+        if strip_stream:
+            meta_path = bundle / "meta.json"
+            meta = json.loads(meta_path.read_text())
+            del meta["extra"]["runner"]["sampler"]
+            del meta["extra"]["runner"]["partitioner"]
+            meta_path.write_text(json.dumps(meta))
+        drawn = self._count_draws(monkeypatch)
+        result = runner.run_one(
+            "alarm", "nonuniform", snapshot_path=bundle, **self.RUN
+        )
+        return result, sum(drawn)
+
+    def test_resumed_segment_draws_only_the_rest(
+        self, runner, tmp_path, monkeypatch
+    ):
+        uninterrupted = runner.run_one("alarm", "nonuniform", **self.RUN)
+        result, rows = self._resume(
+            runner, tmp_path / "bundle", monkeypatch, strip_stream=False
+        )
+        # The remaining 400 events plus the evaluation set.
+        assert rows == 400 + runner.eval_events
+        assert canonical(result) == canonical(uninterrupted)
+
+    def test_bundle_without_stream_state_replays(
+        self, runner, tmp_path, monkeypatch
+    ):
+        uninterrupted = runner.run_one("alarm", "nonuniform", **self.RUN)
+        result, rows = self._resume(
+            runner, tmp_path / "bundle", monkeypatch, strip_stream=True
+        )
+        assert rows == 800 + runner.eval_events
+        assert canonical(result) == canonical(uninterrupted)
+
+
 class TestSnapshotAtomicity:
     """The bundle invariants the chunked recovery path stands on."""
 

@@ -4,7 +4,10 @@ An int64 cast truncates a float batch — state 0.9 would be counted as
 state 0, site 1.7 as site 1 — and accepts bool and object arrays.  Every
 ingest and batch-read entry point therefore refuses a non-integer dtype
 before anything moves: ``StreamError`` from both sessions' ``ingest``
-(whatever ``validate`` says), ``QueryError`` from the query paths.
+(whatever ``validate`` says) and from the estimator's own
+``update_batch``, ``QueryError`` from the query paths (the network's
+``log_probability_batch`` and the classifier's ``error_rate`` included),
+``ModelError`` from offline structure learning.
 ``bool`` is refused too: ``True`` is not a state index, as it is not a
 count in a snapshot's message tallies.  The counter banks' entry points
 refuse the same arrays (ids, counts, tables) and any site that is not an
@@ -135,6 +138,47 @@ def test_batch_reads_refuse_non_integer_rows(alarm_net, batch, kind):
         server.classify_batch(targets, rows)
     assert server.snapshot_refreshes == 0
     assert server.queries_served == 0
+
+
+@pytest.mark.parametrize("kind", list(NON_INTEGER))
+def test_estimator_update_batch_refuses_non_integers(batch, kind):
+    # 0.7 and sites [1.7, 2.9] used to count two all-state-0 events at
+    # sites 1 and 2.
+    estimator = _spec().build()
+    estimator.update_batch(batch[:20], np.arange(20) % 4)
+    before = _bank_frozen(estimator.bank)
+    bad = NON_INTEGER[kind]
+    with pytest.raises(StreamError, match="event data"):
+        estimator.update_batch(bad(batch[20:22]), [1, 2])
+    with pytest.raises(StreamError, match="site_ids"):
+        estimator.update_batch(batch[20:22], bad(np.array([1, 2])))
+    assert _bank_frozen(estimator.bank) == before
+    assert estimator.events_seen == 20
+    # Any integer width goes in uncopied, as int64 would.
+    estimator.update_batch(batch[20:22].astype(np.uint8),
+                           np.array([1, 2], dtype=np.int16))
+    assert estimator.events_seen == 22
+
+
+@pytest.mark.parametrize("kind", list(NON_INTEGER))
+def test_offline_batch_entry_points_refuse_non_integers(alarm_net, batch,
+                                                        kind):
+    from repro.bn import bic_score, chow_liu_tree, hill_climb_structure
+    from repro.core.classification import BayesianClassifier
+    from repro.errors import ModelError
+
+    rows = NON_INTEGER[kind](batch[:5])
+    with pytest.raises(QueryError, match="integers"):
+        alarm_net.log_probability_batch(rows)
+    targets = [alarm_net.node_names[0]] * len(rows)
+    with pytest.raises(QueryError, match="integers"):
+        BayesianClassifier(alarm_net).error_rate(targets, rows)
+    cards = alarm_net.cardinalities()
+    for learn in (chow_liu_tree, hill_climb_structure,
+                  lambda d, c: bic_score(d, alarm_net.dag, c,
+                                         names=alarm_net.node_names)):
+        with pytest.raises(ModelError, match="integers"):
+            learn(rows, cards)
 
 
 # ----------------------------------------------------------------------

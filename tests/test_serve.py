@@ -26,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+from batch_layouts import layouts
 from ingest_oracle import (
     assert_states_equal,
     reference_encode,
@@ -851,17 +852,8 @@ class TestBatchReadWalk:
         ).session().estimator
         # 700 rows: two whole transpose blocks and a partial one.
         rows = QueryWorkload(link_net, seed=7).assignments(700)
-        padded = np.zeros((700, 2 * rows.shape[1]), dtype=np.int64)
-        padded[:, ::2] = rows
-        layouts = {
-            "C-order": np.ascontiguousarray(rows),
-            "F-order": np.asfortranarray(rows),
-            "strided columns": padded[:, ::2],
-            "strided rows": np.repeat(rows, 2, axis=0)[::2],
-        }
         want = reference_encode(estimator, rows)
-        for name, data in layouts.items():
-            assert np.array_equal(data, rows)
+        for name, data in layouts(rows).items():
             walk = estimator._joint_id_rows(data, "query")
             for index, block, ids in walk:
                 assert np.array_equal(ids + block.start, want[:, index]), \
