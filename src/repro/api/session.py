@@ -54,7 +54,7 @@ from repro.core.classification import BayesianClassifier
 from repro.errors import SessionError, StreamError
 from repro.monitoring.channel import MessageLog
 from repro.monitoring.stream import make_partitioner
-from repro.utils.validation import integer_array
+from repro.utils.validation import integers
 
 #: Version tag written into every snapshot bundle.
 SNAPSHOT_SCHEMA = "repro-session-v1"
@@ -153,21 +153,30 @@ class MonitoringSession:
         ``validate=False`` skips the estimator's per-batch range scans;
         use it only for batches valid by construction (a sampler drawing
         from the same network, or the session partitioner's own site
-        ids).  Whatever ``validate`` says, ``data`` and ``site_ids`` must
-        have an integer dtype: a float (even integer-valued), bool or
-        object array raises :class:`StreamError` before anything moves.
+        ids).  With ``validate=True`` the states are scanned before the
+        partitioner draws, so a refused batch changes nothing.  Whatever
+        ``validate`` says, ``data`` and ``site_ids`` must have an integer
+        dtype: a float (even integer-valued), bool or object array raises
+        :class:`StreamError` before anything moves.  ``data`` keeps its
+        own integer dtype — the fused sampler's uint8 chunk is counted
+        in place, never widened.
         """
-        data = integer_array(data, "event data", StreamError)
+        data = integers(data, "event data", StreamError)
         if data.ndim == 1:
             data = data.reshape(1, -1)
-        if data.shape[0] == 0:
+        m = data.shape[0]
+        if m == 0:
             return 0
+        estimator = self.estimator
+        # The range scan runs before the partitioner draw, so a refused
+        # batch leaves the assignment stream where it was.
+        data = estimator._check_events(data, check=validate)
         if site_ids is None:
-            site_ids = self.partitioner.assign(data.shape[0])
+            site_ids = self.partitioner.assign(m)
         else:
-            site_ids = integer_array(site_ids, "site_ids", StreamError)
-        self.estimator.update_batch(data, site_ids, validate=validate)
-        return int(data.shape[0])
+            site_ids = estimator._check_sites(site_ids, m, check=validate)
+        estimator.update_batch(data, site_ids, validate=False)
+        return int(m)
 
     def ingest_stream(self, batches: Iterable, *,
                       validate: bool = True) -> int:
@@ -192,10 +201,11 @@ class MonitoringSession:
         """Fused zero-copy ingest of ``m`` events drawn from ``sampler``.
 
         The paper-scale fast path: the sampler fills one preallocated
-        F-ordered chunk buffer (``sample_stream(reuse_buffer=True)``),
-        the session partitioner assigns sites, and the estimator ingests
-        each chunk without re-validating or re-allocating — the sparse
-        batch encoder reads the buffer's transpose as a free view and
+        F-ordered chunk buffer in the network's state dtype
+        (``sample_stream(reuse_buffer=True)``; uint8 on every Table I
+        network), the session partitioner assigns sites, and the
+        estimator ingests each chunk without re-validating, widening or
+        re-allocating — the row walk reads the narrow chunk in place and
         reuses its own workspace across chunks (``docs/performance.md``
         walks through the stages).  The sampler must draw from this
         session's network; batches are trusted by construction.

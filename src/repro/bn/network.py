@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -185,6 +186,17 @@ class BayesianNetwork:
     def max_cardinality(self) -> int:
         """``J = max_i J_i``."""
         return max(v.cardinality for v in self._variables.values())
+
+    @functools.cached_property
+    def state_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype holding every state index.
+
+        ``min_scalar_type(J - 1)``: uint8 on every Table I network.  The
+        fused sampler fills its reused chunk in it, event batches cross
+        the distributed wire in it, and the query server keys requests
+        in it.
+        """
+        return np.min_scalar_type(self.max_cardinality - 1)
 
     @property
     def max_parents(self) -> int:

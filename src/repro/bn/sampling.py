@@ -5,9 +5,10 @@ assigning each variable from its CPD given already-sampled parents
 (Sec. VI-A, "Training Data").  The sampler below does exactly that,
 vectorized over instances, from precomputed per-variable CDF tables laid
 out by the parent-configuration stride code of the shared stride plan
-(:meth:`~repro.bn.network.BayesianNetwork.stride_rows`).  Each
-topological level draws its uniforms in one block, then each variable
-inverts its CDF for the whole batch with ``(m,)``-shaped rows only: a
+(:meth:`~repro.bn.network.BayesianNetwork.stride_rows`).  Variables
+are drawn level by level in topological order, each from one reused
+``(m,)`` row of uniforms, and each inverts its CDF for the whole batch
+with ``(m,)``-shaped rows only: a
 per-state gather-and-count against contiguous CDF rows when ``J`` is
 small (every gather row is L1-resident and no pass depends on the
 previous one), or one ``searchsorted`` over the packed table of
@@ -79,8 +80,10 @@ class ForwardSampler:
                 (cardinality, list(parents), state_rows, cpd.packed_cdf())
             )
         # Topological levels: level(X) = 1 + max(level(parents)), so every
-        # variable in a level depends only on earlier levels and the
-        # level's uniforms can be drawn in one block.
+        # variable in a level depends only on earlier levels.  Variables
+        # draw one uniform row each, level by level: PCG64 fills
+        # sequentially, so these are the bytes of one block per level,
+        # the stream ``tests/sampler_oracle.py`` defines.
         level_of: list[int] = []
         by_level: dict[int, list[int]] = {}
         for index, (_, _, parents) in enumerate(rows):
@@ -88,7 +91,6 @@ class ForwardSampler:
             level_of.append(level)
             by_level.setdefault(level, []).append(index)
         self._levels = [by_level[level] for level in sorted(by_level)]
-        self._max_level_width = max(len(level) for level in self._levels)
         self._scratch: dict = {}
 
     def sample(self, m: int) -> np.ndarray:
@@ -107,23 +109,29 @@ class ForwardSampler:
         )
 
     def sample_into(self, out: np.ndarray) -> np.ndarray:
-        """Fill a preallocated ``(m, n)`` int64 buffer with fresh instances.
+        """Fill a preallocated ``(m, n)`` buffer with fresh instances.
 
         The zero-copy primitive behind :meth:`sample` and the
         ``reuse_buffer`` streaming mode: the caller owns the buffer, so a
-        chunked ingest loop touches no allocator between chunks.  Draws
+        chunked ingest loop touches no allocator between chunks.  The
+        buffer is int64 or the network's
+        :attr:`~repro.bn.network.BayesianNetwork.state_dtype` (uint8 on
+        every Table I network); any other dtype, a wrong shape or a
+        read-only buffer is refused before the generator moves.  Draws
         exactly the values :meth:`sample` would for the same RNG state,
-        whatever the buffer's memory order — an F-ordered buffer makes
-        every per-variable write a contiguous run *and* gives the sparse
-        batch encoder its transposed layout for free (see
+        whatever the buffer's dtype and memory order — an F-ordered
+        buffer makes every per-variable write a contiguous run *and*
+        gives the batch encoder its transposed layout for free (see
         ``docs/performance.md``).  Returns ``out``.
         """
         out = np.asarray(out)
         n = self.network.n_variables
-        if out.ndim != 2 or out.shape[1] != n or out.dtype != np.int64:
+        state_dtype = self.network.state_dtype
+        if (out.ndim != 2 or out.shape[1] != n
+                or out.dtype not in (np.int64, state_dtype)):
             raise StreamError(
-                f"sample_into needs an int64 buffer of shape (m, {n}), "
-                f"got {out.dtype} {out.shape}"
+                f"sample_into needs an int64 or {state_dtype} buffer of "
+                f"shape (m, {n}), got {out.dtype} {out.shape}"
             )
         if not out.flags.writeable:
             # Refused before the generator moves: no uniforms are drawn.
@@ -148,7 +156,7 @@ class ForwardSampler:
         return buf
 
     def _sample_into_cdf(self, out: np.ndarray) -> np.ndarray:
-        """Per-level uniform blocks, ``(m,)`` scratch only.
+        """One ``(m,)`` uniform row per variable, ``(m,)`` scratch only.
 
         Per variable the mixed-radix parent code ``cfg`` is accumulated
         from the shared stride rows, then the CDF is inverted either by
@@ -169,8 +177,13 @@ class ForwardSampler:
         - a gather returns a fresh array: ``take`` into ``out=`` in its
           bounds-checked mode copies through a temporary, 2.5x slower;
         - comparisons count in a one-byte row (``J - 1 <= 31`` fits),
-          widened into the column once: bool-to-int64 passes cast
+          copied into the column once: bool-to-int64 passes cast
           through a buffer.
+
+        A narrow buffer's columns are read through int64 arithmetic
+        (``dtype=`` on every multiply), so a uint8 state times a stride
+        cannot wrap; results are written back with an unsafe cast,
+        lossless because every state fits the buffer's dtype.
         """
         m = out.shape[0]
         cfg = self._buffer("cfg", (m,), np.int64)
@@ -178,13 +191,11 @@ class ForwardSampler:
         key = self._buffer("key", (m,), np.float64)
         below = self._buffer("below", (m,), bool)
         count = self._buffer("count", (m,), np.uint8)
-        uniforms = self._buffer(
-            "uniforms", (self._max_level_width, m), np.float64
-        )
+        u = self._buffer("u", (m,), np.float64)
+        random = self._rng.random
         for level in self._levels:
-            u_block = uniforms[: len(level)]
-            self._rng.random(out=u_block)
-            for u, index in zip(u_block, level):
+            for index in level:
+                random(out=u)
                 cardinality, parents, state_rows, packed = self._tables[index]
                 column = out[:, index]
                 if cardinality == 1:
@@ -197,12 +208,14 @@ class ForwardSampler:
                 else:
                     code = cfg
                     (position, stride), *rest = parents
-                    np.multiply(out[:, position], stride, out=cfg)
+                    np.multiply(out[:, position], stride, out=cfg,
+                                dtype=np.int64)
                     for position, stride in rest:
                         if stride == 1:
                             cfg += out[:, position]
                         else:
-                            np.multiply(out[:, position], stride, out=tmp)
+                            np.multiply(out[:, position], stride, out=tmp,
+                                        dtype=np.int64)
                             cfg += tmp
                 if state_rows is not None:
                     for j, row in enumerate(state_rows):
@@ -214,15 +227,16 @@ class ForwardSampler:
                             count += below.view(np.uint8)
                     np.copyto(column, count)
                 elif code is None:
-                    np.copyto(column, packed.searchsorted(u, side="right"))
+                    np.copyto(column, packed.searchsorted(u, side="right"),
+                              casting="unsafe")
                 else:
                     # ``code`` may be a parent's column: scale it into
                     # scratch, never in place.
                     np.add(code, u, out=key)
                     hit = packed.searchsorted(key, side="right")
-                    np.multiply(code, cardinality, out=tmp)
+                    np.multiply(code, cardinality, out=tmp, dtype=np.int64)
                     hit -= tmp
-                    np.copyto(column, hit)
+                    np.copyto(column, hit, casting="unsafe")
         return out
 
     def sample_stream(
@@ -231,15 +245,20 @@ class ForwardSampler:
         """Yield ``m`` instances in chunks of at most ``chunk`` rows.
 
         Useful for long streams that should not be materialized at once.
-        Every batch is F-ordered (variable-major), as :meth:`sample`'s.
+        Every batch is F-ordered (variable-major), as :meth:`sample`'s,
+        and holds :meth:`sample`'s values.
 
+        Without buffer reuse each batch is a fresh int64 :meth:`sample`.
         With ``reuse_buffer=True`` every yielded batch is a view into one
-        preallocated buffer that the next iteration overwrites: consume
-        (or copy) each batch before advancing the iterator.  This is the
-        fused zero-copy mode used by
+        preallocated buffer in the network's
+        :attr:`~repro.bn.network.BayesianNetwork.state_dtype` (uint8 on
+        every Table I network: 14.5 MB for a 20 000-row LINK chunk
+        against 116 MB in int64) that the next iteration overwrites:
+        consume (or copy) each batch before advancing the iterator.  This
+        is the fused zero-copy mode used by
         :meth:`~repro.api.session.MonitoringSession.ingest_sampler` —
         per-variable writes land in contiguous runs and the estimator's
-        sparse encoder reads the transpose as a free view.
+        row walk reads the narrow chunk in place.
         """
         m = check_positive_int(m, "m")
         chunk = check_positive_int(chunk, "chunk")
@@ -249,7 +268,8 @@ class ForwardSampler:
             # contiguous and short final chunks slice to contiguous
             # prefixes of each row.
             storage = np.empty(
-                (self.network.n_variables, min(chunk, m)), dtype=np.int64
+                (self.network.n_variables, min(chunk, m)),
+                dtype=self.network.state_dtype,
             )
         remaining = m
         while remaining > 0:

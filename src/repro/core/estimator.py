@@ -53,7 +53,7 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.counters.base import CounterBank
 from repro.errors import QueryError, StreamError
-from repro.utils.validation import integers
+from repro.utils.validation import check_positive_int, integers
 
 #: Rows per block when ``_joint_id_rows`` transposes a batch that is not
 #: F-contiguous: a block's reads and writes stay in cache, where one
@@ -174,15 +174,22 @@ class StreamingMLEEstimator:
         :mod:`repro.core.algorithms`).
     name:
         Display name of the algorithm this estimator realizes.
+    n_sites:
+        Instead of ``bank_factory``: build a counting-only estimator with
+        no bank, whose :meth:`count_table` has ``n_sites`` rows (a site
+        worker's encoder; nothing is ever applied to a bank there).
     """
 
     def __init__(
         self,
         network: BayesianNetwork,
-        bank_factory,
+        bank_factory=None,
         *,
         name: str = "estimator",
+        n_sites: int | None = None,
     ) -> None:
+        if (bank_factory is None) == (n_sites is None):
+            raise TypeError("give exactly one of bank_factory and n_sites")
         self.network = network
         self.name = str(name)
         self._layouts: list[_VariableLayout] = []
@@ -252,13 +259,17 @@ class StreamingMLEEstimator:
             )
         self._parent_of_joint_rel = rel
         self._buffers: dict = {}
-        self.bank: CounterBank = bank_factory(self.n_counters)
-        if self.bank.n_counters != self.n_counters:
-            raise StreamError(
-                f"bank has {self.bank.n_counters} counters, layout needs "
-                f"{self.n_counters}"
-            )
-        self.n_sites = self.bank.n_sites
+        self.bank: CounterBank | None = None
+        if bank_factory is None:
+            self.n_sites = check_positive_int(n_sites, "n_sites")
+        else:
+            self.bank = bank_factory(self.n_counters)
+            if self.bank.n_counters != self.n_counters:
+                raise StreamError(
+                    f"bank has {self.bank.n_counters} counters, layout "
+                    f"needs {self.n_counters}"
+                )
+            self.n_sites = self.bank.n_sites
         self.events_seen = 0
 
     # ------------------------------------------------------------------
@@ -280,17 +291,21 @@ class StreamingMLEEstimator:
     def _joint_id_rows(self, data: np.ndarray, workspace: str):
         """Yield ``(index, block, ids)`` for each variable in layout order.
 
-        ``data`` is ``(m, n)`` state indices.  It is copied transposed
-        into a compact integer workspace once (int32 whenever the id
-        space fits, which halves memory traffic and doubles SIMD width;
-        when ``data`` is F-contiguous — the layout of every
-        :class:`~repro.bn.sampling.ForwardSampler` draw — the transpose
-        read is a free view and one copy; any other layout is copied in
-        blocks of
-        :data:`_TRANSPOSE_BLOCK` rows).
+        ``data`` is ``(m, n)`` state indices.  The walk reads it
+        variable-major: an F-contiguous batch whose dtype casts safely
+        into the compact id dtype (int32 whenever the id space fits) is
+        read in place — the uint8 chunk of the fused
+        ``ingest_sampler`` path, a 14.5 MB view at 20 000 LINK rows,
+        never widened or copied.  Any other batch is copied transposed
+        into a compact ``(n, m)`` workspace once: with one copy from an
+        F-contiguous int64 batch (every
+        :meth:`~repro.bn.sampling.ForwardSampler.sample` draw), in
+        blocks of :data:`_TRANSPOSE_BLOCK` rows from any other layout.
         Then, one variable at a time, the walk multiplies the variable's
         states by its stride and accumulates each parent's contribution
-        (a stride-1 parent is added without a multiply).
+        (a stride-1 parent is added without a multiply).  Every multiply
+        runs in the compact dtype (``dtype=``), so a uint8 state times
+        ``k_configs`` or a stride cannot wrap.
 
         ``ids`` are the family's joint ids *within* its block —
         ``state * K + parent configuration`` — and ``block`` is the
@@ -306,26 +321,29 @@ class StreamingMLEEstimator:
         n = len(self._layouts)
         m = data.shape[0]
         dtype = self._sparse_dtype
-        dataT = self._buffer(workspace + ".dataT", (n, m), dtype)
-        if data.flags.f_contiguous:
-            np.copyto(dataT, data.T, casting="unsafe")
+        if data.flags.f_contiguous and np.can_cast(data.dtype, dtype):
+            dataT = data.T
         else:
-            for start in range(0, m, _TRANSPOSE_BLOCK):
-                stop = start + _TRANSPOSE_BLOCK
-                np.copyto(
-                    dataT[:, start:stop], data[start:stop].T, casting="unsafe"
-                )
+            dataT = self._buffer(workspace + ".dataT", (n, m), dtype)
+            if data.flags.f_contiguous:
+                np.copyto(dataT, data.T, casting="unsafe")
+            else:
+                for start in range(0, m, _TRANSPOSE_BLOCK):
+                    stop = start + _TRANSPOSE_BLOCK
+                    np.copyto(dataT[:, start:stop], data[start:stop].T,
+                              casting="unsafe")
         row = self._buffer(workspace + ".row", (m,), dtype)
         scratch = self._buffer(workspace + ".scratch", (m,), dtype)
         for index, (k_configs, block, parents) in enumerate(
             self._sparse_plan.rows
         ):
-            np.multiply(dataT[index], k_configs, out=row)
+            np.multiply(dataT[index], k_configs, out=row, dtype=dtype)
             for position, stride in parents:
                 if stride == 1:
                     row += dataT[position]
                 else:
-                    np.multiply(dataT[position], stride, out=scratch)
+                    np.multiply(dataT[position], stride, out=scratch,
+                                dtype=dtype)
                     row += scratch
             yield index, block, row
 
@@ -348,27 +366,36 @@ class StreamingMLEEstimator:
         )
         dense[n_joint:] = parent.astype(np.int64)
 
-    def _validate_batch(self, data, site_ids, *,
-                        check: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        # Any integer dtype passes uncopied: ``count_table`` narrows it
-        # into its own workspace.
+    def _check_events(self, data, *, check: bool = True) -> np.ndarray:
+        """``data`` as an ``(m, n)`` batch of its own integer dtype.
+
+        Any integer dtype passes uncopied: ``count_table`` reads it as
+        is.  With ``check`` every state is range-scanned, O(m n).
+        """
         data = integers(data, "event data", StreamError)
-        site_ids = integers(site_ids, "site_ids", StreamError)
         if data.ndim != 2 or data.shape[1] != len(self._layouts):
             raise StreamError(
                 f"data must have shape (m, {len(self._layouts)}), "
                 f"got {data.shape}"
             )
-        if site_ids.shape != (data.shape[0],):
+        if check and data.size:
+            cards = self.network.cardinalities()
+            if data.min() < 0 or np.any(data >= cards[None, :]):
+                raise StreamError(
+                    "event contains out-of-range state indices"
+                )
+        return data
+
+    def _check_sites(self, site_ids, m: int, *,
+                     check: bool = True) -> np.ndarray:
+        """``site_ids`` as ``m`` integers; with ``check``, each a site."""
+        site_ids = integers(site_ids, "site_ids", StreamError)
+        if site_ids.shape != (m,):
             raise StreamError("site_ids must have one entry per event")
-        if data.shape[0] == 0 or not check:
-            return data, site_ids
-        if site_ids.min() < 0 or site_ids.max() >= self.n_sites:
+        if check and m and (site_ids.min() < 0
+                            or site_ids.max() >= self.n_sites):
             raise StreamError("site id out of range")
-        cards = self.network.cardinalities()
-        if data.min() < 0 or np.any(data >= cards[None, :]):
-            raise StreamError("event contains out-of-range state indices")
-        return data, site_ids
+        return site_ids
 
     def update_batch(
         self,
@@ -390,7 +417,8 @@ class StreamingMLEEstimator:
         the same aggregates (``tests/ingest_oracle.py::reference_ingest``)
         — including the RNG-driven HYZ bank.
         """
-        data, site_ids = self._validate_batch(data, site_ids, check=validate)
+        data = self._check_events(data, check=validate)
+        site_ids = self._check_sites(site_ids, data.shape[0], check=validate)
         if data.shape[0] == 0:
             return
         self.bank.bulk_add_table(self.count_table(data, site_ids), check=False)

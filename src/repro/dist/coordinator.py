@@ -58,18 +58,7 @@ from repro.dist.site import _site_worker_main
 from repro.dist.transport import TransportClosed
 from repro.errors import ExecutionError, SessionError, StreamError
 from repro.utils.procs import worker_context
-from repro.utils.validation import integer_array
-
-
-def event_wire_dtype(network) -> np.dtype:
-    """The dtype event batches travel in for ``network``.
-
-    The narrowest unsigned integer holding every valid state index
-    (``max(cardinalities) - 1``): uint8 on LINK and ALARM.  The wire
-    codec carries whatever dtype it is given (``docs/networking.md``),
-    so the producer picks the width; workers upcast on arrival.
-    """
-    return np.min_scalar_type(int(network.cardinalities().max()) - 1)
+from repro.utils.validation import integer_array, integers
 
 
 class _WorkerHandle:
@@ -232,7 +221,10 @@ class DistributedSession:
         self.inner = _inner if _inner is not None else MonitoringSession(
             spec, network=network
         )
-        self._wire_dtype = event_wire_dtype(self.inner.network)
+        # Event batches travel in the network's state dtype (uint8 on
+        # LINK and ALARM); the wire codec carries whatever dtype it is
+        # given (docs/networking.md).
+        self._wire_dtype = self.inner.network.state_dtype
         k = spec.n_sites
         if procs is None:
             procs = min(k, os.cpu_count() or 1)
@@ -583,39 +575,46 @@ class DistributedSession:
         """
         if self._closed:
             raise SessionError("session is closed")
-        data = integer_array(data, "event data", StreamError)
+        data = integers(data, "event data", StreamError)
         if data.ndim == 1:
             data = data.reshape(1, -1)
         if data.shape[0] == 0:
             return 0
         if site_ids is not None:
             site_ids = integer_array(site_ids, "site_ids", StreamError)
-        if not validate:
+        if not validate and not np.can_cast(data.dtype, self._wire_dtype):
             # Nothing else scans a trusted batch, and narrowing it below
             # must be lossless or refused — never a silent wrap.  The
             # in-process session has no such refusal, so it comes before
             # the partitioner draw: a refused batch leaves the two
-            # sessions' assignment streams aligned.
+            # sessions' assignment streams aligned.  A batch already in
+            # the wire dtype (the fused sampler's chunk) cannot wrap.
             limit = np.iinfo(self._wire_dtype).max
             if data.size and (data.min() < 0 or data.max() > limit):
                 raise StreamError(
                     "event contains state indices outside the "
                     f"{self._wire_dtype.name} wire range [0, {limit}]"
                 )
+        # As in MonitoringSession.ingest, the range scan runs before the
+        # partitioner draw, so a refused batch changes nothing.
+        estimator = self.inner.estimator
+        data = estimator._check_events(data, check=validate)
         if site_ids is None:
             site_ids = self.inner.partitioner.assign(data.shape[0])
-        data, site_ids = self.inner.estimator._validate_batch(
-            data, site_ids, check=validate
-        )
+        else:
+            site_ids = estimator._check_sites(
+                site_ids, data.shape[0], check=validate
+            )
         # One cast ahead of the per-worker split: the split copies, the
         # replay buffers, the frame CRCs and the socket all move the
         # narrow bytes (validate=True's range scan proved it lossless).
-        # The cast keeps the input's layout; each row split below
-        # returns a C-ordered sub-batch, so frames and replay buffers
-        # are the same whatever the layout.  From a sampler's F-ordered
-        # batch the split does the transpose: ~1 ms more per 2000 LINK
-        # rows than from C order, against ~23 ms saved in the draw.
-        data = data.astype(self._wire_dtype)
+        # A batch already in the wire dtype is not copied.  The cast
+        # keeps the input's layout; each row split below returns a
+        # C-ordered sub-batch, so frames and replay buffers are the same
+        # whatever the layout.  From a sampler's F-ordered batch the
+        # split does the transpose: ~1 ms more per 2000 LINK rows than
+        # from C order, against ~23 ms saved in the draw.
+        data = data.astype(self._wire_dtype, copy=False)
         m = int(data.shape[0])
         self._seq += 1
         seq = self._seq
@@ -659,9 +658,12 @@ class DistributedSession:
     def ingest_sampler(self, sampler, m: int, *, chunk: int = 10_000) -> int:
         """Fused sampler ingest (see :meth:`MonitoringSession.ingest_sampler`).
 
-        Sub-batches are pickled to workers, so the zero-copy buffer
-        reuse of the in-process path does not apply; the sampler
-        contract (trusted batches, session partitioner sites) does.
+        The sampler's reused chunk is already in the wire dtype (the
+        network's state dtype), so it is neither scanned nor cast: the
+        per-worker row split copies each worker's sub-batch out of it,
+        and those copies are what the frames and replay buffers hold.
+        The sampler contract (trusted batches, session partitioner
+        sites) holds as in-process.
         """
         return self.ingest_stream(
             sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.api.spec import EstimatorSpec
 from repro.core.estimator import StreamingMLEEstimator
-from repro.counters.exact import ExactCounterBank
 from repro.dist.messages import (
     IngestBatch,
     Shutdown,
@@ -59,13 +58,13 @@ class SiteShard:
         self.spec = spec
         self.sites = tuple(int(s) for s in sites)
         net = network if network is not None else spec.resolve_network()
-        # The bank only sizes the count table: one row per site from the
-        # first hosted site to the last, which for the coordinator's
+        # A counting-only estimator: its table has one row per site from
+        # the first hosted site to the last, which for the coordinator's
         # contiguous shards is one row per hosted site.  The protocol
-        # runs coordinator-side, so nothing is ever applied to it.
-        span = self.sites[-1] - self.sites[0] + 1
+        # runs coordinator-side, so the shard holds no bank.
         self.estimator = StreamingMLEEstimator(
-            net, lambda n: ExactCounterBank(n, span), name="site-shard",
+            net, name="site-shard",
+            n_sites=self.sites[-1] - self.sites[0] + 1,
         )
         self._id_dtype = np.min_scalar_type(self.estimator.n_counters - 1)
         #: Stream position of this shard (events encoded so far).
@@ -81,7 +80,8 @@ class SiteShard:
         Returns one :class:`SiteAggregate` per hosted site with events,
         ascending by site id.  Batches arrive pre-validated from the
         coordinator in the session's narrow wire dtype, which the
-        encoder's workspace copy reads as is.  Row ``site - sites[0]``
+        encoder's workspace copy reads as is (a decoded frame is
+        C-ordered, so it is copied transposed once).  Row ``site - sites[0]``
         of the count table is the site's aggregate; its non-zero ids
         and counts are copied out in the narrowest unsigned dtypes that
         hold their bounds, since these copies are what the report frame

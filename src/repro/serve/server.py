@@ -215,11 +215,6 @@ class QueryServer:
         self._slice_cache = _LRU(slice_cache_size)
         self._decision_cache = _LRU(decision_cache_size)
         self._target_plans: dict[str, _TargetPlan] = {}
-        # The narrowest dtype holding every state: classify_batch's
-        # grouping keys (see _row_keys).
-        self._state_dtype = np.min_scalar_type(
-            int(self._network.cardinalities().max()) - 1
-        )
         self._thresholds: dict[str, float] = {}
         self._family_drift = self._compute_family_drift()
         self.snapshot_refreshes = 0
@@ -517,7 +512,7 @@ class QueryServer:
         """One grouping key per classification request (see
         :meth:`classify_batch`); equal keys are equal requests."""
         m, n = data.shape
-        dtype = self._state_dtype
+        dtype = self._network.state_dtype
         tail = np.dtype(np.intp).itemsize // dtype.itemsize
         keys = np.empty((m, n + tail), dtype=dtype)
         np.copyto(keys[:, :n], data, casting="unsafe")

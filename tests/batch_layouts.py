@@ -2,9 +2,11 @@
 
 A batch of ``(m, n)`` state indices reaches the library as the sampler's
 F-ordered draw, a C-ordered copy, or a view with strided rows or columns
-(a slice of a wider table, every other row of a longer one).  Results
-and end state must be bitwise-equal across all four; the tests walk
-this table rather than one layout each.
+(a slice of a wider table, every other row of a longer one), in int64
+or in a narrower integer dtype: the fused sampler's reused chunk is
+F-ordered uint8, and a caller may hand in int32.  Results and end state
+must be bitwise-equal across all of them; the tests walk this table
+rather than one layout each.
 """
 
 import numpy as np
@@ -20,6 +22,8 @@ def layouts(rows) -> dict:
         "F-order": np.asfortranarray(rows),
         "strided columns": padded[:, ::2],
         "strided rows": np.repeat(rows, 2, axis=0)[::2],
+        "uint8 F-order": np.asfortranarray(rows, dtype=np.uint8),
+        "int32 C-order": np.ascontiguousarray(rows, dtype=np.int32),
     }
     for name, data in out.items():
         assert np.array_equal(data, rows), name

@@ -27,10 +27,14 @@ _MIN_CONFIG_SAMPLES = 20
 def reference_sample_into(sampler, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with ``sampler``'s next draw, by the plain loop.
 
-    Same uniform blocks from the sampler's generator, same tables; every
-    variable builds its full parent code ``cfg`` (zeros for a root),
-    gathers every state row at it and counts in scratch before copying
-    into its column.  Returns ``out``.
+    Same tables and generator, but the uniforms are drawn the way the
+    sampler first drew them: one block per topological level, as wide
+    as the widest level.  The live sampler draws one row per variable
+    instead, so matching this oracle pins that the row draws replay the
+    block stream.  Every variable builds its full parent code ``cfg``
+    (zeros for a root), gathers every state row at it and counts in
+    scratch before copying into its column.  ``out`` is int64.  Returns
+    ``out``.
     """
     m = out.shape[0]
     cfg = np.empty(m, dtype=np.int64)
@@ -39,7 +43,8 @@ def reference_sample_into(sampler, out: np.ndarray) -> np.ndarray:
     gathered = np.empty(m, dtype=np.float64)
     below = np.empty(m, dtype=bool)
     count = np.empty(m, dtype=np.int64)
-    uniforms = np.empty((sampler._max_level_width, m), dtype=np.float64)
+    width = max(len(level) for level in sampler._levels)
+    uniforms = np.empty((width, m), dtype=np.float64)
     for level in sampler._levels:
         u_block = uniforms[: len(level)]
         sampler._rng.random(out=u_block)

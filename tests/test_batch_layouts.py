@@ -111,10 +111,9 @@ def test_out_of_range_state_same_error_in_every_layout(alarm_net, rows):
     before = _state(session)
     targets = [alarm_net.node_names[0]] * len(bad)
     calls = {
-        # Explicit sites: a session-partitioner draw precedes the range
-        # scan, so only the estimator is checked for a clean refusal.
-        "ingest": (StreamError,
-                   lambda d: session.ingest(d, np.arange(len(d)) % 4)),
+        # The partitioner draws sites only after the range scan, so a
+        # refused batch leaves its stream (part of ``_state``) alone.
+        "ingest": (StreamError, session.ingest),
         "log_query_batch": (QueryError, session.log_query_batch),
         "serve-log_joint_batch":
             (QueryError, lambda d: session.serve().log_joint_batch(d)),
@@ -132,3 +131,32 @@ def test_out_of_range_state_same_error_in_every_layout(alarm_net, rows):
             messages.add(str(raised.value))
         assert len(messages) == 1, (entry, messages)
     assert _state(session) == before
+
+
+def test_refused_batch_leaves_the_assignment_stream(alarm_net, rows):
+    """A batch refused for an out-of-range state moves no session state:
+    in-process and distributed, the partitioner has drawn no sites, and
+    the stream continues as if the batch was never offered."""
+    bad = np.array(rows[:40])
+    bad[17, 5] = alarm_net.cardinalities()[5]
+    ref = MonitoringSession(_spec())
+    ref.ingest(rows[:100])
+    ref.ingest(rows[100:])
+    session = MonitoringSession(_spec())
+    session.ingest(rows[:100])
+    before = _state(session)
+    with pytest.raises(StreamError, match="out-of-range state"):
+        session.ingest(bad)
+    assert _state(session) == before
+    session.ingest(rows[100:])
+    assert _state(session) == _state(ref)
+    with DistributedSession(_spec(), procs=2) as dist:
+        dist.ingest(rows[:100])
+        before = dist.partitioner.state_dict()
+        with pytest.raises(StreamError, match="out-of-range state"):
+            dist.ingest(bad)
+        assert dist.partitioner.state_dict() == before
+        dist.ingest(rows[100:])
+        dist.flush()
+        assert_conformant(ref, dist)
+        assert dist.partitioner.state_dict() == ref.partitioner.state_dict()

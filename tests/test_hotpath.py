@@ -10,6 +10,8 @@ protocol array plus the bit-generator state) and the whole
 walk advances once per site record.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,28 @@ def test_deterministic_backend_table_ingest_identical(alarm_net, m):
         states.append((estimator.bank._local.copy(), estimator.total_messages))
     assert np.array_equal(states[0][0], states[1][0])
     assert states[0][1] == states[1][1]
+
+
+def test_fused_link_ingest_footprint():
+    """The fused path allocates at the network's state width.
+
+    Two 20 000-event LINK chunks through ``ingest_sampler`` must peak
+    (tracemalloc, Python and NumPy allocations) below one ``(n, chunk)``
+    int32 array, 58 MB: the uint8 chunk (14.5 MB) is sampled with
+    ``(m,)`` uniform rows and walked in place, so neither an int64
+    chunk (116 MB), a widened copy nor an int32 workspace (58 MB) nor a
+    level's uniform block (21.8 MB) may come back.
+    """
+    net = link_like()
+    chunk = 20_000
+    session = EstimatorSpec(net, "nonuniform", eps=0.1, n_sites=10,
+                            seed=1).session()
+    sampler = ForwardSampler(net, seed=2)
+    tracemalloc.start()
+    try:
+        assert session.ingest_sampler(sampler, 2 * chunk, chunk=chunk) \
+            == 2 * chunk
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < net.n_variables * chunk * 4, peak

@@ -39,6 +39,7 @@ from repro.monitoring.stream import (
     ZipfPartitioner,
     make_partitioner,
 )
+from test_sampler_fastpath import _random_net
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +275,35 @@ def test_ingest_sampler_matches_allocating_path(link_net):
     )
     assert np.array_equal(fused.estimates(), reference.estimates())
     assert fused.metrics() == reference.metrics()
+
+
+def test_narrow_batch_walked_in_place_equals_the_int64_walk():
+    """An F-ordered uint8 batch is walked without a workspace copy, and
+    its joint ids equal the int64 walk's where state x K passes 255
+    (``C``: 19 x 60, ``D``: 8 x 600), so no multiply may run in uint8."""
+    net = _random_net("wide walk", [
+        ("A", 2, ()),
+        ("B", 30, ("A",)),
+        ("C", 20, ("B", "A")),
+        ("D", 9, ("C", "B")),
+    ])
+    data = ForwardSampler(net, seed=4).sample(3_000)
+    narrow = np.asfortranarray(data, dtype=np.uint8)
+    estimator = EstimatorSpec(net, "exact", n_sites=2).build(network=net)
+    walks = {}
+    for workspace, batch in (("wide", data), ("narrow", narrow)):
+        walks[workspace] = [
+            (index, block, ids.copy())
+            for index, block, ids in estimator._joint_id_rows(batch, workspace)
+        ]
+    assert "wide.dataT" in estimator._buffers
+    assert "narrow.dataT" not in estimator._buffers
+    assert max(int(ids.max()) for _, _, ids in walks["wide"]) > 255
+    for (i, block, ids), (j, narrow_block, narrow_ids) in zip(
+        walks["wide"], walks["narrow"], strict=True
+    ):
+        assert (i, block) == (j, narrow_block)
+        assert np.array_equal(ids, narrow_ids), i
 
 
 def test_update_batch_validate_flag(alarm_net):

@@ -92,6 +92,21 @@ def roots_net():
     ])
 
 
+@pytest.fixture(scope="module")
+def wide_family_net():
+    """J > 256 variables with and without parents (uint16 states),
+    where a uint16 code would wrap: ``Y``'s parent ``W`` has stride 260
+    (299 x 260 > 65 535, gather-and-count path) and the packed child
+    ``V`` scales its lone parent by 300 (259 x 300 > 65 535)."""
+    return _random_net("wide family", [
+        ("A", 3, ()),
+        ("W", 300, ("A",)),
+        ("Z", 260, ()),
+        ("Y", 3, ("W", "Z")),
+        ("V", 300, ("Z",)),
+    ])
+
+
 class TestDrawContract:
     def test_drawing_surfaces_byte_identical(self, alarm_net):
         m, chunk = 3_000, 700
@@ -123,6 +138,20 @@ class TestDrawContract:
         # count-inversion crossover) and deep topological levels.
         data = ForwardSampler(link_net, seed=4).sample(15_000)
         assert max_cpd_chi2_z(link_net, data) < CHI2_Z_THRESHOLD
+
+    @pytest.mark.parametrize("dtype", [
+        np.int32, np.uint16, np.int8, np.uint64, np.float64, bool,
+    ])
+    def test_other_dtypes_refused_before_drawing(self, alarm_net, dtype):
+        # ALARM's state dtype is uint8: int64 and uint8 are the only
+        # buffers it draws into.
+        sampler = ForwardSampler(alarm_net, seed=5)
+        before = sampler.state_dict()
+        buffer = np.zeros((10, alarm_net.n_variables), dtype=dtype)
+        with pytest.raises(StreamError, match="int64 or uint8 buffer"):
+            sampler.sample_into(buffer)
+        assert sampler.state_dict() == before
+        assert not buffer.any()
 
     def test_read_only_buffer_refused_before_drawing(self, alarm_net):
         sampler = ForwardSampler(alarm_net, seed=5)
@@ -162,6 +191,41 @@ def test_live_loop_matches_reference_loop(request, net_fixture, order, chunks):
             digests.append(hashlib.sha256(storage).hexdigest())
         assert digests[0] == digests[1], m
         assert live.state_dict() == reference.state_dict()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("net_fixture, state_dtype", [
+    ("alarm_net", np.uint8), ("link_net", np.uint8),
+    ("unit_net", np.uint8),  # J = 40 and 33 children: packed tables
+    ("wide_net", np.uint16), ("wide_family_net", np.uint16),
+])
+def test_narrow_buffer_draws_the_int64_values(request, net_fixture,
+                                              state_dtype, order):
+    """A buffer in the network's state dtype holds exactly the int64
+    draw, generator state included, through every inversion path."""
+    net = request.getfixturevalue(net_fixture)
+    assert net.state_dtype == state_dtype
+    narrow, wide = ForwardSampler(net, seed=23), ForwardSampler(net, seed=23)
+    n = net.n_variables
+    for m in (1, 2_000):
+        drawn = []
+        for sampler, dtype in ((narrow, state_dtype), (wide, np.int64)):
+            storage = np.empty((n, m) if order == "F" else (m, n), dtype)
+            out = storage.T if order == "F" else storage
+            assert sampler.sample_into(out) is out
+            drawn.append(out)
+        assert np.array_equal(drawn[0], drawn[1]), m
+        assert narrow.state_dict() == wide.state_dict()
+    if state_dtype == np.uint16:
+        assert int(drawn[1].max()) > 255
+
+
+def test_reused_chunk_is_state_dtype_and_sample_stays_int64(wide_net):
+    sampler = ForwardSampler(wide_net, seed=3)
+    (chunk,) = sampler.sample_stream(50, chunk=50, reuse_buffer=True)
+    assert chunk.dtype == np.uint16 and chunk.flags.f_contiguous
+    assert ForwardSampler(wide_net, seed=3).sample(50).dtype == np.int64
+    assert np.array_equal(chunk, ForwardSampler(wide_net, seed=3).sample(50))
 
 
 class TestSampleEvent:

@@ -19,7 +19,6 @@ from ingest_oracle import reference_site_slices
 from repro import EstimatorSpec, ForwardSampler, UniformPartitioner, alarm
 from repro.bn.repository import network_by_name
 from repro.dist import DistributedSession, SiteShard
-from repro.dist.coordinator import event_wire_dtype
 from repro.dist.recovery import WAL_NAME
 
 #: network -> (k, events per round): the benchmark's round shapes, cut
@@ -50,7 +49,7 @@ def _shards(k):
 def _assert_reports_match(net, k, reference, hosted, data, sites):
     spec = EstimatorSpec(net, "nonuniform", eps=0.1, n_sites=k, seed=1)
     shard = SiteShard(spec, hosted, network=net)
-    wire = data.astype(event_wire_dtype(net))
+    wire = data.astype(net.state_dtype)
     aggregates = shard.encode(3, wire, sites)
     expected = reference_site_slices(reference, data, sites)
     assert [a.site for a in aggregates] == [s for s, _, _ in expected]
@@ -75,6 +74,22 @@ def test_round_matches_reference_slices(case, which):
     aggregates = _assert_reports_match(
         net, k, reference, hosted, data[mask], sites[mask])
     assert [a.site for a in aggregates] == list(hosted)
+
+
+def test_shard_counts_without_a_bank(case):
+    """A shard's estimator only counts: it holds no counter bank, its
+    table has one row per hosted site, and its reports are unchanged."""
+    net, k, data, sites, reference = case
+    hosted = _shards(k)[1]
+    spec = EstimatorSpec(net, "nonuniform", eps=0.1, n_sites=k, seed=1)
+    shard = SiteShard(spec, hosted, network=net)
+    assert shard.estimator.bank is None
+    assert shard.estimator.n_sites == len(hosted)
+    mask = np.isin(sites, hosted)
+    shard.encode(1, data[mask].astype(net.state_dtype), sites[mask])
+    assert shard.estimator._buffers["dense.table"].shape == (
+        len(hosted), reference.n_counters)
+    _assert_reports_match(net, k, reference, hosted, data[mask], sites[mask])
 
 
 @pytest.mark.parametrize("which", ["first", "last"])

@@ -205,6 +205,72 @@ def test_bench_pairs_judges_nothing_worse():
     assert summary["worse"]
 
 
+def test_bench_pairs_claim_needs_a_better_verdict():
+    bench_pairs = _load("bench_pairs")
+    metrics = [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+         "bound": 0.2},
+        {"name": "round_ms_p50", "unit": "ms", "better": "lower",
+         "bound": 0.25},
+    ]
+    base = [318.0, 318.2, 317.9, 318.1, 318.0, 318.0]
+    rounds = [220.0, 224.0, 218.0, 226.0, 221.0, 223.0]
+    # Memory halves on every pair; rounds are 19 % faster on every pair,
+    # well past their quartiles but inside the 25 % bound.
+    pairs = [
+        _pair({"peak_rss_mb": rss, "round_ms_p50": ms},
+              {"peak_rss_mb": rss / 2, "round_ms_p50": ms * 0.81})
+        for rss, ms in zip(base, rounds)
+    ]
+    summary = bench_pairs.summarize(pairs, metrics)
+    met = bench_pairs.judge_claim(summary, "peak_rss_mb")
+    assert met == {"metric": "peak_rss_mb", "verdict": "better",
+                   "gain_holds": True, "met": True}
+    assert bench_pairs.format_claim("inproc_link", met).startswith(
+        "claim inproc_link:peak_rss_mb met")
+    inside = bench_pairs.judge_claim(summary, "round_ms_p50")
+    assert inside["gain_holds"] and inside["verdict"] == "within"
+    assert not inside["met"]
+    assert "not met" in bench_pairs.format_claim("serve_link", inside)
+    # Past the bound on the median but won on only 8 of 10 pairs.
+    mixed = [
+        _pair({"peak_rss_mb": before, "round_ms_p50": 1.0},
+              {"peak_rss_mb": after, "round_ms_p50": 1.0})
+        for before, after in [(318.0, 159.0)] * 8 + [(150.0, 151.0)] * 2
+    ]
+    claim = bench_pairs.judge_claim(
+        bench_pairs.summarize(mixed, metrics), "peak_rss_mb")
+    assert claim["verdict"] == "better" and not claim["gain_holds"]
+    assert not claim["met"]
+
+
+def test_bench_pairs_claim_sets_the_exit_status(capsys, monkeypatch):
+    bench_pairs = _load("bench_pairs")
+    contract = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+
+    def fake_run(tree, workload, seed, seconds, out):
+        # The change halves peak_rss_mb and speeds rounds up 10 %.
+        values = {m["name"]: 100.0 + seed for m in contract["end_to_end"]}
+        if tree == bench_pairs.ROOT:
+            values["peak_rss_mb"] /= 2
+            values["round_ms_p50"] *= 0.9
+        return {"end_to_end": values, "ops_attempted": 10, "ops_failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "_extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    common = ["HEAD", "--workload", "serve_link,inproc_link", "--pairs",
+              "10", "--seed-base", "0", "--claim"]
+    assert bench_pairs.main(common + ["inproc_link:peak_rss_mb"]) == 0
+    assert "claim inproc_link:peak_rss_mb met" in capsys.readouterr().out
+    assert bench_pairs.main(common + ["inproc_link:round_ms_p50"]) == 1
+    assert "claim inproc_link:round_ms_p50 not met" in \
+        capsys.readouterr().out
+    for bad in ("dist_link:peak_rss_mb", "inproc_link:nope", "inproc_link"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(common + [bad])
+        assert exc.value.code == 2
+
+
 _FAKE_RUN = """\
 import json, sys
 args = sys.argv[1:]

@@ -30,8 +30,7 @@ from repro.dist import (
     SiteShard,
     load_recovery,
 )
-from repro.dist.coordinator import event_wire_dtype
-from repro.dist.messages import SiteAggregate
+from repro.dist.messages import IngestBatch, SiteAggregate
 from repro.dist.recovery import WAL_NAME
 from repro.errors import StreamError
 from repro.graph.dag import DAG
@@ -93,11 +92,11 @@ class TestWidthTable:
         (65536, np.uint16), (65537, np.uint32),
     ])
     def test_event_dtype_follows_max_cardinality(self, cardinality, dtype):
-        assert event_wire_dtype(single_variable_net(cardinality)) == dtype
+        assert single_variable_net(cardinality).state_dtype == dtype
 
     def test_event_dtype_uses_the_widest_variable(self, wide_net, alarm_net):
-        assert event_wire_dtype(wide_net) == np.uint16
-        assert event_wire_dtype(alarm_net) == np.uint8
+        assert wide_net.state_dtype == np.uint16
+        assert alarm_net.state_dtype == np.uint8
 
     @pytest.mark.parametrize("n_counters, dtype", [
         (256, np.uint8), (257, np.uint16), (65536, np.uint16),
@@ -110,7 +109,7 @@ class TestWidthTable:
         net = single_variable_net(n_counters - 1)
         spec = EstimatorSpec(net, "exact", n_sites=1)
         shard = SiteShard(spec, (0,), network=net)
-        data = np.array([[0], [n_counters - 2]], dtype=event_wire_dtype(net))
+        data = np.array([[0], [n_counters - 2]], dtype=net.state_dtype)
         (aggregate,) = shard.encode(1, data, np.zeros(2, dtype=np.int64))
         assert aggregate.counter_ids.dtype == dtype
         assert np.array_equal(aggregate.counter_ids,
@@ -161,6 +160,30 @@ class TestWideNetworkConformance:
                 ref.ingest(batch, validate=bool(index % 2))
                 dist.ingest(batch, validate=bool(index % 2))
             assert_conformant(ref, dist)
+
+    def test_ingest_sampler_ships_the_narrow_chunk(self, wide_net):
+        # The fused path's reused chunk is already uint16 here: the
+        # coordinator neither scans nor casts it, and the result is the
+        # in-process fused ingest's.
+        spec = wide_spec(wide_net)
+        ref = MonitoringSession(spec)
+        ref.ingest_sampler(ForwardSampler(wide_net, seed=4), 900, chunk=400)
+        with DistributedSession(spec, procs=2) as dist:
+            shipped = []
+            send = dist._send
+
+            def spy(handle, message):
+                if isinstance(message, IngestBatch):
+                    shipped.append(message.data.dtype)
+                return send(handle, message)
+
+            dist._send = spy
+            assert dist.ingest_sampler(
+                ForwardSampler(wide_net, seed=4), 900, chunk=400) == 900
+            assert set(shipped) == {np.dtype(np.uint16)}
+            assert_conformant(ref, dist)
+            assert dist.partitioner.state_dict() == \
+                ref.partitioner.state_dict()
 
     def test_sigkill_replays_from_the_narrow_buffers(self, wide_net):
         spec = wide_spec(wide_net)

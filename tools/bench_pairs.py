@@ -5,7 +5,7 @@
         --seed-base 500
     python tools/bench_pairs.py BASE_REV \\
         --workload inproc_link,dist_wal_alarm,dist_link,serve_link \\
-        --pairs 10 --seed-base 500
+        --pairs 10 --seed-base 500 --claim inproc_link:peak_rss_mb
 
 ``BASE_REV`` (any git revision) is extracted with ``git archive`` into a
 temporary directory; the change side is this checkout's working tree.
@@ -30,8 +30,12 @@ operations, and a flag on any pair whose ``messages_per_event`` or
 name or a comma-separated list; each workload runs its own pairs, with
 the same seeds, and gets its own summary block.  The tool exits 1 when
 any workload has a ``worse`` verdict, a flagged pair or a larger failed
-share for the change.  ``--out`` writes every workload's raw run
-records and summary as JSON.
+share for the change.  ``--claim WORKLOAD:METRIC`` names the metric a
+change claims to improve: the tool prints "claim met" or "claim not
+met" and exits 1 unless the claimed metric's bound verdict is
+``better`` *and* its gain rule holds.  A gain inside the metric's bound
+is not a claim met, however many pairs it wins.  ``--out`` writes every
+workload's raw run records and summary as JSON.
 """
 
 from __future__ import annotations
@@ -126,6 +130,26 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     }
 
 
+def judge_claim(summary: dict, metric: str) -> dict:
+    """Whether ``summary`` bears out a claimed gain on ``metric``: its
+    bound verdict is ``better`` (the median moved past the metric's
+    ``BENCHMARK.json`` bound) and the gain rule holds."""
+    (row,) = [row for row in summary["metrics"] if row["name"] == metric]
+    return {
+        "metric": metric,
+        "verdict": row["verdict"],
+        "gain_holds": row["gain_holds"],
+        "met": row["verdict"] == "better" and row["gain_holds"],
+    }
+
+
+def format_claim(workload: str, claim: dict) -> str:
+    return (f"claim {workload}:{claim['metric']} "
+            f"{'met' if claim['met'] else 'not met'}: bound verdict "
+            f"{claim['verdict']}, gain rule "
+            f"{'holds' if claim['gain_holds'] else 'does not hold'}")
+
+
 def format_summary(summary: dict) -> str:
     lines = [f"{'metric':<19} {'base median [q1, q3]':<36} "
              f"{'change median [q1, q3]':<36} {'Δ median':>9} "
@@ -198,6 +222,19 @@ def _workload_list(names: list[str]):
     return parse
 
 
+def _claim(workloads: list[str], metrics: list[str]):
+    """argparse type: ``WORKLOAD:METRIC`` naming a ``BENCHMARK.json``
+    workload and end-to-end metric."""
+    def parse(text: str) -> tuple[str, str]:
+        workload, _, metric = text.partition(":")
+        if workload not in workloads or metric not in metrics:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not WORKLOAD:METRIC (workloads: "
+                f"{', '.join(workloads)}; metrics: {', '.join(metrics)})")
+        return workload, metric
+    return parse
+
+
 def _run_pairs(trees: dict, workload: str, args, seconds: float,
                tmp: Path) -> list[dict]:
     """``args.pairs`` alternating base/change pairs of one workload."""
@@ -233,7 +270,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair i runs seed SEED_BASE + i on both sides")
     parser.add_argument("--out", help="write run records and summary here")
+    parser.add_argument(
+        "--claim",
+        type=_claim([w["name"] for w in contract["workloads"]],
+                    [m["name"] for m in contract["end_to_end"]]),
+        help="WORKLOAD:METRIC the change claims to improve; exit 1 "
+             "unless its bound verdict is better and the gain rule holds")
     args = parser.parse_args(argv)
+    if args.claim and args.claim[0] not in args.workload:
+        parser.error(f"--claim workload {args.claim[0]!r} is not in "
+                     "--workload")
 
     blocks = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -261,11 +307,18 @@ def main(argv=None) -> int:
             print(format_summary(summary), flush=True)
             blocks.append({"workload": workload, "pairs": pairs,
                            "summary": summary})
+            if args.claim and args.claim[0] == workload:
+                claim = judge_claim(summary, args.claim[1])
+                print(format_claim(workload, claim), flush=True)
+                blocks[-1]["claim"] = claim
     if args.out:
         Path(args.out).write_text(json.dumps(
             {"base_rev": args.base_rev, "workloads": blocks}, indent=1)
             + "\n")
-    return 1 if any(block["summary"]["worse"] for block in blocks) else 0
+    claim_failed = any(not block["claim"]["met"]
+                       for block in blocks if "claim" in block)
+    return 1 if claim_failed or any(
+        block["summary"]["worse"] for block in blocks) else 0
 
 
 if __name__ == "__main__":
