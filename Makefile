@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist bench-e2e-smoke bench-pairs docs-check check
+.PHONY: test smoke smoke-dist bench-e2e-smoke bench-pairs reach docs-check check
 
 test:
 	$(PYTHON) -m pytest -q
@@ -116,6 +116,13 @@ bench-pairs:
 	        "PAIRS=10 SEED_BASE=<n> [OUT=<json>]" >&2; exit 2; }
 	$(PYTHON) tools/bench_pairs.py $(BASE) --workload $(WORKLOAD) \
 	    --pairs $(PAIRS) --seed-base $(SEED_BASE) $(if $(OUT),--out $(OUT))
+
+# The functions under src/ that the user paths (the nine CLI
+# subcommands, `smoke`, `smoke-dist` and the benchmark's tests) never
+# enter, traced with a sys.setprofile hook in every process
+# (tools/reach.py).  A minute or two traced: not part of `check` or CI.
+reach:
+	$(PYTHON) tools/reach.py
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

@@ -32,7 +32,6 @@ from repro.bn import (
     ForwardSampler,
     TabularCPD,
     Variable,
-    VariableElimination,
     alarm,
     hepar2_like,
     link_family,
@@ -75,7 +74,6 @@ __all__ = [
     "TabularCPD",
     "BayesianNetwork",
     "ForwardSampler",
-    "VariableElimination",
     "alarm",
     "new_alarm",
     "hepar2_like",

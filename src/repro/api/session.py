@@ -72,6 +72,24 @@ def _fsync_path(path) -> None:
         os.close(fd)
 
 
+def check_sampler_network(sampler, network: BayesianNetwork) -> None:
+    """Refuse a sampler whose network has other domains than ``network``.
+
+    ``ingest_sampler`` trusts its chunks (no range scan), so a sampler
+    drawing another network's states would be counted into the wrong
+    bins.  A sampler without a ``network`` attribute (a stand-in that
+    replays prepared chunks) keeps the trusted contract.
+    """
+    theirs = getattr(sampler, "network", None)
+    if theirs is None:
+        return
+    if not np.array_equal(theirs.cardinalities(), network.cardinalities()):
+        raise StreamError(
+            f"sampler draws from network {theirs.name!r}, whose domains "
+            f"differ from this session's network {network.name!r}"
+        )
+
+
 def _meta_object(meta: dict, key: str, bundle: Path) -> dict:
     """``meta[key]``, which every restorable bundle holds as an object."""
     value = meta.get(key)
@@ -207,45 +225,22 @@ class MonitoringSession:
         estimator ingests each chunk without re-validating, widening or
         re-allocating — the row walk reads the narrow chunk in place and
         reuses its own workspace across chunks (``docs/performance.md``
-        walks through the stages).  The sampler must draw from this
-        session's network; batches are trusted by construction.
+        walks through the stages).  The chunks are trusted by
+        construction, so a sampler whose ``network`` has other domains
+        than this session's is refused with :class:`StreamError` before
+        the sampler, the partitioner or the bank moves.
         """
+        check_sampler_network(sampler, self.network)
         return self.ingest_stream(
             sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),
             validate=False,
         )
 
-    def sampler(self, *, seed=None, shards: int | None = None,
-                mode: str | None = None):
-        """A ground-truth sampler over this session's network.
-
-        The companion to :meth:`ingest_sampler`: with ``mode=None``
-        (default) returns a :class:`~repro.bn.sampling.ForwardSampler`;
-        with a
-        :data:`~repro.exec.sampler.SHARD_MODES` name returns a
-        :class:`~repro.exec.ShardedSampler` drawing chunk-parallel over
-        ``shards`` workers.  Either way the result plugs straight into
-        ``session.ingest_sampler(session.sampler(seed=0), m)``.
-
-        ``mode="auto"`` picks the execution itself from the machine:
-        single-core hosts stay serial (sharding overhead buys nothing),
-        multi-core hosts use thread shards, and ``shards`` defaults to
-        ``os.cpu_count()`` either way.  The draw layout depends only on
-        the shard *count*, never on the mode, so auto mode yields the
-        same bytes as any explicit choice with the same count.
-        """
-        if mode is None:
-            return ForwardSampler(self.network, seed=seed)
-        from repro.exec.sampler import ShardedSampler
-
-        if mode == "auto":
-            cores = os.cpu_count() or 1
-            if shards is None:
-                shards = cores
-            mode = "serial" if cores == 1 else "thread"
-        return ShardedSampler(
-            self.network, shards=shards, seed=seed, mode=mode
-        )
+    def sampler(self, *, seed=None) -> ForwardSampler:
+        """A :class:`~repro.bn.sampling.ForwardSampler` over this
+        session's network, the companion to :meth:`ingest_sampler`:
+        ``session.ingest_sampler(session.sampler(seed=0), m)``."""
+        return ForwardSampler(self.network, seed=seed)
 
     # ------------------------------------------------------------------
     # Anytime access

@@ -1,7 +1,6 @@
-"""Categorical Bayesian networks: model, sampling, inference, repository."""
+"""Categorical Bayesian networks: model, sampling, repository."""
 
 from repro.bn.cpd import TabularCPD, random_cpd
-from repro.bn.inference import VariableElimination
 from repro.bn.network import BayesianNetwork
 from repro.bn.repository import (
     alarm,
@@ -14,7 +13,6 @@ from repro.bn.repository import (
     new_alarm,
 )
 from repro.bn.sampling import ForwardSampler
-from repro.bn.structure import bic_score, chow_liu_tree, hill_climb_structure
 from repro.bn.variable import Variable
 
 __all__ = [
@@ -23,10 +21,6 @@ __all__ = [
     "random_cpd",
     "BayesianNetwork",
     "ForwardSampler",
-    "VariableElimination",
-    "chow_liu_tree",
-    "hill_climb_structure",
-    "bic_score",
     "alarm",
     "new_alarm",
     "hepar2_like",

@@ -120,11 +120,6 @@ class TabularCPD:
         """Free parameters ``(J - 1) * K`` — the convention behind Table I."""
         return (self.cardinality - 1) * self.parent_configurations
 
-    @property
-    def table_size(self) -> int:
-        """Total number of table entries ``J * K``."""
-        return self.cardinality * self.parent_configurations
-
     def parent_index(self, parent_states: Sequence[int]) -> int:
         """Mixed-radix column index for one parent configuration."""
         states = np.asarray(parent_states, dtype=np.int64)

@@ -335,7 +335,21 @@ class ForwardSampler:
         the removed ``"reference"`` engine consumed randomness
         differently and is refused.
         """
-        check_sampler_state(state, "forward-sampler")
+        if not isinstance(state, dict):
+            raise StreamError(
+                f"a sampler snapshot is a dict, got {type(state).__name__}"
+            )
+        if state.get("kind") != "forward-sampler":
+            raise StreamError(
+                f"snapshot holds a {state.get('kind')!r} state, cannot "
+                "restore into a forward-sampler"
+            )
+        engine = state.get("engine", "cdf")
+        if engine != "cdf":
+            raise StreamError(
+                f"snapshot holds a {engine!r}-engine stream; only the 'cdf' "
+                "stream can be continued"
+            )
         rng_state = state.get("rng_state")
         if not isinstance(rng_state, dict):
             raise StreamError(
@@ -349,22 +363,3 @@ class ForwardSampler:
                 f"forward-sampler snapshot has an unusable generator "
                 f"state: {exc!r}"
             ) from exc
-
-
-def check_sampler_state(state, kind: str) -> None:
-    """Refuse a sampler snapshot of another kind or a removed engine."""
-    if not isinstance(state, dict):
-        raise StreamError(
-            f"a sampler snapshot is a dict, got {type(state).__name__}"
-        )
-    if state.get("kind") != kind:
-        raise StreamError(
-            f"snapshot holds a {state.get('kind')!r} state, cannot "
-            f"restore into a {kind}"
-        )
-    engine = state.get("engine", "cdf")
-    if engine != "cdf":
-        raise StreamError(
-            f"snapshot holds a {engine!r}-engine stream; only the 'cdf' "
-            "stream can be continued"
-        )

@@ -48,7 +48,3 @@ class ExactCounterBank(CounterBank):
 
     def estimates(self) -> np.ndarray:
         return self._coordinator.astype(np.float64)
-
-    def exact_values(self) -> np.ndarray:
-        """Integer coordinator counts (identical to :meth:`true_totals`)."""
-        return self._coordinator.copy()

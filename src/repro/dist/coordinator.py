@@ -51,8 +51,9 @@ from multiprocessing.connection import wait as _wait_connections
 
 import numpy as np
 
-from repro.api.session import MonitoringSession
+from repro.api.session import MonitoringSession, check_sampler_network
 from repro.api.spec import EstimatorSpec
+from repro.bn.sampling import ForwardSampler
 from repro.dist.messages import IngestBatch, Shutdown, ValueReport
 from repro.dist.site import _site_worker_main
 from repro.dist.transport import TransportClosed
@@ -663,16 +664,18 @@ class DistributedSession:
         per-worker row split copies each worker's sub-batch out of it,
         and those copies are what the frames and replay buffers hold.
         The sampler contract (trusted batches, session partitioner
-        sites) holds as in-process.
+        sites, a sampler of other domains refused before anything
+        moves) holds as in-process.
         """
+        check_sampler_network(sampler, self.network)
         return self.ingest_stream(
             sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),
             validate=False,
         )
 
-    def sampler(self, **kwargs):
+    def sampler(self, *, seed=None) -> ForwardSampler:
         """A ground-truth sampler over this session's network."""
-        return self.inner.sampler(**kwargs)
+        return self.inner.sampler(seed=seed)
 
     def flush(self) -> None:
         """Block until every in-flight round is applied."""

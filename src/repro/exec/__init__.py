@@ -11,11 +11,6 @@ emit a task graph — a list of frozen, JSON-serializable
   through session snapshot bundles, surviving worker death, for the
   m >~ 1M runs.
 
-:class:`ShardedSampler` reuses the same worker patterns one
-layer down: it parallelizes the *stream generation* of a single run
-across thread or process shards with per-chunk child RNG streams (the
-stream is byte-identical across modes and shard counts).
-
 All three are registered under their CLI names
 (:func:`register_executor` / :func:`make_executor` mirror the algorithm
 and counter-backend registries of :mod:`repro.api.registry`), all honor
@@ -34,13 +29,11 @@ from repro.exec.base import (
 )
 from repro.exec.chunked import ChunkedExecutor
 from repro.exec.multiprocess import MultiprocessExecutor
-from repro.exec.sampler import SHARD_MODES, ShardedSampler
 from repro.exec.serial import SerialExecutor
 from repro.exec.task import TASK_SCHEMA, RunTask
 
 __all__ = [
     "TASK_SCHEMA",
-    "SHARD_MODES",
     "RunTask",
     "ExecutionOutcome",
     "Executor",
@@ -48,7 +41,6 @@ __all__ = [
     "SerialExecutor",
     "MultiprocessExecutor",
     "ChunkedExecutor",
-    "ShardedSampler",
     "executor_names",
     "get_executor",
     "make_executor",

@@ -56,28 +56,6 @@ class DAG:
         for node, childs in children_acc.items():
             self._children[node] = tuple(childs)
         self._topo_order = self._compute_topological_order()
-        self._topo_index = {n: i for i, n in enumerate(self._topo_order)}
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_edges(
-        cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]
-    ) -> "DAG":
-        """Build a DAG from a node list and ``(parent, child)`` edge pairs.
-
-        Parent order for each child follows the order edges are listed.
-        """
-        parents: dict[str, list[str]] = {str(n): [] for n in nodes}
-        for parent, child in edges:
-            parent, child = str(parent), str(child)
-            if child not in parents:
-                raise GraphError(f"edge targets unknown node {child!r}")
-            if parent not in parents:
-                raise GraphError(f"edge sourced at unknown node {parent!r}")
-            parents[child].append(parent)
-        return cls(parents)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -137,13 +115,6 @@ class DAG:
     def topological_order(self) -> tuple[str, ...]:
         """A topological order (parents before children), deterministic."""
         return self._topo_order
-
-    def topological_index(self, node: str) -> int:
-        """Position of ``node`` in :meth:`topological_order`."""
-        try:
-            return self._topo_index[node]
-        except KeyError:
-            raise GraphError(f"unknown node {node!r}") from None
 
     def _compute_topological_order(self) -> tuple[str, ...]:
         # Kahn's algorithm with insertion-order tie-breaking so that the

@@ -20,7 +20,6 @@ PRELOAD = (
     "repro.dist.site",
     "repro.exec.multiprocess",
     "repro.exec.chunked",
-    "repro.exec.sampler",
 )
 
 

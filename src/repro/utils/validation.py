@@ -65,9 +65,3 @@ def check_probability_vector(values, name: str, *, atol: float = 1e-8) -> np.nda
     if not np.isclose(total, 1.0, atol=atol):
         raise ValueError(f"{name} must sum to 1, sums to {total}")
     return arr
-
-
-def require(condition: bool, error: ReproError) -> None:
-    """Raise ``error`` unless ``condition`` holds."""
-    if not condition:
-        raise error

@@ -1,10 +1,12 @@
-"""Exact inference by variable elimination.
+"""Exact inference by variable elimination, an oracle for the query paths.
 
-The paper's queries are products of CPD entries (full-joint or ancestrally
-closed events), but a usable BN library also needs posterior marginals —
-e.g. the classification example conditions on partial evidence.  This module
-implements standard sum-product variable elimination over tabular factors
-with a min-fill elimination ordering.
+The library answers the paper's queries as products of CPD entries
+(full joints and ancestrally closed events, Algorithm 3).  This module
+computes the same quantities the slow, independent way: sum-product
+variable elimination over tabular factors with a min-fill elimination
+ordering.  :meth:`VariableElimination.evidence_probability` of a
+session's estimated network is what ``query_event`` and the served
+event queries must return (``tests/test_serve.py``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.counters.deterministic import DeterministicCounterBank
 from repro.counters.exact import ExactCounterBank
 from repro.counters.hyz import HYZCounterBank
 from repro.errors import AllocationError, CounterError, SpecError
-from repro.exec import ShardedSampler
 from repro.experiments import ExperimentRunner
 
 
@@ -196,8 +195,9 @@ class TestEstimatorSpec:
     lambda net: HYZCounterBank(4, 2, 0.3, engine="vectorized"),
     lambda net: DeterministicCounterBank(4, 2, 0.3, engine="vectorized"),
     lambda net: ForwardSampler(net, engine="cdf"),
-    lambda net: ShardedSampler(net, seed=0, engine="cdf"),
     lambda net: EstimatorSpec(net, "exact").session().sampler(engine="cdf"),
+    lambda net: EstimatorSpec(net, "exact").session().sampler(shards=2),
+    lambda net: EstimatorSpec(net, "exact").session().sampler(mode="auto"),
     lambda net: EstimatorSpec(net, "exact").session().ingest(
         np.zeros((1, net.n_variables), dtype=np.int64), strategy="dense"),
     lambda net: ExperimentRunner(update_strategy="auto"),

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import ForwardSampler, VariableElimination, network_by_name
+from inference_oracle import VariableElimination
+from repro import ForwardSampler, network_by_name
 from repro.errors import ModelError, QueryError
 
 

@@ -30,7 +30,6 @@ from repro.dist import (
     create_once,
 )
 from repro.errors import ExecutionError, SessionError
-from repro.exec.sampler import ShardedSampler
 from repro.experiments.results import strip_timing
 from repro.monitoring.channel import MessageKind, MessageLog
 
@@ -604,44 +603,3 @@ class TestRunTaskRuntime:
             **kwargs
         )
         assert strip_timing(dist.to_dict()) == strip_timing(ref.to_dict())
-
-
-# ----------------------------------------------------------------------
-# Auto-mode sampler (ingest_sampler shard auto-selection)
-# ----------------------------------------------------------------------
-class TestSamplerAutoMode:
-    def test_auto_mode_resolves_from_cpu_count(self):
-        spec = spec_for("exact", "exact", k=3)
-        session = MonitoringSession(spec)
-        sampler = session.sampler(seed=1, mode="auto")
-        assert isinstance(sampler, ShardedSampler)
-        cores = os.cpu_count() or 1
-        assert sampler.shards == cores
-        assert sampler.mode == ("serial" if cores == 1 else "thread")
-
-    def test_auto_mode_bytes_match_every_explicit_mode(self):
-        # The draw layout depends only on the shard count, so auto mode
-        # (whatever it resolves to) reproduces serial/thread/process
-        # byte-identically at the same count.
-        spec = spec_for("exact", "exact", k=3)
-        session = MonitoringSession(spec)
-        auto = session.sampler(seed=11, mode="auto", shards=3).sample(500)
-        for mode in ("serial", "thread", "process"):
-            explicit = session.sampler(seed=11, mode=mode, shards=3)
-            assert explicit.shards == 3
-            assert np.array_equal(explicit.sample(500), auto)
-
-    def test_auto_mode_ingest_sampler_unchanged(self):
-        # Ingesting through an auto-mode sampler changes nothing about
-        # the protocol stream (the satellite's byte-identity pin).
-        spec = spec_for("nonuniform", "hyz", k=3)
-        explicit = MonitoringSession(spec)
-        explicit.ingest_sampler(
-            explicit.sampler(seed=4, mode="serial", shards=2), 200, chunk=50
-        )
-        auto = MonitoringSession(spec)
-        auto.ingest_sampler(
-            auto.sampler(seed=4, mode="auto", shards=2), 200, chunk=50
-        )
-        assert auto.metrics() == explicit.metrics()
-        assert np.array_equal(auto.estimates(), explicit.estimates())

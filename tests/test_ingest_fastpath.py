@@ -14,12 +14,16 @@ Pins the determinism contracts of the fast path:
   for every bank;
 - the fused zero-copy sampler/session path (``sample_into``,
   ``reuse_buffer`` streams, ``ingest_sampler``, ``validate=False``)
-  reproduces the allocating path byte-for-byte;
+  reproduces the allocating path byte-for-byte, and both sessions
+  refuse a sampler drawing another network's domains before anything
+  moves;
 - the partitioner fixes — ``site_shares`` no longer perturbs the live
   assignment stream, and the Zipf searchsorted draw matches the old
   ``rng.choice`` stream;
 - ``strip_timing`` zeroes the measured ``wall_seconds`` and nothing else.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -28,10 +32,11 @@ from ingest_oracle import (
     ScalarThresholdBank, bulk_add, reference_encode, reference_ingest,
 )
 from repro import EstimatorSpec, ForwardSampler, UniformPartitioner
-from repro.bn.repository import link_like, munin_like
+from repro.bn.repository import link_like, munin_like, new_alarm
 from repro.counters.deterministic import DeterministicCounterBank
 from repro.counters.exact import ExactCounterBank
 from repro.counters.hyz import HYZCounterBank
+from repro.dist import DistributedSession
 from repro.errors import CounterError, StreamError
 from repro.experiments.results import strip_timing
 from repro.monitoring.stream import (
@@ -275,6 +280,49 @@ def test_ingest_sampler_matches_allocating_path(link_net):
     )
     assert np.array_equal(fused.estimates(), reference.estimates())
     assert fused.metrics() == reference.metrics()
+
+
+class _Chunks:
+    """A sampler stand-in without a ``network``: trusted as before."""
+
+    def __init__(self, sampler):
+        self.sample_stream = sampler.sample_stream
+
+
+@pytest.mark.parametrize("runtime", ["in-process", "distributed"])
+def test_ingest_sampler_refuses_another_networks_domains(runtime):
+    """NEW-ALARM has ALARM's structure and domains up to 20; its chunks
+    would be counted into another site's bins (or fail to reshape after
+    the partitioner drew), so the sampler is refused up front."""
+    spec = EstimatorSpec("alarm", "exact", n_sites=30, seed=3,
+                         counter_backend="exact")
+    if runtime == "in-process":
+        session = spec.session()
+    else:
+        session = DistributedSession(spec, procs=1)
+    foreign = ForwardSampler(new_alarm(), seed=1)
+
+    def frozen():
+        return pickle.dumps((
+            session.estimator.bank.state_dict(),
+            session.message_log.state_dict(),
+            session.partitioner.state_dict(),
+            session.events_seen,
+            foreign.state_dict(),
+        ))
+
+    try:
+        session.ingest_sampler(session.sampler(seed=2), 200, chunk=50)
+        before = frozen()
+        with pytest.raises(StreamError, match="domains differ"):
+            session.ingest_sampler(foreign, 40, chunk=1)
+        assert frozen() == before
+        chunks = _Chunks(session.sampler(seed=4))
+        assert session.ingest_sampler(chunks, 100, chunk=50) == 100
+        assert session.events_seen == 300
+    finally:
+        if runtime == "distributed":
+            session.close()
 
 
 def test_narrow_batch_walked_in_place_equals_the_int64_walk():

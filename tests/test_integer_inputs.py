@@ -6,8 +6,7 @@ ingest and batch-read entry point therefore refuses a non-integer dtype
 before anything moves: ``StreamError`` from both sessions' ``ingest``
 (whatever ``validate`` says) and from the estimator's own
 ``update_batch``, ``QueryError`` from the query paths (the network's
-``log_probability_batch`` and the classifier's ``error_rate`` included),
-``ModelError`` from offline structure learning.
+``log_probability_batch`` and the classifier's ``error_rate`` included).
 ``bool`` is refused too: ``True`` is not a state index, as it is not a
 count in a snapshot's message tallies.  The counter banks' entry points
 refuse the same arrays (ids, counts, tables) and any site that is not an
@@ -26,9 +25,10 @@ import pickle
 import numpy as np
 import pytest
 
+from inference_oracle import VariableElimination
 from repro import (
     DeterministicCounterBank, EstimatorSpec, ExactCounterBank, ForwardSampler,
-    HYZCounterBank, MonitoringSession, VariableElimination,
+    HYZCounterBank, MonitoringSession,
 )
 from repro.dist import DistributedSession
 from repro.errors import CounterError, QueryError, StreamError
@@ -163,9 +163,7 @@ def test_estimator_update_batch_refuses_non_integers(batch, kind):
 @pytest.mark.parametrize("kind", list(NON_INTEGER))
 def test_offline_batch_entry_points_refuse_non_integers(alarm_net, batch,
                                                         kind):
-    from repro.bn import bic_score, chow_liu_tree, hill_climb_structure
     from repro.core.classification import BayesianClassifier
-    from repro.errors import ModelError
 
     rows = NON_INTEGER[kind](batch[:5])
     with pytest.raises(QueryError, match="integers"):
@@ -173,12 +171,6 @@ def test_offline_batch_entry_points_refuse_non_integers(alarm_net, batch,
     targets = [alarm_net.node_names[0]] * len(rows)
     with pytest.raises(QueryError, match="integers"):
         BayesianClassifier(alarm_net).error_rate(targets, rows)
-    cards = alarm_net.cardinalities()
-    for learn in (chow_liu_tree, hill_climb_structure,
-                  lambda d, c: bic_score(d, alarm_net.dag, c,
-                                         names=alarm_net.node_names)):
-        with pytest.raises(ModelError, match="integers"):
-            learn(rows, cards)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the sampler fast path: draws, sharding, and snapshots.
+"""Tests for the sampler fast path: draws and snapshots.
 
 The contract:
 
@@ -11,15 +11,13 @@ The contract:
 - **statistical identity** — the stream passes a per-CPD chi-squared
   goodness-of-fit against the ground-truth network, so the fast path
   cannot buy speed with a skewed distribution;
-- **sharded equivalence** — the sharded parallel sampler draws the same
-  stream across ``serial`` / ``thread`` / ``process`` modes and across
-  shard counts (per-chunk child seeds, never worker identity);
-- **snapshots** — both samplers restore mid-stream byte-identically and
-  refuse, with :class:`StreamError`, any state they cannot continue.
+- **snapshots** — the sampler restores mid-stream byte-identically and
+  refuses, with :class:`StreamError`, any state it cannot continue.
 """
 
 import functools
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -32,8 +30,8 @@ from repro import (
 from repro.bn.cpd import TabularCPD
 from repro.bn.repository import munin_like
 from repro.bn.variable import Variable
+from repro.dist import DistributedSession
 from repro.errors import StreamError
-from repro.exec import SHARD_MODES, ShardedSampler
 from repro.graph.dag import DAG
 from sampler_oracle import (
     CHI2_Z_THRESHOLD, max_cpd_chi2_z, reference_sample_into,
@@ -246,6 +244,20 @@ class TestSampleEvent:
             ForwardSampler(alarm_net, seed=0).sample_event([])
 
 
+@pytest.mark.parametrize("draw,error", [
+    (lambda sampler: sampler.sample(0), ValueError),
+    (lambda sampler: sampler.sample(1.5), TypeError),
+    (lambda sampler: next(sampler.sample_stream(-4)), ValueError),
+    (lambda sampler: next(sampler.sample_stream(100, chunk=0)), ValueError),
+])
+def test_batch_sizes_validated_before_drawing(alarm_net, draw, error):
+    sampler = ForwardSampler(alarm_net, seed=6)
+    before = sampler.state_dict()
+    with pytest.raises(error):
+        draw(sampler)
+    assert sampler.state_dict() == before
+
+
 class TestForwardSamplerSnapshot:
     def test_restore_mid_stream(self, alarm_net):
         sampler = ForwardSampler(alarm_net, seed=21)
@@ -271,45 +283,69 @@ class TestForwardSamplerSnapshot:
         resumed = ForwardSampler(alarm_net, seed=2)
         resumed.load_state_dict(snapshot)
         assert np.array_equal(resumed.sample(200), expected)
-        sharded = ShardedSampler(alarm_net, shards=1, seed=3, mode="serial")
-        state = {**sharded.state_dict(), "engine": "cdf"}
-        expected = sharded.sample(300, chunk=100)
-        sharded.load_state_dict(state)
-        assert np.array_equal(sharded.sample(300, chunk=100), expected)
+
+    @pytest.mark.parametrize("reuse_buffer", [False, True])
+    def test_cursor_snapshot_resumes(self, alarm_net, reuse_buffer):
+        # A snapshot taken between chunks continues the chunked stream,
+        # whether or not the chunks share one narrow buffer.
+        sampler = ForwardSampler(alarm_net, seed=9)
+        stream = sampler.sample_stream(3_000, chunk=500,
+                                       reuse_buffer=reuse_buffer)
+        for _ in range(3):
+            next(stream)
+        snapshot = sampler.state_dict()
+        tail = np.concatenate([batch.copy() for batch in stream])
+
+        resumed = ForwardSampler(alarm_net, seed=0)
+        resumed.load_state_dict(snapshot)
+        resumed_tail = np.concatenate([
+            batch.copy() for batch in resumed.sample_stream(
+                1_500, chunk=500, reuse_buffer=reuse_buffer)
+        ])
+        assert tail.shape == resumed_tail.shape == (1_500,
+                                                    alarm_net.n_variables)
+        assert np.array_equal(tail, resumed_tail)
+
+    def test_snapshot_survives_json(self, alarm_net):
+        sampler = ForwardSampler(alarm_net, seed=4)
+        sampler.sample(250)
+        snapshot = json.loads(json.dumps(sampler.state_dict()))
+        expected = sampler.sample(400)
+        resumed = ForwardSampler(alarm_net, seed=5)
+        resumed.load_state_dict(snapshot)
+        assert np.array_equal(resumed.sample(400), expected)
 
     def test_kind_mismatch_rejected(self, alarm_net):
+        # A usable generator state is still refused under any other kind
+        # (or none), and so is a counter bank's snapshot.
         sampler = ForwardSampler(alarm_net, seed=1)
-        sharded = ShardedSampler(alarm_net, shards=2, seed=1, mode="serial")
-        with pytest.raises(StreamError):
-            sampler.load_state_dict(sharded.state_dict())
-        with pytest.raises(StreamError):
-            sharded.load_state_dict(sampler.state_dict())
+        rng_state = ForwardSampler(alarm_net, seed=0).state_dict()[
+            "rng_state"]
+        bank = EstimatorSpec(alarm_net, "exact").session().estimator.bank
+        before = sampler.state_dict()
+        for state in ({"kind": "sharded-sampler", "rng_state": rng_state},
+                      {"rng_state": rng_state},
+                      bank.state_dict()):
+            with pytest.raises(StreamError, match="forward-sampler"):
+                sampler.load_state_dict(state)
+        assert sampler.state_dict() == before
 
 
 _FORWARD = {"kind": "forward-sampler"}
-_SHARDED = {"kind": "sharded-sampler", "entropy": 5, "next_chunk": 0}
 
 
-@pytest.mark.parametrize("sampler_kind,state", [
-    ("forward", {"kind": "forward-sampler", "engine": "cdf"}),
-    ("forward", {**_FORWARD, "rng_state": "not-a-dict"}),
-    ("forward", {**_FORWARD, "rng_state": {"bit_generator": "PCG64"}}),
-    ("forward", {**_FORWARD, "rng_state": {"bit_generator": "NoSuchBG"}}),
-    ("forward", {**_FORWARD, "engine": "reference", "rng_state": "valid"}),
-    ("forward", ["not", "a", "dict"]),
-    ("sharded", {"kind": "sharded-sampler", "next_chunk": 0}),
-    ("sharded", {**_SHARDED, "entropy": "garbled"}),
-    ("sharded", {**_SHARDED, "next_chunk": -3}),
-    ("sharded", {**_SHARDED, "next_chunk": 1.5}),
-    ("sharded", {**_SHARDED, "engine": "reference"}),
-    ("sharded", {**_FORWARD, "rng_state": "valid"}),
+@pytest.mark.parametrize("state", [
+    {"kind": "forward-sampler", "engine": "cdf"},
+    {**_FORWARD, "rng_state": "not-a-dict"},
+    {**_FORWARD, "rng_state": {"bit_generator": "PCG64"}},
+    {**_FORWARD, "rng_state": {"bit_generator": "NoSuchBG"}},
+    {**_FORWARD, "engine": "reference", "rng_state": "valid"},
+    ["not", "a", "dict"],
+    # A bundle written while the library had a sharded sampler.
+    {"kind": "sharded-sampler", "entropy": 5, "next_chunk": 0},
 ])
-def test_malformed_sampler_state_is_a_stream_error(alarm_net, sampler_kind,
-                                                   state):
-    if sampler_kind == "forward":
-        sampler = ForwardSampler(alarm_net, seed=1)
-    else:
-        sampler = ShardedSampler(alarm_net, shards=1, seed=1, mode="serial")
+def test_malformed_sampler_state_is_a_stream_error(alarm_net, state):
+    sampler = ForwardSampler(alarm_net, seed=1)
     if isinstance(state, dict) and state.get("rng_state") == "valid":
         state = {**state, "rng_state": ForwardSampler(
             alarm_net, seed=0).state_dict()["rng_state"]}
@@ -318,56 +354,6 @@ def test_malformed_sampler_state_is_a_stream_error(alarm_net, sampler_kind,
         sampler.load_state_dict(state)
     # A refused state leaves the stream position untouched.
     assert sampler.state_dict() == before
-
-
-class TestShardedSampler:
-    def test_modes_and_shard_counts_byte_identical(self, alarm_net):
-        m, chunk = 4_000, 600
-        reference = ShardedSampler(
-            alarm_net, shards=1, seed=7, mode="serial"
-        ).sample(m, chunk=chunk)
-        for mode in ("serial", "thread"):
-            for shards in (2, 3):
-                stream = ShardedSampler(
-                    alarm_net, shards=shards, seed=7, mode=mode
-                ).sample(m, chunk=chunk)
-                assert np.array_equal(reference, stream), (mode, shards)
-
-    def test_process_mode_byte_identical(self, alarm_net):
-        m, chunk = 1_200, 400
-        reference = ShardedSampler(
-            alarm_net, shards=2, seed=7, mode="serial"
-        ).sample(m, chunk=chunk)
-        stream = ShardedSampler(
-            alarm_net, shards=2, seed=7, mode="process"
-        ).sample(m, chunk=chunk)
-        assert np.array_equal(reference, stream)
-
-    def test_statistical_identity(self, alarm_net):
-        data = ShardedSampler(
-            alarm_net, shards=2, seed=8, mode="thread"
-        ).sample(40_000, chunk=10_000)
-        assert max_cpd_chi2_z(alarm_net, data) < CHI2_Z_THRESHOLD
-
-    def test_cursor_snapshot_resumes(self, alarm_net):
-        sampler = ShardedSampler(alarm_net, shards=2, seed=9, mode="serial")
-        stream = sampler.sample_stream(3_000, chunk=500)
-        for _ in range(3):
-            next(stream)
-        snapshot = sampler.state_dict()
-        tail = np.concatenate(list(stream))
-
-        resumed = ShardedSampler(alarm_net, shards=3, seed=0, mode="thread")
-        resumed.load_state_dict(snapshot)
-        resumed_tail = resumed.sample(1_500, chunk=500)
-        assert np.array_equal(tail, resumed_tail)
-
-    def test_validation(self, alarm_net):
-        with pytest.raises(StreamError):
-            ShardedSampler(alarm_net, mode="fork")
-        with pytest.raises(StreamError):
-            ShardedSampler(alarm_net, seed=np.random.default_rng(0))
-        assert SHARD_MODES == ("serial", "thread", "process")
 
 
 class TestSessionIntegration:
@@ -390,23 +376,27 @@ class TestSessionIntegration:
             direct.estimator.bank._local, via_api.estimator.bank._local
         )
 
-    def test_session_sampler_sharded(self, alarm_net):
-        spec = EstimatorSpec(
-            network=alarm_net, algorithm="exact", eps=0.3, n_sites=4,
-            seed=13,
-        )
-        serial = MonitoringSession(spec, network=alarm_net)
-        serial.ingest_sampler(
-            serial.sampler(seed=5, mode="serial", shards=2),
-            2_000, chunk=500,
-        )
-        threaded = MonitoringSession(spec, network=alarm_net)
-        threaded.ingest_sampler(
-            threaded.sampler(seed=5, mode="thread", shards=2),
-            2_000, chunk=500,
-        )
-        assert serial.total_messages == threaded.total_messages
-        assert np.array_equal(
-            serial.estimator.bank._local, threaded.estimator.bank._local
-        )
-
+    @pytest.mark.parametrize("runtime", ["in-process", "distributed"])
+    def test_session_sampler_is_a_seeded_forward_sampler(self, alarm_net,
+                                                         runtime):
+        spec = EstimatorSpec(network=alarm_net, algorithm="exact", n_sites=4,
+                             seed=13)
+        if runtime == "in-process":
+            session = MonitoringSession(spec, network=alarm_net)
+        else:
+            session = DistributedSession(spec, procs=1)
+        try:
+            sampler = session.sampler(seed=5)
+            assert type(sampler) is ForwardSampler
+            assert sampler.network is session.network
+            assert np.array_equal(
+                sampler.sample(300),
+                ForwardSampler(alarm_net, seed=5).sample(300),
+            )
+            # The sharding options are gone from both sessions.
+            for removed in ({"shards": 2}, {"mode": "auto"}):
+                with pytest.raises(TypeError):
+                    session.sampler(seed=5, **removed)
+        finally:
+            if runtime == "distributed":
+                session.close()

@@ -13,6 +13,9 @@ Layers covered:
 - The satellite fixes — ``log_query_batch(strict=)`` unification with
   the scalar zero-denominator semantics, and the precomputed
   ``log_query_event`` plans.
+- Partial events against exact inference — ``query_event`` and the
+  served ``log_event_batch`` equal variable elimination
+  (``tests/inference_oracle.py``) on the session's learned network.
 - The batched read walk — live and served point batches walk the
   ingest encoder's rows in their own workspace, byte-identical to the
   per-family loop of ``tests/ingest_oracle.py`` on ALARM and LINK;
@@ -27,6 +30,7 @@ import numpy as np
 import pytest
 
 from batch_layouts import layouts
+from inference_oracle import VariableElimination
 from ingest_oracle import (
     assert_states_equal,
     reference_encode,
@@ -38,6 +42,7 @@ from repro.api.spec import EstimatorSpec
 from repro.bn.cpd import TabularCPD
 from repro.bn.network import BayesianNetwork
 from repro.bn.repository import link_like
+from repro.bn.sampling import ForwardSampler
 from repro.bn.variable import Variable
 from repro.errors import QueryError
 from repro.monitoring.channel import MessageKind, MessageLog
@@ -968,6 +973,72 @@ class TestEventQueryPrecompute:
             full_event = {name: int(row[i]) for i, name in enumerate(names)}
             assert session.estimator.log_query_event(full_event) == \
                 session.log_query(row)
+
+
+def _column_mass_ratio(estimator, row, event) -> float:
+    """``prod sum_x A(x, c) / A(c)`` over the event's families at ``row``.
+
+    ``query_event`` divides each joint estimate by its parent counter
+    (Algorithm 3); the learned network divides by the column's joint
+    sum, the normaliser a CPD needs.  Exact counting makes the two equal
+    (the ratio is 1.0); HYZ estimates them independently.
+    """
+    estimates = estimator.bank.estimates()
+    ids = reference_encode(estimator, row[None, :])[0]
+    n = len(estimator._layouts)
+    ratio = 1.0
+    for layout in estimator._layouts:
+        if estimator.network.node_names[layout.index] not in event:
+            continue
+        parent_id = int(ids[n + layout.index])
+        config = parent_id - layout.parent_offset
+        column = (layout.joint_offset + config
+                  + np.arange(layout.cardinality) * layout.k_configs)
+        ratio *= (np.clip(estimates[column], 0.0, None).sum()
+                  / estimates[parent_id])
+    return ratio
+
+
+class TestEventsAgainstVariableElimination:
+    """Partial events checked against an independent computation: the
+    learned network's evidence probability by variable elimination."""
+
+    @pytest.mark.parametrize("backend,algorithm", [
+        ("exact", "exact"),
+        ("hyz", "nonuniform"),
+    ])
+    def test_partial_events_match_the_oracle(self, alarm_net, backend,
+                                             algorithm):
+        spec = EstimatorSpec(
+            network=alarm_net, algorithm=algorithm, eps=0.2, n_sites=4,
+            seed=11, counter_backend=backend,
+        )
+        session = MonitoringSession(spec, network=alarm_net)
+        data = ForwardSampler(alarm_net, seed=12).sample(2_000)
+        session.ingest(data)
+        oracle = VariableElimination(session.estimated_network())
+        names = alarm_net.node_names
+        picks = np.random.default_rng(5)
+        rows, events = [], []
+        # Events from ingested rows: every parent configuration is seen.
+        for row in data[:12]:
+            leaves = picks.choice(names, size=2, replace=False)
+            closure = alarm_net.dag.ancestral_closure(leaves)
+            assert len(closure) < len(names)
+            rows.append(row)
+            events.append({n: int(row[alarm_net.variable_index(n)])
+                           for n in names if n in closure})
+        ratios = np.array([
+            _column_mass_ratio(session.estimator, row, event)
+            for row, event in zip(rows, events)
+        ])
+        if backend == "exact":
+            assert np.all(ratios == 1.0)
+        expected = ratios * [oracle.evidence_probability(e) for e in events]
+        live = np.array([session.query_event(e) for e in events])
+        served = np.exp(session.serve().log_event_batch(events))
+        np.testing.assert_allclose(live, expected, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(served, expected, rtol=1e-9, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,3 +370,39 @@ def test_tracer_wraps_only_bank_entry_points_that_exist():
     assert names, "no wrap(...) call found in bench/tracer.py"
     missing = [name for name in names if not hasattr(CounterBank, name)]
     assert not missing, f"bench/tracer.py wraps missing bank methods {missing}"
+
+
+def test_reach_reports_only_the_function_never_entered(
+    tmp_path, monkeypatch, capsys
+):
+    """One function is called in the traced process, one only in a
+    forkserver child (which leaves through ``os._exit``), one nowhere:
+    the report names the last alone."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "def called():\n    return 1\n\n\n"
+        "def in_child():\n    return 2\n\n\n"
+        "def never():\n    return 3\n"
+    )
+    script = tmp_path / "run.py"
+    script.write_text(
+        "import multiprocessing\n\n"
+        "from pkg import mod\n\n"
+        "if __name__ == '__main__':\n"
+        "    mod.called()\n"
+        "    context = multiprocessing.get_context('forkserver')\n"
+        "    child = context.Process(target=mod.in_child)\n"
+        "    child.start()\n"
+        "    child.join(60)\n"
+        "    assert child.exitcode == 0, child.exitcode\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    reach = _load("reach")
+    assert reach.main(["--root", str(pkg), "--",
+                       sys.executable, str(script)]) == 0
+    out = capsys.readouterr().out
+    assert "  never (9-10)" in out
+    assert "called" not in out and "in_child" not in out
+    assert out.splitlines()[2].split()[:5] == ["total", "3", "1", "6", "2"]
