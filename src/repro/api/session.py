@@ -72,24 +72,6 @@ def _fsync_path(path) -> None:
         os.close(fd)
 
 
-def check_sampler_network(sampler, network: BayesianNetwork) -> None:
-    """Refuse a sampler whose network has other domains than ``network``.
-
-    ``ingest_sampler`` trusts its chunks (no range scan), so a sampler
-    drawing another network's states would be counted into the wrong
-    bins.  A sampler without a ``network`` attribute (a stand-in that
-    replays prepared chunks) keeps the trusted contract.
-    """
-    theirs = getattr(sampler, "network", None)
-    if theirs is None:
-        return
-    if not np.array_equal(theirs.cardinalities(), network.cardinalities()):
-        raise StreamError(
-            f"sampler draws from network {theirs.name!r}, whose domains "
-            f"differ from this session's network {network.name!r}"
-        )
-
-
 def _meta_object(meta: dict, key: str, bundle: Path) -> dict:
     """``meta[key]``, which every restorable bundle holds as an object."""
     value = meta.get(key)
@@ -113,6 +95,13 @@ class MonitoringSession:
 
     Notes
     -----
+    The in-process session applies each batch before :meth:`ingest`
+    returns.  :class:`~repro.dist.DistributedSession` is this class with
+    another apply step (site workers, rounds in flight): every read
+    below calls :meth:`flush` first, so it sees every ingested batch
+    under either runtime.  Both are context managers; :meth:`close` has
+    nothing to release in-process.
+
     With an ``int``/``None`` spec seed the session derives two
     independent child generators from one ``SeedSequence`` — one for the
     counter bank's coin flips, one for the partitioner — so sessions are
@@ -129,7 +118,7 @@ class MonitoringSession:
     ) -> None:
         self.spec = spec
         self.network = network if network is not None else spec.resolve_network()
-        self.message_log = MessageLog(spec.n_sites)
+        self._message_log = MessageLog(spec.n_sites)
         if isinstance(spec.seed, np.random.Generator):
             bank_rng = spec.seed
             partitioner_seed = None
@@ -143,8 +132,8 @@ class MonitoringSession:
             ).spawn(2)
             bank_rng = np.random.default_rng(bank_child)
             partitioner_seed = np.random.default_rng(partitioner_child)
-        self.estimator = spec.build(
-            message_log=self.message_log, network=self.network, rng=bank_rng
+        self._estimator = spec.build(
+            message_log=self._message_log, network=self.network, rng=bank_rng
         )
         self.partitioner = make_partitioner(
             spec.partitioner,
@@ -170,9 +159,10 @@ class MonitoringSession:
 
         ``validate=False`` skips the estimator's per-batch range scans;
         use it only for batches valid by construction (a sampler drawing
-        from the same network, or the session partitioner's own site
-        ids).  With ``validate=True`` the states are scanned before the
-        partitioner draws, so a refused batch changes nothing.  Whatever
+        from the same network).  With ``validate=True`` the states are
+        scanned before the partitioner draws, so a refused batch changes
+        nothing.  Caller-supplied ``site_ids`` are range-checked whatever
+        ``validate`` says (one pass over ``m`` ids).  Whatever
         ``validate`` says, ``data`` and ``site_ids`` must have an integer
         dtype: a float (even integer-valued), bool or object array raises
         :class:`StreamError` before anything moves.  ``data`` keeps its
@@ -185,16 +175,31 @@ class MonitoringSession:
         m = data.shape[0]
         if m == 0:
             return 0
-        estimator = self.estimator
-        # The range scan runs before the partitioner draw, so a refused
+        # Every refusal comes before the partitioner draw, so a refused
         # batch leaves the assignment stream where it was.
-        data = estimator._check_events(data, check=validate)
+        data = self._admit(data, validate)
         if site_ids is None:
             site_ids = self.partitioner.assign(m)
         else:
-            site_ids = estimator._check_sites(site_ids, m, check=validate)
-        estimator.update_batch(data, site_ids, validate=False)
+            site_ids = self._estimator._check_sites(site_ids, m)
+        self._apply(data, site_ids)
         return int(m)
+
+    def _admit(self, data: np.ndarray, validate: bool) -> np.ndarray:
+        """``data`` as the estimator's ``(m, n)`` events, range-scanned
+        when ``validate``; raises before anything moves."""
+        return self._estimator._check_events(data, check=validate)
+
+    def _apply(self, data: np.ndarray, site_ids: np.ndarray) -> None:
+        """Count one admitted batch at its (checked) sites."""
+        self._estimator.update_batch(data, site_ids, validate=False)
+
+    def flush(self) -> None:
+        """Block until every ingested batch is applied.
+
+        Every read calls it first.  In-process each batch is applied
+        before :meth:`ingest` returns, so there is nothing to wait for.
+        """
 
     def ingest_stream(self, batches: Iterable, *,
                       validate: bool = True) -> int:
@@ -230,7 +235,16 @@ class MonitoringSession:
         than this session's is refused with :class:`StreamError` before
         the sampler, the partitioner or the bank moves.
         """
-        check_sampler_network(sampler, self.network)
+        # A stand-in without a ``network`` (one that replays prepared
+        # chunks) keeps the trusted contract.
+        theirs = getattr(sampler, "network", None)
+        if theirs is not None and not np.array_equal(
+            theirs.cardinalities(), self.network.cardinalities()
+        ):
+            raise StreamError(
+                f"sampler draws from network {theirs.name!r}, whose domains "
+                f"differ from this session's network {self.network.name!r}"
+            )
         return self.ingest_stream(
             sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),
             validate=False,
@@ -243,8 +257,20 @@ class MonitoringSession:
         return ForwardSampler(self.network, seed=seed)
 
     # ------------------------------------------------------------------
-    # Anytime access
+    # Anytime access (each read flushes first)
     # ------------------------------------------------------------------
+    @property
+    def estimator(self):
+        """The coordinator's :class:`~repro.core.estimator.StreamingMLEEstimator`."""
+        self.flush()
+        return self._estimator
+
+    @property
+    def message_log(self) -> MessageLog:
+        """The protocol's message tallies (sync epoch included)."""
+        self.flush()
+        return self._message_log
+
     def query(self, assignment) -> float:
         """Estimated joint probability of a full assignment (Algorithm 3)."""
         return self.estimator.query(assignment)
@@ -254,7 +280,13 @@ class MonitoringSession:
         return self.estimator.log_query(assignment)
 
     def query_event(self, event: Mapping[str, int]) -> float:
-        """Estimated probability of an ancestrally closed partial event."""
+        """Estimated probability of an ancestrally closed partial event.
+
+        Each family's term divides the joint counter estimate by the
+        parent counter estimate (Algorithm 3), as :meth:`query` and the
+        served event queries do.  :meth:`estimated_network` normalises
+        otherwise; under HYZ counters the two answers differ (see there).
+        """
         return self.estimator.query_event(event)
 
     def log_query_batch(self, data, *, strict: bool = False) -> np.ndarray:
@@ -291,7 +323,17 @@ class MonitoringSession:
         return QueryServer(self, **kwargs)
 
     def estimated_network(self, *, name: str | None = None) -> BayesianNetwork:
-        """The learned parameters materialized as a standalone network."""
+        """The learned parameters materialized as a standalone network.
+
+        Each CPD column is normalised by the sum of its joint counter
+        estimates, so every column sums to 1; :meth:`query_event`
+        divides by the parent counter estimate instead.  Exact counters
+        make the two equal (to rounding, 1e-15).  HYZ counters estimate
+        the parent and the joint counters independently, so inference on
+        this network differs from :meth:`query_event` by up to the
+        counters' relative error (+4.3e-4 on one ALARM event at eps 0.2,
+        k = 4).
+        """
         return self.estimator.to_network(name=name)
 
     @property
@@ -331,8 +373,7 @@ class MonitoringSession:
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
-    def snapshot(self, path, *, extra: dict | None = None,
-                 durable: bool = False) -> Path:
+    def snapshot(self, path, *, extra: dict | None = None) -> Path:
         """Persist the full session state to a bundle directory.
 
         ``extra`` is an arbitrary JSON-serializable dict stored verbatim
@@ -343,15 +384,24 @@ class MonitoringSession:
         The write is crash-atomic: arrays first (under a versioned
         name), then one atomic ``meta.json`` replace commits the bundle
         — a crash at any point leaves the previous bundle intact.
-        ``durable=True`` additionally fsyncs the arrays file, the
-        metadata, and the bundle directory, extending the guarantee
-        from process crashes to host/power failure — the distributed
-        coordinator's recovery checkpoints (``docs/recovery.md``) write
-        with it.
+        """
+        self.flush()
+        return self._write_bundle(path, extra=extra)
+
+    def _write_bundle(self, path, *, extra: dict | None = None,
+                      durable: bool = False) -> Path:
+        """:meth:`snapshot` without the flush.
+
+        The distributed coordinator's recovery checkpoints write through
+        it from inside a round's apply, where a flush would re-enter the
+        apply.  ``durable=True`` additionally fsyncs the arrays file,
+        the metadata, and the bundle directory, extending the guarantee
+        from process crashes to host/power failure
+        (``docs/recovery.md``).
         """
         bundle = Path(path)
         bundle.mkdir(parents=True, exist_ok=True)
-        estimator_state = self.estimator.state_dict()
+        estimator_state = self._estimator.state_dict()
         bank_state = estimator_state.pop("bank")
         arrays: dict[str, np.ndarray] = {}
         bank_meta: dict = {}
@@ -360,7 +410,7 @@ class MonitoringSession:
                 arrays[f"bank.{key}"] = value
             else:
                 bank_meta[key] = value
-        log_state = self.message_log.state_dict()
+        log_state = self._message_log.state_dict()
         arrays["log.per_site"] = log_state.pop("per_site")
         arrays_name = f"arrays-{int(estimator_state['events_seen'])}.npz"
         meta = {
@@ -423,92 +473,135 @@ class MonitoringSession:
         return meta
 
     @classmethod
-    def restore(
-        cls, path, *, network: BayesianNetwork | None = None
-    ) -> "MonitoringSession":
+    def restore(cls, path, *, network: BayesianNetwork | None = None,
+                **kwargs) -> "MonitoringSession":
         """Rebuild a session from a :meth:`snapshot` bundle and resume.
 
         The session is reconstructed from the embedded spec (pass
-        ``network`` to skip the repository lookup), then every piece of
-        mutable state — counter-bank arrays, message tallies, stream
-        position, and all RNG bit-generator states — is overwritten from
-        the bundle, so the continuation is byte-identical to a run that
-        never stopped.  A bundle whose metadata or arrays lack a piece of
-        that state, or hold an impossible value for it, raises
-        :class:`SessionError` naming the bundle.
+        ``network`` to skip the repository lookup; other keyword
+        arguments go to the constructor, e.g. a
+        :class:`~repro.dist.DistributedSession`'s ``procs``), then every
+        piece of mutable state — counter-bank arrays, message tallies,
+        stream position, and all RNG bit-generator states — is
+        overwritten from the bundle, so the continuation is
+        byte-identical to a run that never stopped.  Bundles are
+        runtime-agnostic: one written by either session class restores
+        into either.
+
+        A bundle whose files, metadata or arrays lack a piece of that
+        state, or hold an impossible value for it, raises
+        :class:`SessionError` naming the bundle before any session is
+        built.  State the rebuilt session refuses on load (an array of
+        another shape) raises after it, and the session is closed.
         """
-        bundle = Path(path)
-        meta = cls.peek(bundle)
-        # meta.json names its arrays file (older bundles used a fixed
-        # name), so a committed bundle can never pair with the wrong
-        # arrays version.
-        arrays_path = bundle / meta.get("arrays", _ARRAYS_NAME)
-        if not arrays_path.is_file():
-            raise SessionError(
-                f"snapshot at {bundle} references missing arrays file "
-                f"{arrays_path.name}"
-            )
-        spec_payload = _meta_object(meta, "spec", bundle)
-        estimator_meta = _meta_object(meta, "estimator", bundle)
-        log_state = dict(_meta_object(meta, "message_log", bundle))
-        partitioner_state = _meta_object(meta, "partitioner", bundle)
-        events_seen = estimator_meta.get("events_seen")
-        if not isinstance(events_seen, int) or events_seen < 0:
-            raise SessionError(
-                f"snapshot at {bundle} has events_seen {events_seen!r}, "
-                "not a count"
-            )
+        spec, state = _read_bundle(Path(path))
+        session = cls(spec, network=network, **kwargs)
         try:
-            spec = EstimatorSpec.from_dict(spec_payload)
-        except KeyError as exc:
-            raise SessionError(
-                f"snapshot at {bundle} has a spec without {exc}"
-            ) from exc
-        session = cls(spec, network=network)
-        # Stored (np.savez) and deflated (np.savez_compressed) bundles
-        # both read here.  The file is opened in our own ``with``: when
-        # ``np.load`` rejects it, NumPy does not close a path it opened.
+            session._load_state(state)
+        except BaseException:
+            session.close()
+            raise
+        return session
+
+    def _load_bundle(self, path) -> None:
+        """Overwrite this session's state with a bundle's (the bundle's
+        spec must build this session's layout)."""
+        self._load_state(_read_bundle(Path(path))[1])
+
+    def _load_state(self, state: dict) -> None:
+        bundle = state["bundle"]
+        self._estimator.load_state_dict(state["estimator"])
         try:
-            with open(arrays_path, "rb") as fh, np.load(fh) as handle:
-                arrays = {key: handle[key] for key in handle.files}
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile,
-                zlib.error) as exc:
-            raise SessionError(
-                f"snapshot at {bundle}: damaged arrays file "
-                f"{arrays_path.name}: {exc}"
-            ) from exc
-        if "log.per_site" not in arrays:
-            raise SessionError(
-                f"snapshot at {bundle}: {arrays_path.name} has no "
-                "'log.per_site' array"
-            )
-        bank_state = dict(meta.get("bank", {}))
-        for key, value in arrays.items():
-            if key.startswith("bank."):
-                bank_state[key[len("bank."):]] = value
-        session.estimator.load_state_dict(
-            {"events_seen": events_seen, "bank": bank_state}
-        )
-        log_state["per_site"] = arrays["log.per_site"]
-        try:
-            session.message_log.load_state_dict(log_state)
+            self._message_log.load_state_dict(state["message_log"])
         except ValueError as exc:
             raise SessionError(
                 f"corrupt snapshot message log at {bundle}: {exc}"
             ) from exc
         try:
-            session.partitioner.load_state_dict(partitioner_state)
+            self.partitioner.load_state_dict(state["partitioner"])
         except KeyError as exc:
             raise SessionError(
                 f"snapshot at {bundle} has a partitioner state without {exc}"
             ) from exc
-        session.restored_extra = meta.get("extra")
-        return session
+        self.restored_extra = state["extra"]
 
     # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Release the session's resources (in-process: none).  Reads
+        stay answerable after it."""
+
+    def __enter__(self) -> "MonitoringSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MonitoringSession({self.spec.algorithm!r}, "
-            f"network={self.network.name!r}, events={self.events_seen}, "
-            f"messages={self.total_messages})"
+            f"{type(self).__name__}({self.spec.algorithm!r}, "
+            f"network={self.network.name!r}, "
+            f"events={self._estimator.events_seen})"
         )
+
+
+def _read_bundle(bundle: Path) -> tuple[EstimatorSpec, dict]:
+    """A snapshot bundle's spec and the state to load into a session
+    built from it; raises :class:`SessionError` on any missing or
+    malformed piece."""
+    meta = MonitoringSession.peek(bundle)
+    # meta.json names its arrays file (older bundles used a fixed
+    # name), so a committed bundle can never pair with the wrong
+    # arrays version.
+    arrays_path = bundle / meta.get("arrays", _ARRAYS_NAME)
+    if not arrays_path.is_file():
+        raise SessionError(
+            f"snapshot at {bundle} references missing arrays file "
+            f"{arrays_path.name}"
+        )
+    spec_payload = _meta_object(meta, "spec", bundle)
+    estimator_meta = _meta_object(meta, "estimator", bundle)
+    log_state = dict(_meta_object(meta, "message_log", bundle))
+    partitioner_state = _meta_object(meta, "partitioner", bundle)
+    events_seen = estimator_meta.get("events_seen")
+    if not isinstance(events_seen, int) or events_seen < 0:
+        raise SessionError(
+            f"snapshot at {bundle} has events_seen {events_seen!r}, "
+            "not a count"
+        )
+    try:
+        spec = EstimatorSpec.from_dict(spec_payload)
+    except KeyError as exc:
+        raise SessionError(
+            f"snapshot at {bundle} has a spec without {exc}"
+        ) from exc
+    # Stored (np.savez) and deflated (np.savez_compressed) bundles
+    # both read here.  The file is opened in our own ``with``: when
+    # ``np.load`` rejects it, NumPy does not close a path it opened.
+    try:
+        with open(arrays_path, "rb") as fh, np.load(fh) as handle:
+            arrays = {key: handle[key] for key in handle.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise SessionError(
+            f"snapshot at {bundle}: damaged arrays file "
+            f"{arrays_path.name}: {exc}"
+        ) from exc
+    if "log.per_site" not in arrays:
+        raise SessionError(
+            f"snapshot at {bundle}: {arrays_path.name} has no "
+            "'log.per_site' array"
+        )
+    bank_state = dict(meta.get("bank", {}))
+    for key, value in arrays.items():
+        if key.startswith("bank."):
+            bank_state[key[len("bank."):]] = value
+    log_state["per_site"] = arrays["log.per_site"]
+    return spec, {
+        "bundle": bundle,
+        "estimator": {"events_seen": events_seen, "bank": bank_state},
+        "message_log": log_state,
+        "partitioner": partitioner_state,
+        "extra": meta.get("extra"),
+    }

@@ -1,9 +1,9 @@
 """Real multiprocess site/coordinator runtime.
 
 The in-process :class:`~repro.api.session.MonitoringSession` remains the
-reference implementation; :class:`DistributedSession` runs the site-side
-encoding in worker processes and is contractually conformant
-with it (same per-site message counts, same estimates, for any spec and
+reference implementation; :class:`DistributedSession` is that session
+with the site-side encoding in worker processes, contractually
+conformant with it (same per-site message counts, same estimates, for any spec and
 seeded stream — see ``docs/distributed.md``).
 """
 
@@ -22,6 +22,7 @@ from repro.dist.recovery import (
     WalCorrupt,
     WriteAheadLog,
     load_recovery,
+    recovery_spec,
     run_crashing_coordinator,
 )
 from repro.dist.site import SiteShard
@@ -48,5 +49,6 @@ __all__ = [
     "WalCorrupt",
     "CRASH_POINTS",
     "load_recovery",
+    "recovery_spec",
     "run_crashing_coordinator",
 ]

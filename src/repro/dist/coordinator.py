@@ -1,24 +1,30 @@
 """The coordinator event loop and :class:`DistributedSession`.
 
-:class:`DistributedSession` mirrors
-:class:`~repro.api.session.MonitoringSession`'s ingest/query/snapshot
-API while running the site-side half of Algorithm 2 in real worker
-processes (:mod:`repro.dist.site`).  Per ingest round it
+:class:`DistributedSession` is a
+:class:`~repro.api.session.MonitoringSession` whose sites are real
+worker processes (:mod:`repro.dist.site`) running the site-side half of
+Algorithm 2.  It inherits the session's ingest prologue, reads,
+snapshots and serving, and replaces only the apply step.  Per ingest
+round it
 
-1. assigns sites from the session partitioner (the same stream the
-   in-process path consumes),
+1. takes the batch the shared prologue admitted, with sites from the
+   session partitioner (the same stream the in-process path consumes),
 2. splits the batch across workers by hosted-site shard and ships one
    :class:`~repro.dist.messages.IngestBatch` frame per worker over the
    worker's one TCP connection (:mod:`repro.net`; full socket buffers =
    backpressure: ingest stalls instead of buffering unboundedly),
 3. drains :class:`~repro.dist.messages.ValueReport` frames from the
    same connections, re-aligns them by round, and applies each round's
-   per-site aggregates to the inner session's counter bank **in
-   ascending site order** as one dense ``(k, n_counters)`` table
+   per-site aggregates to the session's counter bank **in ascending
+   site order** as one dense ``(k, n_counters)`` table
    (``CounterBank.bulk_add_sites``) — the same apply the in-process
    dense path makes, so the bank state, message-log tallies (epoch
    included), and RNG consumption are bit-identical to the in-process
    channel.
+
+Rounds may be in flight when :meth:`~DistributedSession.ingest`
+returns (``max_pending``); :meth:`~DistributedSession.flush` settles
+them, and every inherited read flushes first.
 
 The paper's round broadcast (Algorithm 2) is a *protocol* message: the
 bank tallies it when an apply starts new counter rounds.  Workers hold
@@ -46,20 +52,17 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterable
 from multiprocessing.connection import wait as _wait_connections
 
 import numpy as np
 
-from repro.api.session import MonitoringSession, check_sampler_network
+from repro.api.session import MonitoringSession
 from repro.api.spec import EstimatorSpec
-from repro.bn.sampling import ForwardSampler
 from repro.dist.messages import IngestBatch, Shutdown, ValueReport
 from repro.dist.site import _site_worker_main
 from repro.dist.transport import TransportClosed
 from repro.errors import ExecutionError, SessionError, StreamError
 from repro.utils.procs import worker_context
-from repro.utils.validation import integer_array, integers
 
 
 class _WorkerHandle:
@@ -93,7 +96,7 @@ class _WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
 
-class DistributedSession:
+class DistributedSession(MonitoringSession):
     """A monitoring session whose sites are real worker processes.
 
     Parameters
@@ -191,24 +194,20 @@ class DistributedSession:
         advertise_address: str | None = None,
         max_frame_bytes: int | None = None,
         heartbeat_timeout: float | None = None,
-        _inner: MonitoringSession | None = None,
     ) -> None:
         self._durable = None
         #: JSON-ready summary of the last recovery (None on fresh runs).
         self.recovery_info = None
         self._incarnation = 0
         if recover_from is not None:
-            if spec is not None or _inner is not None:
+            if spec is not None:
                 raise SessionError(
                     "recover_from rebuilds the spec and state from the "
-                    "recovery directory; pass neither spec nor _inner"
+                    "recovery directory; do not pass spec"
                 )
-            from repro.dist.recovery import load_recovery
+            from repro.dist.recovery import recovery_spec
 
-            _inner, self._incarnation, self.recovery_info = load_recovery(
-                recover_from, network=network
-            )
-            spec = _inner.spec
+            spec = recovery_spec(recover_from)
             wal_dir = recover_from
         elif spec is None:
             raise SessionError(
@@ -219,13 +218,18 @@ class DistributedSession:
                 "DistributedSession ships its spec to worker processes and "
                 "needs a serializable (int or None) seed, not a Generator"
             )
-        self.inner = _inner if _inner is not None else MonitoringSession(
-            spec, network=network
-        )
+        super().__init__(spec, network=network)
+        if recover_from is not None:
+            # Loaded before any worker, socket or WAL file opens, so a
+            # refused recovery directory starts nothing.
+            from repro.dist.recovery import load_recovery
+
+            self.recovery_info = load_recovery(recover_from, self)
+            self._incarnation = self.recovery_info["incarnation"]
         # Event batches travel in the network's state dtype (uint8 on
         # LINK and ALARM); the wire codec carries whatever dtype it is
         # given (docs/networking.md).
-        self._wire_dtype = self.inner.network.state_dtype
+        self._wire_dtype = self.network.state_dtype
         k = spec.n_sites
         if procs is None:
             procs = min(k, os.cpu_count() or 1)
@@ -298,7 +302,7 @@ class DistributedSession:
                 from repro.dist.recovery import DurableCoordinator
 
                 self._durable = DurableCoordinator(
-                    wal_dir, self.inner, fsync=wal_fsync,
+                    wal_dir, self, fsync=wal_fsync,
                     fsync_interval=wal_fsync_interval,
                     checkpoint_rounds=checkpoint_rounds,
                     crash=wal_crash, incarnation=self._incarnation,
@@ -340,7 +344,7 @@ class DistributedSession:
     def _payload(self, handle: _WorkerHandle) -> dict:
         return {
             "worker": handle.index,
-            "spec": self.inner.spec.to_dict(),
+            "spec": self.spec.to_dict(),
             "sites": list(handle.sites),
             "state": handle.state,
             "fault": self._worker_faults.get(handle.index),
@@ -527,7 +531,7 @@ class DistributedSession:
         message log and RNG exactly where the in-process paths leave
         them for the same batch.
         """
-        bank = self.inner.estimator.bank
+        bank = self._estimator.bank
         while True:
             seq = self._applied_seq + 1
             record = self._rounds.get(seq)
@@ -543,7 +547,7 @@ class DistributedSession:
                 for worker_index in sorted(record["got"])
                 for agg in record["got"][worker_index]
             )
-            self.inner.estimator.events_seen += record["m"]
+            self._estimator.events_seen += record["m"]
             self._applied_seq = seq
             del self._rounds[seq]
             self._wire["rounds_applied"] += 1
@@ -562,32 +566,16 @@ class DistributedSession:
                 self._apply_ready()
 
     # ------------------------------------------------------------------
-    # Ingestion (mirrors MonitoringSession)
+    # The apply step (the prologue is MonitoringSession.ingest's)
     # ------------------------------------------------------------------
-    def ingest(self, data, site_ids=None, *, validate: bool = True) -> int:
-        """Feed a batch of events; returns the number of events ingested.
-
-        Mirrors :meth:`MonitoringSession.ingest`: sites come from the
-        session partitioner when ``site_ids`` is omitted, the
-        assignment stream is part of the snapshot state, and a
-        non-integer ``data`` or ``site_ids`` dtype is refused before any
-        of it moves.  The per-site aggregation happens in the site
-        workers.
-        """
+    def _admit(self, data: np.ndarray, validate: bool) -> np.ndarray:
         if self._closed:
             raise SessionError("session is closed")
-        data = integers(data, "event data", StreamError)
-        if data.ndim == 1:
-            data = data.reshape(1, -1)
-        if data.shape[0] == 0:
-            return 0
-        if site_ids is not None:
-            site_ids = integer_array(site_ids, "site_ids", StreamError)
         if not validate and not np.can_cast(data.dtype, self._wire_dtype):
-            # Nothing else scans a trusted batch, and narrowing it below
-            # must be lossless or refused — never a silent wrap.  The
-            # in-process session has no such refusal, so it comes before
-            # the partitioner draw: a refused batch leaves the two
+            # Nothing else scans a trusted batch, and narrowing it in
+            # _apply must be lossless or refused — never a silent wrap.
+            # The in-process session has no such refusal, so it comes
+            # before the partitioner draw: a refused batch leaves the two
             # sessions' assignment streams aligned.  A batch already in
             # the wire dtype (the fused sampler's chunk) cannot wrap.
             limit = np.iinfo(self._wire_dtype).max
@@ -596,16 +584,10 @@ class DistributedSession:
                     "event contains state indices outside the "
                     f"{self._wire_dtype.name} wire range [0, {limit}]"
                 )
-        # As in MonitoringSession.ingest, the range scan runs before the
-        # partitioner draw, so a refused batch changes nothing.
-        estimator = self.inner.estimator
-        data = estimator._check_events(data, check=validate)
-        if site_ids is None:
-            site_ids = self.inner.partitioner.assign(data.shape[0])
-        else:
-            site_ids = estimator._check_sites(
-                site_ids, data.shape[0], check=validate
-            )
+        return super()._admit(data, validate)
+
+    def _apply(self, data: np.ndarray, site_ids: np.ndarray) -> None:
+        """Split, ship and settle one round."""
         # One cast ahead of the per-worker split: the split copies, the
         # replay buffers, the frame CRCs and the socket all move the
         # narrow bytes (validate=True's range scan proved it lossless).
@@ -616,13 +598,13 @@ class DistributedSession:
         # split does the transpose: ~1 ms more per 2000 LINK rows than
         # from C order, against ~23 ms saved in the draw.
         data = data.astype(self._wire_dtype, copy=False)
-        m = int(data.shape[0])
+        site_ids = site_ids.astype(np.int64, copy=False)
         self._seq += 1
         seq = self._seq
         workers_of = self._site_to_worker[site_ids]
         expected = set()
         record = {
-            "m": m, "expected": expected, "got": {},
+            "m": int(data.shape[0]), "expected": expected, "got": {},
             "sent_at": time.monotonic(),
         }
         if self._durable is not None:
@@ -630,7 +612,7 @@ class DistributedSession:
             # advances past the round being applied, so the WAL record
             # (and through it the checkpoint) must carry the state as of
             # this round's assignment draw.
-            record["partitioner"] = self.inner.partitioner.state_dict()
+            record["partitioner"] = self.partitioner.state_dict()
         self._rounds[seq] = record
         for w in np.unique(workers_of):
             w = int(w)
@@ -642,125 +624,10 @@ class DistributedSession:
             self._send(handle, IngestBatch(seq, *sub))
             self._wire["batch_frames_sent"] += 1
         self._settle(self.max_pending - 1)
-        return m
-
-    def ingest_stream(self, batches: Iterable, *,
-                      validate: bool = True) -> int:
-        """Feed an iterable of batches (see :meth:`MonitoringSession.ingest_stream`)."""
-        total = 0
-        for item in batches:
-            if isinstance(item, tuple) and len(item) == 2:
-                data, site_ids = item
-            else:
-                data, site_ids = item, None
-            total += self.ingest(data, site_ids, validate=validate)
-        return total
-
-    def ingest_sampler(self, sampler, m: int, *, chunk: int = 10_000) -> int:
-        """Fused sampler ingest (see :meth:`MonitoringSession.ingest_sampler`).
-
-        The sampler's reused chunk is already in the wire dtype (the
-        network's state dtype), so it is neither scanned nor cast: the
-        per-worker row split copies each worker's sub-batch out of it,
-        and those copies are what the frames and replay buffers hold.
-        The sampler contract (trusted batches, session partitioner
-        sites, a sampler of other domains refused before anything
-        moves) holds as in-process.
-        """
-        check_sampler_network(sampler, self.network)
-        return self.ingest_stream(
-            sampler.sample_stream(m, chunk=chunk, reuse_buffer=True),
-            validate=False,
-        )
-
-    def sampler(self, *, seed=None) -> ForwardSampler:
-        """A ground-truth sampler over this session's network."""
-        return self.inner.sampler(seed=seed)
 
     def flush(self) -> None:
         """Block until every in-flight round is applied."""
         self._settle(0)
-
-    # ------------------------------------------------------------------
-    # Anytime access (flush first: reads see every ingested batch)
-    # ------------------------------------------------------------------
-    @property
-    def spec(self) -> EstimatorSpec:
-        return self.inner.spec
-
-    @property
-    def network(self):
-        return self.inner.network
-
-    @property
-    def partitioner(self):
-        return self.inner.partitioner
-
-    @property
-    def message_log(self):
-        self.flush()
-        return self.inner.message_log
-
-    @property
-    def estimator(self):
-        self.flush()
-        return self.inner.estimator
-
-    @property
-    def events_seen(self) -> int:
-        self.flush()
-        return self.inner.events_seen
-
-    @property
-    def total_messages(self) -> int:
-        self.flush()
-        return self.inner.total_messages
-
-    def query(self, assignment) -> float:
-        self.flush()
-        return self.inner.query(assignment)
-
-    def log_query(self, assignment) -> float:
-        self.flush()
-        return self.inner.log_query(assignment)
-
-    def query_event(self, event) -> float:
-        self.flush()
-        return self.inner.query_event(event)
-
-    def log_query_batch(self, data, *, strict: bool = False) -> np.ndarray:
-        self.flush()
-        return self.inner.log_query_batch(data, strict=strict)
-
-    def estimates(self) -> np.ndarray:
-        self.flush()
-        return self.inner.estimates()
-
-    def classifier(self):
-        self.flush()
-        return self.inner.classifier()
-
-    def serve(self, **kwargs):
-        """A :class:`~repro.serve.QueryServer` over this coordinator.
-
-        The server reads through this session's flushing ``estimator``
-        and ``message_log`` properties, so every snapshot it builds
-        reflects all applied rounds; see
-        :meth:`repro.api.session.MonitoringSession.serve`.
-        """
-        from repro.serve import QueryServer
-
-        return QueryServer(self, **kwargs)
-
-    def estimated_network(self, *, name: str | None = None):
-        self.flush()
-        return self.inner.estimated_network(name=name)
-
-    def metrics(self) -> dict:
-        """Protocol metrics, identical in shape and value to the inner
-        session's (wire-level accounting lives in :meth:`wire_stats`)."""
-        self.flush()
-        return self.inner.metrics()
 
     def wire_stats(self) -> dict:
         """Wire-frame accounting of the runtime itself (JSON-ready).
@@ -792,30 +659,6 @@ class DistributedSession:
         """WAL/checkpoint accounting when durable, else an empty dict
         (see :meth:`repro.dist.recovery.DurableCoordinator.stats`)."""
         return {} if self._durable is None else self._durable.stats()
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (delegated to the inner session)
-    # ------------------------------------------------------------------
-    def snapshot(self, path, *, extra: dict | None = None):
-        self.flush()
-        return self.inner.snapshot(path, extra=extra)
-
-    @staticmethod
-    def peek(path) -> dict:
-        return MonitoringSession.peek(path)
-
-    @classmethod
-    def restore(cls, path, *, network=None, **kwargs) -> "DistributedSession":
-        """Resume a snapshot bundle under the distributed runtime.
-
-        Snapshots are runtime-agnostic (all protocol state lives in the
-        coordinator-side bank), so bundles written by either session
-        class restore into either.
-        """
-        inner = MonitoringSession.restore(path, network=network)
-        session = cls(inner.spec, _inner=inner, **kwargs)
-        session.restored_extra = inner.restored_extra
-        return session
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -865,12 +708,6 @@ class DistributedSession:
         if self._durable is not None:
             self._durable.wal.close()
 
-    def __enter__(self) -> "DistributedSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:
             if not getattr(self, "_closed", True):
@@ -879,10 +716,3 @@ class DistributedSession:
                         handle.process.terminate()
         except Exception:
             pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DistributedSession({self.inner.spec.algorithm!r}, "
-            f"network={self.inner.network.name!r}, procs={self.procs}, "
-            f"pending={self._seq - self._applied_seq})"
-        )

@@ -2,8 +2,8 @@
 
 The protocol is coordinator-centric — the counter banks, the
 :class:`~repro.monitoring.channel.MessageLog`, the HYZ RNG streams, and
-the partitioner all live in the coordinator's inner
-:class:`~repro.api.session.MonitoringSession` — so a coordinator crash
+the partitioner all live in the coordinator's
+:class:`~repro.dist.coordinator.DistributedSession` — so a coordinator crash
 used to lose the whole monitoring run.  This module makes the
 coordinator restartable with three pieces:
 
@@ -19,16 +19,17 @@ sub-batch and rounds apply in ascending worker/site order, replaying a
 record reproduces the apply bit for bit — RNG consumption included.
 
 **Checkpoints** (:meth:`DurableCoordinator.checkpoint`).  Periodically
-the inner session is snapshotted through the crash-atomic bundle
-machinery of :meth:`~repro.api.session.MonitoringSession.snapshot`
-(versioned arrays first, one atomic ``meta.json`` replace as the commit
-point, ``durable=True`` fsyncs) and the WAL is truncated: the
+the session is written through the crash-atomic bundle machinery of
+:meth:`~repro.api.session.MonitoringSession.snapshot` (versioned arrays
+first, one atomic ``meta.json`` replace as the commit point, every file
+fsynced) and the WAL is truncated: the
 append -> apply -> checkpoint ordering guarantees every logged round is
 folded into the bundle.
 
 **Recovery** (:func:`load_recovery`, reached through
-``DistributedSession(recover_from=dir)``).  Load the last committed
-checkpoint (or start fresh if none committed), replay WAL rounds in
+``DistributedSession(recover_from=dir)``).  Build the session from the
+directory's spec, load the last committed checkpoint into it (or start
+fresh if none committed), replay WAL rounds in
 order through the exact ascending worker/site apply path, restore the
 partitioner to the last replayed round's ingest-time state, bump the
 coordinator incarnation (TCP workers of the dead incarnation are
@@ -71,6 +72,7 @@ __all__ = [
     "WriteAheadLog",
     "DurableCoordinator",
     "load_recovery",
+    "recovery_spec",
     "recovery_stream",
     "run_crashing_coordinator",
 ]
@@ -389,7 +391,9 @@ class DurableCoordinator:
     """The coordinator's durability sidecar: WAL + checkpoints + state.
 
     Owned by a :class:`~repro.dist.coordinator.DistributedSession`
-    constructed with ``wal_dir``; the session calls :meth:`log_round`
+    constructed with ``wal_dir`` (``session``; any
+    :class:`~repro.api.session.MonitoringSession` works, which the tests
+    and the layer replay use); the session calls :meth:`log_round`
     right before applying a complete round and :meth:`after_apply`
     right after, and this object does the rest — appends, periodic
     checkpoints (every ``checkpoint_rounds`` applied rounds; always on
@@ -406,13 +410,13 @@ class DurableCoordinator:
     the arrays replace, before the ``meta.json`` commit).
     """
 
-    def __init__(self, directory, inner, *, fsync: str = "always",
+    def __init__(self, directory, session, *, fsync: str = "always",
                  fsync_interval: int = 8,
                  checkpoint_rounds: int | None = None,
                  crash: dict | None = None, incarnation: int = 0,
                  fresh: bool = True) -> None:
         self.directory = Path(directory)
-        self.inner = inner
+        self.session = session
         self.incarnation = int(incarnation)
         # Every argument is checked before the directory is touched.
         _check_fsync_policy(fsync, fsync_interval)
@@ -461,7 +465,7 @@ class DurableCoordinator:
         """Commit ``coordinator.json`` atomically (spec + incarnation)."""
         state = {
             "schema": RECOVERY_SCHEMA,
-            "spec": self.inner.spec.to_dict(),
+            "spec": self.session.spec.to_dict(),
             "incarnation": self.incarnation,
         }
         tmp = self.directory / f".tmp-{STATE_NAME}"
@@ -487,8 +491,9 @@ class DurableCoordinator:
     def log_round(self, seq: int, record: dict) -> None:
         """WAL-append one complete round; called *before* the apply."""
         self._maybe_crash("pre-append", seq)
+        # The unflushed log: this runs inside the session's round apply.
         self.wal.append_round(
-            seq, record["m"], self.inner.message_log.epoch,
+            seq, record["m"], self.session._message_log.epoch,
             record.get("partitioner"), record["got"],
         )
         self._maybe_crash("post-append", seq)
@@ -507,7 +512,7 @@ class DurableCoordinator:
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Snapshot the inner session durably and empty the WAL.
+        """Snapshot the session durably and empty the WAL.
 
         The bundle must describe the state *as of the last applied
         round*, so the live partitioner (which may have advanced past
@@ -521,13 +526,15 @@ class DurableCoordinator:
             and int(self._crash.get("seq", -1)) == seq
         ):
             self._simulate_torn_checkpoint()
-        partitioner = self.inner.partitioner
+        partitioner = self.session.partitioner
         live_state = None
         if self._partitioner_applied is not None:
             live_state = partitioner.state_dict()
             partitioner.load_state_dict(self._partitioner_applied)
         try:
-            self.inner.snapshot(
+            # The bundle writer without the flush: a checkpoint runs
+            # inside the session's round apply.
+            self.session._write_bundle(
                 self.directory / CHECKPOINT_NAME,
                 extra={"recovery": {
                     "applied_seq": seq,
@@ -557,7 +564,7 @@ class DurableCoordinator:
         bundle (or start fresh) and take the whole round from the WAL.
         """
         scratch = self.directory / ".crash-scratch"
-        self.inner.snapshot(scratch)
+        self.session._write_bundle(scratch)
         checkpoint = self.directory / CHECKPOINT_NAME
         checkpoint.mkdir(exist_ok=True)
         for arrays in scratch.glob("arrays-*.npz"):
@@ -594,28 +601,8 @@ def _fsync_file(path) -> None:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def load_recovery(directory, *, network=None):
-    """Rebuild the coordinator's inner session from a recovery directory.
-
-    Returns ``(inner, incarnation, info)``: the recovered
-    :class:`~repro.api.session.MonitoringSession` (checkpoint state plus
-    every complete WAL round re-applied through the ascending
-    worker/site order, so banks — HYZ RNG state included — are
-    byte-identical to the uninterrupted run), the *bumped* coordinator
-    incarnation the restarted session must announce in its TCP
-    handshakes, and a JSON-ready ``info`` dict
-    (``replayed_rounds`` / ``checkpoint_seq`` / ``applied_seq``).
-
-    Raises :class:`RecoveryError` on a missing or inconsistent
-    directory, :class:`WalCorrupt` on structural WAL damage, and
-    :class:`~repro.errors.SessionError` if the checkpoint bundle's
-    ``meta.json`` references arrays that are gone (a stale meta) — a
-    partial round is never applied.
-    """
-    from repro.api.session import MonitoringSession
-    from repro.api.spec import EstimatorSpec
-
-    directory = Path(directory)
+def _read_state(directory: Path) -> dict:
+    """The directory's validated ``coordinator.json``."""
     state_path = directory / STATE_NAME
     if not state_path.is_file():
         raise RecoveryError(
@@ -633,14 +620,45 @@ def load_recovery(directory, *, network=None):
             f"coordinator state file {state_path} has schema "
             f"{state.get('schema')!r}, expected {RECOVERY_SCHEMA!r}"
         )
-    spec = EstimatorSpec.from_dict(state["spec"])
+    return state
 
+
+def recovery_spec(directory):
+    """The :class:`~repro.api.spec.EstimatorSpec` a recovery directory's
+    coordinator ran; raises :class:`RecoveryError` when ``directory``
+    holds no valid ``coordinator.json``."""
+    from repro.api.spec import EstimatorSpec
+
+    return EstimatorSpec.from_dict(_read_state(Path(directory))["spec"])
+
+
+def load_recovery(directory, session) -> dict:
+    """Load a recovery directory's state into a freshly built session.
+
+    ``session`` is built from :func:`recovery_spec` of the same
+    directory.  The last committed checkpoint is loaded into it the way
+    :meth:`~repro.api.session.MonitoringSession.restore` loads a bundle,
+    then every complete WAL round is re-applied through the ascending
+    worker/site order, so banks — HYZ RNG state included — are
+    byte-identical to the uninterrupted run.  Returns a JSON-ready
+    ``info`` dict: ``replayed_rounds`` / ``checkpoint_seq`` /
+    ``applied_seq`` and the *bumped* coordinator ``incarnation`` the
+    restarted session must announce in its TCP handshakes.
+
+    Raises :class:`RecoveryError` on a missing or inconsistent
+    directory, :class:`WalCorrupt` on structural WAL damage, and
+    :class:`~repro.errors.SessionError` if the checkpoint bundle's
+    ``meta.json`` references arrays that are gone (a stale meta) — a
+    partial round is never applied.
+    """
+    directory = Path(directory)
+    state = _read_state(directory)
     checkpoint = directory / CHECKPOINT_NAME
     if (checkpoint / "meta.json").is_file():
         # Orphan arrays files from a crash mid-checkpoint are simply
-        # never referenced: restore opens only the file meta.json names.
-        inner = MonitoringSession.restore(checkpoint, network=network)
-        marker = (inner.restored_extra or {}).get("recovery")
+        # never referenced: the load opens only the file meta.json names.
+        session._load_bundle(checkpoint)
+        marker = (session.restored_extra or {}).get("recovery")
         if not isinstance(marker, dict) or "applied_seq" not in marker:
             raise RecoveryError(
                 f"checkpoint bundle {checkpoint} carries no recovery "
@@ -649,14 +667,13 @@ def load_recovery(directory, *, network=None):
         base_seq = int(marker["applied_seq"])
         checkpoint_seq = base_seq
     else:
-        inner = MonitoringSession(spec, network=network)
         base_seq = 0
         checkpoint_seq = None
 
     wal_path = directory / WAL_NAME
     records = WriteAheadLog.scan(wal_path) if wal_path.is_file() else []
-    bank = inner.estimator.bank
-    log = inner.message_log
+    estimator = session._estimator
+    log = session._message_log
     expected = base_seq + 1
     replayed = 0
     last = None
@@ -677,26 +694,24 @@ def load_recovery(directory, *, network=None):
         # The conformance-critical order: ascending worker, then each
         # worker's aggregates ascending by site — identical to
         # DistributedSession._apply_ready, so RNG consumption matches.
-        bank.bulk_add_sites(
+        estimator.bank.bulk_add_sites(
             (agg.site, agg.counter_ids, agg.counts)
             for worker in sorted(record.reports)
             for agg in record.reports[worker]
         )
-        inner.estimator.events_seen += record.m
+        estimator.events_seen += record.m
         expected += 1
         replayed += 1
         last = record
     if last is not None and last.partitioner is not None:
-        inner.partitioner.load_state_dict(last.partitioner)
+        session.partitioner.load_state_dict(last.partitioner)
 
-    incarnation = int(state.get("incarnation", 0)) + 1
-    info = {
+    return {
         "replayed_rounds": replayed,
         "checkpoint_seq": checkpoint_seq,
         "applied_seq": base_seq + replayed,
-        "incarnation": incarnation,
+        "incarnation": int(state.get("incarnation", 0)) + 1,
     }
-    return inner, incarnation, info
 
 
 # ----------------------------------------------------------------------

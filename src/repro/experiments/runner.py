@@ -149,17 +149,6 @@ class ExperimentRunner:
         return payload
 
     @staticmethod
-    def _close_session(session) -> None:
-        """Stop a session's worker processes, if it has any.
-
-        The inner (already-flushed) state stays readable after close, so
-        result assembly can keep querying the session object.
-        """
-        close = getattr(session, "close", None)
-        if close is not None:
-            close()
-
-    @staticmethod
     def _remove_bundle(path) -> None:
         bundle = Path(path)
         if not bundle.is_dir():
@@ -403,11 +392,11 @@ class ExperimentRunner:
                 and produced >= stop_after
                 and produced < n_events
             ):
-                self._close_session(session)
+                session.close()
                 return None
 
         log = session.message_log
-        self._close_session(session)
+        session.close()
         summary = self.cost_model.summarize(
             n_events,
             net.n_variables,

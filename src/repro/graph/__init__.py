@@ -2,16 +2,12 @@
 
 from repro.graph.dag import DAG
 from repro.graph.generators import (
-    layered_random_dag,
     naive_bayes_dag,
     random_dag,
-    random_tree_dag,
 )
 
 __all__ = [
     "DAG",
     "random_dag",
-    "random_tree_dag",
     "naive_bayes_dag",
-    "layered_random_dag",
 ]

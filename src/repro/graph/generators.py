@@ -95,23 +95,6 @@ def random_dag(
     return DAG(parents)
 
 
-def random_tree_dag(n_nodes: int, *, seed=None, prefix: str = "T") -> DAG:
-    """A random rooted tree: every node except the root has one parent.
-
-    Each node's parent is drawn uniformly among earlier nodes, producing a
-    random recursive tree (used for the tree-structured network results of
-    Sec. V, Lemma 10).
-    """
-    n_nodes = check_positive_int(n_nodes, "n_nodes")
-    rng = as_generator(seed)
-    names = _node_names(n_nodes, prefix)
-    parents: dict[str, list[str]] = {names[0]: []}
-    for i in range(1, n_nodes):
-        parent = names[int(rng.integers(0, i))]
-        parents[names[i]] = [parent]
-    return DAG(parents)
-
-
 def naive_bayes_dag(n_features: int, *, class_name: str = "C", prefix: str = "F") -> DAG:
     """The two-layer Naive Bayes structure of Sec. V: class -> each feature."""
     n_features = check_positive_int(n_features, "n_features")
@@ -119,36 +102,4 @@ def naive_bayes_dag(n_features: int, *, class_name: str = "C", prefix: str = "F"
     parents: dict[str, list[str]] = {class_name: []}
     for name in names:
         parents[name] = [class_name]
-    return DAG(parents)
-
-
-def layered_random_dag(
-    layer_sizes: list[int],
-    *,
-    edge_probability: float = 0.3,
-    max_parents: int = 3,
-    seed=None,
-    prefix: str = "L",
-) -> DAG:
-    """A DAG organised in layers, edges only from one layer to the next.
-
-    Mimics the pedigree-like layered shape of the LINK network.  Every
-    non-root node is guaranteed at least one parent in the previous layer.
-    """
-    if not layer_sizes or any(s < 1 for s in layer_sizes):
-        raise GraphError(f"layer_sizes must be positive, got {layer_sizes}")
-    rng = as_generator(seed)
-    total = sum(layer_sizes)
-    names = _node_names(total, prefix)
-    layers: list[list[str]] = []
-    cursor = 0
-    for size in layer_sizes:
-        layers.append(names[cursor : cursor + size])
-        cursor += size
-    parents: dict[str, list[str]] = {name: [] for name in names}
-    for prev, current in zip(layers, layers[1:]):
-        for node in current:
-            k = 1 + int(rng.binomial(min(max_parents, len(prev)) - 1, edge_probability))
-            chosen = rng.choice(len(prev), size=min(k, len(prev)), replace=False)
-            parents[node] = [prev[int(i)] for i in np.sort(chosen)]
     return DAG(parents)

@@ -189,9 +189,9 @@ class QueryServer:
     ----------
     source:
         The live session; must expose ``.estimator`` and
-        ``.message_log`` (both session classes do — the distributed
-        session's properties flush in-flight rounds first, so a served
-        answer always reflects every applied sync).
+        ``.message_log``.  A session's properties flush first (in
+        flight rounds, for a distributed one), so a served answer
+        always reflects every ingested batch.
     event_cache_size / slice_cache_size / decision_cache_size:
         LRU capacities for repeated events, hot parent-configuration
         term slices, and classification decisions.

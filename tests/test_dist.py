@@ -29,7 +29,7 @@ from repro.dist import (
     SiteShard,
     create_once,
 )
-from repro.errors import ExecutionError, SessionError
+from repro.errors import ExecutionError, SessionError, StreamError
 from repro.experiments.results import strip_timing
 from repro.monitoring.channel import MessageKind, MessageLog
 
@@ -429,27 +429,76 @@ class TestDistributedSessionAPI:
             dist.ingest(batch, validate=False)
         return ref, dist
 
-    def test_queries_match_reference(self):
-        ref, dist = self._pair()
-        try:
-            event = ForwardSampler(ref.network, seed=5).sample(4)
-            assert dist.query(event[0]) == ref.query(event[0])
-            assert dist.log_query(event[1]) == ref.log_query(event[1])
-            assert np.array_equal(
-                dist.log_query_batch(event), ref.log_query_batch(event)
-            )
-            named = {
-                v.name: int(s)
-                for v, s in zip(ref.network.variables(), event[2])
-            }
-            assert dist.query_event(named) == ref.query_event(named)
-            assert np.array_equal(
-                dist.estimated_network().log_probability_batch(event),
-                ref.estimated_network().log_probability_batch(event),
-            )
-            assert dist.classifier() is not None
-        finally:
-            dist.close()
+    #: Every public read; each gets a round of its own in flight.
+    READS = {
+        "query": lambda s, q: s.query(q.rows[0]),
+        "log_query": lambda s, q: s.log_query(q.rows[1]),
+        "query_event": lambda s, q: s.query_event(q.event),
+        "log_query_batch": lambda s, q: s.log_query_batch(q.rows),
+        "estimates": lambda s, q: s.estimates(),
+        "classifier": lambda s, q: s.classifier().predict_batch(
+            q.targets, q.rows),
+        "estimated_network": lambda s, q: s.estimated_network()
+        .log_probability_batch(q.rows),
+        "metrics": lambda s, q: s.metrics(),
+        "events_seen": lambda s, q: s.events_seen,
+        "total_messages": lambda s, q: s.total_messages,
+        "serve": lambda s, q: np.concatenate([
+            q.servers[s].log_joint_batch(q.rows),
+            q.servers[s].log_event_batch([q.event]),
+            q.servers[s].classify_batch(q.targets, q.rows),
+        ]),
+    }
+
+    def test_read_surface_matches_reference(self, tmp_path):
+        """Each read, taken right after an ingest into a pipelined
+        session whose worker 0 reports late, sees every round with no
+        caller flush; a snapshot of either session restores into the
+        other."""
+        spec = spec_for("nonuniform", "hyz")
+        net = spec.resolve_network()
+        batches = batches_for(net, rounds=len(self.READS) + 1)
+
+        class Queries:
+            rows = ForwardSampler(net, seed=5).sample(4)
+            event = {v.name: int(s) for v, s in zip(
+                list(net.variables())[:3], rows[2][:3])}
+            targets = [net.node_names[0], net.node_names[-1]] * 2
+            servers = {}
+
+        ref = MonitoringSession(spec)
+        with DistributedSession(
+            spec, procs=2, max_pending=3,
+            worker_faults={0: delay_send(0.02)},
+        ) as dist:
+            Queries.servers = {ref: ref.serve(), dist: dist.serve()}
+            for batch, (name, read) in zip(batches, self.READS.items()):
+                ref.ingest(batch, validate=False)
+                dist.ingest(batch, validate=False)
+                assert dist._seq > dist._applied_seq, name
+                got, want = read(dist, Queries), read(ref, Queries)
+                if isinstance(want, dict):
+                    assert got == want, name
+                else:
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+            ref.snapshot(tmp_path / "in-process")
+            dist.ingest(batches[-1], validate=False)
+            dist.snapshot(tmp_path / "distributed")
+        ref.ingest(batches[-1], validate=False)
+        with DistributedSession.restore(
+            tmp_path / "in-process", procs=2
+        ) as resumed:
+            resumed.ingest(batches[-1], validate=False)
+            assert_conformant(ref, resumed)
+        assert_conformant(
+            ref, MonitoringSession.restore(tmp_path / "distributed")
+        )
+        # One surface: the distributed class defines none of the reads.
+        assert not set(self.READS) & set(vars(DistributedSession))
+        assert not {
+            "estimator", "message_log", "snapshot", "restore", "ingest",
+            "ingest_stream", "ingest_sampler", "sampler", "serve",
+        } & set(vars(DistributedSession))
 
     def test_snapshot_restores_into_distributed(self, tmp_path):
         spec = spec_for("nonuniform", "hyz")
@@ -527,6 +576,35 @@ class TestDistributedSessionAPI:
         spec = spec_for("nonuniform", "hyz")
         batches = batches_for(spec.resolve_network(), rounds=6, size=40)
         run_pair(spec, batches, procs=2, max_pending=3)
+
+    @pytest.mark.parametrize("distributed", [False, True],
+                             ids=["in-process", "distributed"])
+    def test_out_of_range_site_ids_are_refused(self, distributed):
+        # A trusted id of k or -1 used to raise a bare error (and, in
+        # the distributed session, strand a round every flush waits on).
+        spec = spec_for("exact", "exact", k=4)
+        batch = batches_for(spec.resolve_network(), rounds=1)[0]
+        session = (DistributedSession(spec, procs=2) if distributed
+                   else MonitoringSession(spec))
+        try:
+            session.ingest(batch)
+            before = session.partitioner.state_dict()
+            for site in (4, -1):
+                sites = np.arange(len(batch)) % 4
+                sites[-1] = site
+                for validate in (True, False):
+                    with pytest.raises(StreamError, match="site id"):
+                        session.ingest(batch, sites, validate=validate)
+            if distributed:
+                assert session._seq == session._applied_seq == 1
+            assert session.partitioner.state_dict() == before
+        except BaseException:
+            if distributed:
+                session._release()  # close() would wait on a lost round
+            raise
+        session.ingest(batch, np.arange(len(batch)) % 4)
+        assert session.events_seen == 2 * len(batch)
+        session.close()
 
     def test_validation_catches_bad_events(self):
         spec = spec_for("exact", "exact", k=3)

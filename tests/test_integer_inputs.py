@@ -102,7 +102,7 @@ def test_distributed_ingest_refuses_before_dispatch(batch):
     with DistributedSession(_spec(), procs=2) as dist:
         dist.ingest(batch[:20])
         dist.flush()
-        partitioner = dist.inner.partitioner.state_dict()
+        partitioner = dist.partitioner.state_dict()
         frames = dist.wire_stats()["batch_frames_sent"]
         for kind, bad in NON_INTEGER.items():
             for validate in (True, False):
@@ -114,7 +114,7 @@ def test_distributed_ingest_refuses_before_dispatch(batch):
         assert dist._seq == dist._applied_seq == 1
         assert not dist._rounds
         assert dist.wire_stats()["batch_frames_sent"] == frames
-        assert dist.inner.partitioner.state_dict() == partitioner
+        assert dist.partitioner.state_dict() == partitioner
         assert dist.events_seen == 20
 
 

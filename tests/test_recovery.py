@@ -48,6 +48,7 @@ from repro.dist import (
     WalCorrupt,
     WriteAheadLog,
     load_recovery,
+    recovery_spec,
 )
 from repro.dist.messages import SiteAggregate
 from repro.dist.recovery import (
@@ -74,6 +75,13 @@ CRASH_SEQ = 4
 CHECKPOINT_ROUNDS = 2
 BACKENDS = ("exact", "deterministic", "hyz")
 
+
+
+def recover_in_process(directory, network):
+    """An in-process session loaded from a recovery directory, and the
+    recovery info."""
+    session = MonitoringSession(recovery_spec(directory), network=network)
+    return session, load_recovery(directory, session)
 
 def chaos_spec(backend: str) -> EstimatorSpec:
     return EstimatorSpec(
@@ -335,9 +343,9 @@ class TestDurableSession:
             assert {info.compress_type for info in archive.infolist()} \
                 == {zipfile.ZIP_STORED}
         # ...and recovery replays nothing but lands on the same state.
-        inner, incarnation, info = load_recovery(wal_dir, network=chaos_net)
+        inner, info = recover_in_process(wal_dir, chaos_net)
         assert info["replayed_rounds"] == 0
-        assert incarnation == 1
+        assert info["incarnation"] == 1
         ref = chaos_refs["hyz"]
         assert inner.metrics() == ref.metrics()
         assert np.array_equal(inner.estimates(), ref.estimates())
@@ -430,19 +438,19 @@ class TestDurableSession:
 
     def test_recover_from_non_recovery_dir(self, tmp_path):
         with pytest.raises(RecoveryError, match="no coordinator state"):
-            load_recovery(tmp_path)
+            recovery_spec(tmp_path)
 
     def test_corrupt_state_file(self, tmp_path):
         (tmp_path / STATE_NAME).write_text("{not json")
         with pytest.raises(RecoveryError, match="not valid JSON"):
-            load_recovery(tmp_path)
+            recovery_spec(tmp_path)
 
     def test_wrong_state_schema(self, tmp_path):
         (tmp_path / STATE_NAME).write_text(
             json.dumps({"schema": "something-else", "spec": {}})
         )
         with pytest.raises(RecoveryError, match="schema"):
-            load_recovery(tmp_path)
+            recovery_spec(tmp_path)
 
 
 class TestParentWalCompatibility:
@@ -471,7 +479,7 @@ class TestParentWalCompatibility:
             inner.estimator.events_seen += record["m"]
         durable.wal.close()  # a crash: no closing checkpoint
 
-        recovered, _, info = load_recovery(tmp_path, network=chaos_net)
+        recovered, info = recover_in_process(tmp_path, chaos_net)
         assert info["replayed_rounds"] == len(chaos_batches)
         ref = chaos_refs["exact"]
         # One epoch per non-silent site per round, as the walk recorded.
@@ -521,9 +529,8 @@ class TestUnresetWal:
 
         recovered = {}
         for name in ("reset", "unreset"):
-            recovered[name] = load_recovery(tmp_path / name,
-                                            network=chaos_net)
-        (reset, _, reset_info), (skipped, _, skipped_info) = (
+            recovered[name] = recover_in_process(tmp_path / name, chaos_net)
+        (reset, reset_info), (skipped, skipped_info) = (
             recovered["reset"], recovered["unreset"])
         assert skipped_info == reset_info
         assert skipped_info["replayed_rounds"] == 0
@@ -561,7 +568,7 @@ class TestCrashedDirectoryDamage:
         complete = WriteAheadLog.scan(wal)
         assert [r.seq for r in complete] == [1, 2, 3, 4]
         wal.write_bytes(blob[:-3])  # tear into round 4's record
-        inner, _, info = load_recovery(crashed_dir, network=chaos_net)
+        inner, info = recover_in_process(crashed_dir, chaos_net)
         assert info["replayed_rounds"] == 3
         ref = MonitoringSession(chaos_spec("hyz"), network=chaos_net)
         for batch in chaos_batches[:3]:
@@ -570,14 +577,27 @@ class TestCrashedDirectoryDamage:
         assert np.array_equal(inner.estimates(), ref.estimates())
 
     def test_crc_corrupt_wal_record_refuses_recovery(
-        self, crashed_dir, chaos_net
+        self, crashed_dir, chaos_net, monkeypatch
     ):
         wal = crashed_dir / WAL_NAME
         blob = bytearray(wal.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # deep inside a middle record
         wal.write_bytes(bytes(blob))
         with pytest.raises(WalCorrupt):
-            load_recovery(crashed_dir, network=chaos_net)
+            recover_in_process(crashed_dir, chaos_net)
+
+        # The restart refuses it before a socket, the WAL or a worker
+        # opens.
+        def opened(*args, **kwargs):
+            raise AssertionError("a refused directory opened a resource")
+
+        monkeypatch.setattr("repro.net.endpoint.Listener", opened)
+        monkeypatch.setattr("repro.dist.recovery.DurableCoordinator", opened)
+        with pytest.raises(WalCorrupt):
+            DistributedSession(
+                recover_from=str(crashed_dir), network=chaos_net,
+                procs=PROCS,
+            )
 
     def test_non_contiguous_wal_refuses_recovery(
         self, crashed_dir, chaos_net
@@ -587,7 +607,7 @@ class TestCrashedDirectoryDamage:
         wal.truncate_through(1)
         wal.close()
         with pytest.raises(RecoveryError, match="not contiguous"):
-            load_recovery(crashed_dir, network=chaos_net)
+            recover_in_process(crashed_dir, chaos_net)
 
     def test_stale_checkpoint_meta_refuses_recovery(self, tmp_path, chaos_net):
         # A checkpointing run this time, so the bundle exists...
@@ -604,7 +624,7 @@ class TestCrashedDirectoryDamage:
         for path in arrays:
             os.remove(path)
         with pytest.raises(SessionError):
-            load_recovery(directory, network=chaos_net)
+            recover_in_process(directory, chaos_net)
 
 
 # ----------------------------------------------------------------------
@@ -635,8 +655,8 @@ class TestChaosMatrix:
         try:
             info = recovered.recovery_info
             assert info["incarnation"] == 1
-            assert recovered.inner.events_seen % CHUNK == 0
-            resume_at = recovered.inner.events_seen // CHUNK
+            assert recovered.events_seen % CHUNK == 0
+            resume_at = recovered.events_seen // CHUNK
             # The crash point dictates how much the WAL replays: a
             # pre-append crash loses the in-flight round; the other two
             # have it durable before dying.

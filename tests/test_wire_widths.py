@@ -28,13 +28,13 @@ from repro.dist import (
     DistributedSession,
     DurableCoordinator,
     SiteShard,
-    load_recovery,
 )
 from repro.dist.messages import IngestBatch, SiteAggregate
 from repro.dist.recovery import WAL_NAME
 from repro.errors import StreamError
 from repro.graph.dag import DAG
 from test_dist import assert_conformant
+from test_recovery import recover_in_process
 
 
 def single_variable_net(cardinality: int) -> BayesianNetwork:
@@ -335,7 +335,7 @@ class TestWalWidthCompatibility:
         assert sizes["wide"] > 2 * sizes["narrow"]
         recovered = {}
         for name in live:
-            inner, _, info = load_recovery(tmp_path / name, network=alarm_net)
+            inner, info = recover_in_process(tmp_path / name, alarm_net)
             assert info["replayed_rounds"] == len(batches)
             recovered[name] = inner
         for session in (recovered["narrow"], live["wide"], live["narrow"]):
