@@ -110,6 +110,10 @@ class MonitoringSession:
     (snapshots still resume byte-identically: they capture RNG *state*).
     """
 
+    #: Set by a runtime whose :meth:`close` releases resources; a closed
+    #: session refuses :meth:`ingest`.
+    _closed = False
+
     def __init__(
         self,
         spec: EstimatorSpec,
@@ -169,6 +173,8 @@ class MonitoringSession:
         own integer dtype — the fused sampler's uint8 chunk is counted
         in place, never widened.
         """
+        if self._closed:
+            raise SessionError("session is closed")
         data = integers(data, "event data", StreamError)
         if data.ndim == 1:
             data = data.reshape(1, -1)
@@ -479,7 +485,7 @@ class MonitoringSession:
 
         The session is reconstructed from the embedded spec (pass
         ``network`` to skip the repository lookup; other keyword
-        arguments go to the constructor, e.g. a
+        arguments configure the runtime as the constructor's do, e.g. a
         :class:`~repro.dist.DistributedSession`'s ``procs``), then every
         piece of mutable state — counter-bank arrays, message tallies,
         stream position, and all RNG bit-generator states — is
@@ -490,17 +496,16 @@ class MonitoringSession:
 
         A bundle whose files, metadata or arrays lack a piece of that
         state, or hold an impossible value for it, raises
-        :class:`SessionError` naming the bundle before any session is
-        built.  State the rebuilt session refuses on load (an array of
-        another shape) raises after it, and the session is closed.
+        :class:`SessionError` naming the bundle.  The state is loaded
+        into the session's estimator, message log and partitioner
+        before the runtime opens anything (:meth:`_open`), so a bundle
+        refused at any point starts no worker and claims no directory.
         """
         spec, state = _read_bundle(Path(path))
-        session = cls(spec, network=network, **kwargs)
-        try:
-            session._load_state(state)
-        except BaseException:
-            session.close()
-            raise
+        session = cls.__new__(cls)
+        MonitoringSession.__init__(session, spec, network=network)
+        session._load_state(state)
+        session._open(**kwargs)
         return session
 
     def _load_bundle(self, path) -> None:
@@ -528,6 +533,11 @@ class MonitoringSession:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _open(self) -> None:
+        """Start the runtime over this session's built (and, on
+        :meth:`restore`, loaded) state; keyword arguments configure it.
+        In-process there is nothing to start."""
+
     def close(self) -> None:
         """Release the session's resources (in-process: none).  Reads
         stay answerable after it."""

@@ -172,33 +172,12 @@ class DistributedSession(MonitoringSession):
         heartbeat for this long drops the connection; default off).
     """
 
-    def __init__(
-        self,
-        spec: EstimatorSpec | None = None,
-        *,
-        network=None,
-        procs: int | None = None,
-        max_pending: int = 1,
-        max_respawns: int = 5,
-        transport: str = "tcp",
-        poll_interval: float | None = None,
-        worker_faults: dict | None = None,
-        coordinator_faults: dict | None = None,
-        wal_dir=None,
-        wal_fsync: str = "always",
-        wal_fsync_interval: int = 8,
-        checkpoint_rounds: int | None = None,
-        recover_from=None,
-        wal_crash: dict | None = None,
-        bind_address: str | None = None,
-        advertise_address: str | None = None,
-        max_frame_bytes: int | None = None,
-        heartbeat_timeout: float | None = None,
-    ) -> None:
-        self._durable = None
-        #: JSON-ready summary of the last recovery (None on fresh runs).
-        self.recovery_info = None
-        self._incarnation = 0
+    #: JSON-ready summary of the recovery this session restarted from
+    #: (``None`` unless built with ``recover_from``).
+    recovery_info: dict | None = None
+
+    def __init__(self, spec: EstimatorSpec | None = None, *, network=None,
+                 recover_from=None, **runtime) -> None:
         if recover_from is not None:
             if spec is not None:
                 raise SessionError(
@@ -208,7 +187,7 @@ class DistributedSession(MonitoringSession):
             from repro.dist.recovery import recovery_spec
 
             spec = recovery_spec(recover_from)
-            wal_dir = recover_from
+            runtime["wal_dir"] = recover_from
         elif spec is None:
             raise SessionError(
                 "spec is required unless recover_from is given"
@@ -220,17 +199,46 @@ class DistributedSession(MonitoringSession):
             )
         super().__init__(spec, network=network)
         if recover_from is not None:
-            # Loaded before any worker, socket or WAL file opens, so a
-            # refused recovery directory starts nothing.
+            # Loaded before any worker, socket or WAL file opens, as
+            # restore() loads a bundle, so a refused recovery directory
+            # starts nothing.
             from repro.dist.recovery import load_recovery
 
             self.recovery_info = load_recovery(recover_from, self)
-            self._incarnation = self.recovery_info["incarnation"]
+        self._open(**runtime)
+
+    def _open(
+        self,
+        *,
+        procs: int | None = None,
+        max_pending: int = 1,
+        max_respawns: int = 5,
+        transport: str = "tcp",
+        poll_interval: float | None = None,
+        worker_faults: dict | None = None,
+        coordinator_faults: dict | None = None,
+        wal_dir=None,
+        wal_fsync: str = "always",
+        wal_fsync_interval: int = 8,
+        checkpoint_rounds: int | None = None,
+        wal_crash: dict | None = None,
+        bind_address: str | None = None,
+        advertise_address: str | None = None,
+        max_frame_bytes: int | None = None,
+        heartbeat_timeout: float | None = None,
+    ) -> None:
+        """Check the runtime arguments, then open the WAL, the listener
+        and the workers over the session's built (and loaded) state."""
+        self._durable = None
+        recovering = self.recovery_info is not None
+        self._incarnation = (
+            self.recovery_info["incarnation"] if recovering else 0
+        )
         # Event batches travel in the network's state dtype (uint8 on
         # LINK and ALARM); the wire codec carries whatever dtype it is
         # given (docs/networking.md).
         self._wire_dtype = self.network.state_dtype
-        k = spec.n_sites
+        k = self.spec.n_sites
         if procs is None:
             procs = min(k, os.cpu_count() or 1)
         procs = int(procs)
@@ -306,9 +314,9 @@ class DistributedSession(MonitoringSession):
                     fsync_interval=wal_fsync_interval,
                     checkpoint_rounds=checkpoint_rounds,
                     crash=wal_crash, incarnation=self._incarnation,
-                    fresh=(recover_from is None),
+                    fresh=not recovering,
                 )
-                if recover_from is not None:
+                if recovering:
                     # Commit the recovery: bump the on-disk incarnation,
                     # then fold the replayed WAL into a fresh checkpoint
                     # so round numbering can restart at 1 and an
@@ -569,8 +577,6 @@ class DistributedSession(MonitoringSession):
     # The apply step (the prologue is MonitoringSession.ingest's)
     # ------------------------------------------------------------------
     def _admit(self, data: np.ndarray, validate: bool) -> np.ndarray:
-        if self._closed:
-            raise SessionError("session is closed")
         if not validate and not np.can_cast(data.dtype, self._wire_dtype):
             # Nothing else scans a trusted batch, and narrowing it in
             # _apply must be lossless or refused — never a silent wrap.

@@ -627,19 +627,24 @@ def recovery_spec(directory):
     """The :class:`~repro.api.spec.EstimatorSpec` a recovery directory's
     coordinator ran; raises :class:`RecoveryError` when ``directory``
     holds no valid ``coordinator.json``."""
+    return _spec_of(_read_state(Path(directory)))
+
+
+def _spec_of(state: dict):
     from repro.api.spec import EstimatorSpec
 
-    return EstimatorSpec.from_dict(_read_state(Path(directory))["spec"])
+    return EstimatorSpec.from_dict(state["spec"])
 
 
 def load_recovery(directory, session) -> dict:
     """Load a recovery directory's state into a freshly built session.
 
-    ``session`` is built from :func:`recovery_spec` of the same
-    directory.  The last committed checkpoint is loaded into it the way
-    :meth:`~repro.api.session.MonitoringSession.restore` loads a bundle,
-    then every complete WAL round is re-applied through the ascending
-    worker/site order, so banks — HYZ RNG state included — are
+    ``session`` must be built from :func:`recovery_spec` of the same
+    directory (another spec raises :class:`RecoveryError` before
+    anything loads).  The last committed checkpoint is loaded into it
+    the way :meth:`~repro.api.session.MonitoringSession.restore` loads a
+    bundle, then every complete WAL round is re-applied through the
+    ascending worker/site order, so banks — HYZ RNG state included — are
     byte-identical to the uninterrupted run.  Returns a JSON-ready
     ``info`` dict: ``replayed_rounds`` / ``checkpoint_seq`` /
     ``applied_seq`` and the *bumped* coordinator ``incarnation`` the
@@ -653,6 +658,11 @@ def load_recovery(directory, session) -> dict:
     """
     directory = Path(directory)
     state = _read_state(directory)
+    if session.spec.to_dict() != _spec_of(state).to_dict():
+        raise RecoveryError(
+            f"session spec differs from the spec recorded in {directory}; "
+            "build the session from recovery_spec() of that directory"
+        )
     checkpoint = directory / CHECKPOINT_NAME
     if (checkpoint / "meta.json").is_file():
         # Orphan arrays files from a crash mid-checkpoint are simply

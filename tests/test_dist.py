@@ -547,8 +547,13 @@ class TestDistributedSessionAPI:
         dist = DistributedSession(spec, procs=2)
         dist.close()
         dist.close()  # idempotent
-        with pytest.raises(SessionError, match="closed"):
-            dist.ingest(np.zeros((1, 37), dtype=np.int64))
+        # Refused before the batch is looked at: an empty or non-integer
+        # batch too.
+        for data in (np.zeros((1, 37), dtype=np.int64),
+                     np.zeros((0, 37), dtype=np.int64),
+                     np.zeros((1, 37))):
+            with pytest.raises(SessionError, match="closed"):
+                dist.ingest(data)
 
     def test_procs_validation_and_clamping(self):
         spec = spec_for("exact", "exact", k=3)

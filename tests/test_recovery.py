@@ -59,7 +59,7 @@ from repro.dist.recovery import (
     WAL_NAME,
     recovery_stream,
 )
-from repro.errors import ExecutionError, SessionError
+from repro.errors import CounterError, ExecutionError, SessionError
 
 # The chaos-matrix grid, sized for the spawn-heavy single-core CI box:
 # 6 rounds of 50 events, a checkpoint every 2 applied rounds, and the
@@ -451,6 +451,58 @@ class TestDurableSession:
         )
         with pytest.raises(RecoveryError, match="schema"):
             recovery_spec(tmp_path)
+
+    def test_load_recovery_refuses_another_spec(
+        self, tmp_path, chaos_net, chaos_batches
+    ):
+        wal_dir = tmp_path / "durable"
+        with DistributedSession(
+            chaos_spec("hyz"), network=chaos_net, procs=PROCS,
+            wal_dir=str(wal_dir),
+        ) as dist:
+            dist.ingest(chaos_batches[0], validate=False)
+        # Same network and k, so every bank array has the right shape.
+        other = MonitoringSession(
+            chaos_spec("hyz").replace(eps=0.3), network=chaos_net
+        )
+        with pytest.raises(RecoveryError, match="spec differs"):
+            load_recovery(wal_dir, other)
+        assert other.events_seen == 0
+
+    @pytest.mark.parametrize("damaged, error", [
+        ("bank.", CounterError), ("log.per_site", SessionError),
+    ], ids=["bank_array", "message_log"])
+    def test_refused_bundle_opens_nothing(
+        self, tmp_path, chaos_net, chaos_batches, monkeypatch, damaged, error
+    ):
+        # A bundle refused for an array of another shape raises before
+        # the restored session's WAL, listener or workers open, so the
+        # directory it would claim keeps a previous run's files.
+        bundle = tmp_path / "bundle"
+        session = MonitoringSession(chaos_spec("hyz"), network=chaos_net)
+        session.ingest(chaos_batches[0], validate=False)
+        session.snapshot(bundle)
+        (arrays,) = bundle.glob("arrays-*.npz")
+        with np.load(arrays) as handle:
+            content = {key: handle[key] for key in handle.files}
+        key = min(k for k in content if k.startswith(damaged))
+        content[key] = content[key][:-1]
+        np.savez(arrays, **content)
+        wal_dir = tmp_path / "durable"
+        wal_dir.mkdir()
+        (wal_dir / STATE_NAME).write_text("a previous run's state")
+
+        def opened(*args, **kwargs):
+            raise AssertionError("a refused bundle opened a resource")
+
+        monkeypatch.setattr("repro.net.endpoint.Listener", opened)
+        monkeypatch.setattr("repro.dist.recovery.DurableCoordinator", opened)
+        with pytest.raises(error, match="shape"):
+            DistributedSession.restore(
+                bundle, network=chaos_net, procs=PROCS, wal_dir=str(wal_dir),
+            )
+        assert [p.name for p in wal_dir.iterdir()] == [STATE_NAME]
+        assert (wal_dir / STATE_NAME).read_text() == "a previous run's state"
 
 
 class TestParentWalCompatibility:
